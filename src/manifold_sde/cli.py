@@ -23,7 +23,8 @@ Commands:
                    configuration (diffusion 0.4, radius 3), no simulation.
 
 Exit codes: 0 success, 2 step/validation failure, 3 config error.  Worker
-threads are capped by MANIFOLD_SDE_THREADS (0 or unset = auto).
+threads are capped by MANIFOLD_SDE_THREADS (0 or unset = auto); a value that
+is not a non-negative integer is a config error.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ import argparse
 import csv
 import sys
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .costs import COST_IDS, make_cost
 from .geometry import (
@@ -45,7 +44,6 @@ from .geometry import (
     soo_residual,
 )
 from .harness import (
-    CostFunctional,
     SimulationConfig,
     compare_methods,
     simulate,
@@ -53,7 +51,7 @@ from .harness import (
 )
 from .integrators import INTEGRATOR_IDS, DivergenceError, StepFailureError
 from .linalg import frobenius_norm
-from .manifolds import MANIFOLD_NAMES, make_manifold
+from .manifolds import make_manifold
 from .oracles import heat_expectation_s2, heat_expectation_s3
 from .rng import RngStream
 

@@ -17,12 +17,12 @@ retractions from tubular ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .linalg import frobenius_inner, frobenius_norm, mT
+from .linalg import frobenius_inner, frobenius_norm
 from .rng import RngStream
 
 _EPS = np.finfo(float).eps
@@ -171,7 +171,6 @@ class ManifoldHandle:
     project: Callable[[np.ndarray, np.ndarray], np.ndarray]
     christoffel: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     sigma: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    sigma_t: Callable[[np.ndarray, np.ndarray], np.ndarray]
     tubular: TubularRetraction
     ito_drift: Callable[[np.ndarray], np.ndarray]
     strat_drift: Callable[[np.ndarray], np.ndarray]
@@ -181,7 +180,6 @@ class ManifoldHandle:
     in_domain: Callable[[np.ndarray], np.ndarray] | None = None
     compact: bool = False
     cost_point: Callable[[np.ndarray], np.ndarray] | None = None
-    lie: Any = None
     params: Mapping[str, Any] = field(default_factory=dict)
 
     # -- conveniences -------------------------------------------------------
@@ -597,16 +595,13 @@ def brownian_sde(
     handle: ManifoldHandle,
     form: str = "ito",
     diffusion: float = 0.5,
-    lie_frame_noise: bool = False,
 ) -> SdeSpec:
     """The Riemannian Brownian motion on ``handle`` with generator c * Laplacian.
 
     ``diffusion`` is the generator scale c; the classical Brownian motion
     (generator Laplacian/2) is c = 1/2.  Drift and noise scale as 2c and
-    sqrt(2c).  With ``lie_frame_noise`` the noise lives in the Lie algebra
-    (dimension dim g instead of n*m) and is pushed to the tangent space by
-    left translation; this is only available on group handles and is
-    equivalent in law.
+    sqrt(2c).  The noise has the ambient shape and is pushed to the tangent
+    space by Pi(x) sigma(x).
     """
     if diffusion <= 0.0:
         raise ValueError(f"diffusion must be positive, got {diffusion}")
@@ -622,22 +617,8 @@ def brownian_sde(
         def drift(x, t):
             return c2 * handle.strat_drift(x)
 
-    if lie_frame_noise:
-        if handle.lie is None:
-            raise ValueError(f"{handle.name}: lie_frame_noise requires a group handle")
-        structure = handle.lie
-        frame = structure.orthonormal_frame()  # (k, n, n), I-orthonormal in g
+    def sigma(x, dw, t):
+        return root * handle.project(x, handle.sigma(x, dw))
 
-        def sigma(x, dw, t):
-            alg = np.einsum("...k,kij->...ij", dw, frame)
-            return root * (x @ alg)
-
-        noise_shape: tuple[int, ...] = (frame.shape[0],)
-    else:
-        def sigma(x, dw, t):
-            return root * handle.project(x, handle.sigma(x, dw))
-
-        noise_shape = handle.shape
-
-    return SdeSpec(form=form, drift=drift, sigma=sigma, noise_shape=noise_shape,
+    return SdeSpec(form=form, drift=drift, sigma=sigma, noise_shape=handle.shape,
                    diffusion=diffusion)

@@ -120,21 +120,16 @@ class SampleSet:
 
 
 def _worker_count(n_chunks: int) -> int:
+    """Worker threads for ``n_chunks`` chunks, capped by THREADS_ENV (0 or unset = auto)."""
     raw = os.environ.get(THREADS_ENV, "0").strip()
     try:
         cap = int(raw)
     except ValueError:
-        cap = 0
+        cap = -1
     if cap < 0:
-        cap = 0
+        raise ValueError(f"{THREADS_ENV} must be a non-negative integer, got {raw!r}")
     auto = min(n_chunks, os.cpu_count() or 1)
     return max(1, min(cap, n_chunks) if cap else auto)
-
-
-def _sub_increment(inc: WienerIncrement, idx: np.ndarray) -> WienerIncrement:
-    return WienerIncrement(
-        raw=inc.raw[idx], truncated=inc.truncated[idx], h=inc.h, r=inc.r
-    )
 
 
 def _run_chunk(handle: ManifoldHandle, stepper: Stepper, config: SimulationConfig,
@@ -255,7 +250,9 @@ class ComparisonTable:
     """Per-cell estimates plus the worst pairwise discrepancy.
 
     ``consistent`` is True when every pair of cells differs by at most three
-    combined standard errors.
+    combined standard errors, hypot(stderr_a, stderr_b).  The cells share
+    their per-path streams, so that allowance overstates the noise in a
+    difference and can miss a real bias; see :func:`compare_methods`.
     """
 
     cells: tuple
@@ -298,9 +295,13 @@ def compare_methods(config: SimulationConfig, handle: ManifoldHandle,
                     x0: np.ndarray | None = None) -> ComparisonTable:
     """Estimate the same functional over an integrator x n_div grid.
 
-    Every cell reuses the config's seed (per-path streams make the draws
-    independent across cells only through the different block shapes; the
-    pairwise check is conservative under common random numbers).
+    Every cell reuses the config's seed, so path i draws from the same
+    stream (seed, i) in every cell and the cells are strongly positively
+    correlated (common random numbers).  The pairwise check allows
+    3 * hypot(stderr_a, stderr_b), which treats the cells as independent:
+    under that correlation the allowance is loose, not conservative, and a
+    real O(h) bias between schemes can pass it.  Paired-difference
+    statistics are the open fix (see ROADMAP, cross-scheme check).
     """
     cells = []
     for integ in integrators:

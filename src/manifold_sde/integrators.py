@@ -101,24 +101,14 @@ def truncated_increment(rng: RngStream, k, h: float, r: float = 1.0) -> WienerIn
 
 @dataclass(frozen=True)
 class StepResult:
-    """Next state plus feasibility diagnostics.
+    """Next state plus the per-row domain flag.
 
     ``ok`` flags batch rows whose proposal stayed inside the retraction
-    domain; failed rows carry the previous state.  ``residual`` is the
-    largest constraint violation among the ok rows after retraction.
+    domain; failed rows carry the previous state.
     """
 
     state: np.ndarray
     ok: np.ndarray
-    residual: float
-    retries: int = 0
-
-    def require_ok(self) -> np.ndarray:
-        if not bool(np.all(self.ok)):
-            raise StepFailureError(
-                "step left the retraction domain; resample the increment"
-            )
-        return self.state
 
 
 def _finite_rows(q: np.ndarray) -> np.ndarray:
@@ -131,27 +121,22 @@ def _freeze(q: np.ndarray, x: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return np.where(keep[..., None, None], q, np.broadcast_to(x, q.shape))
 
 
-def _feasibility(handle: ManifoldHandle, state: np.ndarray, ok: np.ndarray) -> float:
-    res = handle.constraint_residual(state)
-    return float(np.max(np.where(ok, res, 0.0)))
-
-
 def _project_step(handle, x, q, ok_in=None) -> StepResult:
     """Pull an ambient proposal back through the tubular retraction."""
     ok = _finite_rows(q) if ok_in is None else _finite_rows(q) & ok_in
     q = _freeze(q, x, ok)
     ok = ok & handle.tubular.in_domain(q)
     state = handle.tubular.mapping(_freeze(q, x, ok))
-    return StepResult(state=state, ok=ok, residual=_feasibility(handle, state, ok))
+    return StepResult(state=state, ok=ok)
 
 
-def _retract_step(handle, retraction, x, v, ok_in=None) -> StepResult:
+def _retract_step(retraction, x, v, ok_in=None) -> StepResult:
     ok = _finite_rows(v) if ok_in is None else _finite_rows(v) & ok_in
     v = np.where(ok[..., None, None], v, 0.0)
     ok = ok & retraction.in_domain(x, v)
     v = np.where(ok[..., None, None], v, 0.0)
     state = retraction.mapping(x, v)
-    return StepResult(state=state, ok=ok, residual=_feasibility(handle, state, ok))
+    return StepResult(state=state, ok=ok)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +200,7 @@ def step_retractive_em(handle, sde, retraction, x, t, h, inc) -> StepResult:
     x = np.asarray(x, dtype=float)
     v = h * mu_retraction_adjusted(handle, sde, retraction, x, t)
     v = v + math.sqrt(h) * sde.sigma(x, inc.truncated, t)
-    return _retract_step(handle, retraction, x, v)
+    return _retract_step(retraction, x, v)
 
 
 def _normalized_move(handle, sde, x, raw, t, length2):
@@ -243,7 +228,7 @@ def step_geodesic_walk(handle, sde, retraction, x, h, inc, t=0.0) -> StepResult:
     x = np.asarray(x, dtype=float)
     length2 = 2.0 * sde.diffusion * float(h) * handle.dim
     v, good = _normalized_move(handle, sde, x, inc.raw, t, length2)
-    return _retract_step(handle, retraction, x, v, ok_in=good)
+    return _retract_step(retraction, x, v, ok_in=good)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +295,7 @@ def step_rk4_geodesic(handle, sde, x, h, inc, t=0.0, substeps: int = 2) -> StepR
     state, _, ok = _rk4_geodesic_masked(handle, x, v, 1.0, substeps)
     ok = ok & good
     state = _freeze(state, x, ok)
-    return StepResult(state=state, ok=ok, residual=_feasibility(handle, state, ok))
+    return StepResult(state=state, ok=ok)
 
 
 # ---------------------------------------------------------------------------

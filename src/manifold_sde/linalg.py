@@ -3,7 +3,7 @@
 Everything here works on float64 arrays and broadcasts over leading batch
 dimensions; matrices live in the two trailing axes.  The routines are thin,
 checked wrappers around LAPACK via numpy -- the point of the module is a
-single place where symmetry/rank/spectrum preconditions are enforced and
+single place where symmetry/rank preconditions are enforced and
 reported with useful errors instead of garbage output downstream.
 """
 
@@ -20,10 +20,6 @@ class ShapeError(ValueError):
 
 class AsymmetricInputError(ValueError):
     """A routine requiring a symmetric matrix got a visibly asymmetric one."""
-
-
-class SpectrumError(ValueError):
-    """Eigenvalues violate a routine's positivity/separation requirement."""
 
 
 class SingularMatrixError(ValueError):
@@ -114,36 +110,6 @@ def polar_orth(a: np.ndarray, rank_rel_tol: float = 1e-12) -> np.ndarray:
             f"{rank_rel_tol:.1e})"
         )
     return u @ vt
-
-
-def spd_sqrt(x: np.ndarray) -> np.ndarray:
-    """Symmetric positive-definite square root of an SPD matrix."""
-    dec = sym_eig(x)
-    if np.any(dec.values <= 0.0):
-        raise SpectrumError("spd_sqrt: input has a non-positive eigenvalue")
-    return dec.apply(np.sqrt)
-
-
-def lyapunov_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a x + x a = b`` for symmetric ``a`` with no opposing eigenvalue pairs.
-
-    Uses the eigenbasis of ``a``: with ``a = V diag(d) V^T`` the solution is
-    ``V ((V^T b V) / (d_i + d_j)) V^T``.
-    """
-    dec = sym_eig(a)
-    b = np.asarray(b, dtype=float)
-    if b.shape[-2:] != a.shape[-2:]:
-        raise ShapeError(
-            f"lyapunov_solve: b shape {b.shape} does not match a shape {a.shape}"
-        )
-    d = dec.values
-    denom = d[..., :, None] + d[..., None, :]
-    scale = np.max(np.abs(d), axis=-1)[..., None, None]
-    if np.any(np.abs(denom) <= 1e-12 * np.maximum(scale, 1e-300)):
-        raise SpectrumError("lyapunov_solve: eigenvalue sum d_i + d_j is (near) zero")
-    v = dec.vectors
-    rotated = mT(v) @ b @ v
-    return v @ (rotated / denom) @ mT(v)
 
 
 def matrix_exp(a: np.ndarray) -> np.ndarray:

@@ -11,10 +11,8 @@ from .hypersurface import make_hypersurface, rescale_tangent_retraction
 from .lie_group import (
     LIE_KINDS,
     LieStructure,
-    lie_basis_drift_sums,
     make_lie_group,
     random_spd_coeff,
-    so_entrywise_coeff,
 )
 from .spd import make_spd
 from .sphere import make_sphere
@@ -57,7 +55,6 @@ __all__ = [
     "LIE_KINDS",
     "LieStructure",
     "MANIFOLD_NAMES",
-    "lie_basis_drift_sums",
     "make_grassmann",
     "make_hyperbolic",
     "make_hypersurface",
@@ -68,5 +65,4 @@ __all__ = [
     "make_stiefel",
     "random_spd_coeff",
     "rescale_tangent_retraction",
-    "so_entrywise_coeff",
 ]

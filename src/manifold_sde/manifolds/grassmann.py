@@ -62,7 +62,6 @@ def make_grassmann(n: int, p: int) -> ManifoldHandle:
         project=project,
         christoffel=christoffel,
         sigma=identity,
-        sigma_t=identity,
         tubular=tubular,
         ito_drift=ito_drift,
         strat_drift=strat_drift,

@@ -66,7 +66,6 @@ def make_hyperbolic(n: int) -> ManifoldHandle:
         project=project,
         christoffel=christoffel,
         sigma=scale_by_height,
-        sigma_t=scale_by_height,
         tubular=tubular,
         ito_drift=ito_drift,
         strat_drift=strat_drift,

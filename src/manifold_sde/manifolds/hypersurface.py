@@ -96,7 +96,6 @@ def make_hypersurface(n: int, p: int = 4, d: np.ndarray | None = None) -> Manifo
         project=project,
         christoffel=christoffel,
         sigma=identity,
-        sigma_t=identity,
         tubular=tubular,
         ito_drift=ito_drift,
         strat_drift=strat_drift,

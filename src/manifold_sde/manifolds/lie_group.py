@@ -167,10 +167,6 @@ class LieStructure:
     def apply_metric_inv_sqrt(self, w: np.ndarray) -> np.ndarray:
         return self._mix(w, self.coeff_inv_sqrt)
 
-    def orthonormal_frame(self) -> np.ndarray:
-        """A metric-orthonormal algebra basis, shape (k, n, n)."""
-        return self._frame
-
     # -- drift constants -----------------------------------------------------
 
     def _drift_terms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -188,28 +184,6 @@ class LieStructure:
         bracket = np.einsum("kab,kcb->ac", lf, f) - np.einsum("kba,kbc->ac", f, lf)
         strat = self.apply_metric_inv(self.algebra_project(bracket))
         return ito, strat
-
-
-def lie_basis_drift_sums(structure: LieStructure) -> tuple[np.ndarray, np.ndarray]:
-    """The (ito_term, strat_term) constants of the structure (copies)."""
-    return structure.ito_term.copy(), structure.strat_term.copy()
-
-
-def so_entrywise_coeff(weights: np.ndarray) -> np.ndarray:
-    """Diagonal metric coefficients for ``so`` from per-entry weights.
-
-    ``weights`` is a symmetric positive matrix; entry (i, j) weights the
-    rotation plane basis element with that index pair (i < j, in the same
-    lexicographic order used by the ``so`` basis).
-    """
-    w = np.asarray(weights, dtype=float)
-    n = w.shape[0]
-    if w.shape != (n, n) or np.max(np.abs(w - w.T)) > 1e-12 * max(1.0, np.max(np.abs(w))):
-        raise ValueError("weights must be a symmetric square matrix")
-    vals = [w[i, j] for i in range(n) for j in range(i + 1, n)]
-    if any(v <= 0 for v in vals):
-        raise ValueError("weights must be positive")
-    return np.diag(vals)
 
 
 def random_spd_coeff(k: int, seed: int, spread: float = 2.0) -> np.ndarray:
@@ -380,9 +354,6 @@ def make_lie_group(
     def sigma(x, w):
         return x @ structure.apply_metric_inv_sqrt(structure.algebra_project(w))
 
-    def sigma_t(x, w):
-        return structure.apply_metric_inv_sqrt(structure.algebra_project(mT(x) @ w))
-
     def christoffel(x, u, v):
         a = np.linalg.solve(x, u)
         b = np.linalg.solve(x, v)
@@ -421,7 +392,6 @@ def make_lie_group(
         project=project,
         christoffel=christoffel,
         sigma=sigma,
-        sigma_t=sigma_t,
         tubular=tubular,
         ito_drift=ito_drift,
         strat_drift=strat_drift,
@@ -430,6 +400,5 @@ def make_lie_group(
         constraints=constraints,
         in_domain=in_domain,
         compact=compact,
-        lie=structure,
         params={"kind": kind, "N": n, "metric_seed": metric_seed},
     )

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..geometry import ManifoldHandle, TubularRetraction
-from ..linalg import mT, sym, sym_eig
+from ..linalg import sym, sym_eig
 from ..rng import RngStream
 from ._constraints import symmetry_constraints
 
@@ -76,7 +76,6 @@ def make_spd(n: int) -> ManifoldHandle:
         project=project,
         christoffel=christoffel,
         sigma=sqrt_conjugate,
-        sigma_t=sqrt_conjugate,
         tubular=tubular,
         ito_drift=ito_drift,
         strat_drift=strat_drift,

@@ -62,7 +62,6 @@ def make_sphere(n: int, radius: float = 1.0) -> ManifoldHandle:
         project=project,
         christoffel=christoffel,
         sigma=identity_op,
-        sigma_t=identity_op,
         tubular=tubular,
         ito_drift=lambda x: drift_coeff * x,
         strat_drift=lambda x: np.zeros_like(x),

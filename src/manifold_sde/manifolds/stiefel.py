@@ -52,9 +52,6 @@ def make_stiefel(n: int, p: int, alpha0: float = 1.0, alpha1: float = 1.0) -> Ma
         perp, sk, nor = _split(y, w)
         return perp / np.sqrt(a0) + sk / np.sqrt(a1) + nor
 
-    # sigma is self-adjoint (built from orthogonal projections)
-    sigma_t = sigma
-
     def christoffel(y, u, v):
         gam = y @ sym(mT(u) @ v)
         if a0 != a1:
@@ -93,7 +90,6 @@ def make_stiefel(n: int, p: int, alpha0: float = 1.0, alpha1: float = 1.0) -> Ma
         project=project,
         christoffel=christoffel,
         sigma=sigma,
-        sigma_t=sigma_t,
         tubular=tubular,
         ito_drift=ito_drift,
         strat_drift=strat_drift,

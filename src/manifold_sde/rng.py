@@ -18,15 +18,10 @@ import numpy as np
 
 @dataclass
 class RngStream:
-    """An independent Gaussian/uniform source keyed by ``(seed, stream_id)``.
-
-    ``counter`` counts scalar draws taken so far (diagnostic only; the
-    underlying Philox state is what actually advances).
-    """
+    """An independent Gaussian/uniform source keyed by ``(seed, stream_id)``."""
 
     seed: int
     stream_id: int = 0
-    counter: int = field(default=0, init=False)
     _gen: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -34,23 +29,10 @@ class RngStream:
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def normal(self, shape=()) -> np.ndarray:
-        out = self._gen.standard_normal(shape)
-        self.counter += int(np.prod(shape, dtype=int)) if shape else 1
-        return out
+        return self._gen.standard_normal(shape)
 
     def uniform(self, shape=()) -> np.ndarray:
-        out = self._gen.random(shape)
-        self.counter += int(np.prod(shape, dtype=int)) if shape else 1
-        return out
+        return self._gen.random(shape)
 
     def integers(self, low: int, high: int, shape=()) -> np.ndarray:
-        out = self._gen.integers(low, high, size=shape)
-        self.counter += int(np.prod(shape, dtype=int)) if shape else 1
-        return out
-
-
-def gaussian_matrix(rng: RngStream, n: int, m: int) -> np.ndarray:
-    """An ``n x m`` matrix of independent standard normals from ``rng``."""
-    if n < 1 or m < 1:
-        raise ValueError(f"gaussian_matrix: dimensions must be positive, got {n}x{m}")
-    return rng.normal((n, m))
+        return self._gen.integers(low, high, size=shape)

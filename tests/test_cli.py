@@ -3,7 +3,9 @@ import csv
 import numpy as np
 import pytest
 
+from manifold_sde import SimulationConfig, StepFailureError, cli, make_manifold, simulate
 from manifold_sde.cli import ConfigError, main, parse_config
+from manifold_sde.harness import THREADS_ENV
 
 HAPPY = (
     "command=simulate\nmanifold=sphere\nn=3\nintegrator=ito-em\nT=2\n"
@@ -106,6 +108,29 @@ def test_simulate_with_zero_paths_is_config_error(tmp_path, capsys):
     path = write(tmp_path, "zero.cfg", SMALL_SIM.format(out=out).replace("n_path = 16", "n_path = 0"))
     assert main([path]) == 3
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["abc", "-1", "2.5"])
+def test_bad_thread_cap_is_config_error(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv(THREADS_ENV, threads)
+    sphere = make_manifold("sphere", n=3)
+    with pytest.raises(ValueError, match=THREADS_ENV):
+        simulate(SimulationConfig(T=0.5, n_div=4, n_path=4, seed=0), sphere)
+    out = tmp_path / "threads.csv"
+    assert main([write(tmp_path, "threads.cfg", SMALL_SIM.format(out=out))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and THREADS_ENV in err and repr(threads) in err
+
+
+def test_step_failure_exits_with_code_2(tmp_path, capsys, monkeypatch):
+    def failing_simulate(*args, **kwargs):
+        raise StepFailureError("path 0 failed step 0")
+
+    monkeypatch.setattr(cli, "simulate", failing_simulate)
+    out = tmp_path / "fail.csv"
+    assert main([write(tmp_path, "fail.cfg", SMALL_SIM.format(out=out))]) == 2
+    assert capsys.readouterr().err.startswith("step failure:")
+    assert not out.exists()
 
 
 def test_validate_sphere_passes(tmp_path, capsys):

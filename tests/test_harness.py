@@ -59,7 +59,7 @@ def test_results_independent_of_chunking_and_threads(so3, monkeypatch):
     cost = make_cost("sum_abs", so3)
     base = dict(T=1.0, n_div=50, n_path=200, seed=11)
     reference = None
-    for chunk, threads in [(256, "1"), (64, "4"), (37, "2"), (1000, "0"), (200, "abc")]:
+    for chunk, threads in [(256, "1"), (64, "4"), (37, "2"), (1000, "0")]:
         monkeypatch.setenv(THREADS_ENV, threads)
         out = simulate(SimulationConfig(path_chunk=chunk, **base), so3, cost=cost)
         if reference is None:

@@ -1,18 +1,14 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manifold_sde.linalg import (
-    SpectrumError,
     frobenius_inner,
     frobenius_norm,
-    lyapunov_solve,
     mT,
     matrix_exp,
     polar_orth,
     skew,
-    spd_sqrt,
     sym,
     sym_eig,
 )
@@ -37,43 +33,6 @@ def test_frobenius_inner_matches_trace():
     a, b = rng.normal(size=(2, 4, 3))
     assert np.isclose(frobenius_inner(a, b), np.trace(a.T @ b))
     assert np.isclose(frobenius_norm(a) ** 2, frobenius_inner(a, a))
-
-
-def test_lyapunov_frozen_example():
-    # A X + X A = B with A = diag(1, 2) has the closed inverse X_ij = B_ij/(a_i+a_j)
-    a = np.diag([1.0, 2.0])
-    b = np.array([[2.0, 3.0], [3.0, 8.0]])
-    x = lyapunov_solve(a, b)
-    assert np.allclose(x, [[1.0, 1.0], [1.0, 2.0]], atol=1e-13)
-    assert np.allclose(a @ x + x @ a, b, atol=1e-13)
-
-
-def test_lyapunov_batched_consistency():
-    rng = np.random.default_rng(3)
-    g = rng.normal(size=(5, 4, 4))
-    a = np.einsum("bij,bkj->bik", g, g) + 0.5 * np.eye(4)
-    b = sym(rng.normal(size=(5, 4, 4)))
-    x = lyapunov_solve(a, b)
-    assert np.allclose(np.einsum("bij,bjk->bik", a, x) + np.einsum("bij,bjk->bik", x, a), b,
-                       atol=1e-10)
-
-
-def test_spd_sqrt_frozen():
-    assert np.allclose(spd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-13)
-
-
-def test_spd_sqrt_squares_back():
-    rng = np.random.default_rng(1)
-    g = rng.normal(size=(3, 3))
-    a = g @ g.T + 0.1 * np.eye(3)
-    r = spd_sqrt(a)
-    assert np.allclose(r @ r, a, atol=1e-11)
-    assert np.allclose(r, r.T, atol=1e-13)
-
-
-def test_spd_sqrt_rejects_indefinite():
-    with pytest.raises(SpectrumError):
-        spd_sqrt(np.diag([1.0, -1.0]))
 
 
 def test_polar_orth_properties():

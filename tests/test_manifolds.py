@@ -8,7 +8,7 @@ from manifold_sde import (
     check_projection,
     make_manifold,
 )
-from manifold_sde.geometry import brownian_ito_drift
+from manifold_sde.geometry import ambient_basis, brownian_ito_drift
 from manifold_sde.linalg import frobenius_norm, matrix_exp, mT, sym
 from manifold_sde.manifolds.hypersurface import make_hypersurface
 from manifold_sde.manifolds.lie_group import random_spd_coeff
@@ -45,12 +45,15 @@ def test_family_invariants(name, build):
 
 @pytest.mark.parametrize("name,build", GEOMETRY_BATTERY, ids=IDS)
 def test_sigma_factorizes_inverse_metric(name, build):
-    # sigma sigma^T inverts the metric: Pi sigma sigma^T g xi = xi on tangents
+    # sigma sigma^T inverts the metric: Pi sigma sigma^T g xi = xi on tangents,
+    # with sigma sigma^T w = sum_i sigma(e_i) <sigma(e_i), w> over the ambient basis
     handle = build()
     rng = RngStream(102, 0)
     x = handle.random_point(rng)
     xi = handle.random_tangent(rng, x)
-    recovered = handle.project(x, handle.sigma(x, handle.sigma_t(x, handle.metric(x, xi))))
+    columns = handle.sigma(x, ambient_basis(handle.shape))
+    weights = np.sum(columns * handle.metric(x, xi), axis=(-2, -1))
+    recovered = handle.project(x, np.einsum("i,i...->...", weights, columns))
     assert frobenius_norm(recovered - xi) < 1e-10
 
 

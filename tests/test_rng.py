@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manifold_sde.rng import RngStream, gaussian_matrix
+from manifold_sde.rng import RngStream
 
 
 def test_same_stream_replays():
@@ -47,9 +47,3 @@ def test_normal_moments():
     assert abs(x.mean()) < 0.01
     assert abs(x.std() - 1.0) < 0.01
 
-
-def test_gaussian_matrix_shape_and_determinism():
-    a = gaussian_matrix(RngStream(seed=5, stream_id=2), 3, 4)
-    b = gaussian_matrix(RngStream(seed=5, stream_id=2), 3, 4)
-    assert a.shape == (3, 4)
-    assert np.array_equal(a, b)
