@@ -104,17 +104,30 @@ class TangentRetraction:
 
     ``second_derivative`` evaluates d^2/dt^2 r(x, tv)|_0 polarized to a
     bilinear form in (v, w); when absent a finite-difference evaluation is
-    used.  For a second-order retraction this equals -Gamma(x; v, w).
+    used.  For a second-order retraction this equals -Gamma(x; v, w), and
+    ``second_order`` declares it, which lets the retractive Euler scheme
+    skip its (then vanishing) drift adjustment for Brownian SDEs.  ``step``
+    returns ``(r(x, v), ok)`` from one call; without it :meth:`retract`
+    runs ``domain`` and then ``mapping``.
     """
 
     mapping: Callable[[np.ndarray, np.ndarray], np.ndarray]
     second_derivative: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
     domain: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    step: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    second_order: bool = False
 
     def in_domain(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         if self.domain is None:
             return np.ones(np.broadcast(x, v).shape[:-2], dtype=bool)
         return np.asarray(self.domain(x, v))
+
+    def retract(self, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(r(x, v), ok)``; rows outside the domain come back as r(x, 0)."""
+        if self.step is not None:
+            return self.step(x, v)
+        ok = self.in_domain(x, v)
+        return self.mapping(x, np.where(ok[..., None, None], v, 0.0)), ok
 
 
 @dataclass(frozen=True)
@@ -138,7 +151,9 @@ class SdeSpec:
     ``sigma`` maps a noise increment of shape ``noise_shape`` to an ambient
     matrix.  ``diffusion`` records the generator scale c (generator = c *
     Laplace-Beltrami) when the SDE was built as a Riemannian Brownian motion;
-    it is ``None`` for hand-rolled SDEs.
+    it is ``None`` for hand-rolled SDEs.  A non-None value declares the SDE
+    Brownian: the geodesic walks read c from it, and ``retractive-em`` relies
+    on it to skip the drift adjustment of a second-order retraction.
     """
 
     form: str
@@ -534,21 +549,33 @@ def second_order_retraction(
     r(x, v) = pi(x + v - 1/2 pi'(x) Gamma(x; v, v)).  Its second derivative
     at zero is -Gamma(x; v, w), which is what makes the retraction
     second-order and kills the drift adjustment for Brownian increments.
+    Its ``step`` forms Gamma(x; v, v) and the proposal once and maps rows
+    outside the domain to pi(x).
     """
     tub = retraction if retraction is not None else handle.tubular
 
-    def mapping(x, v):
+    def proposal(x, v):
         corr = tubular_differential(tub, x, handle.christoffel(x, v, v))
-        return tub.mapping(x + v - 0.5 * corr)
+        return x + v - 0.5 * corr
+
+    def mapping(x, v):
+        return tub.mapping(proposal(x, v))
 
     def second(x, v, w):
         return -handle.christoffel(x, v, w)
 
     def domain(x, v):
-        corr = tubular_differential(tub, x, handle.christoffel(x, v, v))
-        return tub.in_domain(x + v - 0.5 * corr)
+        return tub.in_domain(proposal(x, v))
 
-    return TangentRetraction(mapping=mapping, second_derivative=second, domain=domain)
+    def step(x, v):
+        q = proposal(x, v)
+        ok = tub.in_domain(q)
+        if not np.all(ok):
+            q = np.where(ok[..., None, None], q, np.broadcast_to(x, q.shape))
+        return tub.mapping(q), ok
+
+    return TangentRetraction(mapping=mapping, second_derivative=second, domain=domain,
+                             step=step, second_order=True)
 
 
 def first_order_retraction(tub: TubularRetraction) -> TangentRetraction:

@@ -7,7 +7,9 @@ Five schemes, selected by string id:
 - ``geodesic-walk``: normalized geodesic random walk through a second-order
                      tangent retraction,
 - ``retractive-em``: Euler-Maruyama through a tangent retraction, drift
-                     adjusted by the retraction's second-order term,
+                     adjusted by the retraction's second-order term (the
+                     adjustment vanishes, and is skipped, for a Brownian SDE
+                     and a second-order retraction),
 - ``rk4-geodesic``:  geodesic walk whose exponential map is integrated by a
                      projected Runge-Kutta pass over the geodesic equation.
 
@@ -17,10 +19,12 @@ points inside the retraction domain with overwhelming probability.  The
 geodesic schemes normalize the move length, so they use the raw increments.
 
 Steppers are pure functions of (state, increment) and broadcast over leading
-batch axes.  Rows whose step leaves the retraction domain are frozen at the
-previous state and flagged in ``StepResult.ok``; the caller decides whether
-to resample those increments (the simulation harness retries a few times
-from the path's own stream before giving up).
+batch axes.  A retraction step makes one ``TangentRetraction.retract`` call,
+so the second-order retraction forms Gamma(x; v, v) once per step.  Rows
+whose step leaves the retraction domain are frozen at the previous state and
+flagged in ``StepResult.ok``; the caller decides whether to resample those
+increments (the simulation harness retries a few times from the path's own
+stream before giving up).
 """
 
 from __future__ import annotations
@@ -133,10 +137,8 @@ def _project_step(handle, x, q, ok_in=None) -> StepResult:
 def _retract_step(retraction, x, v, ok_in=None) -> StepResult:
     ok = _finite_rows(v) if ok_in is None else _finite_rows(v) & ok_in
     v = np.where(ok[..., None, None], v, 0.0)
-    ok = ok & retraction.in_domain(x, v)
-    v = np.where(ok[..., None, None], v, 0.0)
-    state = retraction.mapping(x, v)
-    return StepResult(state=state, ok=ok)
+    state, in_domain = retraction.retract(x, v)
+    return StepResult(state=state, ok=ok & in_domain)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +185,9 @@ def mu_retraction_adjusted(handle, sde, retraction, x, t) -> np.ndarray:
     """mu minus half the sum of r''(x; sigma w_j, sigma w_j) over noise axes.
 
     The adjustment puts the one-step mean of a retracted Euler step back on
-    the SDE's drift; for Brownian SDEs with a second-order retraction it
-    vanishes identically.
+    the SDE's drift.  For Brownian SDEs with a second-order retraction it
+    vanishes identically (r'' = -Gamma cancels the Brownian drift), so
+    :func:`step_retractive_em` does not call it in that case.
     """
     x = np.asarray(x, dtype=float)
     basis = _noise_basis(sde, x.ndim - 2)
@@ -194,12 +197,18 @@ def mu_retraction_adjusted(handle, sde, retraction, x, t) -> np.ndarray:
 
 
 def step_retractive_em(handle, sde, retraction, x, t, h, inc) -> StepResult:
-    """r(x, h mu_r + sqrt(h) sigma zeta) through a tangent retraction."""
+    """r(x, h mu_r + sqrt(h) sigma zeta) through a tangent retraction.
+
+    When the retraction is second-order and the SDE Brownian (``diffusion``
+    set), mu_r is zero and the step is r(x, sqrt(h) sigma zeta); otherwise
+    mu_r comes from :func:`mu_retraction_adjusted`.
+    """
     if sde.form != "ito":
         raise IntegratorParameterError("retractive Euler-Maruyama needs an Ito-form SDE")
     x = np.asarray(x, dtype=float)
-    v = h * mu_retraction_adjusted(handle, sde, retraction, x, t)
-    v = v + math.sqrt(h) * sde.sigma(x, inc.truncated, t)
+    v = math.sqrt(h) * sde.sigma(x, inc.truncated, t)
+    if not (retraction.second_order and sde.diffusion is not None):
+        v = h * mu_retraction_adjusted(handle, sde, retraction, x, t) + v
     return _retract_step(retraction, x, v)
 
 

@@ -342,11 +342,14 @@ def make_lie_group(
         coeff = random_spd_coeff(basis.shape[0], metric_seed)
     structure = LieStructure(kind, size, basis, coeff)
 
+    # x^{-1} once per call, then products: a broadcast solve would factor x
+    # again for every right-hand side (every ambient basis element)
     def project(x, w):
-        return x @ structure.algebra_project(np.linalg.solve(x, w))
+        return x @ structure.algebra_project(np.linalg.inv(x) @ w)
 
     def metric(x, w):
-        return np.linalg.solve(mT(x), structure.apply_metric(np.linalg.solve(x, w)))
+        xinv = np.linalg.inv(x)
+        return mT(xinv) @ structure.apply_metric(xinv @ w)
 
     def metric_inv(x, w):
         return x @ structure.apply_metric_inv(mT(x) @ w)
@@ -355,8 +358,9 @@ def make_lie_group(
         return x @ structure.apply_metric_inv_sqrt(structure.algebra_project(w))
 
     def christoffel(x, u, v):
-        a = np.linalg.solve(x, u)
-        b = np.linalg.solve(x, v)
+        xinv = np.linalg.inv(x)
+        a = xinv @ u
+        b = a if v is u else xinv @ v
         first = -0.5 * (u @ b + v @ a)
         la = structure.apply_metric(a)
         lb = structure.apply_metric(b)

@@ -33,6 +33,3 @@ class RngStream:
 
     def uniform(self, shape=()) -> np.ndarray:
         return self._gen.random(shape)
-
-    def integers(self, low: int, high: int, shape=()) -> np.ndarray:
-        return self._gen.integers(low, high, size=shape)

@@ -171,6 +171,22 @@ def test_retraction_first_and_second_derivatives(so3):
     assert frobenius_norm(second - (-so3.christoffel(x, v, v))) < 1e-5
 
 
+@pytest.mark.parametrize("family", ["so", "se", "sl"])
+def test_one_call_retraction_matches_domain_then_mapping(family):
+    handle = make_manifold(family, N=3)
+    rng = RngStream(12, 0)
+    x = np.stack([handle.random_point(rng) for _ in range(64)])
+    v = 3.0 * rng.normal(x.shape)  # large moves: some proposals leave the domain
+    r = second_order_retraction(handle)
+    state, ok = r.retract(x, v)
+    ok_ref = r.in_domain(x, v)
+    state_ref = r.mapping(x, np.where(ok_ref[..., None, None], v, 0.0))
+    assert 0 < np.count_nonzero(ok) < ok.size
+    np.testing.assert_array_equal(ok, ok_ref)
+    np.testing.assert_array_equal(state, state_ref)
+    np.testing.assert_array_equal(state[~ok], handle.tubular.mapping(x[~ok]))
+
+
 def test_retraction_second_derivative_closed_vs_fd(so3):
     rng = RngStream(9, 0)
     x = so3.random_point(rng)

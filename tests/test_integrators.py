@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from manifold_sde import (
     brownian_sde,
     first_order_retraction,
     integrate_geodesic_rk4_projected,
+    integrators,
     make_manifold,
     make_stepper,
     mu_retraction_adjusted,
@@ -292,6 +294,88 @@ def test_hypersurface_rescale_adjustment_formula():
     assert frobenius_norm(mu_r - expected) < 1e-12
     assert frobenius_norm(mu_r - handle.project(x, mu_r)) < 1e-12
     assert frobenius_norm(mu_r) > 1e-3  # the adjustment is genuinely nonzero
+
+
+# ---------------------------------------------------------------------------
+# skipping the vanishing adjustment; one Gamma(x; v, v) per retraction step
+
+
+def _one_step(stepper, handle, seed, batch=4, h=0.01):
+    rng = RngStream(seed, 0)
+    x = np.stack([handle.random_point(rng) for _ in range(batch)])
+    inc = truncated_increment(rng, (batch,) + stepper.noise_shape, h)
+    return stepper.step(x, 0.0, h, inc)
+
+
+@pytest.fixture
+def adjust_calls(monkeypatch):
+    calls = []
+    real = integrators.mu_retraction_adjusted
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(integrators, "mu_retraction_adjusted", counted)
+    return calls
+
+
+@pytest.mark.parametrize("family,params", [("so", {"N": 3}), ("sphere", {"n": 3})])
+def test_retractive_em_skips_vanishing_adjustment(adjust_calls, family, params):
+    handle = make_manifold(family, **params)
+    _one_step(make_stepper(handle, "retractive-em"), handle, 40)
+    assert len(adjust_calls) == 0
+
+
+def _first_order_so3():
+    handle = make_manifold("so", N=3)
+    return handle, {"retraction": first_order_retraction(handle.tubular)}
+
+
+def _rescale_hypersurface():
+    handle = make_hypersurface(n=3, p=4)
+    return handle, {"retraction": rescale_tangent_retraction(handle)}
+
+
+def _non_brownian_so3():
+    handle = make_manifold("so", N=3)
+    sde = dataclasses.replace(brownian_sde(handle, form="ito"), diffusion=None)
+    return handle, {"sde": sde}
+
+
+@pytest.mark.parametrize("build", [_first_order_so3, _rescale_hypersurface, _non_brownian_so3],
+                         ids=["first-order", "hypersurface-rescale", "diffusion-none"])
+def test_retractive_em_keeps_adjustment_otherwise(adjust_calls, build):
+    handle, kwargs = build()
+    _one_step(make_stepper(handle, "retractive-em", **kwargs), handle, 41)
+    assert len(adjust_calls) >= 1
+
+
+@pytest.mark.parametrize("name,build", SPOT_BATTERY, ids=SPOT_IDS)
+def test_skipped_adjustment_matches_adjusted_step(name, build):
+    handle = build()
+    sde = brownian_sde(handle, form="ito")
+    undeclared = dataclasses.replace(sde, diffusion=None)  # forces the adjusted path
+    skipped = _one_step(make_stepper(handle, "retractive-em", sde=sde), handle, 42, batch=8)
+    adjusted = _one_step(make_stepper(handle, "retractive-em", sde=undeclared), handle, 42,
+                         batch=8)
+    np.testing.assert_array_equal(skipped.ok, adjusted.ok)
+    assert np.max(frobenius_norm(skipped.state - adjusted.state)) < 1e-12
+
+
+@pytest.mark.parametrize("integrator_id", ["retractive-em", "geodesic-walk"])
+@pytest.mark.parametrize("name,build", SPOT_BATTERY, ids=SPOT_IDS)
+def test_one_christoffel_call_per_retraction_step(name, build, integrator_id):
+    handle = build()
+    calls = []
+
+    def christoffel(x, u, v):
+        calls.append(1)
+        return handle.christoffel(x, u, v)
+
+    counted = dataclasses.replace(handle, christoffel=christoffel)
+    _one_step(make_stepper(counted, integrator_id), counted, 43)
+    assert len(calls) == 1
 
 
 def test_stiefel_polar_retraction_closed_form():

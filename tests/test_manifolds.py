@@ -123,6 +123,65 @@ def test_left_invariance_of_group_christoffel():
     assert frobenius_norm(handle.christoffel(x, xi, eta) - translated) < 1e-10
 
 
+def _solve_forms(handle):
+    """project, metric and christoffel of a group handle with broadcast solves.
+
+    At the identity the handle's maps reduce exactly to the algebra maps:
+    P(w) = project(I, w), I(w) = metric(I, w), I^{-1}(w) = metric_inv(I, w).
+    """
+    eye = np.eye(handle.shape[0])
+
+    def alg(w):
+        return handle.project(eye, w)
+
+    def lmet(w):
+        return handle.metric(eye, w)
+
+    def project(x, w):
+        return x @ alg(np.linalg.solve(x, w))
+
+    def metric(x, w):
+        return np.linalg.solve(mT(x), lmet(np.linalg.solve(x, w)))
+
+    def christoffel(x, u, v):
+        a = np.linalg.solve(x, u)
+        b = np.linalg.solve(x, v)
+        la, lb = lmet(a), lmet(b)
+        bracket = (la @ mT(b) - mT(b) @ la) + (lb @ mT(a) - mT(a) @ lb)
+        return -0.5 * (u @ b + v @ a) + 0.5 * x @ handle.metric_inv(eye, alg(bracket))
+
+    return project, metric, christoffel
+
+
+@pytest.mark.parametrize("kind,n", [("gl+", 2), ("sl", 3), ("so", 3), ("se", 3), ("aff", 3)])
+def test_group_inverse_forms_match_solve_forms(kind, n):
+    """x^{-1} formed once per call agrees with a broadcast solve per right-hand side."""
+    handle = make_manifold(kind, N=n, metric_seed=4)
+    project, metric, christoffel = _solve_forms(handle)
+    rng = RngStream(113, 0)
+    x = np.stack([handle.random_point(rng) for _ in range(6)])
+    v = handle.project(x, rng.normal(x.shape))
+    # an RK4 stage point of the geodesic equation, off the group
+    hs = 0.5
+    xs = x + 0.5 * hs * v
+    vs = v - 0.5 * hs * handle.christoffel(x, v, v)
+    w = vs + rng.normal(x.shape)
+    basis = ambient_basis(handle.shape)[:, None]
+
+    def close(new, ref):
+        err = frobenius_norm(new - ref)
+        return bool(np.all(err <= 1e-12 * frobenius_norm(ref)))
+
+    assert close(handle.project(xs, w), project(xs, w))
+    assert close(handle.project(xs, basis), project(xs, basis))
+    assert close(handle.metric(xs, w), metric(xs, w))
+    assert close(handle.metric(xs, basis), metric(xs, basis))
+    assert close(handle.christoffel(xs, vs, vs), christoffel(xs, vs, vs))
+    assert close(handle.christoffel(xs, vs, w), christoffel(xs, vs, w))
+    sigma = handle.sigma(xs, basis)
+    assert close(handle.christoffel(xs, sigma, sigma), christoffel(xs, sigma, sigma))
+
+
 def test_two_metric_seeds_differ_but_both_valid():
     a = make_manifold("so", N=3, metric_seed=1)
     b = make_manifold("so", N=3, metric_seed=2)
