@@ -14,7 +14,6 @@ from .geometry import (
     FrameConditionError,
     ManifoldHandle,
     OffManifoldError,
-    RetractionDomainError,
     SdeSpec,
     SecondOrderTangent,
     TangentRetraction,
@@ -79,7 +78,6 @@ __all__ = [
     "MANIFOLD_NAMES",
     "ManifoldHandle",
     "OffManifoldError",
-    "RetractionDomainError",
     "RngStream",
     "SampleSet",
     "SdeSpec",

@@ -36,10 +36,6 @@ class FrameConditionError(RuntimeError):
     """Projected ambient basis is too degenerate to build a tangent frame."""
 
 
-class RetractionDomainError(RuntimeError):
-    """A proposed point left the retraction's domain of definition."""
-
-
 # ---------------------------------------------------------------------------
 # basic types
 
@@ -50,84 +46,78 @@ class Constraint:
 
     ``value`` maps ``(..., n, m)`` to ``(...)``.  ``grad`` returns the ambient
     gradient matrix and ``hess`` the second derivative c''(x)[u, v] as a
-    scalar; both fall back to central finite differences when omitted (with
-    correspondingly lower accuracy).
+    scalar.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray], np.ndarray] | None = None
-    hess: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
+    grad: Callable[[np.ndarray], np.ndarray]
+    hess: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        if self.grad is not None:
-            return self.grad(x)
-        return _fd_constraint_grad(self.value, x)
 
-    def second(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if self.hess is not None:
-            return self.hess(x, u, v)
-        return _fd_constraint_hess(self.value, x, u, v)
+def finite_rows(q: np.ndarray) -> np.ndarray:
+    """Per-row flag: every entry of the trailing matrix is finite."""
+    return np.isfinite(q).all(axis=(-2, -1))
+
+
+def freeze_rows(q: np.ndarray, x: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Rows of ``q`` where ``keep`` holds, the matching rows of ``x`` elsewhere."""
+    if np.all(keep):
+        return q
+    return np.where(keep[..., None, None], q, np.broadcast_to(x, q.shape))
 
 
 @dataclass(frozen=True)
 class TubularRetraction:
-    """Nearest-point style map from a neighborhood of the manifold onto it.
+    """E-tubular retraction pi: nearest-point style map from a neighborhood
+    of the manifold onto it, applied only where it is defined.
 
     ``mapping`` sends ambient points to manifold points; ``differential`` is
-    its derivative at on-manifold points (closed form when available,
-    otherwise use :func:`tubular_differential`); ``domain`` returns a boolean
-    mask of points where ``mapping`` is defined.
+    its derivative at on-manifold points; ``domain`` returns a boolean mask
+    of points where ``mapping`` is defined.  Callers go through
+    :meth:`retract` (or :meth:`admit`), which holds the one domain rule: a
+    proposal row that is non-finite, flagged on input or outside the domain
+    is replaced by the matching row of the base point x, so it comes back as
+    pi(x), and is flagged in ``ok``.
     """
 
     mapping: Callable[[np.ndarray], np.ndarray]
-    differential: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    domain: Callable[[np.ndarray], np.ndarray] | None = None
+    differential: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    domain: Callable[[np.ndarray], np.ndarray]
 
-    def in_domain(self, q: np.ndarray) -> np.ndarray:
-        if self.domain is None:
-            return np.ones(q.shape[:-2], dtype=bool)
-        return np.asarray(self.domain(q))
+    def admit(
+        self, q: np.ndarray, x: np.ndarray, ok: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(q', ok)``: q with its rejected rows replaced by those of x."""
+        ok = finite_rows(q) if ok is None else finite_rows(q) & ok
+        q = freeze_rows(q, x, ok)
+        ok = ok & self.domain(q)
+        return freeze_rows(q, x, ok), ok
 
-    def apply(self, q: np.ndarray) -> np.ndarray:
-        ok = self.in_domain(q)
-        if not np.all(ok):
-            raise RetractionDomainError(
-                f"{int(np.size(ok) - np.count_nonzero(ok))} point(s) left the "
-                "retraction domain"
-            )
-        return self.mapping(q)
+    def retract(
+        self, q: np.ndarray, x: np.ndarray, ok: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(pi(q'), ok)`` for the admitted proposal q' of :meth:`admit`."""
+        q, ok = self.admit(q, x, ok)
+        return self.mapping(q), ok
 
 
 @dataclass(frozen=True)
 class TangentRetraction:
     """Tangent-vector retraction r(x, v) with optional second derivative.
 
-    ``second_derivative`` evaluates d^2/dt^2 r(x, tv)|_0 polarized to a
-    bilinear form in (v, w); when absent a finite-difference evaluation is
-    used.  For a second-order retraction this equals -Gamma(x; v, w), and
+    ``retract`` returns ``(r(x, v), ok)`` from one call; the retractions
+    built here go through :meth:`TubularRetraction.retract`, so a row whose
+    step is non-finite or leaves the domain comes back as pi(x) with ``ok``
+    False.  ``second_derivative`` evaluates d^2/dt^2 r(x, tv)|_0 polarized
+    to a bilinear form in (v, w); when absent a finite-difference evaluation
+    is used.  For a second-order retraction this equals -Gamma(x; v, w), and
     ``second_order`` declares it, which lets the retractive Euler scheme
-    skip its (then vanishing) drift adjustment for Brownian SDEs.  ``step``
-    returns ``(r(x, v), ok)`` from one call; without it :meth:`retract`
-    runs ``domain`` and then ``mapping``.
+    skip its (then vanishing) drift adjustment for Brownian SDEs.
     """
 
-    mapping: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    retract: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     second_derivative: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
-    domain: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    step: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     second_order: bool = False
-
-    def in_domain(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if self.domain is None:
-            return np.ones(np.broadcast(x, v).shape[:-2], dtype=bool)
-        return np.asarray(self.domain(x, v))
-
-    def retract(self, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(r(x, v), ok)``; rows outside the domain come back as r(x, 0)."""
-        if self.step is not None:
-            return self.step(x, v)
-        ok = self.in_domain(x, v)
-        return self.mapping(x, np.where(ok[..., None, None], v, 0.0)), ok
 
 
 @dataclass(frozen=True)
@@ -248,33 +238,6 @@ def require_on_manifold(handle: ManifoldHandle, x: np.ndarray, tol: float = 1e-9
 def default_fd_step(x: np.ndarray) -> float:
     """Default central-difference step: sqrt(machine eps) * (1 + |x|_F)."""
     return float(np.sqrt(_EPS) * (1.0 + np.max(frobenius_norm(x))))
-
-
-def _fd_constraint_grad(value, x: np.ndarray, step: float | None = None) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    h = step if step is not None else default_fd_step(x)
-    basis = ambient_basis(x.shape[-2:])
-    xp = x[None] + h * basis
-    xm = x[None] - h * basis
-    comp = (value(xp) - value(xm)) / (2.0 * h)
-    return comp.reshape(x.shape[-2:])
-
-
-def _fd_constraint_hess(value, x, u, v, step: float | None = None) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    nu = np.maximum(frobenius_norm(u), 1e-300)[..., None, None]
-    nv = np.maximum(frobenius_norm(v), 1e-300)[..., None, None]
-    uu = u / nu
-    vv = v / nv
-    h = step if step is not None else float(_EPS ** 0.25 * (1.0 + np.max(frobenius_norm(x))))
-    pp = value(x + h * (uu + vv))
-    pm = value(x + h * (uu - vv))
-    mp = value(x - h * (uu - vv))
-    mm = value(x - h * (uu + vv))
-    raw = (pp - pm - mp + mm) / (4.0 * h * h)
-    return raw * nu[..., 0, 0] * nv[..., 0, 0]
 
 
 def ambient_basis(shape: tuple[int, int]) -> np.ndarray:
@@ -454,8 +417,8 @@ def soo_residual(handle: ManifoldHandle, x: np.ndarray, sot: SecondOrderTangent)
     mb = sot.m_apply(basis)
     worst = 0.0
     for c in handle.constraints:
-        tr = float(np.sum(c.second(x, basis, mb)))
-        grad = c.gradient(x)
+        tr = float(np.sum(c.hess(x, basis, mb)))
+        grad = c.grad(x)
         lin = float(frobenius_inner(grad, sot.a))
         cross = float(frobenius_norm(sot.m_apply(grad)))
         worst = max(worst, abs(tr + lin), cross)
@@ -522,69 +485,28 @@ def dual_tangent_frame(handle: ManifoldHandle, x: np.ndarray) -> tuple[np.ndarra
 # retractions
 
 
-def tubular_differential(
-    retraction: TubularRetraction,
-    x: np.ndarray,
-    w: np.ndarray,
-    step: float | None = None,
-) -> np.ndarray:
-    """Differential of a tubular retraction at an on-manifold point.
-
-    Uses the closed form when the retraction carries one, otherwise a central
-    difference along ``w``.
-    """
-    if retraction.differential is not None:
-        return retraction.differential(x, w)
-    w = np.asarray(w, dtype=float)
-    nw = np.maximum(frobenius_norm(w), 1e-300)[..., None, None]
-    h = (step if step is not None else default_fd_step(x)) / nw
-    return (retraction.mapping(x + h * w) - retraction.mapping(x - h * w)) / (2.0 * h)
-
-
-def second_order_retraction(
-    handle: ManifoldHandle, retraction: TubularRetraction | None = None
-) -> TangentRetraction:
-    """Build the curvature-corrected tangent retraction from a tubular one.
+def second_order_retraction(handle: ManifoldHandle) -> TangentRetraction:
+    """Build the curvature-corrected tangent retraction from the handle's tubular one.
 
     r(x, v) = pi(x + v - 1/2 pi'(x) Gamma(x; v, v)).  Its second derivative
     at zero is -Gamma(x; v, w), which is what makes the retraction
     second-order and kills the drift adjustment for Brownian increments.
-    Its ``step`` forms Gamma(x; v, v) and the proposal once and maps rows
-    outside the domain to pi(x).
+    Each call forms Gamma(x; v, v) and the proposal once.
     """
-    tub = retraction if retraction is not None else handle.tubular
+    tub = handle.tubular
 
-    def proposal(x, v):
-        corr = tubular_differential(tub, x, handle.christoffel(x, v, v))
-        return x + v - 0.5 * corr
-
-    def mapping(x, v):
-        return tub.mapping(proposal(x, v))
+    def retract(x, v):
+        return tub.retract(x + v - 0.5 * tub.differential(x, handle.christoffel(x, v, v)), x)
 
     def second(x, v, w):
         return -handle.christoffel(x, v, w)
 
-    def domain(x, v):
-        return tub.in_domain(proposal(x, v))
-
-    def step(x, v):
-        q = proposal(x, v)
-        ok = tub.in_domain(q)
-        if not np.all(ok):
-            q = np.where(ok[..., None, None], q, np.broadcast_to(x, q.shape))
-        return tub.mapping(q), ok
-
-    return TangentRetraction(mapping=mapping, second_derivative=second, domain=domain,
-                             step=step, second_order=True)
+    return TangentRetraction(retract=retract, second_derivative=second, second_order=True)
 
 
 def first_order_retraction(tub: TubularRetraction) -> TangentRetraction:
     """The naive tangent retraction r(x, v) = pi(x + v) with FD second derivative."""
-    return TangentRetraction(
-        mapping=lambda x, v: tub.mapping(x + v),
-        second_derivative=None,
-        domain=lambda x, v: tub.in_domain(x + v),
-    )
+    return TangentRetraction(retract=lambda x, v: tub.retract(x + v, x))
 
 
 def retraction_second_derivative(
@@ -610,7 +532,9 @@ def _fd_retraction_diag(retraction, x, v, step=None):
     u = v / nv
     h = step if step is not None else float(_EPS ** 0.25 * (1.0 + np.max(frobenius_norm(x))))
     xb = np.broadcast_to(x, u.shape) if u.ndim > np.ndim(x) else x
-    second = (retraction.mapping(xb, h * u) - 2.0 * xb + retraction.mapping(xb, -h * u)) / (h * h)
+    plus = retraction.retract(xb, h * u)[0]
+    minus = retraction.retract(xb, -h * u)[0]
+    second = (plus - 2.0 * xb + minus) / (h * h)
     return second * nv * nv
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,9 +49,6 @@ class SimulationConfig:
     max_retries: int = 5
     path_chunk: int = 256
     state_cap: float | None = None
-    manifold: str | None = None
-    manifold_params: dict = field(default_factory=dict)
-    cost: str | None = None
 
     def __post_init__(self):
         if self.T <= 0.0:

@@ -19,12 +19,15 @@ points inside the retraction domain with overwhelming probability.  The
 geodesic schemes normalize the move length, so they use the raw increments.
 
 Steppers are pure functions of (state, increment) and broadcast over leading
-batch axes.  A retraction step makes one ``TangentRetraction.retract`` call,
-so the second-order retraction forms Gamma(x; v, v) once per step.  Rows
-whose step leaves the retraction domain are frozen at the previous state and
-flagged in ``StepResult.ok``; the caller decides whether to resample those
-increments (the simulation harness retries a few times from the path's own
-stream before giving up).
+batch axes.  Every scheme reaches the manifold through one domain-checked
+call: the projected schemes and the RK4 pass through
+``TubularRetraction.retract``, the retraction schemes through
+``TangentRetraction.retract`` (which for the second-order retraction forms
+Gamma(x; v, v) once per step).  Rows whose step is non-finite or leaves the
+retraction domain are frozen at the previous state and flagged in
+``StepResult.ok``; the caller decides whether to resample those increments
+(the simulation harness retries a few times from the path's own stream
+before giving up).
 """
 
 from __future__ import annotations
@@ -40,12 +43,17 @@ from .geometry import (
     SdeSpec,
     TangentRetraction,
     brownian_sde,
+    finite_rows,
+    freeze_rows,
     retraction_second_derivative,
     second_order_retraction,
 )
 from .rng import RngStream
 
 INTEGRATOR_IDS = ("ito-em", "strat-heun", "geodesic-walk", "retractive-em", "rk4-geodesic")
+
+# RK4 steps per exponential map in ``rk4-geodesic``
+RK4_SUBSTEPS = 2
 
 
 class IntegratorParameterError(ValueError):
@@ -100,7 +108,7 @@ def truncated_increment(rng: RngStream, k, h: float, r: float = 1.0) -> WienerIn
 
 
 # ---------------------------------------------------------------------------
-# step results and masking helpers
+# step results
 
 
 @dataclass(frozen=True)
@@ -115,32 +123,6 @@ class StepResult:
     ok: np.ndarray
 
 
-def _finite_rows(q: np.ndarray) -> np.ndarray:
-    return np.isfinite(q).all(axis=(-2, -1))
-
-
-def _freeze(q: np.ndarray, x: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    if np.all(keep):
-        return q
-    return np.where(keep[..., None, None], q, np.broadcast_to(x, q.shape))
-
-
-def _project_step(handle, x, q, ok_in=None) -> StepResult:
-    """Pull an ambient proposal back through the tubular retraction."""
-    ok = _finite_rows(q) if ok_in is None else _finite_rows(q) & ok_in
-    q = _freeze(q, x, ok)
-    ok = ok & handle.tubular.in_domain(q)
-    state = handle.tubular.mapping(_freeze(q, x, ok))
-    return StepResult(state=state, ok=ok)
-
-
-def _retract_step(retraction, x, v, ok_in=None) -> StepResult:
-    ok = _finite_rows(v) if ok_in is None else _finite_rows(v) & ok_in
-    v = np.where(ok[..., None, None], v, 0.0)
-    state, in_domain = retraction.retract(x, v)
-    return StepResult(state=state, ok=ok & in_domain)
-
-
 # ---------------------------------------------------------------------------
 # projected Euler schemes
 
@@ -151,7 +133,7 @@ def step_ito_projected(handle, sde, x, t, h, inc) -> StepResult:
         raise IntegratorParameterError("projected Euler-Maruyama needs an Ito-form SDE")
     x = np.asarray(x, dtype=float)
     q = x + h * sde.drift(x, t) + math.sqrt(h) * sde.sigma(x, inc.truncated, t)
-    return _project_step(handle, x, q)
+    return StepResult(*handle.tubular.retract(q, x))
 
 
 def step_stratonovich_heun_projected(handle, sde, x, t, h, inc) -> StepResult:
@@ -162,14 +144,10 @@ def step_stratonovich_heun_projected(handle, sde, x, t, h, inc) -> StepResult:
     zeta = inc.truncated
     rooth = math.sqrt(h)
     s0 = sde.sigma(x, zeta, t)
-    pred = x + rooth * s0
-    ok_pred = _finite_rows(pred)
-    pred = _freeze(pred, x, ok_pred)
-    ok_pred = ok_pred & handle.tubular.in_domain(pred)
-    pred = _freeze(pred, x, ok_pred)
+    pred, ok_pred = handle.tubular.admit(x + rooth * s0, x)
     s1 = sde.sigma(pred, zeta, t)
     q = x + h * sde.drift(x, t) + 0.5 * rooth * (s0 + s1)
-    return _project_step(handle, x, q, ok_in=ok_pred)
+    return StepResult(*handle.tubular.retract(q, x, ok_pred))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +187,7 @@ def step_retractive_em(handle, sde, retraction, x, t, h, inc) -> StepResult:
     v = math.sqrt(h) * sde.sigma(x, inc.truncated, t)
     if not (retraction.second_order and sde.diffusion is not None):
         v = h * mu_retraction_adjusted(handle, sde, retraction, x, t) + v
-    return _retract_step(retraction, x, v)
+    return StepResult(*retraction.retract(x, v))
 
 
 def _normalized_move(handle, sde, x, raw, t, length2):
@@ -237,7 +215,8 @@ def step_geodesic_walk(handle, sde, retraction, x, h, inc, t=0.0) -> StepResult:
     x = np.asarray(x, dtype=float)
     length2 = 2.0 * sde.diffusion * float(h) * handle.dim
     v, good = _normalized_move(handle, sde, x, inc.raw, t, length2)
-    return _retract_step(retraction, x, v, ok_in=good)
+    state, ok = retraction.retract(x, v)
+    return StepResult(state=state, ok=ok & good)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +227,7 @@ def _geodesic_field(handle, x, v):
     return v, -handle.christoffel(x, v, v)
 
 
-def _rk4_geodesic_masked(handle, x, v, T, steps, tubular=None):
-    tub = tubular if tubular is not None else handle.tubular
+def _rk4_geodesic_masked(handle, x, v, T, steps):
     hstep = float(T) / int(steps)
     vnorm0 = np.sqrt(np.sum(v * v, axis=(-2, -1)))
     vcap = 1e6 * max(1.0, float(np.max(vnorm0)) if vnorm0.size else 1.0)
@@ -263,18 +241,14 @@ def _rk4_geodesic_masked(handle, x, v, T, steps, tubular=None):
         k4x, k4v = _geodesic_field(handle, x + hstep * k3x, v + hstep * k3v)
         xn = x + (hstep / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         vn = v + (hstep / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        good = _finite_rows(xn) & _finite_rows(vn)
-        xn = _freeze(xn, x, good)
-        vn = _freeze(vn, v, good)
-        good = good & tub.in_domain(xn)
-        x = tub.mapping(_freeze(xn, x, good))
-        v = handle.project(x, _freeze(vn, v, good))
+        x, good = handle.tubular.retract(xn, x, finite_rows(vn))
+        v = handle.project(x, freeze_rows(vn, v, good))
         good = good & (np.sqrt(np.sum(v * v, axis=(-2, -1))) <= vcap)
         ok = ok & good
     return x, v, ok
 
 
-def integrate_geodesic_rk4_projected(handle, x, v, T, steps, tubular=None):
+def integrate_geodesic_rk4_projected(handle, x, v, T, steps):
     """Classical RK4 on d/dt (x, v) = (v, -Gamma(x; v, v)), re-projected.
 
     After every step the point is pulled back by the tubular retraction and
@@ -284,7 +258,7 @@ def integrate_geodesic_rk4_projected(handle, x, v, T, steps, tubular=None):
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    point, velocity, ok = _rk4_geodesic_masked(handle, x, v, T, steps, tubular)
+    point, velocity, ok = _rk4_geodesic_masked(handle, x, v, T, steps)
     if not bool(np.all(ok)):
         raise DivergenceError(
             "geodesic integration blew up or left the retraction domain"
@@ -292,7 +266,7 @@ def integrate_geodesic_rk4_projected(handle, x, v, T, steps, tubular=None):
     return point, velocity
 
 
-def step_rk4_geodesic(handle, sde, x, h, inc, t=0.0, substeps: int = 2) -> StepResult:
+def step_rk4_geodesic(handle, sde, x, h, inc, t=0.0) -> StepResult:
     """Geodesic-walk step whose exponential map is RK4-integrated."""
     if sde.diffusion is None:
         raise IntegratorParameterError(
@@ -301,9 +275,9 @@ def step_rk4_geodesic(handle, sde, x, h, inc, t=0.0, substeps: int = 2) -> StepR
     x = np.asarray(x, dtype=float)
     length2 = 2.0 * sde.diffusion * float(h) * handle.dim
     v, good = _normalized_move(handle, sde, x, inc.raw, t, length2)
-    state, _, ok = _rk4_geodesic_masked(handle, x, v, 1.0, substeps)
+    state, _, ok = _rk4_geodesic_masked(handle, x, v, 1.0, RK4_SUBSTEPS)
     ok = ok & good
-    state = _freeze(state, x, ok)
+    state = freeze_rows(state, x, ok)
     return StepResult(state=state, ok=ok)
 
 
@@ -341,7 +315,6 @@ def make_stepper(
     sde: SdeSpec | None = None,
     diffusion: float = 0.5,
     retraction: TangentRetraction | None = None,
-    rk4_substeps: int = 2,
 ) -> Stepper:
     """Bind an integrator id to a handle and (by default Brownian) SDE."""
     form = integrator_form(integrator_id)
@@ -373,7 +346,7 @@ def make_stepper(
             return step_retractive_em(handle, sde, retraction, x, t, h, inc)
     else:
         def step(x, t, h, inc):
-            return step_rk4_geodesic(handle, sde, x, h, inc, t=t, substeps=rk4_substeps)
+            return step_rk4_geodesic(handle, sde, x, h, inc, t=t)
 
     return Stepper(
         integrator_id=integrator_id,

@@ -121,14 +121,10 @@ def rescale_tangent_retraction(handle: ManifoldHandle) -> TangentRetraction:
     def chess(x, u, v):
         return np.sum(p * (p - 1) * d * x ** (p - 2) * u * v, axis=(-2, -1))
 
-    def mapping(x, v):
-        return handle.tubular.apply(x + v)
-
     def second_derivative(x, v, w):
         return -(chess(x, v, w) / p)[..., None, None] * x
 
     return TangentRetraction(
-        mapping=mapping,
+        retract=lambda x, v: handle.tubular.retract(x + v, x),
         second_derivative=second_derivative,
-        domain=lambda x, v: handle.tubular.in_domain(x + v),
     )

@@ -223,8 +223,12 @@ def _unit_det_constraint(n: int) -> Constraint:
     return Constraint(value=value, grad=grad, hess=hess)
 
 
-def _kind_embedding(kind: str, n: int):
-    """Tubular retraction, constraints, domain test, compactness for one kind."""
+def _kind_embedding(kind: str, n: int, project):
+    """Tubular retraction, constraints, domain test, compactness for one kind.
+
+    ``project`` is the group's tangent projection, which is the differential
+    of every kind's tubular map at a group point (gl+ uses the identity).
+    """
     m = n - 1
 
     def block(q):
@@ -245,9 +249,7 @@ def _kind_embedding(kind: str, n: int):
             return q * (d ** (-1.0 / n))[..., None, None]
 
         tubular = TubularRetraction(
-            mapping=mapping,
-            differential=None,  # filled with the tangent projection by the caller
-            domain=lambda q: _det(q) > 1e-12,
+            mapping=mapping, differential=project, domain=lambda q: _det(q) > 1e-12
         )
         return tubular, (_unit_det_constraint(n),), None, False
 
@@ -257,7 +259,7 @@ def _kind_embedding(kind: str, n: int):
             return (s[..., -1] > 1e-8 * np.maximum(s[..., 0], 1.0)) & (_det(q) > 0)
 
         tubular = TubularRetraction(
-            mapping=lambda q: polar_orth(q), differential=None, domain=domain
+            mapping=lambda q: polar_orth(q), differential=project, domain=domain
         )
         return (
             tubular,
@@ -284,7 +286,7 @@ def _kind_embedding(kind: str, n: int):
         constraints += fixed_entry_constraints(
             (n, n), [(m, j, 0.0) for j in range(m)] + [(m, m, 1.0)]
         )
-        tubular = TubularRetraction(mapping=mapping, differential=None, domain=domain)
+        tubular = TubularRetraction(mapping=mapping, differential=project, domain=domain)
         return tubular, constraints, (lambda x: _det(block(x)) > 0), False
 
     if kind == "aff":
@@ -300,7 +302,7 @@ def _kind_embedding(kind: str, n: int):
         )
         tubular = TubularRetraction(
             mapping=mapping,
-            differential=None,
+            differential=project,
             domain=lambda q: _det(block(q)) > 1e-12,
         )
         return tubular, constraints, (lambda x: _det(block(x)) > 1e-12), False
@@ -368,11 +370,7 @@ def make_lie_group(
         second = x @ structure.apply_metric_inv(structure.algebra_project(bracket))
         return first + 0.5 * second
 
-    tubular, constraints, in_domain, compact = _kind_embedding(kind, size)
-    if tubular.differential is None:
-        tubular = TubularRetraction(
-            mapping=tubular.mapping, differential=project, domain=tubular.domain
-        )
+    tubular, constraints, in_domain, compact = _kind_embedding(kind, size, project)
 
     it, st = structure.ito_term, structure.strat_term
     ito_const = 0.5 * (it - st)

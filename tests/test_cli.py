@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -180,6 +181,36 @@ def test_simulate_csv_schema_and_summary_consistency(tmp_path, capsys):
     assert record["n_path"] == "16" and record["n_div"] == "20"
     assert record["integrator"] == "ito-em"
     assert abs(float(record["mean"]) - float(np.mean(values))) < 1e-12
+
+
+# sha256 of the per-path CSV bytes of one small simulate run per integrator
+# (T = 0.5, 25 steps, 48 paths, seed 5).  A change meant to keep every
+# number must leave these unchanged; the digests also depend on the
+# numpy/LAPACK build, so a toolchain change may need them re-recorded.
+PINNED_PATH_CSV = [
+    ("manifold = so\nN = 3\n", "retractive-em", "sum_abs",
+     "2664d06d3fc33a9067692268270e4db0ece6dc569359627ef9a055f574abc8e6"),
+    ("manifold = spd\nN = 3\n", "strat-heun", "spd_running",
+     "b2b5ee86f7d91d8963e4033e8f0a154a36fbd590b04ef1486844da7fd8bda199"),
+    ("manifold = sphere\nn = 3\n", "geodesic-walk", "phi_5_2",
+     "b410ef3d5833ba49354b701d6aee19901c8d5ef83679f6dd13a7e0c5f3e993d9"),
+    ("manifold = stiefel\nn = 5\np = 3\n", "rk4-geodesic", "sum_abs",
+     "f9c1940f8bca5919286eb34aa361445a30ede16d3a5c46b87a9cb29f66809ed7"),
+    ("manifold = so\nN = 8\n", "ito-em", "sum_abs",
+     "a7ce7223f140e5db48e96f81325de5d6ba897ffff6c04fa5898f643b7198d7b3"),
+]
+
+
+@pytest.mark.parametrize("family,integrator,cost,digest", PINNED_PATH_CSV,
+                         ids=[row[1] for row in PINNED_PATH_CSV])
+def test_simulate_path_csv_bytes_are_pinned(tmp_path, capsys, monkeypatch,
+                                            family, integrator, cost, digest):
+    monkeypatch.setenv(THREADS_ENV, "1")
+    out = tmp_path / "pinned.csv"
+    text = (f"command = simulate\n{family}integrator = {integrator}\nT = 0.5\n"
+            f"n_div = 25\nn_path = 48\nseed = 5\ncost = {cost}\nout = {out}\n")
+    assert main([write(tmp_path, "pinned.cfg", text)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_set_override_changes_the_run(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from batteries import SPOT_BATTERY, SPOT_IDS
 from manifold_sde import (
     OffManifoldError,
     SdeSpec,
@@ -21,7 +22,6 @@ from manifold_sde.geometry import (
     brownian_ito_drift,
     require_on_manifold,
     retraction_second_derivative,
-    tubular_differential,
 )
 from manifold_sde.linalg import frobenius_inner, frobenius_norm
 from manifold_sde.rng import RngStream
@@ -154,7 +154,7 @@ def test_second_order_retraction_reduces_to_rescaling_on_sphere(sphere3):
     v = sphere3.random_tangent(rng, x)
     r = second_order_retraction(sphere3)
     expected = (x + v) / np.linalg.norm(x + v)
-    assert frobenius_norm(r.mapping(x, v) - expected) < 1e-14
+    assert frobenius_norm(r.retract(x, v)[0] - expected) < 1e-14
 
 
 def test_retraction_first_and_second_derivatives(so3):
@@ -162,12 +162,16 @@ def test_retraction_first_and_second_derivatives(so3):
     x = so3.random_point(rng)
     v = so3.random_tangent(rng, x)
     r = second_order_retraction(so3)
-    assert frobenius_norm(r.mapping(x, np.zeros_like(v)) - x) < 1e-14
+
+    def point(w):
+        return r.retract(x, w)[0]
+
+    assert frobenius_norm(point(np.zeros_like(v)) - x) < 1e-14
     t = 1e-6
-    first = (r.mapping(x, t * v) - r.mapping(x, -t * v)) / (2 * t)
+    first = (point(t * v) - point(-t * v)) / (2 * t)
     assert frobenius_norm(first - v) < 1e-7
     t = 1e-4
-    second = (r.mapping(x, t * v) - 2 * x + r.mapping(x, -t * v)) / t**2
+    second = (point(t * v) - 2 * x + point(-t * v)) / t**2
     assert frobenius_norm(second - (-so3.christoffel(x, v, v))) < 1e-5
 
 
@@ -177,14 +181,65 @@ def test_one_call_retraction_matches_domain_then_mapping(family):
     rng = RngStream(12, 0)
     x = np.stack([handle.random_point(rng) for _ in range(64)])
     v = 3.0 * rng.normal(x.shape)  # large moves: some proposals leave the domain
-    r = second_order_retraction(handle)
-    state, ok = r.retract(x, v)
-    ok_ref = r.in_domain(x, v)
-    state_ref = r.mapping(x, np.where(ok_ref[..., None, None], v, 0.0))
+    state, ok = second_order_retraction(handle).retract(x, v)
+    tub = handle.tubular
+    q = x + v - 0.5 * tub.differential(x, handle.christoffel(x, v, v))
+    ok_ref = tub.domain(q)
+    state_ref = tub.mapping(np.where(ok_ref[..., None, None], q, x))
     assert 0 < np.count_nonzero(ok) < ok.size
     np.testing.assert_array_equal(ok, ok_ref)
     np.testing.assert_array_equal(state, state_ref)
     np.testing.assert_array_equal(state[~ok], handle.tubular.mapping(x[~ok]))
+
+
+def _proposals_with_rejected_rows(handle):
+    """Eight base points and proposals near them; rows 1 and 3 are
+    non-finite and row 2 (the zero matrix) lies outside the domain."""
+    rng = RngStream(14, 0)
+    x = np.stack([handle.random_point(rng) for _ in range(8)])
+    q = x + 0.1 * handle.project(x, rng.normal(x.shape))
+    q[1, 0, 0] = np.nan
+    q[2] = 0.0
+    q[3, -1, -1] = np.inf
+    assert not handle.tubular.domain(q[2])
+    return x, q
+
+
+@pytest.mark.parametrize("name,build", SPOT_BATTERY, ids=SPOT_IDS)
+def test_tubular_admit_and_retract_reject_bad_rows(name, build):
+    handle = build()
+    tub = handle.tubular
+    x, q = _proposals_with_rejected_rows(handle)
+    flagged = np.ones(8, dtype=bool)
+    flagged[4] = False
+    expected = np.array([True, False, False, False, False, True, True, True])
+
+    admitted, ok = tub.admit(q, x, flagged)
+    np.testing.assert_array_equal(ok, expected)
+    np.testing.assert_array_equal(admitted[ok], q[ok])
+    np.testing.assert_array_equal(admitted[~ok], x[~ok])
+
+    state, ok = tub.retract(q, x, flagged)
+    np.testing.assert_array_equal(ok, expected)
+    np.testing.assert_array_equal(state, tub.mapping(np.where(ok[:, None, None], q, x)))
+    np.testing.assert_array_equal(state[~ok], tub.mapping(x[~ok]))
+
+    _, ok = tub.retract(q, x)  # no input flags: only row 4 changes
+    expected[4] = True
+    np.testing.assert_array_equal(ok, expected)
+
+
+@pytest.mark.parametrize("name,build", SPOT_BATTERY, ids=SPOT_IDS)
+def test_second_order_retraction_flags_nonfinite_step(name, build):
+    handle = build()
+    rng = RngStream(15, 0)
+    x = np.stack([handle.random_point(rng) for _ in range(4)])
+    v = 0.1 * handle.project(x, rng.normal(x.shape))
+    v[2] = np.nan
+    state, ok = second_order_retraction(handle).retract(x, v)
+    np.testing.assert_array_equal(ok, [True, True, False, True])
+    np.testing.assert_array_equal(state[2], handle.tubular.mapping(x[2]))
+    assert np.all(np.isfinite(state))
 
 
 def test_retraction_second_derivative_closed_vs_fd(so3):
@@ -193,8 +248,7 @@ def test_retraction_second_derivative_closed_vs_fd(so3):
     v = so3.random_tangent(rng, x)
     r = second_order_retraction(so3)
     closed = retraction_second_derivative(r, x, v)
-    fd = retraction_second_derivative(
-        TangentRetraction(mapping=r.mapping), x, v)
+    fd = retraction_second_derivative(TangentRetraction(retract=r.retract), x, v)
     assert frobenius_norm(closed - fd) < 1e-5
     assert frobenius_norm(closed - (-so3.christoffel(x, v, v))) < 1e-12
 
@@ -205,7 +259,7 @@ def test_first_order_retraction_tangency(so3):
     v = so3.random_tangent(rng, x)
     r = first_order_retraction(so3.tubular)
     t = 1e-6
-    first = (r.mapping(x, t * v) - r.mapping(x, -t * v)) / (2 * t)
+    first = (r.retract(x, t * v)[0] - r.retract(x, -t * v)[0]) / (2 * t)
     assert frobenius_norm(first - v) < 1e-7
 
 
@@ -213,7 +267,7 @@ def test_tubular_differential_is_projection_on_tangent(so3):
     rng = RngStream(11, 0)
     x = so3.random_point(rng)
     v = so3.random_tangent(rng, x)
-    d = tubular_differential(so3.tubular, x, v)
+    d = so3.tubular.differential(x, v)
     assert frobenius_norm(d - v) < 1e-7
 
 

@@ -239,6 +239,7 @@ def test_sl_tubular_differential_example():
     fd = (handle.tubular.mapping(a + t * omega) - handle.tubular.mapping(a - t * omega)) / (2 * t)
     expected = omega - np.trace(np.linalg.solve(a, omega)) / 3.0 * a
     assert frobenius_norm(fd - expected) < 1e-6
+    assert frobenius_norm(handle.tubular.differential(a, omega) - expected) < 1e-12
 
 
 def test_grassmann_horizontal_space_kills_vertical_directions():
