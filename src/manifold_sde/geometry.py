@@ -73,16 +73,21 @@ class TubularRetraction:
 
     ``mapping`` sends ambient points to manifold points; ``differential`` is
     its derivative at on-manifold points; ``domain`` returns a boolean mask
-    of points where ``mapping`` is defined.  Callers go through
-    :meth:`retract` (or :meth:`admit`), which holds the one domain rule: a
-    proposal row that is non-finite, flagged on input or outside the domain
-    is replaced by the matching row of the base point x, so it comes back as
-    pi(x), and is flagged in ``ok``.
+    of points where ``mapping`` is defined.  The optional ``fused`` returns
+    ``(mapping(q), domain(q))`` from one factorisation (the polar families
+    read both off one SVD); accepted rows must match ``mapping`` bit for
+    bit, and the point must be a fresh array, since :meth:`retract` writes
+    the rejected rows into it.
+    Callers go through :meth:`retract` (or :meth:`admit`), which holds the
+    one domain rule: a proposal row that is non-finite, flagged on input or
+    outside the domain is replaced by the matching row of the base point x,
+    so it comes back as pi(x), and is flagged in ``ok``.
     """
 
     mapping: Callable[[np.ndarray], np.ndarray]
     differential: Callable[[np.ndarray, np.ndarray], np.ndarray]
     domain: Callable[[np.ndarray], np.ndarray]
+    fused: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def admit(
         self, q: np.ndarray, x: np.ndarray, ok: np.ndarray | None = None
@@ -96,9 +101,21 @@ class TubularRetraction:
     def retract(
         self, q: np.ndarray, x: np.ndarray, ok: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``(pi(q'), ok)`` for the admitted proposal q' of :meth:`admit`."""
-        q, ok = self.admit(q, x, ok)
-        return self.mapping(q), ok
+        """``(pi(q'), ok)`` for the admitted proposal q' of :meth:`admit`.
+
+        With ``fused``, the finite proposal is factored once and only the
+        rejected rows are mapped again, from x.
+        """
+        if self.fused is None:
+            q, ok = self.admit(q, x, ok)
+            return self.mapping(q), ok
+        ok = finite_rows(q) if ok is None else finite_rows(q) & ok
+        point, in_domain = self.fused(freeze_rows(q, x, ok))
+        ok = ok & in_domain
+        if not np.all(ok):
+            rejected = ~ok
+            point[rejected] = self.mapping(np.broadcast_to(x, point.shape)[rejected])
+        return point, ok
 
 
 @dataclass(frozen=True)

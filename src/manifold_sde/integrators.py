@@ -65,7 +65,7 @@ class StepFailureError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    pass
+    """The standalone RK4 exponential map blew up or left the retraction domain."""
 
 
 # ---------------------------------------------------------------------------

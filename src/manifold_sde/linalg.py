@@ -3,7 +3,7 @@
 Everything here works on float64 arrays and broadcasts over leading batch
 dimensions; matrices live in the two trailing axes.  The routines are thin,
 checked wrappers around LAPACK via numpy -- the point of the module is a
-single place where symmetry/rank preconditions are enforced and
+single place where shape and symmetry preconditions are enforced and
 reported with useful errors instead of garbage output downstream.
 """
 
@@ -20,10 +20,6 @@ class ShapeError(ValueError):
 
 class AsymmetricInputError(ValueError):
     """A routine requiring a symmetric matrix got a visibly asymmetric one."""
-
-
-class SingularMatrixError(ValueError):
-    """Matrix is rank deficient beyond the configured tolerance."""
 
 
 def mT(a: np.ndarray) -> np.ndarray:
@@ -92,24 +88,40 @@ def sym_eig(a: np.ndarray, rel_tol: float = 1e-10) -> SymEigDecomposition:
     return SymEigDecomposition(values=values, vectors=vectors)
 
 
-def polar_orth(a: np.ndarray, rank_rel_tol: float = 1e-12) -> np.ndarray:
-    """Orthonormal polar factor of a full-rank n x p matrix (n >= p).
+def polar_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal polar factor and singular values of n x p matrices (n >= p).
 
-    Returns the minimizer of ||q - a||_F over matrices with orthonormal
-    columns, i.e. ``u @ vt`` from the thin SVD.
+    Returns ``(u @ vt, s)`` from one thin SVD: the minimizer of ||q - a||_F
+    over matrices with orthonormal columns, plus the descending singular
+    values that tell how well that factor is conditioned.  The factor is
+    unique only for full-rank input.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-2] < a.shape[-1]:
-        raise ShapeError(f"polar_orth: need n >= p matrices, got shape {a.shape}")
+        raise ShapeError(f"polar_svd: need n >= p matrices, got shape {a.shape}")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    smin = s[..., -1]
-    smax = s[..., 0]
-    if np.any(smin <= rank_rel_tol * np.maximum(smax, 1e-300)):
-        raise SingularMatrixError(
-            "polar_orth: rank-deficient input (singular value ratio below "
-            f"{rank_rel_tol:.1e})"
-        )
-    return u @ vt
+    return u @ vt, s
+
+
+def polar_orth(a: np.ndarray) -> np.ndarray:
+    """Orthonormal polar factor ``u @ vt`` of :func:`polar_svd`."""
+    return polar_svd(a)[0]
+
+
+def _well_conditioned(s: np.ndarray) -> np.ndarray:
+    return s[..., -1] > 1e-8 * np.maximum(s[..., 0], 1.0)
+
+
+def polar_domain(a: np.ndarray) -> np.ndarray:
+    """Domain of the polar retraction: s_min > 1e-8 * max(s_max, 1), read off
+    the singular values alone."""
+    return _well_conditioned(np.linalg.svd(a, compute_uv=False))
+
+
+def polar_fused(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(polar_orth(a), polar_domain(a))`` from the one SVD of :func:`polar_svd`."""
+    point, s = polar_svd(a)
+    return point, _well_conditioned(s)
 
 
 def matrix_exp(a: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..geometry import ManifoldHandle, TubularRetraction
-from ..linalg import mT, polar_orth, sym
+from ..linalg import mT, polar_domain, polar_fused, polar_orth, sym
 from ._constraints import orthogonality_constraints
 
 
@@ -31,15 +31,12 @@ def make_grassmann(n: int, p: int) -> ManifoldHandle:
         # restriction of y sym(u^T v); already symmetric in (u, v)
         return y @ sym(mT(u) @ v)
 
-    def _domain(q):
-        s = np.linalg.svd(q, compute_uv=False)
-        return s[..., -1] > 1e-8 * np.maximum(s[..., 0], 1.0)
-
     tubular = TubularRetraction(
-        mapping=lambda q: polar_orth(q),
+        mapping=polar_orth,
         # differential of the polar factor at an orthonormal point
         differential=lambda y, w: w - y @ sym(mT(y) @ w),
-        domain=_domain,
+        domain=polar_domain,
+        fused=polar_fused,
     )
 
     coeff = -(n - p) / 2.0

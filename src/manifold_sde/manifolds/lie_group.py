@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..geometry import Constraint, ManifoldHandle, TubularRetraction
-from ..linalg import matrix_exp, mT, polar_orth, sym_eig
+from ..linalg import matrix_exp, mT, polar_domain, polar_fused, polar_orth, sym_eig
 from ..rng import RngStream
 from ._constraints import fixed_entry_constraints, orthogonality_constraints
 
@@ -254,12 +254,15 @@ def _kind_embedding(kind: str, n: int, project):
         return tubular, (_unit_det_constraint(n),), None, False
 
     if kind == "so":
-        def domain(q):
-            s = np.linalg.svd(q, compute_uv=False)
-            return (s[..., -1] > 1e-8 * np.maximum(s[..., 0], 1.0)) & (_det(q) > 0)
+        def fused(q):
+            point, ok = polar_fused(q)
+            return point, ok & (_det(q) > 0)
 
         tubular = TubularRetraction(
-            mapping=lambda q: polar_orth(q), differential=project, domain=domain
+            mapping=polar_orth,
+            differential=project,
+            domain=lambda q: polar_domain(q) & (_det(q) > 0),
+            fused=fused,
         )
         return (
             tubular,
@@ -269,24 +272,33 @@ def _kind_embedding(kind: str, n: int, project):
         )
 
     if kind == "se":
-        def mapping(q):
-            q = np.asarray(q, dtype=float)
+        def assemble(q, rot):
             out = np.zeros(q.shape)
-            out[..., :m, :m] = polar_orth(block(q))
+            out[..., :m, :m] = rot
             out[..., :m, m:] = q[..., :m, m:]
             out[..., m, m] = 1.0
             return out
 
+        def mapping(q):
+            q = np.asarray(q, dtype=float)
+            return assemble(q, polar_orth(block(q)))
+
         def domain(q):
             b = block(q)
-            s = np.linalg.svd(b, compute_uv=False)
-            return (s[..., -1] > 1e-8 * np.maximum(s[..., 0], 1.0)) & (_det(b) > 0)
+            return polar_domain(b) & (_det(b) > 0)
+
+        def fused(q):
+            b = block(q)
+            rot, ok = polar_fused(b)
+            return assemble(q, rot), ok & (_det(b) > 0)
 
         constraints = orthogonality_constraints((n, n), rows=(0, m), cols=(0, m))
         constraints += fixed_entry_constraints(
             (n, n), [(m, j, 0.0) for j in range(m)] + [(m, m, 1.0)]
         )
-        tubular = TubularRetraction(mapping=mapping, differential=project, domain=domain)
+        tubular = TubularRetraction(
+            mapping=mapping, differential=project, domain=domain, fused=fused
+        )
         return tubular, constraints, (lambda x: _det(block(x)) > 0), False
 
     if kind == "aff":

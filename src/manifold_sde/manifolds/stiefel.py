@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..geometry import ManifoldHandle, TubularRetraction
-from ..linalg import mT, polar_orth, skew, sym
+from ..linalg import mT, polar_domain, polar_fused, polar_orth, skew, sym
 from ._constraints import orthogonality_constraints
 
 
@@ -60,14 +60,11 @@ def make_stiefel(n: int, p: int, alpha0: float = 1.0, alpha1: float = 1.0) -> Ma
             gam = gam + (2.0 * (a0 - a1) / a0) * k0
         return gam
 
-    def _domain(q):
-        s = np.linalg.svd(q, compute_uv=False)
-        return s[..., -1] > 1e-8 * np.maximum(s[..., 0], 1.0)
-
     tubular = TubularRetraction(
-        mapping=lambda q: polar_orth(q),
+        mapping=polar_orth,
         differential=lambda y, w: project(y, w),
-        domain=_domain,
+        domain=polar_domain,
+        fused=polar_fused,
     )
 
     drift_coeff = -((n - p) / (2.0 * a0) + (p - 1) / (4.0 * a1))

@@ -175,21 +175,57 @@ def test_retraction_first_and_second_derivatives(so3):
     assert frobenius_norm(second - (-so3.christoffel(x, v, v))) < 1e-5
 
 
-@pytest.mark.parametrize("family", ["so", "se", "sl"])
-def test_one_call_retraction_matches_domain_then_mapping(family):
-    handle = make_manifold(family, N=3)
+def _domain_then_mapping(tub, q, x, ok):
+    """The unfused rule, spelled out: freeze non-finite and flagged rows at
+    x, test the domain, freeze the rows outside it, map every row."""
+    ok = ok & np.isfinite(q).all(axis=(-2, -1))
+    q = np.where(ok[..., None, None], q, x)
+    ok = ok & tub.domain(q)
+    return tub.mapping(np.where(ok[..., None, None], q, x)), ok
+
+
+TUBULAR_FAMILIES = [
+    ("so", {"N": 3}),
+    ("se", {"N": 3}),
+    ("sl", {"N": 3}),
+    ("stiefel", {"n": 5, "p": 3}),
+    ("grassmann", {"n": 5, "p": 2}),
+]
+
+
+@pytest.mark.parametrize("family,params", TUBULAR_FAMILIES,
+                         ids=[f for f, _ in TUBULAR_FAMILIES])
+def test_one_call_retraction_matches_domain_then_mapping(family, params):
+    handle = make_manifold(family, **params)
+    tub = handle.tubular
     rng = RngStream(12, 0)
     x = np.stack([handle.random_point(rng) for _ in range(64)])
-    v = 3.0 * rng.normal(x.shape)  # large moves: some proposals leave the domain
+    v = 3.0 * rng.normal(x.shape)  # large moves: some group proposals leave the domain
+    v[5, 0, 0] = np.nan
     state, ok = second_order_retraction(handle).retract(x, v)
-    tub = handle.tubular
     q = x + v - 0.5 * tub.differential(x, handle.christoffel(x, v, v))
-    ok_ref = tub.domain(q)
-    state_ref = tub.mapping(np.where(ok_ref[..., None, None], q, x))
-    assert 0 < np.count_nonzero(ok) < ok.size
+    state_ref, ok_ref = _domain_then_mapping(tub, q, x, np.ones(64, dtype=bool))
+    assert 0 < np.count_nonzero(ok) < ok.size and not ok[5]
     np.testing.assert_array_equal(ok, ok_ref)
     np.testing.assert_array_equal(state, state_ref)
-    np.testing.assert_array_equal(state[~ok], handle.tubular.mapping(x[~ok]))
+    np.testing.assert_array_equal(state[~ok], tub.mapping(x[~ok]))
+
+    # rows flagged on input, a NaN row and a zero row (outside every domain)
+    q[9] = np.nan
+    q[11] = 0.0
+    flagged = np.ones(64, dtype=bool)
+    flagged[[3, 9, 20]] = False
+    state, ok = tub.retract(q, x, flagged)
+    state_ref, ok_ref = _domain_then_mapping(tub, q, x, flagged)
+    assert not ok[[3, 5, 9, 11, 20]].any()
+    np.testing.assert_array_equal(ok, ok_ref)
+    np.testing.assert_array_equal(state, state_ref)
+
+    if tub.fused is not None:  # accepted rows of the fused map are mapping's, bit for bit
+        finite = np.isfinite(q).all(axis=(-2, -1))
+        point, in_domain = tub.fused(q[finite])
+        np.testing.assert_array_equal(in_domain, tub.domain(q[finite]))
+        np.testing.assert_array_equal(point[in_domain], tub.mapping(q[finite])[in_domain])
 
 
 def _proposals_with_rejected_rows(handle):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,19 @@ def test_step_failure_names_path_and_step():
                                     path_chunk=32), spd)
     assert out.divergent == ()
     assert np.all(np.isfinite(out.samples))
+
+
+def test_rk4_blowup_in_simulate_is_a_step_failure(so3):
+    # a non-finite geodesic field is flagged like a domain exit and retried;
+    # DivergenceError belongs to integrate_geodesic_rk4_projected alone
+    def christoffel(x, u, v):
+        return np.full(np.broadcast(x, u, v).shape, np.nan)
+
+    broken = dataclasses.replace(so3, christoffel=christoffel)
+    cfg = SimulationConfig(T=0.5, n_div=2, n_path=8, seed=0, integrator="rk4-geodesic",
+                           max_retries=2)
+    with pytest.raises(StepFailureError, match=r"path 0 failed step 0 .* after 2 retries"):
+        simulate(cfg, broken)
 
 
 def test_retry_draws_keep_runs_chunk_invariant():

@@ -378,6 +378,49 @@ def test_one_christoffel_call_per_retraction_step(name, build, integrator_id):
     assert len(calls) == 1
 
 
+def _counted_tubular(handle):
+    """``handle`` whose tubular ``mapping``, ``domain`` and ``fused`` count their calls."""
+    calls = {"mapping": 0, "domain": 0, "fused": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    tub = handle.tubular
+    tubular = dataclasses.replace(
+        tub, **{name: counted(name, getattr(tub, name)) for name in calls}
+    )
+    return dataclasses.replace(handle, tubular=tubular), calls
+
+
+@pytest.mark.parametrize("family,params", [("so", {"N": 3}), ("stiefel", {"n": 5, "p": 3})],
+                         ids=["so", "stiefel"])
+def test_fused_retraction_factors_each_proposal_once(family, params):
+    handle, calls = _counted_tubular(make_manifold(family, **params))
+    rng = RngStream(44, 0)
+    x = np.stack([handle.random_point(rng) for _ in range(16)])
+    q = x + 0.1 * rng.normal(x.shape)
+    _, ok = handle.tubular.retract(q, x)
+    assert ok.all()
+    assert calls == {"mapping": 0, "domain": 0, "fused": 1}
+    q[3] = np.nan  # one rejected row: mapped again from x, in one call
+    _, ok = handle.tubular.retract(q, x)
+    assert not ok[3]
+    assert calls == {"mapping": 1, "domain": 0, "fused": 2}
+
+
+def test_first_order_retractive_em_step_skips_domain_test():
+    # the step and the two finite-difference evaluations of its drift
+    # adjustment each factor their proposal once
+    handle, calls = _counted_tubular(make_manifold("so", N=3))
+    stepper = make_stepper(handle, "retractive-em",
+                           retraction=first_order_retraction(handle.tubular))
+    _one_step(stepper, handle, 45)
+    assert calls == {"mapping": 0, "domain": 0, "fused": 3}
+
+
 def test_stiefel_polar_retraction_closed_form():
     # polar_orth(Y + v - ((a0 - a1)/a0) (v - Y Y^T v) v^T Y) agrees with the
     # curvature-corrected retraction to third order in the step

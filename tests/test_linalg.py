@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,7 +8,10 @@ from manifold_sde.linalg import (
     frobenius_norm,
     mT,
     matrix_exp,
+    polar_domain,
+    polar_fused,
     polar_orth,
+    polar_svd,
     skew,
     sym,
     sym_eig,
@@ -46,6 +50,25 @@ def test_polar_orth_properties():
     assert np.min(np.linalg.eigvalsh(sym(s))) > 0
     # idempotence on its image
     assert np.allclose(polar_orth(q), q, atol=1e-13)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (8, 8), (4, 4), (5, 3), (5, 2)])
+def test_polar_svd_matches_polar_orth_and_values_only_svd(shape):
+    # polar_fused reads the point and the domain test off polar_svd; both
+    # must agree with the separate polar_orth and values-only polar_domain
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(64,) + shape)
+    a[:16] += 3.0 * np.eye(*shape)  # near the manifold, as retraction proposals are
+    a[16] *= 1e-9
+    point, s = polar_svd(a)
+    np.testing.assert_array_equal(point, polar_orth(a))
+    in_domain = polar_fused(a)[1]
+    np.testing.assert_array_equal(in_domain, polar_domain(a))
+    assert not in_domain[16]
+    # the two LAPACK drivers differ by a few ulps of s_max (1.1e-15 relative
+    # seen on 8 x 8), far from moving the 1e-8 relative domain threshold
+    s_ref = np.linalg.svd(a, compute_uv=False)
+    assert np.all(np.abs(s - s_ref) <= 2 * max(shape) * np.finfo(float).eps * s_ref[..., :1])
 
 
 def test_matrix_exp_nilpotent_and_rotation():
