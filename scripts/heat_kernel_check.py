@@ -18,10 +18,11 @@ from manifold_sde import (
     make_manifold,
     simulate,
 )
+from manifold_sde.costs import ANGLE_COSTS
 
 CASES = [
-    ("S2", dict(n=3), "phi_5_2", lambda p: p ** 2.5, heat_expectation_s2),
-    ("S3", dict(n=4), "phi_32_52", lambda p: p ** 1.5 + p ** 2.5, heat_expectation_s3),
+    ("S2", dict(n=3), "phi_5_2", heat_expectation_s2),
+    ("S3", dict(n=4), "phi_32_52", heat_expectation_s3),
 ]
 
 
@@ -35,9 +36,10 @@ def main():
     ap.add_argument("--seed", type=int, default=2024)
     args = ap.parse_args()
 
-    for tag, params, cost_id, angle_cost, series in CASES:
+    for tag, params, cost_id, series in CASES:
         handle = make_manifold("sphere", radius=args.radius, **params)
-        exact = series(angle_cost, T=args.T, diffusion=args.diffusion, radius=args.radius)
+        exact = series(ANGLE_COSTS[cost_id], T=args.T, diffusion=args.diffusion,
+                       radius=args.radius)
         print(f"{tag} cost {cost_id}: spectral series = {exact:.6f}")
         for integ in INTEGRATOR_IDS:
             config = SimulationConfig(

@@ -34,7 +34,7 @@ import csv
 import sys
 from dataclasses import dataclass, field
 
-from .costs import COST_IDS, make_cost
+from .costs import ANGLE_COSTS, COST_IDS, make_cost
 from .geometry import (
     ManifoldHandle,
     brownian_ito_drift,
@@ -49,7 +49,7 @@ from .harness import (
     simulate,
     uniform_limit_run,
 )
-from .integrators import INTEGRATOR_IDS, DivergenceError, StepFailureError
+from .integrators import INTEGRATOR_IDS, StepFailureError
 from .linalg import frobenius_norm
 from .manifolds import make_manifold
 from .oracles import heat_expectation_s2, heat_expectation_s3
@@ -92,10 +92,6 @@ _REQUIRED = {
 _HEAT_DIFFUSION = 0.4
 _HEAT_RADIUS = 3.0
 _HEAT_T = 2.0
-_ANGLE_COSTS = {
-    "phi_5_2": lambda p: p ** 2.5,
-    "phi_32_52": lambda p: p ** 1.5 + p ** 2.5,
-}
 
 
 class ConfigError(ValueError):
@@ -289,8 +285,6 @@ def _cmd_simulate(config: RunConfig) -> int:
 
     print(f"{handle.name} {sim.integrator} T={sim.T:g} n_div={sim.n_div} "
           f"n_path={sim.n_path}: mean={out.mean:.6g} stderr={out.stderr:.3g}")
-    if out.divergent:
-        print(f"  divergent paths: {len(out.divergent)} {out.divergent[:10]}")
     return EXIT_OK
 
 
@@ -354,12 +348,12 @@ def _cmd_heat_kernel(config: RunConfig) -> int:
     if config.get("manifold") != "sphere" or config.get("n") not in (3, 4):
         raise ConfigError("heat-kernel needs manifold=sphere with n=3 or n=4")
     cost_id = config.get("cost")
-    if cost_id not in _ANGLE_COSTS:
+    if cost_id not in ANGLE_COSTS:
         raise ConfigError(
-            f"heat-kernel supports costs {', '.join(sorted(_ANGLE_COSTS))}, "
+            f"heat-kernel supports costs {', '.join(sorted(ANGLE_COSTS))}, "
             f"got {cost_id!r}"
         )
-    cost = _ANGLE_COSTS[cost_id]
+    cost = ANGLE_COSTS[cost_id]
     T = config.get("T", _HEAT_T)
     series = heat_expectation_s2 if config.get("n") == 3 else heat_expectation_s3
     value = series(cost, T=T, diffusion=_HEAT_DIFFUSION, radius=_HEAT_RADIUS)
@@ -391,7 +385,7 @@ def run(config: RunConfig) -> int:
         # invalid ids, impossible parameter combinations, bad manifold sizes
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (StepFailureError, DivergenceError) as exc:
+    except StepFailureError as exc:
         print(f"step failure: {exc}", file=sys.stderr)
         return EXIT_STEP_FAILURE
 

@@ -33,6 +33,13 @@ COST_IDS = (
     "spd_running",
 )
 
+# the sphere costs as functions of the angle phi, shared with the spectral
+# heat-kernel series that checks them
+ANGLE_COSTS = {
+    "phi_5_2": lambda p: p ** 2.5,
+    "phi_32_52": lambda p: p ** 1.5 + p ** 2.5,
+}
+
 
 def sphere_angle(handle: ManifoldHandle, x0: np.ndarray):
     """phi(x) = angle between x and the reference point on the unit sphere."""
@@ -53,15 +60,12 @@ def _sum_abs(x):
 def make_cost(cost_id: str, handle: ManifoldHandle,
               x0: np.ndarray | None = None) -> CostFunctional:
     """Build a registered cost functional bound to one manifold handle."""
-    if cost_id in ("phi_5_2", "phi_32_52"):
+    if cost_id in ANGLE_COSTS:
         if handle.name.split("(")[0] != "sphere":
             raise ValueError(f"cost {cost_id!r} measures a sphere angle; got {handle.name}")
         phi = sphere_angle(handle, handle.default_point() if x0 is None else x0)
-        if cost_id == "phi_5_2":
-            return CostFunctional(terminal=lambda x, t: phi(x) ** 2.5, name=cost_id)
-        return CostFunctional(
-            terminal=lambda x, t: phi(x) ** 1.5 + phi(x) ** 2.5, name=cost_id
-        )
+        of_angle = ANGLE_COSTS[cost_id]
+        return CostFunctional(terminal=lambda x, t: of_angle(phi(x)), name=cost_id)
     if cost_id == "abs11":
         return CostFunctional(terminal=lambda x, t: np.abs(x[..., 0, 0]) ** 2, name=cost_id)
     if cost_id == "sum_abs":

@@ -48,7 +48,6 @@ class SimulationConfig:
     diffusion: float = 0.5
     max_retries: int = 5
     path_chunk: int = 256
-    state_cap: float | None = None
 
     def __post_init__(self):
         if self.T <= 0.0:
@@ -77,7 +76,8 @@ class CostFunctional:
     """Running + terminal costs; either slot may be None (treated as zero).
 
     Both callables receive (points, t) with points batched over a leading
-    axis, and must return one value per point.
+    axis, and must return one value per point without writing into points
+    (they may be the harness's state array itself).
     """
 
     running: Callable | None = None
@@ -89,8 +89,10 @@ class CostFunctional:
 class SampleSet:
     """Per-path accumulated samples with summary statistics.
 
-    ``samples`` holds NaN at divergent paths (state-norm cap exceeded);
-    those are excluded from the mean/stderr and listed in ``divergent``.
+    A run either finishes every path or raises StepFailureError, so the
+    mean and stderr cover all ``n_path`` samples; a non-finite cost value
+    shows as a NaN estimate.  ``divergent`` is always empty; it stays only
+    because ``perfbench/run.py`` still reads it.
     """
 
     samples: np.ndarray
@@ -101,19 +103,15 @@ class SampleSet:
         return int(self.samples.shape[0])
 
     @property
-    def valid(self) -> np.ndarray:
-        return self.samples[np.isfinite(self.samples)]
-
-    @property
     def mean(self) -> float:
-        return float(np.mean(self.valid))
+        return float(np.mean(self.samples))
 
     @property
     def stderr(self) -> float:
-        v = self.valid
-        if v.size < 2:
+        n = self.n_path
+        if n < 2:
             return float("nan")
-        return float(np.std(v, ddof=1) / np.sqrt(v.size))
+        return float(np.std(self.samples, ddof=1) / np.sqrt(n))
 
 
 def _worker_count(n_chunks: int) -> int:
@@ -130,36 +128,37 @@ def _worker_count(n_chunks: int) -> int:
 
 
 def _run_chunk(handle: ManifoldHandle, stepper: Stepper, config: SimulationConfig,
-               cost: CostFunctional, x0: np.ndarray, lo: int, hi: int):
-    """Advance paths [lo, hi); returns (samples, divergent local indices)."""
+               cost: CostFunctional, x0: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Advance paths [lo, hi) as whole arrays; returns their samples.
+
+    Each step moves the whole chunk at once.  Rows the stepper flags are
+    resampled from their own streams; a row still flagged after
+    ``max_retries`` draws raises StepFailureError, the one way a run fails.
+    """
     size = hi - lo
     h = config.h
     noise = stepper.noise_shape
-    if stepper.uses_truncation:
-        bound = truncation_bound(h, config.r)
-    else:
-        bound = None  # normalized moves ignore the clamp entirely
+    # normalized moves ignore the clamp entirely
+    bound = truncation_bound(h, config.r) if stepper.uses_truncation else None
+
+    def increment(raw):
+        zeta = np.clip(raw, -bound, bound) if bound is not None else raw
+        return WienerIncrement(raw=raw, truncated=zeta, h=h, r=config.r)
+
     streams = [RngStream(seed=config.seed, stream_id=i) for i in range(lo, hi)]
     blocks = np.stack([s.normal((config.n_div,) + noise) for s in streams], axis=1)
 
     state = np.broadcast_to(x0, (size,) + handle.shape).astype(float).copy()
     acc = np.zeros(size)
-    alive = np.ones(size, dtype=bool)
 
     for j in range(config.n_div):
-        idx = np.nonzero(alive)[0]
-        if idx.size == 0:
-            break
         t = j * h
-        raw = blocks[j, idx]
-        zeta = np.clip(raw, -bound, bound) if bound is not None else raw
-        inc = WienerIncrement(raw=raw, truncated=zeta, h=h, r=config.r)
-        out = stepper.step(state[idx], t, h, inc)
+        out = stepper.step(state, t, h, increment(blocks[j]))
         ok = np.asarray(out.ok)
-        state[idx[ok]] = out.state[ok]
+        state[ok] = out.state[ok]
 
         attempts = 0
-        pending = idx[~ok]
+        pending = np.nonzero(~ok)[0]
         while pending.size:
             attempts += 1
             if attempts > config.max_retries:
@@ -168,29 +167,19 @@ def _run_chunk(handle: ManifoldHandle, stepper: Stepper, config: SimulationConfi
                     f"(t={t:.6g}) after {config.max_retries} retries"
                 )
             raw = np.stack([streams[i].normal(noise) for i in pending])
-            zeta = np.clip(raw, -bound, bound) if bound is not None else raw
-            inc = WienerIncrement(raw=raw, truncated=zeta, h=h, r=config.r)
-            out = stepper.step(state[pending], t, h, inc)
+            out = stepper.step(state[pending], t, h, increment(raw))
             ok = np.asarray(out.ok)
             state[pending[ok]] = out.state[ok]
             pending = pending[~ok]
 
-        if config.state_cap is not None:
-            norms = np.sqrt(np.sum(state[idx] ** 2, axis=(-2, -1)))
-            blown = idx[norms > config.state_cap]
-            alive[blown] = False
-            idx = idx[norms <= config.state_cap]
+        if cost.running is not None:
+            pts = handle.functional_point(state)
+            acc += h * np.asarray(cost.running(pts, t), dtype=float)
 
-        if cost.running is not None and idx.size:
-            pts = handle.functional_point(state[idx])
-            acc[idx] += h * np.asarray(cost.running(pts, t), dtype=float)
-
-    live = np.nonzero(alive)[0]
-    if cost.terminal is not None and live.size:
-        pts = handle.functional_point(state[live])
-        acc[live] += np.asarray(cost.terminal(pts, config.T), dtype=float)
-    acc[~alive] = np.nan
-    return acc, tuple(int(i) for i in np.nonzero(~alive)[0])
+    if cost.terminal is not None:
+        pts = handle.functional_point(state)
+        acc += np.asarray(cost.terminal(pts, config.T), dtype=float)
+    return acc
 
 
 def simulate(config: SimulationConfig, handle: ManifoldHandle,
@@ -212,7 +201,6 @@ def simulate(config: SimulationConfig, handle: ManifoldHandle,
         for lo in range(0, config.n_path, config.path_chunk)
     ]
     samples = np.empty(config.n_path)
-    divergent: list[int] = []
 
     def run(span):
         return _run_chunk(handle, stepper, config, cost, x0, span[0], span[1])
@@ -223,10 +211,9 @@ def simulate(config: SimulationConfig, handle: ManifoldHandle,
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, chunks))
-    for (lo, hi), (acc, div) in zip(chunks, results):
+    for (lo, hi), acc in zip(chunks, results):
         samples[lo:hi] = acc
-        divergent.extend(lo + d for d in div)
-    return SampleSet(samples=samples, divergent=tuple(sorted(divergent)))
+    return SampleSet(samples=samples)
 
 
 # ---------------------------------------------------------------------------

@@ -240,7 +240,7 @@ def _kind_embedding(kind: str, n: int, project):
             differential=lambda x, w: np.asarray(w, dtype=float),
             domain=lambda q: _det(q) > 1e-12,
         )
-        return tubular, (), (lambda x: _det(x) > 1e-12), False
+        return tubular, (), tubular.domain, False
 
     if kind == "sl":
         def mapping(q):
@@ -317,7 +317,7 @@ def _kind_embedding(kind: str, n: int, project):
             differential=project,
             domain=lambda q: _det(block(q)) > 1e-12,
         )
-        return tubular, constraints, (lambda x: _det(block(x)) > 1e-12), False
+        return tubular, constraints, tubular.domain, False
 
     raise ValueError(f"unknown group kind {kind!r}; expected one of {LIE_KINDS}")
 

@@ -82,7 +82,7 @@ def make_spd(n: int) -> ManifoldHandle:
         random_point=random_point,
         default_point=lambda: np.eye(n),
         constraints=symmetry_constraints(n),
-        in_domain=lambda x: min_eig(x) > 1e-10,
+        in_domain=tubular.domain,
         compact=False,
         params={"N": n},
     )

@@ -113,17 +113,22 @@ def test_retry_draws_keep_runs_chunk_invariant():
     np.testing.assert_array_equal(a.samples, b.samples)
 
 
-def test_state_cap_marks_divergent_paths_and_excludes_them():
-    gl = make_manifold("gl+", N=2)
-    cost = make_cost("sum_abs", gl)
-    cfg = SimulationConfig(T=6.0, n_div=300, n_path=64, seed=3, integrator="ito-em",
-                           state_cap=10.0, path_chunk=64)
-    out = simulate(cfg, gl, cost=cost)
-    assert len(out.divergent) > 0
-    assert np.all(~np.isfinite(out.samples[list(out.divergent)]))
-    valid = out.samples[np.isfinite(out.samples)]
-    assert out.mean == pytest.approx(float(np.mean(valid)), abs=1e-15)
-    assert np.all(np.isfinite(valid))
+def test_non_finite_cost_value_shows_in_the_estimate(so3):
+    # one NaN per chunk: nothing is dropped, so the estimate reads NaN
+    def terminal(pts, t):
+        values = np.abs(pts).sum(axis=(-2, -1))
+        values[0] = np.nan
+        return values
+
+    cfg = SimulationConfig(T=0.5, n_div=5, n_path=8, seed=3, path_chunk=4)
+    out = simulate(cfg, so3, cost=CostFunctional(terminal=terminal))
+    plain = simulate(cfg, so3, cost=make_cost("sum_abs", so3))
+    nan = np.isnan(out.samples)
+    np.testing.assert_array_equal(np.nonzero(nan)[0], [0, 4])
+    np.testing.assert_array_equal(out.samples[~nan], plain.samples[~nan])
+    assert out.n_path == 8 and out.divergent == ()
+    assert np.isnan(out.mean)
+    assert np.isnan(out.stderr)  # all 8 samples counted, the NaN ones too
 
 
 def test_compare_methods_grid_and_lookup(so3):

@@ -134,6 +134,26 @@ def test_stepper_is_deterministic(so3):
     np.testing.assert_array_equal(a.state, b.state)
 
 
+@pytest.mark.parametrize("integrator_id", INTEGRATOR_IDS)
+@pytest.mark.parametrize("name,build", SPOT_BATTERY, ids=SPOT_IDS)
+def test_step_does_not_write_its_input(name, build, integrator_id):
+    # the harness hands a stepper its whole state array, not a copy
+    handle = build()
+    stepper = make_stepper(handle, integrator_id)
+    rng = RngStream(46, 0)
+    x = np.stack([handle.random_point(rng) for _ in range(6)])
+    before = x.copy()
+    x.setflags(write=False)
+    for h in (0.2, 0.95):
+        raw = 4.0 * rng.normal((6,) + stepper.noise_shape)
+        raw[2] = np.nan
+        bound = truncation_bound(h)
+        inc = WienerIncrement(raw=raw, truncated=np.clip(raw, -bound, bound), h=h, r=1.0)
+        out = stepper.step(x, 0.0, h, inc)
+        assert not out.ok[2]
+        np.testing.assert_array_equal(x, before)
+
+
 # ---------------------------------------------------------------------------
 # geodesic integration
 
