@@ -20,7 +20,6 @@ from .geometry import (
     TubularRetraction,
     brownian_sde,
     brownian_soo,
-    brownian_strat_drift,
     check_metric_compatibility,
     check_projection,
     dual_tangent_frame,
@@ -50,7 +49,6 @@ from .integrators import (
     integrate_geodesic_rk4_projected,
     make_stepper,
     mu_retraction_adjusted,
-    truncated_increment,
     truncation_bound,
 )
 from .manifolds import MANIFOLD_NAMES, make_manifold
@@ -91,7 +89,6 @@ __all__ = [
     "WienerIncrement",
     "brownian_sde",
     "brownian_soo",
-    "brownian_strat_drift",
     "check_metric_compatibility",
     "check_projection",
     "compare_methods",
@@ -112,7 +109,6 @@ __all__ = [
     "second_order_retraction",
     "simulate",
     "soo_residual",
-    "truncated_increment",
     "truncation_bound",
     "uniform_cost_estimate",
 ]

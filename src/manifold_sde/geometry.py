@@ -249,12 +249,7 @@ def require_on_manifold(handle: ManifoldHandle, x: np.ndarray, tol: float = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# finite differences
-
-
-def default_fd_step(x: np.ndarray) -> float:
-    """Default central-difference step: sqrt(machine eps) * (1 + |x|_F)."""
-    return float(np.sqrt(_EPS) * (1.0 + np.max(frobenius_norm(x))))
+# ambient basis
 
 
 def ambient_basis(shape: tuple[int, int]) -> np.ndarray:
@@ -372,31 +367,6 @@ def brownian_ito_drift(handle: ManifoldHandle, x: np.ndarray) -> np.ndarray:
     """
     require_on_manifold(handle, x)
     return 0.5 * laplace_drift_vector(handle, x)
-
-
-def brownian_strat_drift(
-    handle: ManifoldHandle, x: np.ndarray, step: float | None = None
-) -> np.ndarray:
-    """Stratonovich drift -1/2 sum_i nabla_{Pi sigma e_i}(Pi sigma e_i).
-
-    The directional derivative of each field y -> Pi(y) sigma(y) e_i is taken
-    by central differences along its own direction, then corrected by the
-    Christoffel term.  Handles carry closed forms as ``handle.strat_drift``.
-    """
-    require_on_manifold(handle, x)
-    basis = ambient_basis(handle.shape)
-    u = handle.project(x, handle.sigma(x, basis))
-    norms = frobenius_norm(u)
-    safe = np.maximum(norms, 1e-300)[..., None, None]
-    h0 = step if step is not None else default_fd_step(x)
-    h = h0 / safe
-    xb = np.broadcast_to(x, u.shape)
-    fp = handle.project(xb + h * u, handle.sigma(xb + h * u, basis))
-    fm = handle.project(xb - h * u, handle.sigma(xb - h * u, basis))
-    d_term = (fp - fm) / (2.0 * h)
-    d_term = np.where((norms > 1e-14)[..., None, None], d_term, 0.0)
-    gamma_term = handle.christoffel(x, u, u)
-    return -0.5 * np.sum(d_term + gamma_term, axis=0)
 
 
 def laplace_beltrami(

@@ -5,6 +5,10 @@ from the counter-based stream (seed, stream_id=i): one block of n_div
 increments up front, then any retry draws in failure order.  That makes the
 estimate bit-identical for a fixed config no matter how paths are chunked or
 how many worker threads run, and lets a single path be replayed in isolation.
+Opening a path's stream builds no generator: its block is drawn from one
+generator per worker thread re-keyed to the stream, and only a path that
+retries opens a generator of its own (see ``rng``).  The draws are those of
+the stream's own generator either way, so the samples do not depend on it.
 
 The running cost is accumulated as sum_j g(X_{j+1}, j h) * h (the post-step
 point with the pre-step time, matching the reference loop order), plus the

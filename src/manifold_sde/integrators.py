@@ -48,7 +48,6 @@ from .geometry import (
     retraction_second_derivative,
     second_order_retraction,
 )
-from .rng import RngStream
 
 INTEGRATOR_IDS = ("ito-em", "strat-heun", "geodesic-walk", "retractive-em", "rk4-geodesic")
 
@@ -95,16 +94,6 @@ class WienerIncrement:
     @property
     def bound(self) -> float:
         return truncation_bound(self.h, self.r)
-
-
-def truncated_increment(rng: RngStream, k, h: float, r: float = 1.0) -> WienerIncrement:
-    """Draw i.i.d. standard normals of shape ``k`` and clamp them at +-A_h."""
-    shape = (k,) if isinstance(k, int) else tuple(k)
-    bound = truncation_bound(h, r)
-    raw = rng.normal(shape)
-    return WienerIncrement(
-        raw=raw, truncated=np.clip(raw, -bound, bound), h=float(h), r=float(r)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from manifold_sde import (
     TangentRetraction,
     brownian_sde,
     brownian_soo,
-    brownian_strat_drift,
     dual_tangent_frame,
     first_order_retraction,
     laplace_beltrami,
@@ -18,6 +17,7 @@ from manifold_sde import (
     soo_residual,
 )
 from manifold_sde.geometry import (
+    ManifoldHandle,
     ambient_basis,
     brownian_ito_drift,
     require_on_manifold,
@@ -35,6 +35,29 @@ def so3():
 @pytest.fixture(scope="module")
 def sphere3():
     return make_manifold("sphere", n=3)
+
+
+def brownian_strat_drift(handle: ManifoldHandle, x: np.ndarray) -> np.ndarray:
+    """Stratonovich drift -1/2 sum_i nabla_{Pi sigma e_i}(Pi sigma e_i).
+
+    The oracle for ``handle.strat_drift``: the directional derivative of each
+    field y -> Pi(y) sigma(y) e_i is taken by central differences along its
+    own direction, with step sqrt(eps) * (1 + |x|_F), then corrected by the
+    Christoffel term.
+    """
+    require_on_manifold(handle, x)
+    basis = ambient_basis(handle.shape)
+    u = handle.project(x, handle.sigma(x, basis))
+    norms = frobenius_norm(u)
+    safe = np.maximum(norms, 1e-300)[..., None, None]
+    h = float(np.sqrt(np.finfo(float).eps) * (1.0 + np.max(frobenius_norm(x)))) / safe
+    xb = np.broadcast_to(x, u.shape)
+    fp = handle.project(xb + h * u, handle.sigma(xb + h * u, basis))
+    fm = handle.project(xb - h * u, handle.sigma(xb - h * u, basis))
+    d_term = (fp - fm) / (2.0 * h)
+    d_term = np.where((norms > 1e-14)[..., None, None], d_term, 0.0)
+    gamma_term = handle.christoffel(x, u, u)
+    return -0.5 * np.sum(d_term + gamma_term, axis=0)
 
 
 def test_require_on_manifold_rejects_off_points(sphere3):

@@ -17,7 +17,6 @@ from manifold_sde import (
     make_stepper,
     mu_retraction_adjusted,
     second_order_retraction,
-    truncated_increment,
     truncation_bound,
 )
 from manifold_sde.geometry import SdeSpec
@@ -39,6 +38,16 @@ def so3():
 
 # ---------------------------------------------------------------------------
 # increment truncation
+
+
+def truncated_increment(rng: RngStream, k, h: float, r: float = 1.0) -> WienerIncrement:
+    """Draw i.i.d. standard normals of shape ``k`` and clamp them at +-A_h."""
+    shape = (k,) if isinstance(k, int) else tuple(k)
+    bound = truncation_bound(h, r)
+    raw = rng.normal(shape)
+    return WienerIncrement(
+        raw=raw, truncated=np.clip(raw, -bound, bound), h=float(h), r=float(r)
+    )
 
 
 def test_truncation_bound_value():

@@ -1,7 +1,15 @@
+import sys
+import threading
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from manifold_sde import SimulationConfig, make_manifold, rng, simulate
+from manifold_sde.harness import THREADS_ENV
 from manifold_sde.rng import RngStream
 
 
@@ -44,3 +52,103 @@ def test_normal_moments():
     assert abs(x.mean()) < 0.01
     assert abs(x.std() - 1.0) < 0.01
 
+
+
+# ---------------------------------------------------------------------------
+# bit identity with the keyed generator, and how often generators are built
+
+
+def oracle(seed, stream_id):
+    """The generator whose draws stream ``(seed, stream_id)`` reproduces."""
+    return np.random.Generator(np.random.Philox(key=(seed % 2**64, stream_id % 2**64)))
+
+
+@pytest.mark.parametrize("seed,stream_id", [(0, 0), (7, 12345), (2**64 + 3, 2**65 + 11),
+                                            (2**70, 2**64)])
+def test_draws_match_the_keyed_philox_generator(seed, stream_id):
+    # the harness's order: one block, retry-shaped draws, then a uniform after normals
+    s, ref = RngStream(seed, stream_id), oracle(seed, stream_id)
+    np.testing.assert_array_equal(s.normal((20, 3)), ref.standard_normal((20, 3)))
+    for _ in range(3):
+        np.testing.assert_array_equal(s.normal((3,)), ref.standard_normal((3,)))
+    np.testing.assert_array_equal(s.uniform((5,)), ref.random((5,)))
+
+
+def test_scalar_draws_match_the_keyed_philox_generator():
+    s, ref = RngStream(3, 4), oracle(3, 4)
+    first = s.normal()
+    assert np.shape(first) == () and first == ref.standard_normal(())
+    assert s.normal(()) == ref.standard_normal(())
+    assert RngStream(5, 6).uniform() == oracle(5, 6).random(())
+
+
+def test_interleaved_live_streams_match_the_keyed_philox_generator():
+    # A1 B1 C1 ... A2 B2 C2 ...: every stream's later draws replay past the others
+    streams = [RngStream(11, i) for i in range(50)]
+    refs = [oracle(11, i) for i in range(50)]
+    for _ in range(3):
+        for s, ref in zip(streams, refs):
+            np.testing.assert_array_equal(s.normal((4, 2)), ref.standard_normal((4, 2)))
+
+
+def test_streams_drawn_from_two_threads_at_once_match():
+    barrier = threading.Barrier(2)
+
+    def draw(offset):
+        streams = [RngStream(99, offset + i) for i in range(200)]
+        barrier.wait(timeout=30)
+        return [[s.normal((6,)) for s in streams] for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = {offset: pool.submit(draw, offset) for offset in (0, 1000)}
+            results = {offset: f.result(timeout=60) for offset, f in futures.items()}
+    finally:
+        sys.setswitchinterval(interval)
+    for offset, rounds in results.items():
+        refs = [oracle(99, offset + i) for i in range(200)]
+        for row in rounds:
+            for got, ref in zip(row, refs):
+                np.testing.assert_array_equal(got, ref.standard_normal((6,)))
+
+
+@pytest.fixture
+def philox_builds(monkeypatch):
+    """Every Philox the rng module builds, as (thread id, key or None)."""
+    built = []
+
+    def counting_philox(*args, **kwargs):
+        built.append((threading.get_ident(), kwargs.get("key")))
+        return np.random.Philox(*args, **kwargs)
+
+    monkeypatch.setattr(rng, "Philox", counting_philox)
+    return built
+
+
+def test_paths_without_retries_build_one_philox_per_worker_thread(philox_builds, monkeypatch):
+    monkeypatch.setenv(THREADS_ENV, "4")
+    so3 = make_manifold("so", N=3)
+    out = simulate(SimulationConfig(T=1.0, n_div=10, n_path=64, seed=3, path_chunk=8), so3)
+    assert out.n_path == 64
+    threads = [tid for tid, _ in philox_builds]
+    assert len(threads) == len(set(threads)) <= 4
+    assert all(key is None for _, key in philox_builds)
+
+
+def test_only_paths_that_retry_open_a_generator_of_their_own(philox_builds, monkeypatch):
+    draws = Counter()
+    normal = RngStream.normal
+
+    def counted_normal(self, shape=()):
+        draws[(self.seed, self.stream_id)] += 1
+        return normal(self, shape)
+
+    monkeypatch.setattr(RngStream, "normal", counted_normal)
+    spd = make_manifold("spd", N=3)
+    simulate(SimulationConfig(T=2.0, n_div=10, n_path=64, seed=5), spd)
+    retried = sorted(k for k, n in draws.items() if n > 1)
+    opened = sorted(key for _, key in philox_builds if key is not None)
+    assert 0 < len(retried) < 64
+    assert opened == retried
