@@ -10,14 +10,10 @@ counter-based random streams.
 
 from .costs import COST_IDS, make_cost
 from .geometry import (
-    Constraint,
-    FrameConditionError,
     ManifoldHandle,
     OffManifoldError,
     SdeSpec,
-    SecondOrderTangent,
     TangentRetraction,
-    TubularRetraction,
     brownian_sde,
     brownian_soo,
     check_metric_compatibility,
@@ -44,8 +40,6 @@ from .integrators import (
     DivergenceError,
     IntegratorParameterError,
     StepFailureError,
-    Stepper,
-    WienerIncrement,
     integrate_geodesic_rk4_projected,
     make_stepper,
     mu_retraction_adjusted,
@@ -66,10 +60,8 @@ from .rng import RngStream
 __all__ = [
     "COST_IDS",
     "ComparisonTable",
-    "Constraint",
     "CostFunctional",
     "DivergenceError",
-    "FrameConditionError",
     "HeatKernelParameterError",
     "INTEGRATOR_IDS",
     "IntegratorParameterError",
@@ -79,14 +71,10 @@ __all__ = [
     "RngStream",
     "SampleSet",
     "SdeSpec",
-    "SecondOrderTangent",
     "SimulationConfig",
     "StepFailureError",
-    "Stepper",
     "TangentRetraction",
-    "TubularRetraction",
     "UniformLimitRow",
-    "WienerIncrement",
     "brownian_sde",
     "brownian_soo",
     "check_metric_compatibility",

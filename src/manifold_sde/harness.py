@@ -289,7 +289,7 @@ def compare_methods(config: SimulationConfig, handle: ManifoldHandle,
     3 * hypot(stderr_a, stderr_b), which treats the cells as independent:
     under that correlation the allowance is loose, not conservative, and a
     real O(h) bias between schemes can pass it.  Paired-difference
-    statistics are the open fix (see ROADMAP, cross-scheme check).
+    statistics are the open fix (ROADMAP item 3, coupled grids).
     """
     cells = []
     for integ in integrators:

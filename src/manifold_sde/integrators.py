@@ -10,8 +10,8 @@ Five schemes, selected by string id:
                      adjusted by the retraction's second-order term (the
                      adjustment vanishes, and is skipped, for a Brownian SDE
                      and a second-order retraction),
-- ``rk4-geodesic``:  geodesic walk whose exponential map is integrated by a
-                     projected Runge-Kutta pass over the geodesic equation.
+- ``rk4-geodesic``:  the geodesic walk through the exponential map, integrated
+                     by projected Runge-Kutta passes over the geodesic equation.
 
 The projected and retractive schemes consume componentwise-truncated Gaussian
 increments, clamped at A_h = sqrt(2 r |ln h|), which keeps intermediate
@@ -20,20 +20,23 @@ geodesic schemes normalize the move length, so they use the raw increments.
 
 Steppers are pure functions of (state, increment) and broadcast over leading
 batch axes.  Every scheme reaches the manifold through one domain-checked
-call: the projected schemes and the RK4 pass through
+call: the projected schemes and each RK4 pass through
 ``TubularRetraction.retract``, the retraction schemes through
 ``TangentRetraction.retract`` (which for the second-order retraction forms
 Gamma(x; v, v) once per step).  Rows whose step is non-finite or leaves the
 retraction domain are frozen at the previous state and flagged in
 ``StepResult.ok``; the caller decides whether to resample those increments
 (the simulation harness retries a few times from the path's own stream
-before giving up).
+before giving up).  ``make_stepper`` holds the per-scheme rules in one table:
+the SDE form consumed, whether the move is a normalized walk (raw increments,
+generator scale required) and the tangent retraction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -48,8 +51,6 @@ from .geometry import (
     retraction_second_derivative,
     second_order_retraction,
 )
-
-INTEGRATOR_IDS = ("ito-em", "strat-heun", "geodesic-walk", "retractive-em", "rk4-geodesic")
 
 # RK4 steps per exponential map in ``rk4-geodesic``
 RK4_SUBSTEPS = 2
@@ -91,10 +92,6 @@ class WienerIncrement:
     h: float
     r: float
 
-    @property
-    def bound(self) -> float:
-        return truncation_bound(self.h, self.r)
-
 
 # ---------------------------------------------------------------------------
 # step results
@@ -114,23 +111,22 @@ class StepResult:
 
 # ---------------------------------------------------------------------------
 # projected Euler schemes
+#
+# Every step rule takes (handle, sde, retraction, x, t, h, zeta), zeta being
+# the increment ``make_stepper`` selected for it; the projected schemes have
+# no tangent retraction and ignore that argument.
 
 
-def step_ito_projected(handle, sde, x, t, h, inc) -> StepResult:
-    """pi(x + h mu + sqrt(h) sigma zeta) with the truncated increment."""
-    if sde.form != "ito":
-        raise IntegratorParameterError("projected Euler-Maruyama needs an Ito-form SDE")
+def step_ito_projected(handle, sde, retraction, x, t, h, zeta) -> StepResult:
+    """pi(x + h mu + sqrt(h) sigma zeta) on the Ito form."""
     x = np.asarray(x, dtype=float)
-    q = x + h * sde.drift(x, t) + math.sqrt(h) * sde.sigma(x, inc.truncated, t)
+    q = x + h * sde.drift(x, t) + math.sqrt(h) * sde.sigma(x, zeta, t)
     return StepResult(*handle.tubular.retract(q, x))
 
 
-def step_stratonovich_heun_projected(handle, sde, x, t, h, inc) -> StepResult:
+def step_stratonovich_heun_projected(handle, sde, retraction, x, t, h, zeta) -> StepResult:
     """Predictor/corrector: pi(x + h mu_S + sqrt(h)/2 (sigma(x) + sigma(pred)) zeta)."""
-    if sde.form != "stratonovich":
-        raise IntegratorParameterError("Euler-Heun needs a Stratonovich-form SDE")
     x = np.asarray(x, dtype=float)
-    zeta = inc.truncated
     rooth = math.sqrt(h)
     s0 = sde.sigma(x, zeta, t)
     pred, ok_pred = handle.tubular.admit(x + rooth * s0, x)
@@ -163,17 +159,15 @@ def mu_retraction_adjusted(handle, sde, retraction, x, t) -> np.ndarray:
     return sde.drift(x, t) - 0.5 * np.sum(second, axis=0)
 
 
-def step_retractive_em(handle, sde, retraction, x, t, h, inc) -> StepResult:
+def step_retractive_em(handle, sde, retraction, x, t, h, zeta) -> StepResult:
     """r(x, h mu_r + sqrt(h) sigma zeta) through a tangent retraction.
 
     When the retraction is second-order and the SDE Brownian (``diffusion``
     set), mu_r is zero and the step is r(x, sqrt(h) sigma zeta); otherwise
     mu_r comes from :func:`mu_retraction_adjusted`.
     """
-    if sde.form != "ito":
-        raise IntegratorParameterError("retractive Euler-Maruyama needs an Ito-form SDE")
     x = np.asarray(x, dtype=float)
-    v = math.sqrt(h) * sde.sigma(x, inc.truncated, t)
+    v = math.sqrt(h) * sde.sigma(x, zeta, t)
     if not (retraction.second_order and sde.diffusion is not None):
         v = h * mu_retraction_adjusted(handle, sde, retraction, x, t) + v
     return StepResult(*retraction.retract(x, v))
@@ -189,21 +183,17 @@ def _normalized_move(handle, sde, x, raw, t, length2):
     return v, good
 
 
-def step_geodesic_walk(handle, sde, retraction, x, h, inc, t=0.0) -> StepResult:
-    """Geodesic random walk: r(x, v) with v = sigma zeta rescaled to metric
+def step_geodesic_walk(handle, sde, retraction, x, t, h, xi) -> StepResult:
+    """Geodesic random walk: r(x, v) with v = sigma xi rescaled to metric
     length sqrt(2 c h d), d = dim of the manifold, c the generator scale.
 
-    Raw (untruncated) increments are used since the move length is fixed by
-    the normalization.  A zero noise vector (probability zero) is flagged for
-    resampling.
+    The move length is fixed by the normalization, so ``xi`` is the raw
+    (untruncated) increment.  A zero noise vector (probability zero) is
+    flagged for resampling.
     """
-    if sde.diffusion is None:
-        raise IntegratorParameterError(
-            "geodesic walk needs a Brownian SDE carrying its generator scale"
-        )
     x = np.asarray(x, dtype=float)
     length2 = 2.0 * sde.diffusion * float(h) * handle.dim
-    v, good = _normalized_move(handle, sde, x, inc.raw, t, length2)
+    v, good = _normalized_move(handle, sde, x, xi, t, length2)
     state, ok = retraction.retract(x, v)
     return StepResult(state=state, ok=ok & good)
 
@@ -218,8 +208,8 @@ def _geodesic_field(handle, x, v):
 
 def _rk4_geodesic_masked(handle, x, v, T, steps):
     hstep = float(T) / int(steps)
-    vnorm0 = np.sqrt(np.sum(v * v, axis=(-2, -1)))
-    vcap = 1e6 * max(1.0, float(np.max(vnorm0)) if vnorm0.size else 1.0)
+    # the blow-up cap is per row, so a row's flag does not depend on its batch
+    vcap = 1e6 * np.maximum(1.0, np.sqrt(np.sum(v * v, axis=(-2, -1))))
     ok = np.ones(np.broadcast(x, v).shape[:-2], dtype=bool)
     x = np.broadcast_to(x, np.broadcast(x, v).shape).astype(float)
     v = np.broadcast_to(v, x.shape).astype(float)
@@ -243,7 +233,7 @@ def integrate_geodesic_rk4_projected(handle, x, v, T, steps):
     After every step the point is pulled back by the tubular retraction and
     the velocity re-projected onto the tangent space, giving a numerical
     exponential map.  Raises DivergenceError on blow-up (velocity growth
-    beyond 1e6) or a retraction-domain exit.
+    beyond 1e6 max(1, |v0|)) or a retraction-domain exit.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -255,19 +245,19 @@ def integrate_geodesic_rk4_projected(handle, x, v, T, steps):
     return point, velocity
 
 
-def step_rk4_geodesic(handle, sde, x, h, inc, t=0.0) -> StepResult:
-    """Geodesic-walk step whose exponential map is RK4-integrated."""
-    if sde.diffusion is None:
-        raise IntegratorParameterError(
-            "rk4 geodesic walk needs a Brownian SDE carrying its generator scale"
-        )
-    x = np.asarray(x, dtype=float)
-    length2 = 2.0 * sde.diffusion * float(h) * handle.dim
-    v, good = _normalized_move(handle, sde, x, inc.raw, t, length2)
-    state, _, ok = _rk4_geodesic_masked(handle, x, v, 1.0, RK4_SUBSTEPS)
-    ok = ok & good
-    state = freeze_rows(state, x, ok)
-    return StepResult(state=state, ok=ok)
+def rk4_exponential_retraction(handle: ManifoldHandle) -> TangentRetraction:
+    """The exponential map as a tangent retraction, by ``RK4_SUBSTEPS``
+    projected RK4 steps over [0, 1].
+
+    A row whose pass turns non-finite, leaves the retraction domain or
+    passes the velocity cap comes back as x with ``ok`` False.
+    """
+
+    def retract(x, v):
+        point, _, ok = _rk4_geodesic_masked(handle, x, v, 1.0, RK4_SUBSTEPS)
+        return freeze_rows(point, x, ok), ok
+
+    return TangentRetraction(retract=retract)
 
 
 # ---------------------------------------------------------------------------
@@ -276,26 +266,35 @@ def step_rk4_geodesic(handle, sde, x, h, inc, t=0.0) -> StepResult:
 
 @dataclass(frozen=True)
 class Stepper:
-    """An integrator id bound to one handle and SDE, ready to advance paths."""
+    """An integrator bound to one handle and SDE, ready to advance paths.
 
-    integrator_id: str
-    handle: ManifoldHandle
-    sde: SdeSpec
-    uses_truncation: bool
+    ``noise_shape`` is the shape of one row's increment; ``uses_truncation``
+    says whether ``step`` reads the clamped increment (else the raw one).
+    """
+
     step: Callable[[np.ndarray, float, float, WienerIncrement], StepResult]
-
-    @property
-    def noise_shape(self) -> tuple:
-        return tuple(self.sde.noise_shape)
+    noise_shape: tuple
+    uses_truncation: bool
 
 
-def integrator_form(integrator_id: str) -> str:
-    """The SDE form ('ito' or 'stratonovich') an integrator consumes."""
-    if integrator_id not in INTEGRATOR_IDS:
-        raise IntegratorParameterError(
-            f"unknown integrator {integrator_id!r}; valid ids: {', '.join(INTEGRATOR_IDS)}"
-        )
-    return "stratonovich" if integrator_id == "strat-heun" else "ito"
+def _given_or_second_order(handle, given):
+    return second_order_retraction(handle) if given is None else given
+
+
+# id -> (SDE form, normalized walk, step rule, tangent retraction from
+# (handle, the caller's ``retraction``)).  A walk fixes its move length, so it
+# reads the raw increment and needs the SDE's generator scale; the other
+# schemes read the clamped one.
+_SCHEMES = {
+    "ito-em": ("ito", False, step_ito_projected, None),
+    "strat-heun": ("stratonovich", False, step_stratonovich_heun_projected, None),
+    "geodesic-walk": ("ito", True, step_geodesic_walk, _given_or_second_order),
+    "retractive-em": ("ito", False, step_retractive_em, _given_or_second_order),
+    "rk4-geodesic": ("ito", True, step_geodesic_walk,
+                     lambda handle, given: rk4_exponential_retraction(handle)),
+}
+
+INTEGRATOR_IDS = tuple(_SCHEMES)
 
 
 def make_stepper(
@@ -305,42 +304,31 @@ def make_stepper(
     diffusion: float = 0.5,
     retraction: TangentRetraction | None = None,
 ) -> Stepper:
-    """Bind an integrator id to a handle and (by default Brownian) SDE."""
-    form = integrator_form(integrator_id)
+    """Bind an integrator id to a handle and (by default Brownian) SDE.
+
+    ``retraction`` replaces the second-order retraction of ``geodesic-walk``
+    and ``retractive-em``; the other schemes ignore it.
+    """
+    if integrator_id not in _SCHEMES:
+        raise IntegratorParameterError(
+            f"unknown integrator {integrator_id!r}; valid ids: {', '.join(INTEGRATOR_IDS)}"
+        )
+    form, walk, rule, bind_retraction = _SCHEMES[integrator_id]
     if sde is None:
         sde = brownian_sde(handle, form=form, diffusion=diffusion)
     elif sde.form != form:
         raise IntegratorParameterError(
             f"{integrator_id} consumes a {form}-form SDE, got {sde.form}"
         )
-    needs_retraction = integrator_id in ("geodesic-walk", "retractive-em")
-    if needs_retraction and retraction is None:
-        retraction = second_order_retraction(handle)
-    if integrator_id in ("geodesic-walk", "rk4-geodesic") and sde.diffusion is None:
+    if walk and sde.diffusion is None:
         raise IntegratorParameterError(
             f"{integrator_id} needs a Brownian SDE carrying its generator scale"
         )
+    if bind_retraction is not None:
+        retraction = bind_retraction(handle, retraction)
+    noise = attrgetter("raw" if walk else "truncated")
 
-    if integrator_id == "ito-em":
-        def step(x, t, h, inc):
-            return step_ito_projected(handle, sde, x, t, h, inc)
-    elif integrator_id == "strat-heun":
-        def step(x, t, h, inc):
-            return step_stratonovich_heun_projected(handle, sde, x, t, h, inc)
-    elif integrator_id == "geodesic-walk":
-        def step(x, t, h, inc):
-            return step_geodesic_walk(handle, sde, retraction, x, h, inc, t=t)
-    elif integrator_id == "retractive-em":
-        def step(x, t, h, inc):
-            return step_retractive_em(handle, sde, retraction, x, t, h, inc)
-    else:
-        def step(x, t, h, inc):
-            return step_rk4_geodesic(handle, sde, x, h, inc, t=t)
+    def step(x, t, h, inc):
+        return rule(handle, sde, retraction, x, t, h, noise(inc))
 
-    return Stepper(
-        integrator_id=integrator_id,
-        handle=handle,
-        sde=sde,
-        uses_truncation=integrator_id in ("ito-em", "strat-heun", "retractive-em"),
-        step=step,
-    )
+    return Stepper(step=step, noise_shape=tuple(sde.noise_shape), uses_truncation=not walk)

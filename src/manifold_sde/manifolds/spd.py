@@ -39,9 +39,9 @@ def make_spd(n: int) -> ManifoldHandle:
 
     def christoffel(x, u, v):
         # -sym(u x^{-1} v), symmetrized in (u, v) so the bilinear extension
-        # off the symmetric subspace is symmetric too
+        # off the symmetric subspace is symmetric too; Gamma(x; v, v) solves once
         xinv_u = np.linalg.solve(x, u)
-        xinv_v = np.linalg.solve(x, v)
+        xinv_v = xinv_u if v is u else np.linalg.solve(x, v)
         return -0.5 * (sym(u @ xinv_v) + sym(v @ xinv_u))
 
     def sqrt_conjugate(x, w):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -68,6 +69,40 @@ def test_results_independent_of_chunking_and_threads(so3, monkeypatch):
             reference = out.samples
         else:
             np.testing.assert_array_equal(out.samples, reference)
+
+
+# sha256 of simulate(...).samples for the two geodesic walks (T = 0.5, 10
+# steps, 24 paths, seed 5, chunks of 7, terminal sum_abs).  Like the CLI
+# pins, a change meant to keep every number leaves these unchanged, and a
+# numpy/LAPACK change may need them re-recorded.
+PINNED_WALK_SAMPLES = [
+    ("so", {"N": 3}, "geodesic-walk",
+     "9d5d098fa872655d045f4a579f82331394f24faf17bf193d23ce915ff687e9d9"),
+    ("so", {"N": 3}, "rk4-geodesic",
+     "b1636bf170e6f3ee09c8cea9450a1164ff511497e5c5f323aee2a22e25a79ae1"),
+    ("spd", {"N": 3}, "geodesic-walk",
+     "cb9a143c7cbe3182cd833fdee3762c636460fb8d626042b5eb5c906c7ce7f2f8"),
+    ("spd", {"N": 3}, "rk4-geodesic",
+     "c6aea9cd06b8d05078f42e7d7abd43803177b1d0288496becd29de65abda72c5"),
+    ("hyperbolic", {"n": 3}, "geodesic-walk",
+     "4a612d4c51ff834db9cce68747730742e10a2a71d69c49d3117884c3c8b6940d"),
+    ("hyperbolic", {"n": 3}, "rk4-geodesic",
+     "4b8b839b85e6b61d803a52afa6c1fb9be94e8bd2da4826be47027654829938c9"),
+    ("grassmann", {"n": 5, "p": 2}, "geodesic-walk",
+     "757ac55d5e763bc39bae480b897be8df4554c407050e0eda66fb07c140cd1ec8"),
+    ("grassmann", {"n": 5, "p": 2}, "rk4-geodesic",
+     "f2b23acc93682774fa5f0bee5ad6c7ef550cfeafbc7b30f916d7c614d5ce4ba9"),
+]
+
+
+@pytest.mark.parametrize("family,params,integrator,digest", PINNED_WALK_SAMPLES,
+                         ids=[f"{row[0]}-{row[2]}" for row in PINNED_WALK_SAMPLES])
+def test_walk_samples_are_pinned(family, params, integrator, digest):
+    handle = make_manifold(family, **params)
+    cfg = SimulationConfig(T=0.5, n_div=10, n_path=24, seed=5, integrator=integrator,
+                           path_chunk=7)
+    out = simulate(cfg, handle, cost=make_cost("sum_abs", handle))
+    assert hashlib.sha256(out.samples.tobytes()).hexdigest() == digest
 
 
 def test_chunk_larger_than_path_count(so3):

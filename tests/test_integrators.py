@@ -63,7 +63,7 @@ def test_truncation_bound_rejects_bad_parameters(h, r):
 def test_truncated_increment_clamps_at_bound():
     h = math.exp(-2.0)
     inc = truncated_increment(RngStream(20, 0), (2000,), h, r=1.0)
-    assert inc.bound == pytest.approx(2.0, abs=1e-15)
+    assert truncation_bound(inc.h, inc.r) == pytest.approx(2.0, abs=1e-15)
     assert inc.h == h and inc.r == 1.0
     np.testing.assert_array_equal(inc.truncated, np.clip(inc.raw, -2.0, 2.0))
     assert np.any(np.abs(inc.raw) > 2.0)          # some draws do get clamped
@@ -198,6 +198,36 @@ def test_rk4_geodesic_reports_blowup():
         integrate_geodesic_rk4_projected(hyp, x, v, 1.0, 50)
 
 
+def test_rk4_velocity_cap_is_per_row():
+    # a row's flag must not depend on the other rows in its batch
+    hyp = make_manifold("hyperbolic", n=2)
+    x = np.array([[0.0], [1.0]])
+    v = np.array([[0.0], [14.0]])
+    _, _, alone = integrators._rk4_geodesic_masked(hyp, x, v, 1.0, 50)
+    batch = np.stack([v, np.array([[0.0], [-50.0]])])
+    _, _, together = integrators._rk4_geodesic_masked(hyp, x, batch, 1.0, 50)
+    assert together[0] == alone
+
+
+@pytest.mark.parametrize("name,build", SPOT_BATTERY, ids=SPOT_IDS)
+def test_rk4_walk_step_matches_standalone_exponential_map(name, build):
+    # the rk4-geodesic step is the exponential map of the walk's normalized move
+    handle = build()
+    stepper = make_stepper(handle, "rk4-geodesic")
+    rng = RngStream(47, 0)
+    x = np.stack([handle.random_point(rng) for _ in range(6)])
+    raw = rng.normal((6,) + stepper.noise_shape)
+    raw[4] = np.nan
+    h = 0.05
+    out = stepper.step(x, 0.0, h, WienerIncrement(raw=raw, truncated=raw, h=h, r=1.0))
+    np.testing.assert_array_equal(out.ok, [True, True, True, True, False, True])
+    sde = brownian_sde(handle, form="ito")
+    v, _ = integrators._normalized_move(handle, sde, x, raw, 0.0, 2.0 * 0.5 * h * handle.dim)
+    point, _ = integrate_geodesic_rk4_projected(handle, x[out.ok], v[out.ok], 1.0,
+                                                integrators.RK4_SUBSTEPS)
+    np.testing.assert_array_equal(out.state[out.ok], point)
+
+
 # ---------------------------------------------------------------------------
 # geodesic random walk
 
@@ -274,6 +304,22 @@ def test_truncation_usage_flags(sphere3):
     }
     for integrator_id, flag in expected.items():
         assert make_stepper(sphere3, integrator_id).uses_truncation is flag
+
+
+@pytest.mark.parametrize("integrator_id", INTEGRATOR_IDS)
+def test_stepper_reads_the_increment_its_flag_names(so3, integrator_id):
+    # the harness passes truncated = raw to the walks, so only a step test
+    # can tell which field a scheme reads: the other one is NaN here
+    stepper = make_stepper(so3, integrator_id)
+    rng = RngStream(48, 0)
+    x = np.stack([so3.random_point(rng) for _ in range(4)])
+    z = rng.normal((4,) + stepper.noise_shape)
+    nan = np.full_like(z, np.nan)
+    if stepper.uses_truncation:
+        inc = WienerIncrement(raw=nan, truncated=z, h=0.01, r=1.0)
+    else:
+        inc = WienerIncrement(raw=z, truncated=nan, h=0.01, r=1.0)
+    assert stepper.step(x, 0.0, 0.01, inc).ok.all()
 
 
 # ---------------------------------------------------------------------------
