@@ -75,7 +75,8 @@ class TubularRetraction:
     its derivative at on-manifold points; ``domain`` returns a boolean mask
     of points where ``mapping`` is defined.  The optional ``fused`` returns
     ``(mapping(q), domain(q))`` from one factorisation (the polar families
-    read both off one SVD); accepted rows must match ``mapping`` bit for
+    read both off one ``eigh`` of q^T q, or one SVD for ill-conditioned
+    rows); accepted rows must match ``mapping`` bit for
     bit, and the point must be a fresh array, since :meth:`retract` writes
     the rejected rows into it.
     Callers go through :meth:`retract` (or :meth:`admit`), which holds the

@@ -4,7 +4,9 @@ Everything here works on float64 arrays and broadcasts over leading batch
 dimensions; matrices live in the two trailing axes.  The routines are thin,
 checked wrappers around LAPACK via numpy -- the point of the module is a
 single place where shape and symmetry preconditions are enforced and
-reported with useful errors instead of garbage output downstream.
+reported with useful errors instead of garbage output downstream.  The
+polar routines pick the factorisation per matrix: one ``eigh`` of the Gram
+matrix where its eigenvalues certify the result, the SVD everywhere else.
 """
 
 from __future__ import annotations
@@ -77,8 +79,7 @@ class SymEigDecomposition:
 
     def apply(self, f) -> np.ndarray:
         """Assemble ``V f(d) V^T`` for a scalar function ``f`` of the eigenvalues."""
-        fd = f(self.values)
-        return np.einsum("...ik,...k,...jk->...ij", self.vectors, fd, self.vectors)
+        return (self.vectors * f(self.values)[..., None, :]) @ mT(self.vectors)
 
 
 def sym_eig(a: np.ndarray, rel_tol: float = 1e-10) -> SymEigDecomposition:
@@ -88,40 +89,78 @@ def sym_eig(a: np.ndarray, rel_tol: float = 1e-10) -> SymEigDecomposition:
     return SymEigDecomposition(values=values, vectors=vectors)
 
 
-def polar_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal polar factor and singular values of n x p matrices (n >= p).
+# Rows whose Gram matrix g = a^T a has lambda_min > _GRAM_SAFE * max(lambda_max, 1)
+# take the polar factor a g^{-1/2} from one eigh of g.  The bound certifies
+# s_min > 0.1 * max(s_max, 1), far inside the domain threshold 1e-8 of
+# _well_conditioned, and caps kappa(a)^2 at 100, so the Gram-form error
+# (of order kappa^2 * eps; Higham, Functions of Matrices, 2008, ch. 8) stays
+# near 100 eps.  Every other row (zero, rank-deficient, non-finite or near
+# the threshold) goes through the SVD and is decided exactly as by it.
+_GRAM_SAFE = 1e-2
 
-    Returns ``(u @ vt, s)`` from one thin SVD: the minimizer of ||q - a||_F
-    over matrices with orthonormal columns, plus the descending singular
-    values that tell how well that factor is conditioned.  The factor is
-    unique only for full-rank input.
-    """
+
+def _polar_rows(a: np.ndarray, who: str) -> np.ndarray:
+    """n x p matrices (n >= p) stacked along one batch axis."""
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-2] < a.shape[-1]:
-        raise ShapeError(f"polar_svd: need n >= p matrices, got shape {a.shape}")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    return u @ vt, s
+        raise ShapeError(f"{who}: need n >= p matrices, got shape {a.shape}")
+    return a.reshape((-1,) + a.shape[-2:])
 
 
-def polar_orth(a: np.ndarray) -> np.ndarray:
-    """Orthonormal polar factor ``u @ vt`` of :func:`polar_svd`."""
-    return polar_svd(a)[0]
+def _gram_eigh(rows: np.ndarray, vectors: bool):
+    """``(values, vectors or None, safe)`` of the Gram matrices rows^T rows."""
+    g = mT(rows) @ rows
+    finite = np.all(np.isfinite(g), axis=(-2, -1))
+    g[~finite] = np.eye(g.shape[-1])  # eigh raises on them; the SVD decides them
+    if vectors:
+        lam, v = np.linalg.eigh(g)
+    else:
+        lam, v = np.linalg.eigvalsh(g), None
+    safe = finite & (lam[:, 0] > _GRAM_SAFE * np.maximum(lam[:, -1], 1.0))
+    return lam, v, safe
 
 
 def _well_conditioned(s: np.ndarray) -> np.ndarray:
     return s[..., -1] > 1e-8 * np.maximum(s[..., 0], 1.0)
 
 
-def polar_domain(a: np.ndarray) -> np.ndarray:
-    """Domain of the polar retraction: s_min > 1e-8 * max(s_max, 1), read off
-    the singular values alone."""
-    return _well_conditioned(np.linalg.svd(a, compute_uv=False))
-
-
 def polar_fused(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(polar_orth(a), polar_domain(a))`` from the one SVD of :func:`polar_svd`."""
-    point, s = polar_svd(a)
-    return point, _well_conditioned(s)
+    """Orthonormal polar factor of n x p matrices (n >= p) and the domain test
+    s_min > 1e-8 * max(s_max, 1), from one factorisation per row.
+
+    The factor is the minimizer of ||q - a||_F over matrices with
+    orthonormal columns, unique only for full-rank input.  Well-conditioned
+    rows (see ``_GRAM_SAFE``) read it off one ``eigh`` of a^T a as
+    a V diag(lambda^{-1/2}) V^T and pass the test by the bound that selects
+    them; every other row takes ``u @ vt`` and the test from one thin SVD.
+    """
+    rows = _polar_rows(a, "polar_fused")
+    lam, v, ok = _gram_eigh(rows, vectors=True)
+    unsafe = ~ok
+    lam[unsafe] = 1.0  # placeholder: the SVD below overwrites these rows
+    point = rows @ ((v / np.sqrt(lam)[:, None, :]) @ mT(v))
+    if np.any(unsafe):
+        u, s, vt = np.linalg.svd(rows[unsafe], full_matrices=False)
+        point[unsafe] = u @ vt
+        ok[unsafe] = _well_conditioned(s)
+    return point.reshape(np.shape(a)), ok.reshape(np.shape(a)[:-2])
+
+
+def polar_orth(a: np.ndarray) -> np.ndarray:
+    """Orthonormal polar factor of :func:`polar_fused`."""
+    return polar_fused(a)[0]
+
+
+def polar_domain(a: np.ndarray) -> np.ndarray:
+    """Domain of the polar retraction, the test of :func:`polar_fused`, read
+    off the eigenvalues of a^T a, or the singular values where those do not
+    certify it."""
+    rows = _polar_rows(a, "polar_domain")
+    _, _, ok = _gram_eigh(rows, vectors=False)
+    unsafe = ~ok
+    if np.any(unsafe):
+        ok[unsafe] = _well_conditioned(np.linalg.svd(rows[unsafe], compute_uv=False))
+    return ok.reshape(np.shape(a)[:-2])
 
 
 def matrix_exp(a: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..geometry import Constraint, ManifoldHandle, TubularRetraction
-from ..linalg import matrix_exp, mT, polar_domain, polar_fused, polar_orth, sym_eig
+from ..linalg import matrix_exp, mT, polar_domain, polar_fused, polar_orth, skew, sym_eig
 from ..rng import RngStream
 from ._constraints import fixed_entry_constraints, orthogonality_constraints
 
@@ -150,6 +150,9 @@ class LieStructure:
         return np.einsum("...k,kij->...ij", c, self.basis)
 
     def algebra_project(self, w: np.ndarray) -> np.ndarray:
+        if self.kind == "so":
+            # embed(coords(w)) in the Frobenius-orthonormal so(n) basis
+            return skew(w)
         return self.embed(self.coords(w))
 
     def _mix(self, w: np.ndarray, mat: np.ndarray | None) -> np.ndarray:

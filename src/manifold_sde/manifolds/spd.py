@@ -16,11 +16,12 @@ from ._constraints import symmetry_constraints
 
 def _strat_correction(x: np.ndarray) -> np.ndarray:
     """S(x) = -V diag(b_i^2 (1/4 + sum_j b_j / (2 (b_i + b_j)))) V^T for x = V diag(b^2) V^T."""
-    dec = sym_eig(x)
-    beta = np.sqrt(np.maximum(dec.values, 0.0))
-    pair = beta[..., None, :] / (beta[..., :, None] + beta[..., None, :])
-    coeff = beta**2 * (0.25 + 0.5 * np.sum(pair, axis=-1))
-    return -np.einsum("...ik,...k,...jk->...ij", dec.vectors, coeff, dec.vectors)
+    def coeff(d):
+        beta = np.sqrt(np.maximum(d, 0.0))
+        pair = beta[..., None, :] / (beta[..., :, None] + beta[..., None, :])
+        return beta**2 * (0.25 + 0.5 * np.sum(pair, axis=-1))
+
+    return -sym_eig(x).apply(coeff)
 
 
 def make_spd(n: int) -> ManifoldHandle:

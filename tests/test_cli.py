@@ -189,15 +189,15 @@ def test_simulate_csv_schema_and_summary_consistency(tmp_path, capsys):
 # numpy/LAPACK build, so a toolchain change may need them re-recorded.
 PINNED_PATH_CSV = [
     ("manifold = so\nN = 3\n", "retractive-em", "sum_abs",
-     "2664d06d3fc33a9067692268270e4db0ece6dc569359627ef9a055f574abc8e6"),
+     "c1ba7158028c831ff16189961056e339e9fa6ff353bc4688db264d150508a222"),
     ("manifold = spd\nN = 3\n", "strat-heun", "spd_running",
-     "b2b5ee86f7d91d8963e4033e8f0a154a36fbd590b04ef1486844da7fd8bda199"),
+     "2dbccbb106c035dc1594ae045f04fe2b3a4f327550437484f9ee871ba5537793"),
     ("manifold = sphere\nn = 3\n", "geodesic-walk", "phi_5_2",
      "b410ef3d5833ba49354b701d6aee19901c8d5ef83679f6dd13a7e0c5f3e993d9"),
     ("manifold = stiefel\nn = 5\np = 3\n", "rk4-geodesic", "sum_abs",
-     "f9c1940f8bca5919286eb34aa361445a30ede16d3a5c46b87a9cb29f66809ed7"),
+     "99cb2ab6957745923175aa6b021339a312f4686897bb97a66a928cb477b56104"),
     ("manifold = so\nN = 8\n", "ito-em", "sum_abs",
-     "a7ce7223f140e5db48e96f81325de5d6ba897ffff6c04fa5898f643b7198d7b3"),
+     "86ae9f344a3a3e3f85951a0325cff6686f44eee4744e2de1d061e8c12272c96c"),
 ]
 
 

@@ -301,6 +301,72 @@ def test_second_order_retraction_flags_nonfinite_step(name, build):
     assert np.all(np.isfinite(state))
 
 
+POLAR_FAMILIES = [
+    ("so-3", lambda: make_manifold("so", N=3)),
+    ("se-3", lambda: make_manifold("se", N=3)),
+    ("stiefel-5-3", lambda: make_manifold("stiefel", n=5, p=3)),
+    ("grassmann-5-2", lambda: make_manifold("grassmann", n=5, p=2)),
+]
+
+
+def _rotation(rng, k):
+    q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    q[:, 0] *= np.sign(np.linalg.det(q))
+    return q
+
+
+@pytest.mark.parametrize("name,build", POLAR_FAMILIES, ids=[n for n, _ in POLAR_FAMILIES])
+def test_polar_retraction_sends_only_unsafe_rows_to_the_svd(name, build, monkeypatch):
+    handle = build()
+    tub = handle.tubular
+    is_se = name.startswith("se")
+
+    def block(q):  # the matrices the polar factor acts on
+        return q[..., :-1, :-1] if is_se else q
+
+    rng = RngStream(16, 0)
+    x = np.stack([handle.random_point(rng) for _ in range(8)])
+    near = x + 0.1 * handle.project(x, rng.normal(x.shape))
+    # zero, rank-deficient, and s_min just above and just below the domain
+    # threshold 1e-8 * max(s_max, 1) = 1e-8
+    n, p = block(x).shape[-2:]
+    gen = np.random.default_rng(16)
+    ones = np.ones(p - 1)
+    bad = near[:4].copy()
+    for i, s in enumerate([np.zeros(p), np.r_[ones, 0.0],
+                           np.r_[ones, 1.0001e-8], np.r_[ones, 0.9999e-8]]):
+        block(bad)[i] = _rotation(gen, n)[:, :p] @ (s[:, None] * _rotation(gen, p))
+    q = np.concatenate([near[:4], bad, near[4:]])
+    unsafe = np.zeros(len(q), dtype=bool)
+    unsafe[4:8] = True
+
+    # the SVD rule: values-only SVD, plus det > 0 on so/se
+    s_ref = np.linalg.svd(block(q), compute_uv=False)
+    expected = s_ref[:, -1] > 1e-8 * np.maximum(s_ref[:, 0], 1.0)
+    if name.startswith(("so", "se")):
+        expected &= np.linalg.det(block(q)) > 0
+    np.testing.assert_array_equal(expected[4:8], [False, False, True, False])
+
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append(np.array(a, copy=True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for f in (tub.fused, tub.domain, tub.mapping):
+        f(near)
+    assert calls == []
+
+    np.testing.assert_array_equal(tub.fused(q)[1], expected)
+    np.testing.assert_array_equal(tub.domain(q), expected)
+    tub.mapping(q)
+    assert len(calls) == 3
+    for rows in calls:
+        np.testing.assert_array_equal(rows, block(q)[unsafe])
+
+
 def test_retraction_second_derivative_closed_vs_fd(so3):
     rng = RngStream(9, 0)
     x = so3.random_point(rng)

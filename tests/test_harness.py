@@ -77,21 +77,21 @@ def test_results_independent_of_chunking_and_threads(so3, monkeypatch):
 # numpy/LAPACK change may need them re-recorded.
 PINNED_WALK_SAMPLES = [
     ("so", {"N": 3}, "geodesic-walk",
-     "9d5d098fa872655d045f4a579f82331394f24faf17bf193d23ce915ff687e9d9"),
+     "c2f609e15f87ef5ca8418b86122eaf3edfcb764c914a7d1449916f6e3e511c5d"),
     ("so", {"N": 3}, "rk4-geodesic",
-     "b1636bf170e6f3ee09c8cea9450a1164ff511497e5c5f323aee2a22e25a79ae1"),
+     "4e189757b5b5add95e8777d008e8c513aa2ad9a362e9d92649c6be4b29af95bd"),
     ("spd", {"N": 3}, "geodesic-walk",
-     "cb9a143c7cbe3182cd833fdee3762c636460fb8d626042b5eb5c906c7ce7f2f8"),
+     "23184248b9c26e242a39ef5b1c6372c915be071c6299fcab0669dd627d367e8d"),
     ("spd", {"N": 3}, "rk4-geodesic",
-     "c6aea9cd06b8d05078f42e7d7abd43803177b1d0288496becd29de65abda72c5"),
+     "6f272d0af018dd49971e2b0c59fc4092dd61726964edd9024fabd42d606d2899"),
     ("hyperbolic", {"n": 3}, "geodesic-walk",
      "4a612d4c51ff834db9cce68747730742e10a2a71d69c49d3117884c3c8b6940d"),
     ("hyperbolic", {"n": 3}, "rk4-geodesic",
      "4b8b839b85e6b61d803a52afa6c1fb9be94e8bd2da4826be47027654829938c9"),
     ("grassmann", {"n": 5, "p": 2}, "geodesic-walk",
-     "757ac55d5e763bc39bae480b897be8df4554c407050e0eda66fb07c140cd1ec8"),
+     "5d86223711403c3f5ba69524cfd8492f25e70fc722ef63f75e8f5234c0e6d0b8"),
     ("grassmann", {"n": 5, "p": 2}, "rk4-geodesic",
-     "f2b23acc93682774fa5f0bee5ad6c7ef550cfeafbc7b30f916d7c614d5ce4ba9"),
+     "a7e94297424bdebbf6ee9bc6acf1656ffc16c824d4f26a52d5f98a3f81d39bfc"),
 ]
 
 
