@@ -69,26 +69,26 @@ def freeze_rows(q: np.ndarray, x: np.ndarray, keep: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class TubularRetraction:
     """E-tubular retraction pi: nearest-point style map from a neighborhood
-    of the manifold onto it, applied only where it is defined.
+    of the manifold onto it, together with that neighborhood.
 
-    ``mapping`` sends ambient points to manifold points; ``differential`` is
-    its derivative at on-manifold points; ``domain`` returns a boolean mask
-    of points where ``mapping`` is defined.  The optional ``fused`` returns
-    ``(mapping(q), domain(q))`` from one factorisation (the polar families
-    read both off one ``eigh`` of q^T q, or one SVD for ill-conditioned
-    rows); accepted rows must match ``mapping`` bit for
-    bit, and the point must be a fresh array, since :meth:`retract` writes
-    the rejected rows into it.
+    ``mapping(q) -> (point, in_domain)`` is the one tubular map: it sends
+    ambient points to manifold points and flags the rows where the map is
+    defined, from one evaluation (the polar families read both off one
+    ``eigh`` of q^T q, or one SVD for ill-conditioned rows; the rescaling
+    families compute their divisor once).  The point must be a fresh array,
+    finite on every finite row of q inside the domain or not, since
+    :meth:`retract` writes the rejected rows into it.  ``domain`` is the
+    same flag without the point and ``differential`` is the derivative of
+    the map at on-manifold points.
     Callers go through :meth:`retract` (or :meth:`admit`), which holds the
     one domain rule: a proposal row that is non-finite, flagged on input or
     outside the domain is replaced by the matching row of the base point x,
     so it comes back as pi(x), and is flagged in ``ok``.
     """
 
-    mapping: Callable[[np.ndarray], np.ndarray]
+    mapping: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     differential: Callable[[np.ndarray, np.ndarray], np.ndarray]
     domain: Callable[[np.ndarray], np.ndarray]
-    fused: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def admit(
         self, q: np.ndarray, x: np.ndarray, ok: np.ndarray | None = None
@@ -102,20 +102,15 @@ class TubularRetraction:
     def retract(
         self, q: np.ndarray, x: np.ndarray, ok: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``(pi(q'), ok)`` for the admitted proposal q' of :meth:`admit`.
-
-        With ``fused``, the finite proposal is factored once and only the
-        rejected rows are mapped again, from x.
-        """
-        if self.fused is None:
-            q, ok = self.admit(q, x, ok)
-            return self.mapping(q), ok
+        """``(pi(q'), ok)`` for the admitted proposal q' of :meth:`admit`:
+        the finite proposal is mapped once and only the rejected rows are
+        mapped again, from x."""
         ok = finite_rows(q) if ok is None else finite_rows(q) & ok
-        point, in_domain = self.fused(freeze_rows(q, x, ok))
+        point, in_domain = self.mapping(freeze_rows(q, x, ok))
         ok = ok & in_domain
         if not np.all(ok):
             rejected = ~ok
-            point[rejected] = self.mapping(np.broadcast_to(x, point.shape)[rejected])
+            point[rejected] = self.mapping(np.broadcast_to(x, point.shape)[rejected])[0]
         return point, ok
 
 

@@ -37,6 +37,12 @@ def skew(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a - mT(a))
 
 
+def ambient_identity(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The identity operator on ambient matrices: w broadcast to the batch of
+    x, as a fresh float array."""
+    return np.broadcast_to(w, np.broadcast_shapes(np.shape(x), np.shape(w))).astype(float)
+
+
 def frobenius_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Trace inner product <a, b> = sum_ij a_ij b_ij, batched over leading axes."""
     a = np.asarray(a, dtype=float)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..geometry import ManifoldHandle, TubularRetraction
-from ..linalg import mT, polar_domain, polar_fused, polar_orth, sym
+from ..linalg import ambient_identity, mT, polar_domain, polar_fused, polar_orth, sym
 from ._constraints import orthogonality_constraints
 
 
@@ -24,19 +24,15 @@ def make_grassmann(n: int, p: int) -> ManifoldHandle:
         # horizontal projection: kill every component along the columns of y
         return w - y @ (mT(y) @ w)
 
-    def identity(y, w):
-        return np.broadcast_to(w, np.broadcast_shapes(y.shape, w.shape)).copy()
-
     def christoffel(y, u, v):
         # restriction of y sym(u^T v); already symmetric in (u, v)
         return y @ sym(mT(u) @ v)
 
     tubular = TubularRetraction(
-        mapping=polar_orth,
+        mapping=polar_fused,
         # differential of the polar factor at an orthonormal point
         differential=lambda y, w: w - y @ sym(mT(y) @ w),
         domain=polar_domain,
-        fused=polar_fused,
     )
 
     coeff = -(n - p) / 2.0
@@ -54,11 +50,11 @@ def make_grassmann(n: int, p: int) -> ManifoldHandle:
         name=f"grassmann({n},{p})",
         shape=(n, p),
         dim=p * (n - p),
-        metric=identity,
-        metric_inv=identity,
+        metric=ambient_identity,
+        metric_inv=ambient_identity,
         project=project,
         christoffel=christoffel,
-        sigma=identity,
+        sigma=ambient_identity,
         tubular=tubular,
         ito_drift=ito_drift,
         strat_drift=strat_drift,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..geometry import ManifoldHandle, TubularRetraction
+from ..linalg import ambient_identity
 from ..rng import RngStream
 
 
@@ -27,9 +28,6 @@ def make_hyperbolic(n: int) -> ManifoldHandle:
     def metric_inv(x, w):
         return w * last(x) ** 2
 
-    def project(x, w):
-        return np.broadcast_to(w, np.broadcast(x, w).shape).astype(float)
-
     def christoffel(x, u, v):
         dot = np.sum(u * v, axis=(-2, -1))[..., None, None]
         return -(last(u) * v + last(v) * u - dot * e_last) / last(x)
@@ -41,7 +39,7 @@ def make_hyperbolic(n: int) -> ManifoldHandle:
         return x[..., n - 1, 0] > 1e-12
 
     tubular = TubularRetraction(
-        mapping=lambda q: np.asarray(q, dtype=float),
+        mapping=lambda q: (np.array(q, dtype=float), in_domain(q)),
         differential=lambda x, w: np.asarray(w, dtype=float),
         domain=in_domain,
     )
@@ -63,7 +61,7 @@ def make_hyperbolic(n: int) -> ManifoldHandle:
         dim=n,
         metric=metric,
         metric_inv=metric_inv,
-        project=project,
+        project=ambient_identity,
         christoffel=christoffel,
         sigma=scale_by_height,
         tubular=tubular,

@@ -14,7 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..geometry import Constraint, ManifoldHandle, TangentRetraction, TubularRetraction
-from ..linalg import mT
+from ..linalg import ambient_identity, mT
+
+_MIN_LEVEL = 1e-12
 
 
 def make_hypersurface(n: int, p: int = 4, d: np.ndarray | None = None) -> ManifoldHandle:
@@ -45,9 +47,6 @@ def make_hypersurface(n: int, p: int = 4, d: np.ndarray | None = None) -> Manifo
         g2 = np.sum(g * g, axis=(-2, -1))[..., None, None]
         return w - g * (mT(g) @ w) / g2
 
-    def identity(x, w):
-        return np.broadcast_to(w, np.broadcast_shapes(np.shape(x), np.shape(w))).copy()
-
     def christoffel(x, u, v):
         g = cgrad(x)
         g2 = np.sum(g * g, axis=(-2, -1))
@@ -55,14 +54,15 @@ def make_hypersurface(n: int, p: int = 4, d: np.ndarray | None = None) -> Manifo
 
     def rescale(q):
         s = level(q)
-        return q * (s ** (-1.0 / p))[..., None, None]
+        ok = s > _MIN_LEVEL
+        return q * (np.where(ok, s, 1.0) ** (-1.0 / p))[..., None, None], ok
 
     tubular = TubularRetraction(
         mapping=rescale,
         # dpsi(w) = w - x (c'(x)^T w) / p at on-manifold x: a projection onto
         # the tangent space along the ray direction, not the orthogonal one
         differential=lambda x, w: w - x @ (mT(cgrad(x)) @ w) / p,
-        domain=lambda q: level(q) > 1e-12,
+        domain=lambda q: level(q) > _MIN_LEVEL,
     )
 
     def ito_drift(x):
@@ -85,17 +85,17 @@ def make_hypersurface(n: int, p: int = 4, d: np.ndarray | None = None) -> Manifo
     )
 
     def random_point(rng):
-        return rescale(rng.normal((n, 1)))
+        return rescale(rng.normal((n, 1)))[0]
 
     return ManifoldHandle(
         name=f"hypersurface({n},p={p})",
         shape=(n, 1),
         dim=n - 1,
-        metric=identity,
-        metric_inv=identity,
+        metric=ambient_identity,
+        metric_inv=ambient_identity,
         project=project,
         christoffel=christoffel,
-        sigma=identity,
+        sigma=ambient_identity,
         tubular=tubular,
         ito_drift=ito_drift,
         strat_drift=strat_drift,
@@ -115,11 +115,7 @@ def rescale_tangent_retraction(handle: ManifoldHandle) -> TangentRetraction:
     tangent because c'' contracted with the noise frame matches the trace
     term in the Brownian drift.
     """
-    n, p = handle.params["n"], handle.params["p"]
-    d = np.asarray(handle.params["d"]).reshape(n, 1)
-
-    def chess(x, u, v):
-        return np.sum(p * (p - 1) * d * x ** (p - 2) * u * v, axis=(-2, -1))
+    chess, p = handle.constraints[0].hess, handle.params["p"]
 
     def second_derivative(x, v, w):
         return -(chess(x, v, w) / p)[..., None, None] * x

@@ -28,6 +28,10 @@ from ._constraints import fixed_entry_constraints, orthogonality_constraints
 
 LIE_KINDS = ("gl+", "sl", "so", "se", "aff")
 
+# gl+, sl and aff proposals are mapped where the determinant (of the
+# invertible block) exceeds this
+_MIN_DET = 1e-12
+
 
 # ---------------------------------------------------------------------------
 # Frobenius-orthonormal algebra bases (deterministic orderings)
@@ -237,35 +241,38 @@ def _kind_embedding(kind: str, n: int, project):
     def block(q):
         return q[..., :m, :m]
 
+    def positive_det(q):
+        return _det(q) > _MIN_DET
+
     if kind == "gl+":
         tubular = TubularRetraction(
-            mapping=lambda q: np.asarray(q, dtype=float),
+            mapping=lambda q: (np.array(q, dtype=float), positive_det(q)),
             differential=lambda x, w: np.asarray(w, dtype=float),
-            domain=lambda q: _det(q) > 1e-12,
+            domain=positive_det,
         )
-        return tubular, (), tubular.domain, False
+        return tubular, (), positive_det, False
 
     if kind == "sl":
         def mapping(q):
             q = np.asarray(q, dtype=float)
             d = _det(q)
-            return q * (d ** (-1.0 / n))[..., None, None]
+            ok = d > _MIN_DET
+            return q * (np.where(ok, d, 1.0) ** (-1.0 / n))[..., None, None], ok
 
         tubular = TubularRetraction(
-            mapping=mapping, differential=project, domain=lambda q: _det(q) > 1e-12
+            mapping=mapping, differential=project, domain=positive_det
         )
         return tubular, (_unit_det_constraint(n),), None, False
 
     if kind == "so":
-        def fused(q):
+        def mapping(q):
             point, ok = polar_fused(q)
             return point, ok & (_det(q) > 0)
 
         tubular = TubularRetraction(
-            mapping=polar_orth,
+            mapping=mapping,
             differential=project,
             domain=lambda q: polar_domain(q) & (_det(q) > 0),
-            fused=fused,
         )
         return (
             tubular,
@@ -283,25 +290,19 @@ def _kind_embedding(kind: str, n: int, project):
             return out
 
         def mapping(q):
-            q = np.asarray(q, dtype=float)
-            return assemble(q, polar_orth(block(q)))
+            b = block(q)
+            rot, ok = polar_fused(b)
+            return assemble(q, rot), ok & (_det(b) > 0)
 
         def domain(q):
             b = block(q)
             return polar_domain(b) & (_det(b) > 0)
 
-        def fused(q):
-            b = block(q)
-            rot, ok = polar_fused(b)
-            return assemble(q, rot), ok & (_det(b) > 0)
-
         constraints = orthogonality_constraints((n, n), rows=(0, m), cols=(0, m))
         constraints += fixed_entry_constraints(
             (n, n), [(m, j, 0.0) for j in range(m)] + [(m, m, 1.0)]
         )
-        tubular = TubularRetraction(
-            mapping=mapping, differential=project, domain=domain, fused=fused
-        )
+        tubular = TubularRetraction(mapping=mapping, differential=project, domain=domain)
         return tubular, constraints, (lambda x: _det(block(x)) > 0), False
 
     if kind == "aff":
@@ -310,15 +311,13 @@ def _kind_embedding(kind: str, n: int, project):
             out = np.zeros(q.shape)
             out[..., :m, :] = q[..., :m, :]
             out[..., m, m] = 1.0
-            return out
+            return out, positive_det(block(q))
 
         constraints = fixed_entry_constraints(
             (n, n), [(m, j, 0.0) for j in range(m)] + [(m, m, 1.0)]
         )
         tubular = TubularRetraction(
-            mapping=mapping,
-            differential=project,
-            domain=lambda q: _det(block(q)) > 1e-12,
+            mapping=mapping, differential=project, domain=lambda q: positive_det(block(q))
         )
         return tubular, constraints, tubular.domain, False
 

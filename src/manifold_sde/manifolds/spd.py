@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..geometry import ManifoldHandle, TubularRetraction
-from ..linalg import sym, sym_eig
+from ..linalg import ambient_identity, sym, sym_eig
 from ..rng import RngStream
 from ._constraints import symmetry_constraints
 
@@ -36,7 +36,7 @@ def make_spd(n: int) -> ManifoldHandle:
         return x @ w @ x
 
     def project(x, w):
-        return sym(np.broadcast_to(w, np.broadcast(x, w).shape).astype(float))
+        return sym(ambient_identity(x, w))
 
     def christoffel(x, u, v):
         # -sym(u x^{-1} v), symmetrized in (u, v) so the bilinear extension
@@ -49,13 +49,17 @@ def make_spd(n: int) -> ManifoldHandle:
         s = sym_eig(x).apply(np.sqrt)
         return s @ w @ s
 
-    def min_eig(q):
-        return np.linalg.eigvalsh(sym(q))[..., 0]
+    def positive(s):
+        return np.linalg.eigvalsh(s)[..., 0] > 1e-10
+
+    def mapping(q):
+        s = sym(q)
+        return s, positive(s)
 
     tubular = TubularRetraction(
-        mapping=lambda q: sym(q),
+        mapping=mapping,
         differential=lambda x, w: sym(w),
-        domain=lambda q: min_eig(q) > 1e-10,
+        domain=lambda q: positive(sym(q)),
     )
 
     def ito_drift(x):

@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..geometry import Constraint, ManifoldHandle, TubularRetraction
-from ..linalg import frobenius_norm, mT
+from ..linalg import ambient_identity, frobenius_norm, mT
 from ..rng import RngStream
+
+_MIN_NORM = 1e-12
 
 
 def make_sphere(n: int, radius: float = 1.0) -> ManifoldHandle:
@@ -22,16 +24,15 @@ def make_sphere(n: int, radius: float = 1.0) -> ManifoldHandle:
     def christoffel(x, u, v):
         return x @ (mT(u) @ v) / r2
 
-    def identity_op(x, w):
-        return np.broadcast_to(w, np.broadcast(x, w).shape).astype(float)
-
     def rescale(q):
-        return radius * q / frobenius_norm(q)[..., None, None]
+        s = frobenius_norm(q)
+        ok = s > _MIN_NORM
+        return radius * q / np.where(ok, s, 1.0)[..., None, None], ok
 
     tubular = TubularRetraction(
         mapping=rescale,
-        differential=lambda x, w: w - x @ (mT(x) @ w) / r2,
-        domain=lambda q: frobenius_norm(q) > 1e-12,
+        differential=project,
+        domain=lambda q: frobenius_norm(q) > _MIN_NORM,
     )
 
     constraint = Constraint(
@@ -57,11 +58,11 @@ def make_sphere(n: int, radius: float = 1.0) -> ManifoldHandle:
         name=f"sphere({n})" if radius == 1.0 else f"sphere({n},r={radius:g})",
         shape=(n, 1),
         dim=n - 1,
-        metric=identity_op,
-        metric_inv=identity_op,
+        metric=ambient_identity,
+        metric_inv=ambient_identity,
         project=project,
         christoffel=christoffel,
-        sigma=identity_op,
+        sigma=ambient_identity,
         tubular=tubular,
         ito_drift=lambda x: drift_coeff * x,
         strat_drift=lambda x: np.zeros_like(x),

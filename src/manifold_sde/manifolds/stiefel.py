@@ -61,10 +61,9 @@ def make_stiefel(n: int, p: int, alpha0: float = 1.0, alpha1: float = 1.0) -> Ma
         return gam
 
     tubular = TubularRetraction(
-        mapping=polar_orth,
-        differential=lambda y, w: project(y, w),
+        mapping=polar_fused,
+        differential=project,
         domain=polar_domain,
-        fused=polar_fused,
     )
 
     drift_coeff = -((n - p) / (2.0 * a0) + (p - 1) / (4.0 * a1))

@@ -236,7 +236,8 @@ def test_sl_tubular_differential_example():
     a = handle.random_point(rng)
     omega = rng.normal((3, 3))
     t = 1e-6
-    fd = (handle.tubular.mapping(a + t * omega) - handle.tubular.mapping(a - t * omega)) / (2 * t)
+    pi = handle.tubular.mapping
+    fd = (pi(a + t * omega)[0] - pi(a - t * omega)[0]) / (2 * t)
     expected = omega - np.trace(np.linalg.solve(a, omega)) / 3.0 * a
     assert frobenius_norm(fd - expected) < 1e-6
     assert frobenius_norm(handle.tubular.differential(a, omega) - expected) < 1e-12
