@@ -318,24 +318,16 @@ def _cmd_uniform(config: RunConfig) -> int:
     if cost.terminal is None:
         raise ConfigError(f"cost {cost.name!r} has no terminal part; "
                           "the uniform comparison needs a terminal cost")
-    rows = uniform_limit_run(
-        handle,
-        [(cost.name, lambda x, c=cost: c.terminal(x, 0.0))],
-        T=config.get("T", 40.0),
-        n_path=config.get("n_path", 1000),
-        n_div=config.get("n_div", 700),
-        seed=config.get("seed", 0),
-        integrator=config.get("integrator", "ito-em"),
-    )
+    sim = _sim_config(config, T=40.0, n_div=700, n_path=1000, seed=0, integrator="ito-em")
+    rows = uniform_limit_run(sim, handle, [(cost.name, lambda x, c=cost: c.terminal(x, 0.0))])
     out_rows = []
     for row in rows:
-        out_rows.append(_summary_row(row.cost_name, row.brownian.mean,
-                                     row.brownian.stderr, row.brownian.n_path,
-                                     config.get("n_div", 700), config.get("T", 40.0),
-                                     config.get("integrator", "ito-em"), handle.name))
+        out_rows.append(_summary_row(row.cost_name, row.brownian.mean, row.brownian.stderr,
+                                     row.brownian.n_path, sim.n_div, sim.T, sim.integrator,
+                                     handle.name))
         out_rows.append(_summary_row(row.cost_name + "_uniform", row.direct_mean,
-                                     row.direct_stderr, 0, 0, config.get("T", 40.0),
-                                     "direct-sampler", handle.name))
+                                     row.direct_stderr, 0, 0, sim.T, "direct-sampler",
+                                     handle.name))
         verdict = "agrees with" if row.consistent else "DISAGREES with"
         print(f"{handle.name} {row.cost_name}: brownian {row.brownian.mean:.6g} "
               f"({row.brownian.stderr:.3g}) {verdict} uniform {row.direct_mean:.6g} "

@@ -75,15 +75,14 @@ class TubularRetraction:
     ambient points to manifold points and flags the rows where the map is
     defined, from one evaluation (the polar families read both off one
     ``eigh`` of q^T q, or one SVD for ill-conditioned rows; the rescaling
-    families compute their divisor once).  The point must be a fresh array,
-    finite on every finite row of q inside the domain or not, since
-    :meth:`retract` writes the rejected rows into it.  ``domain`` is the
-    same flag without the point and ``differential`` is the derivative of
-    the map at on-manifold points.
+    families compute their divisor once).  Its point must be finite on every
+    finite row of q, inside the domain or not.  ``domain`` is the same flag
+    without the point and ``differential`` is the derivative of the map at
+    on-manifold points.
     Callers go through :meth:`retract` (or :meth:`admit`), which holds the
     one domain rule: a proposal row that is non-finite, flagged on input or
-    outside the domain is replaced by the matching row of the base point x,
-    so it comes back as pi(x), and is flagged in ``ok``.
+    outside the domain comes back as the matching row of the base point x,
+    bit for bit, and is flagged in ``ok``.
     """
 
     mapping: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -94,24 +93,23 @@ class TubularRetraction:
         self, q: np.ndarray, x: np.ndarray, ok: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(q', ok)``: q with its rejected rows replaced by those of x."""
-        ok = finite_rows(q) if ok is None else finite_rows(q) & ok
-        q = freeze_rows(q, x, ok)
-        ok = ok & self.domain(q)
-        return freeze_rows(q, x, ok), ok
+        return self._apply(lambda q: (q, self.domain(q)), q, x, ok)
 
     def retract(
         self, q: np.ndarray, x: np.ndarray, ok: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``(pi(q'), ok)`` for the admitted proposal q' of :meth:`admit`:
-        the finite proposal is mapped once and only the rejected rows are
-        mapped again, from x."""
+        """``(pi(q), ok)`` on the accepted rows, x on the rejected ones, from
+        one ``mapping`` call."""
+        return self._apply(self.mapping, q, x, ok)
+
+    @staticmethod
+    def _apply(fn, q, x, ok):
+        # non-finite and flagged rows reach ``fn`` as x, so its result is
+        # finite; rows it flags are then replaced by x as well
         ok = finite_rows(q) if ok is None else finite_rows(q) & ok
-        point, in_domain = self.mapping(freeze_rows(q, x, ok))
+        point, in_domain = fn(freeze_rows(q, x, ok))
         ok = ok & in_domain
-        if not np.all(ok):
-            rejected = ~ok
-            point[rejected] = self.mapping(np.broadcast_to(x, point.shape)[rejected])[0]
-        return point, ok
+        return freeze_rows(point, x, ok), ok
 
 
 @dataclass(frozen=True)
@@ -120,16 +118,17 @@ class TangentRetraction:
 
     ``retract`` returns ``(r(x, v), ok)`` from one call; the retractions
     built here go through :meth:`TubularRetraction.retract`, so a row whose
-    step is non-finite or leaves the domain comes back as pi(x) with ``ok``
-    False.  ``second_derivative`` evaluates d^2/dt^2 r(x, tv)|_0 polarized
-    to a bilinear form in (v, w); when absent a finite-difference evaluation
-    is used.  For a second-order retraction this equals -Gamma(x; v, w), and
-    ``second_order`` declares it, which lets the retractive Euler scheme
-    skip its (then vanishing) drift adjustment for Brownian SDEs.
+    step is non-finite or leaves the domain comes back as x with ``ok``
+    False.  ``second_derivative(x, v)`` is the quadratic term
+    r''(x)[v, v] = d^2/dt^2 r(x, tv)|_0; when absent a finite-difference
+    evaluation is used.  For a second-order retraction it equals
+    -Gamma(x; v, v), and ``second_order`` declares it, which lets the
+    retractive Euler scheme skip its (then vanishing) drift adjustment for
+    Brownian SDEs.
     """
 
     retract: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
-    second_derivative: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
+    second_derivative: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     second_order: bool = False
 
 
@@ -202,17 +201,12 @@ class ManifoldHandle:
 
     # -- conveniences -------------------------------------------------------
 
-    def constraint_values(self, x: np.ndarray) -> np.ndarray:
-        """Stack of constraint residuals, shape ``(..., n_constraints)``."""
+    def constraint_residual(self, x: np.ndarray) -> np.ndarray:
+        """Largest |c(x)| over the constraints, shape ``(...)``."""
         x = np.asarray(x, dtype=float)
         if not self.constraints:
-            return np.zeros(x.shape[:-2] + (0,))
-        return np.stack([c.value(x) for c in self.constraints], axis=-1)
-
-    def constraint_residual(self, x: np.ndarray) -> np.ndarray:
-        vals = self.constraint_values(x)
-        if vals.shape[-1] == 0:
-            return np.zeros(vals.shape[:-1])
+            return np.zeros(x.shape[:-2])
+        vals = np.stack([c.value(x) for c in self.constraints], axis=-1)
         return np.max(np.abs(vals), axis=-1)
 
     def domain_ok(self, x: np.ndarray) -> np.ndarray:
@@ -481,8 +475,8 @@ def second_order_retraction(handle: ManifoldHandle) -> TangentRetraction:
     def retract(x, v):
         return tub.retract(x + v - 0.5 * tub.differential(x, handle.christoffel(x, v, v)), x)
 
-    def second(x, v, w):
-        return -handle.christoffel(x, v, w)
+    def second(x, v):
+        return -handle.christoffel(x, v, v)
 
     return TangentRetraction(retract=retract, second_derivative=second, second_order=True)
 
@@ -493,27 +487,16 @@ def first_order_retraction(tub: TubularRetraction) -> TangentRetraction:
 
 
 def retraction_second_derivative(
-    retraction: TangentRetraction,
-    x: np.ndarray,
-    v: np.ndarray,
-    w: np.ndarray | None = None,
-    step: float | None = None,
+    retraction: TangentRetraction, x: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
-    """Evaluate r''(x, 0)[v, w] (closed form or symmetric finite differences)."""
+    """r''(x)[v, v]: the closed form, or a symmetric second difference along
+    v/|v| with step eps^(1/4) (1 + max |x|_F)."""
     if retraction.second_derivative is not None:
-        return retraction.second_derivative(x, v, w if w is not None else v)
-    if w is None or w is v:
-        return _fd_retraction_diag(retraction, x, v, step)
-    plus = _fd_retraction_diag(retraction, x, v + w, step)
-    minus = _fd_retraction_diag(retraction, x, v - w, step)
-    return 0.25 * (plus - minus)
-
-
-def _fd_retraction_diag(retraction, x, v, step=None):
+        return retraction.second_derivative(x, v)
     v = np.asarray(v, dtype=float)
     nv = np.maximum(frobenius_norm(v), 1e-300)[..., None, None]
     u = v / nv
-    h = step if step is not None else float(_EPS ** 0.25 * (1.0 + np.max(frobenius_norm(x))))
+    h = float(_EPS ** 0.25 * (1.0 + np.max(frobenius_norm(x))))
     xb = np.broadcast_to(x, u.shape) if u.ndim > np.ndim(x) else x
     plus = retraction.retract(xb, h * u)[0]
     minus = retraction.retract(xb, -h * u)[0]
@@ -539,8 +522,6 @@ def brownian_sde(
     """
     if diffusion <= 0.0:
         raise ValueError(f"diffusion must be positive, got {diffusion}")
-    if form not in ("ito", "stratonovich"):
-        raise ValueError(f"form must be 'ito' or 'stratonovich', got {form!r}")
     c2 = 2.0 * diffusion
     root = float(np.sqrt(c2))
 

@@ -329,27 +329,24 @@ class UniformLimitRow:
         return self.gap <= self.allowance
 
 
-def uniform_limit_run(handle: ManifoldHandle, costs, T: float = 40.0,
-                      n_path: int = 1000, n_div: int = 700, seed: int = 0,
-                      integrator: str = "ito-em", diffusion: float = 0.5,
+def uniform_limit_run(config: SimulationConfig, handle: ManifoldHandle, costs,
                       n_direct: int = 100_000) -> tuple:
     """Long-run Brownian estimates vs direct uniform sampling, per cost.
 
     ``costs`` is a sequence of (name, f) pairs with f acting on batched
-    functional points.  Only compact families have a uniform limit; the
-    direct estimates come from the independent samplers in oracles.
+    functional points; each is simulated with ``config``.  Only compact
+    families have a uniform limit; the direct estimates come from the
+    independent samplers in oracles, seeded from ``config.seed``.
     """
     from .oracles import uniform_cost_estimate
 
     if not handle.compact:
         raise ValueError(f"{handle.name} is not compact; no uniform limit")
     rows = []
-    config = SimulationConfig(T=T, n_div=n_div, n_path=n_path, seed=seed,
-                              integrator=integrator, diffusion=diffusion)
     for k, (name, f) in enumerate(costs):
         cost = CostFunctional(terminal=lambda x, t, f=f: f(x), name=name)
         browny = simulate(config, handle, cost=cost)
-        direct_rng = RngStream(seed=seed, stream_id=2**32 + k)
+        direct_rng = RngStream(seed=config.seed, stream_id=2**32 + k)
         dmean, dse = uniform_cost_estimate(handle, f, direct_rng, n_sample=n_direct)
         rows.append(UniformLimitRow(cost_name=name, brownian=browny,
                                     direct_mean=dmean, direct_stderr=dse))

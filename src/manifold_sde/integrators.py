@@ -102,7 +102,7 @@ class StepResult:
     """Next state plus the per-row domain flag.
 
     ``ok`` flags batch rows whose proposal stayed inside the retraction
-    domain; failed rows carry the previous state.
+    domain; failed rows carry the previous state, bit for bit.
     """
 
     state: np.ndarray

@@ -39,7 +39,7 @@ def make_hyperbolic(n: int) -> ManifoldHandle:
         return x[..., n - 1, 0] > 1e-12
 
     tubular = TubularRetraction(
-        mapping=lambda q: (np.array(q, dtype=float), in_domain(q)),
+        mapping=lambda q: (np.asarray(q, dtype=float), in_domain(q)),
         differential=lambda x, w: np.asarray(w, dtype=float),
         domain=in_domain,
     )

@@ -11,9 +11,17 @@ Points are (n, 1) column matrices.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from ..geometry import Constraint, ManifoldHandle, TangentRetraction, TubularRetraction
+from ..geometry import (
+    Constraint,
+    ManifoldHandle,
+    TangentRetraction,
+    TubularRetraction,
+    first_order_retraction,
+)
 from ..linalg import ambient_identity, mT
 
 _MIN_LEVEL = 1e-12
@@ -110,17 +118,13 @@ def make_hypersurface(n: int, p: int = 4, d: np.ndarray | None = None) -> Manifo
 def rescale_tangent_retraction(handle: ManifoldHandle) -> TangentRetraction:
     """The naive first-order retraction r(x, v) = rescale(x + v).
 
-    Its quadratic term is -(c''(v, w)/p) x rather than -Gamma(x; v, w), so
+    Its quadratic term is -(c''(v, v)/p) x rather than -Gamma(x; v, v), so
     stepping with it requires the drift adjustment; the adjusted drift stays
     tangent because c'' contracted with the noise frame matches the trace
     term in the Brownian drift.
     """
     chess, p = handle.constraints[0].hess, handle.params["p"]
-
-    def second_derivative(x, v, w):
-        return -(chess(x, v, w) / p)[..., None, None] * x
-
-    return TangentRetraction(
-        retract=lambda x, v: handle.tubular.retract(x + v, x),
-        second_derivative=second_derivative,
+    return replace(
+        first_order_retraction(handle.tubular),
+        second_derivative=lambda x, v: -(chess(x, v, v) / p)[..., None, None] * x,
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geometry import Constraint, ManifoldHandle, TubularRetraction
+from ..geometry import Constraint, ManifoldHandle, TubularRetraction, ambient_basis
 from ..linalg import matrix_exp, mT, polar_domain, polar_fused, polar_orth, skew, sym_eig
 from ..rng import RngStream
 from ._constraints import fixed_entry_constraints, orthogonality_constraints
@@ -35,10 +35,6 @@ _MIN_DET = 1e-12
 
 # ---------------------------------------------------------------------------
 # Frobenius-orthonormal algebra bases (deterministic orderings)
-
-
-def _basis_gl(n: int) -> np.ndarray:
-    return np.eye(n * n).reshape(n * n, n, n)
 
 
 def _basis_so(n: int) -> np.ndarray:
@@ -96,7 +92,7 @@ def _basis_aff(n: int) -> np.ndarray:
 
 
 _BASIS_BUILDERS = {
-    "gl+": _basis_gl,
+    "gl+": lambda n: ambient_basis((n, n)),
     "sl": _basis_sl,
     "so": _basis_so,
     "se": _basis_se,
@@ -246,7 +242,7 @@ def _kind_embedding(kind: str, n: int, project):
 
     if kind == "gl+":
         tubular = TubularRetraction(
-            mapping=lambda q: (np.array(q, dtype=float), positive_det(q)),
+            mapping=lambda q: (np.asarray(q, dtype=float), positive_det(q)),
             differential=lambda x, w: np.asarray(w, dtype=float),
             domain=positive_det,
         )

@@ -97,13 +97,8 @@ def heat_expectation_s2(cost, T: float, diffusion: float = 0.5, radius: float = 
     P_l(cos phi) with tau = diffusion * T / radius^2, integrated against the
     surface measure 2 pi sin(phi) d phi.
     """
-    tau = _tau(T, diffusion, radius)
-    order = _series_order(tau)
-    ls = np.arange(order + 1, dtype=float)
-    coeff = (2.0 * ls + 1.0) / (4.0 * np.pi) * np.exp(-ls * (ls + 1.0) * tau)
-
     def integrand(phi):
-        dens = legval(np.cos(phi), coeff) * 2.0 * np.pi * np.sin(phi)
+        dens = heat_kernel_values("s2", phi, T, diffusion, radius) * 2.0 * np.pi * np.sin(phi)
         return np.asarray(cost(phi), dtype=float) * dens
 
     return _refined_integral(integrand, nodes)
@@ -116,15 +111,8 @@ def heat_expectation_s3(cost, T: float, diffusion: float = 0.5, radius: float = 
     Spectral series p_t(phi) = sum_l (l+1)/(2 pi^2) e^{-l(l+2) tau}
     sin((l+1) phi)/sin(phi), integrated against 4 pi sin^2(phi) d phi.
     """
-    tau = _tau(T, diffusion, radius)
-    order = _series_order(tau)
-    ls = np.arange(order + 1, dtype=float)
-    weights = (ls + 1.0) * np.exp(-ls * (ls + 2.0) * tau)
-
     def integrand(phi):
-        # (2/pi) sum_l (l+1) e^{-l(l+2) tau} sin((l+1) phi) sin(phi)
-        s = np.sin(np.outer(phi, ls + 1.0)) @ weights
-        dens = (2.0 / np.pi) * s * np.sin(phi)
+        dens = heat_kernel_values("s3", phi, T, diffusion, radius) * 4.0 * np.pi * np.sin(phi)**2
         return np.asarray(cost(phi), dtype=float) * dens
 
     return _refined_integral(integrand, nodes)

@@ -213,6 +213,19 @@ def test_simulate_path_csv_bytes_are_pinned(tmp_path, capsys, monkeypatch,
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# the same for a coarse spd(3) strat-heun run (T = 2, 10 steps, 48 paths,
+# seed 5) in which 67 proposal rows over 26 retract calls leave the domain
+# and are retried, so the digest also covers the rejected-row path
+def test_retry_heavy_path_csv_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(THREADS_ENV, "1")
+    out = tmp_path / "retry.csv"
+    text = ("command = simulate\nmanifold = spd\nN = 3\nintegrator = strat-heun\nT = 2\n"
+            f"n_div = 10\nn_path = 48\nseed = 5\ncost = spd_running\nout = {out}\n")
+    assert main([write(tmp_path, "retry.cfg", text)]) == 0
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "92cdfeebb90ea4d44ef57b10f4c15c54407b7c31c07f7a9b8cc9d49e81386624")
+
+
 def test_set_override_changes_the_run(tmp_path, capsys):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
@@ -257,3 +270,14 @@ def test_uniform_command_writes_both_estimates(tmp_path, capsys):
     metrics = [r[0] for r in rows[1:]]
     assert metrics == ["sum_abs", "sum_abs_uniform"]
     assert rows[2][6] == "direct-sampler"
+
+
+def test_uniform_command_honours_truncation_parameter(tmp_path, capsys):
+    outs = []
+    for r in (1, 4):
+        out = tmp_path / f"u{r}.csv"
+        text = (f"command=uniform\nmanifold=so\nN=3\nn_path=64\nn_div=10\nT=2\n"
+                f"seed=1\nr={r}\ncost=sum_abs\nout={out}\n")
+        assert main([write(tmp_path, f"u{r}.cfg", text)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] != outs[1]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -201,12 +203,12 @@ def test_retraction_first_and_second_derivatives(so3):
 
 def _domain_then_mapping(tub, q, x, ok):
     """The domain rule in two calls, spelled out: freeze non-finite and
-    flagged rows at x, test the domain, freeze the rows outside it, map
-    every row."""
+    flagged rows at x, test the domain, map, and put x back on every
+    rejected row."""
     ok = ok & np.isfinite(q).all(axis=(-2, -1))
     q = np.where(ok[..., None, None], q, x)
     ok = ok & tub.domain(q)
-    return tub.mapping(np.where(ok[..., None, None], q, x))[0], ok
+    return np.where(ok[..., None, None], tub.mapping(q)[0], x), ok
 
 
 # every family's tubular retraction; the rescalings (sphere, hypersurface)
@@ -244,7 +246,7 @@ def test_one_call_retraction_matches_domain_then_mapping(name, build):
     assert outside.any() != (name in DEFINED_ON_LARGE_MOVES)
     np.testing.assert_array_equal(ok, ok_ref)
     np.testing.assert_array_equal(state, state_ref)
-    np.testing.assert_array_equal(state[~ok], tub.mapping(x[~ok])[0])
+    np.testing.assert_array_equal(state[~ok], x[~ok])
 
     # rows flagged on input, a NaN row and a zero row (outside every domain)
     q[9] = np.nan
@@ -271,6 +273,37 @@ def test_one_call_retraction_matches_domain_then_mapping(name, build):
     _, ok = tub.retract(q, x)
     assert not ok.all()
     np.testing.assert_array_equal(q, q_in)
+
+
+@pytest.mark.parametrize("name,build", TUBULAR_FAMILIES, ids=[n for n, _ in TUBULAR_FAMILIES])
+def test_retract_maps_once_and_leaves_rejected_rows_at_x(name, build):
+    handle = build()
+    tub = handle.tubular
+    calls = []
+
+    def mapping(q):
+        calls.append(1)
+        return tub.mapping(q)
+
+    counted = dataclasses.replace(tub, mapping=mapping)
+    rng = RngStream(17, 0)
+    x = np.stack([handle.random_point(rng) for _ in range(8)])
+    q = x + 0.01 * handle.project(x, rng.normal(x.shape))
+    _, ok = counted.retract(q, x)
+    assert ok.all() and len(calls) == 1
+
+    # a NaN row, the zero row (outside every domain), an infinite row and a
+    # row flagged on input
+    q[1, 0, 0] = np.nan
+    q[2] = 0.0
+    q[3, -1, -1] = np.inf
+    flagged = np.ones(8, dtype=bool)
+    flagged[4] = False
+    for step in (counted.retract, counted.admit):
+        state, ok = step(q, x, flagged)
+        np.testing.assert_array_equal(ok, [True, False, False, False, False, True, True, True])
+        assert state[~ok].tobytes() == x[~ok].tobytes()
+    assert len(calls) == 2
 
 
 def _proposals_with_rejected_rows(handle):
@@ -302,8 +335,8 @@ def test_tubular_admit_and_retract_reject_bad_rows(name, build):
 
     state, ok = tub.retract(q, x, flagged)
     np.testing.assert_array_equal(ok, expected)
-    np.testing.assert_array_equal(state, tub.mapping(np.where(ok[:, None, None], q, x))[0])
-    np.testing.assert_array_equal(state[~ok], tub.mapping(x[~ok])[0])
+    np.testing.assert_array_equal(state[ok], tub.mapping(q[ok])[0])
+    np.testing.assert_array_equal(state[~ok], x[~ok])
 
     _, ok = tub.retract(q, x)  # no input flags: only row 4 changes
     expected[4] = True
@@ -319,7 +352,7 @@ def test_second_order_retraction_flags_nonfinite_step(name, build):
     v[2] = np.nan
     state, ok = second_order_retraction(handle).retract(x, v)
     np.testing.assert_array_equal(ok, [True, True, False, True])
-    np.testing.assert_array_equal(state[2], handle.tubular.mapping(x[2])[0])
+    np.testing.assert_array_equal(state[2], x[2])
     assert np.all(np.isfinite(state))
 
 

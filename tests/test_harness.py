@@ -200,4 +200,5 @@ def test_uniform_limit_requires_compact_target():
     hyp = make_manifold("hyperbolic", n=2)
     costs = [("sum_abs", lambda pts: np.sum(np.abs(pts), axis=(-2, -1)))]
     with pytest.raises(ValueError, match="compact"):
-        uniform_limit_run(hyp, costs, n_path=4, n_div=4, n_direct=8)
+        uniform_limit_run(SimulationConfig(T=40.0, n_div=4, n_path=4, seed=0), hyp, costs,
+                          n_direct=8)

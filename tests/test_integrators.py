@@ -480,10 +480,11 @@ def test_polar_retraction_factors_each_proposal_once(family, params):
     _, ok = handle.tubular.retract(q, x)
     assert ok.all()
     assert calls == {"mapping": 1, "domain": 0}
-    q[3] = np.nan  # one rejected row: mapped again from x, in one call
-    _, ok = handle.tubular.retract(q, x)
+    q[3] = np.nan  # one rejected row: left at x, with no second call
+    state, ok = handle.tubular.retract(q, x)
     assert not ok[3]
-    assert calls == {"mapping": 3, "domain": 0}
+    np.testing.assert_array_equal(state[3], x[3])
+    assert calls == {"mapping": 2, "domain": 0}
 
 
 def test_first_order_retractive_em_step_skips_domain_test():
