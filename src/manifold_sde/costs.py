@@ -57,13 +57,12 @@ def _sum_abs(x):
     return np.abs(x).sum(axis=(-2, -1))
 
 
-def make_cost(cost_id: str, handle: ManifoldHandle,
-              x0: np.ndarray | None = None) -> CostFunctional:
+def make_cost(cost_id: str, handle: ManifoldHandle) -> CostFunctional:
     """Build a registered cost functional bound to one manifold handle."""
     if cost_id in ANGLE_COSTS:
         if handle.name.split("(")[0] != "sphere":
             raise ValueError(f"cost {cost_id!r} measures a sphere angle; got {handle.name}")
-        phi = sphere_angle(handle, handle.default_point() if x0 is None else x0)
+        phi = sphere_angle(handle, handle.default_point())
         of_angle = ANGLE_COSTS[cost_id]
         return CostFunctional(terminal=lambda x, t: of_angle(phi(x)), name=cost_id)
     if cost_id == "abs11":

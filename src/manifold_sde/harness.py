@@ -18,6 +18,7 @@ terminal f(X_T, T).  Costs act on the functional representation of the state
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -54,8 +55,8 @@ class SimulationConfig:
     path_chunk: int = 256
 
     def __post_init__(self):
-        if self.T <= 0.0:
-            raise ValueError(f"T must be positive, got {self.T}")
+        if not (math.isfinite(self.T) and self.T > 0.0):
+            raise ValueError(f"T must be positive and finite, got {self.T}")
         if self.n_div < 1 or self.n_path < 1:
             raise ValueError("n_div and n_path must be at least 1")
         if self.integrator not in INTEGRATOR_IDS:
@@ -63,10 +64,10 @@ class SimulationConfig:
                 f"unknown integrator {self.integrator!r}; valid ids: "
                 f"{', '.join(INTEGRATOR_IDS)}"
             )
-        if self.r < 1.0:
-            raise ValueError(f"truncation parameter r must be >= 1, got {self.r}")
-        if self.diffusion <= 0.0:
-            raise ValueError(f"diffusion must be positive, got {self.diffusion}")
+        if not (math.isfinite(self.r) and self.r >= 1.0):
+            raise ValueError(f"truncation parameter r must be finite and >= 1, got {self.r}")
+        if not (math.isfinite(self.diffusion) and self.diffusion > 0.0):
+            raise ValueError(f"diffusion must be positive and finite, got {self.diffusion}")
         if self.max_retries < 0 or self.path_chunk < 1:
             raise ValueError("max_retries must be >= 0 and path_chunk >= 1")
 
@@ -275,12 +276,12 @@ def _pairwise_consistency(cells: Sequence[ComparisonCell]):
     return worst[0], worst[1], worst[2], consistent
 
 
+_COMPARED_INTEGRATORS = ("ito-em", "strat-heun", "geodesic-walk", "retractive-em")
+
+
 def compare_methods(config: SimulationConfig, handle: ManifoldHandle,
                     cost: CostFunctional,
-                    integrators: Sequence[str] = ("ito-em", "strat-heun",
-                                                  "geodesic-walk", "retractive-em"),
-                    n_divs: Sequence[int] = (200, 500, 700),
-                    x0: np.ndarray | None = None) -> ComparisonTable:
+                    n_divs: Sequence[int] = (200, 500, 700)) -> ComparisonTable:
     """Estimate the same functional over an integrator x n_div grid.
 
     Every cell reuses the config's seed, so path i draws from the same
@@ -292,10 +293,10 @@ def compare_methods(config: SimulationConfig, handle: ManifoldHandle,
     statistics are the open fix (ROADMAP item 5, coupled grids).
     """
     cells = []
-    for integ in integrators:
+    for integ in _COMPARED_INTEGRATORS:
         for nd in n_divs:
             cfg = replace(config, integrator=integ, n_div=int(nd))
-            out = simulate(cfg, handle, cost=cost, x0=x0)
+            out = simulate(cfg, handle, cost=cost)
             cells.append(ComparisonCell(integrator=integ, n_div=int(nd),
                                         mean=out.mean, stderr=out.stderr,
                                         n_path=out.n_path))

@@ -78,8 +78,10 @@ def truncation_bound(h: float, r: float = 1.0) -> float:
         raise IntegratorParameterError(
             f"truncation needs a step size in (0, 1), got h={h}"
         )
-    if r < 1.0:
-        raise IntegratorParameterError(f"truncation parameter r must be >= 1, got {r}")
+    if not (math.isfinite(r) and r >= 1.0):
+        raise IntegratorParameterError(
+            f"truncation parameter r must be finite and >= 1, got {r}"
+        )
     return math.sqrt(2.0 * r * abs(math.log(h)))
 
 

@@ -88,9 +88,9 @@ class SymEigDecomposition:
         return (self.vectors * f(self.values)[..., None, :]) @ mT(self.vectors)
 
 
-def sym_eig(a: np.ndarray, rel_tol: float = 1e-10) -> SymEigDecomposition:
+def sym_eig(a: np.ndarray) -> SymEigDecomposition:
     """Eigendecomposition of a symmetric matrix, with a symmetry precheck."""
-    a = _require_symmetric(a, "sym_eig", rel_tol)
+    a = _require_symmetric(a, "sym_eig")
     values, vectors = np.linalg.eigh(a)
     return SymEigDecomposition(values=values, vectors=vectors)
 

@@ -8,12 +8,7 @@ from ..geometry import ManifoldHandle
 from .grassmann import make_grassmann
 from .hyperbolic import make_hyperbolic
 from .hypersurface import make_hypersurface, rescale_tangent_retraction
-from .lie_group import (
-    LIE_KINDS,
-    LieStructure,
-    make_lie_group,
-    random_spd_coeff,
-)
+from .lie_group import LIE_KINDS, make_lie_group, random_spd_coeff
 from .spd import make_spd
 from .sphere import make_sphere
 from .stiefel import make_stiefel
@@ -21,17 +16,11 @@ from .stiefel import make_stiefel
 _BUILDERS = {
     "sphere": make_sphere,
     "hyperbolic": make_hyperbolic,
-    "spd": lambda N: make_spd(N),
+    "spd": make_spd,
     "stiefel": make_stiefel,
     "grassmann": make_grassmann,
+    **{kind: partial(make_lie_group, kind) for kind in LIE_KINDS},
 }
-for _kind in LIE_KINDS:
-    _BUILDERS[_kind] = partial(
-        lambda kind, N, coeff=None, metric_seed=None: make_lie_group(
-            kind, N, coeff=coeff, metric_seed=metric_seed
-        ),
-        _kind,
-    )
 
 MANIFOLD_NAMES = tuple(sorted(_BUILDERS))
 
@@ -41,7 +30,7 @@ def make_manifold(name: str, **params) -> ManifoldHandle:
 
     Families: sphere(n, radius), hyperbolic(n), spd(N), stiefel(n, p,
     alpha0, alpha1), grassmann(n, p), and the groups gl+/sl/so/se/aff
-    (N, coeff or metric_seed).
+    (N, metric_seed).
     """
     try:
         builder = _BUILDERS[name]
@@ -53,7 +42,6 @@ def make_manifold(name: str, **params) -> ManifoldHandle:
 
 __all__ = [
     "LIE_KINDS",
-    "LieStructure",
     "MANIFOLD_NAMES",
     "make_grassmann",
     "make_hyperbolic",

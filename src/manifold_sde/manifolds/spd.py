@@ -24,9 +24,9 @@ def _strat_correction(x: np.ndarray) -> np.ndarray:
     return -sym_eig(x).apply(coeff)
 
 
-def make_spd(n: int) -> ManifoldHandle:
-    if n < 1:
-        raise ValueError(f"spd needs n >= 1, got {n}")
+def make_spd(N: int) -> ManifoldHandle:
+    if N < 1:
+        raise ValueError(f"spd needs N >= 1, got {N}")
 
     def metric(x, w):
         xinv = np.linalg.inv(x)
@@ -63,19 +63,19 @@ def make_spd(n: int) -> ManifoldHandle:
     )
 
     def ito_drift(x):
-        return (n + 1) / 4.0 * x
+        return (N + 1) / 4.0 * x
 
     def strat_drift(x):
-        return _strat_correction(x) + (n + 1) / 4.0 * x
+        return _strat_correction(x) + (N + 1) / 4.0 * x
 
     def random_point(rng: RngStream):
-        a = 0.6 * rng.normal((n, n))
-        return a @ a.T + 0.25 * np.eye(n)
+        a = 0.6 * rng.normal((N, N))
+        return a @ a.T + 0.25 * np.eye(N)
 
     return ManifoldHandle(
-        name=f"spd({n})",
-        shape=(n, n),
-        dim=n * (n + 1) // 2,
+        name=f"spd({N})",
+        shape=(N, N),
+        dim=N * (N + 1) // 2,
         metric=metric,
         metric_inv=metric_inv,
         project=project,
@@ -85,9 +85,9 @@ def make_spd(n: int) -> ManifoldHandle:
         ito_drift=ito_drift,
         strat_drift=strat_drift,
         random_point=random_point,
-        default_point=lambda: np.eye(n),
-        constraints=symmetry_constraints(n),
+        default_point=lambda: np.eye(N),
+        constraints=symmetry_constraints(N),
         in_domain=tubular.domain,
         compact=False,
-        params={"N": n},
+        params={"N": N},
     )

@@ -22,6 +22,12 @@ from .rng import RngStream
 
 TAU_MIN = 1e-4
 
+# Gauss-Legendre nodes of the heat-kernel quadrature on [0, pi]
+_NODES = 2048
+
+# points drawn per batch by uniform_cost_estimate
+_UNIFORM_BATCH = 20_000
+
 
 class HeatKernelParameterError(ValueError):
     pass
@@ -47,11 +53,11 @@ def _composite_gauss(n_total: int, panels: int = 16):
     return phi, weights
 
 
-def _refined_integral(integrand, nodes: int) -> float:
+def _refined_integral(integrand) -> float:
     """Integrate over [0, pi], refine once, and insist the two values agree."""
     vals = []
     for panels in (16, 32):
-        phi, w = _composite_gauss(nodes, panels=panels)
+        phi, w = _composite_gauss(_NODES, panels=panels)
         vals.append(float(np.sum(w * integrand(phi))))
     if abs(vals[0] - vals[1]) > 1e-10 * max(1.0, abs(vals[1])):
         raise QuadratureError(
@@ -73,10 +79,10 @@ def _tau(T: float, diffusion: float, radius: float) -> float:
     return tau
 
 
-def _series_order(tau: float, weight_growth: float = 2.0) -> int:
+def _series_order(tau: float) -> int:
     """Truncation order whose tail term is far below 1e-14 of the sum."""
     order = 16
-    while (weight_growth * order + 1.0) * np.exp(-order * order * tau) > 1e-16:
+    while (2.0 * order + 1.0) * np.exp(-order * order * tau) > 1e-16:
         order *= 2
         if order > 2**20:
             raise HeatKernelParameterError("heat-kernel series failed to converge")
@@ -87,8 +93,7 @@ def _series_order(tau: float, weight_growth: float = 2.0) -> int:
 # heat-kernel expectations
 
 
-def heat_expectation_s2(cost, T: float, diffusion: float = 0.5, radius: float = 1.0,
-                        nodes: int = 2048) -> float:
+def heat_expectation_s2(cost, T: float, diffusion: float = 0.5, radius: float = 1.0) -> float:
     """E[cost(phi(X_T))] for Brownian motion on a 2-sphere started anywhere.
 
     ``cost`` is a function of the polar angle phi in [0, pi] measured on the
@@ -101,11 +106,10 @@ def heat_expectation_s2(cost, T: float, diffusion: float = 0.5, radius: float = 
         dens = heat_kernel_values("s2", phi, T, diffusion, radius) * 2.0 * np.pi * np.sin(phi)
         return np.asarray(cost(phi), dtype=float) * dens
 
-    return _refined_integral(integrand, nodes)
+    return _refined_integral(integrand)
 
 
-def heat_expectation_s3(cost, T: float, diffusion: float = 0.5, radius: float = 1.0,
-                        nodes: int = 2048) -> float:
+def heat_expectation_s3(cost, T: float, diffusion: float = 0.5, radius: float = 1.0) -> float:
     """E[cost(phi(X_T))] for Brownian motion on a 3-sphere.
 
     Spectral series p_t(phi) = sum_l (l+1)/(2 pi^2) e^{-l(l+2) tau}
@@ -115,7 +119,7 @@ def heat_expectation_s3(cost, T: float, diffusion: float = 0.5, radius: float = 
         dens = heat_kernel_values("s3", phi, T, diffusion, radius) * 4.0 * np.pi * np.sin(phi)**2
         return np.asarray(cost(phi), dtype=float) * dens
 
-    return _refined_integral(integrand, nodes)
+    return _refined_integral(integrand)
 
 
 def heat_kernel_values(tag: str, phis, T: float, diffusion: float = 0.5,
@@ -178,7 +182,7 @@ def sample_uniform(handle: ManifoldHandle, rng: RngStream, size: int = 1) -> np.
 
 
 def uniform_cost_estimate(handle: ManifoldHandle, cost, rng: RngStream,
-                          n_sample: int = 100_000, batch: int = 20_000):
+                          n_sample: int = 100_000):
     """Mean and standard error of ``cost`` under the uniform distribution.
 
     ``cost`` receives the functional representation of the points (identity
@@ -188,7 +192,7 @@ def uniform_cost_estimate(handle: ManifoldHandle, cost, rng: RngStream,
     total_sq = 0.0
     done = 0
     while done < n_sample:
-        take = min(batch, n_sample - done)
+        take = min(_UNIFORM_BATCH, n_sample - done)
         pts = sample_uniform(handle, rng, take)
         vals = np.asarray(cost(handle.functional_point(pts)), dtype=float)
         total += float(np.sum(vals))

@@ -111,6 +111,20 @@ def test_simulate_with_zero_paths_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override,integrator", [
+    ("r=nan", "ito-em"),
+    ("r=inf", "ito-em"),
+    ("T=nan", "geodesic-walk"),
+    ("T=inf", "ito-em"),
+])
+def test_non_finite_parameters_are_config_errors(tmp_path, capsys, override, integrator):
+    out = tmp_path / "nonfinite.csv"
+    cfg = write(tmp_path, "nonfinite.cfg", SMALL_SIM.format(out=out))
+    assert main([cfg, "--set", override, "--set", f"integrator={integrator}"]) == 3
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", ["abc", "-1", "2.5"])
 def test_bad_thread_cap_is_config_error(tmp_path, capsys, monkeypatch, threads):
     monkeypatch.setenv(THREADS_ENV, threads)

@@ -43,11 +43,17 @@ def test_constant_terminal_cost_has_zero_stderr(so3):
 @pytest.mark.parametrize("bad", [
     dict(T=0.0),
     dict(T=-1.0),
+    dict(T=float("nan")),
+    dict(T=float("inf")),
     dict(n_div=0),
     dict(n_path=0),
     dict(integrator="milstein"),
     dict(r=0.5),
+    dict(r=float("nan")),
+    dict(r=float("inf")),
     dict(diffusion=0.0),
+    dict(diffusion=float("nan")),
+    dict(diffusion=float("inf")),
     dict(max_retries=-1),
     dict(path_chunk=0),
 ])

@@ -54,7 +54,10 @@ def test_truncation_bound_value():
     assert truncation_bound(math.exp(-2.0), 1.0) == pytest.approx(2.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("h,r", [(0.0, 1.0), (1.0, 1.0), (1.5, 1.0), (-0.1, 1.0), (0.1, 0.5)])
+@pytest.mark.parametrize("h,r", [
+    (0.0, 1.0), (1.0, 1.0), (1.5, 1.0), (-0.1, 1.0), (0.1, 0.5),
+    (float("nan"), 1.0), (0.1, float("nan")), (0.1, float("inf")),
+])
 def test_truncation_bound_rejects_bad_parameters(h, r):
     with pytest.raises(IntegratorParameterError):
         truncation_bound(h, r)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from manifold_sde import (
 from manifold_sde.geometry import ambient_basis, brownian_ito_drift
 from manifold_sde.linalg import frobenius_norm, matrix_exp, mT, sym
 from manifold_sde.manifolds.hypersurface import make_hypersurface
-from manifold_sde.manifolds.lie_group import random_spd_coeff
+from manifold_sde.manifolds.lie_group import LIE_KINDS, random_spd_coeff
 from manifold_sde.rng import RngStream
 
 
@@ -180,6 +182,56 @@ def test_group_inverse_forms_match_solve_forms(kind, n):
     assert close(handle.christoffel(xs, vs, w), christoffel(xs, vs, w))
     sigma = handle.sigma(xs, basis)
     assert close(handle.christoffel(xs, sigma, sigma), christoffel(xs, sigma, sigma))
+
+
+# sha256 over every output of the group handles, per kind, for N = 1..4 where
+# the kind exists and metric_seed None and 4.  Recorded before the group
+# module was rewritten as one construction, so it pins that rewrite bit for bit.
+LIE_GROUP_DIGESTS = {
+    "gl+": "0c02d01471f5d9ebc2f5ec5c6680da5300188b4e2b50470a93a3be8624bfa398",
+    "sl": "5e85ef24543d2b59013e3b845f9ee4a8bb6132bbd1398e7972f37cb034714468",
+    "so": "a88170cb559e8c406b471da0346ce28bda04690c40494d5795a87b305a0cbfe5",
+    "se": "b4cc0a08fe37e5b808e12cd82f5cdb23ebb6c4682501166fe29c3d4b722226b1",
+    "aff": "2b7036a570128fb4890d8d93af8416fd2270e8d6aa89133538d3b550599c8124",
+}
+
+
+def _lie_group_digest(kind):
+    digest = hashlib.sha256()
+
+    def feed(*arrays):
+        for a in arrays:
+            a = np.ascontiguousarray(a)
+            digest.update(repr((a.dtype.str, a.shape)).encode())
+            digest.update(a.tobytes())
+
+    for n in range(1 if kind in ("gl+", "se", "aff") else 2, 5):
+        for seed in (None, 4):
+            handle = make_manifold(kind, N=n, metric_seed=seed)
+            rng = RngStream(118, 0)
+            x = np.stack([handle.random_point(rng) for _ in range(3)])
+            u = rng.normal(x.shape)
+            v = rng.normal(x.shape)
+            # near, reflected (det < 0 for odd sizes) and zero proposals
+            q = np.concatenate([x + 0.1 * u, -x[:1], np.zeros_like(x[:1])])
+            base = np.concatenate([x, x[:2]])
+            # NaN rows only reach retract, which sends them back as x
+            bad = np.concatenate([q, np.full_like(x[:1], np.nan)])
+            feed(x, handle.project(x, u), handle.metric(x, u), handle.metric_inv(x, u),
+                 handle.sigma(x, u), handle.christoffel(x, u, v),
+                 handle.christoffel(x, u, u), handle.ito_drift(x), handle.strat_drift(x),
+                 *handle.tubular.mapping(q), handle.tubular.domain(q),
+                 handle.tubular.differential(x, u), handle.domain_ok(q),
+                 *handle.tubular.retract(bad, np.concatenate([base, x[:1]])))
+            for c in handle.constraints:
+                feed(c.value(q), c.grad(x), c.hess(x, u, v))
+            feed(np.array([handle.dim, handle.compact, len(handle.constraints)]))
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("kind", LIE_KINDS)
+def test_lie_group_handles_are_pinned(kind):
+    assert _lie_group_digest(kind) == LIE_GROUP_DIGESTS[kind]
 
 
 def test_two_metric_seeds_differ_but_both_valid():
