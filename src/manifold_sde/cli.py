@@ -14,7 +14,8 @@ Commands:
                    metric compatibility, Brownian second-order operator,
                    closed-form vs. generic drift) at random points.
 - ``simulate``:    Monte Carlo run; per-path CSV (``path_index,value``) at
-                   ``out`` plus a one-row summary CSV next to it.
+                   ``out`` plus a one-row summary CSV next to it, named
+                   ``<stem>.summary<ext>`` (``run.csv`` -> ``run.summary.csv``).
 - ``compare``:     the same functional across integrators and step ladders;
                    summary CSV, inconsistent grids are flagged, not fatal.
 - ``uniform``:     long-run Brownian estimate vs. direct uniform sampling
@@ -22,17 +23,19 @@ Commands:
 - ``heat-kernel``: spectral-series expectation for the sphere reference
                    configuration (diffusion 0.4, radius 3), no simulation.
 
-Exit codes: 0 success, 2 step/validation failure, 3 config error.  Worker
-threads are capped by MANIFOLD_SDE_THREADS (0 or unset = auto); a value that
-is not a non-negative integer is a config error.
+Exit codes: 0 success, 2 step/validation failure, 3 config error (an
+output file that cannot be written is one too).  Worker threads are capped
+by MANIFOLD_SDE_THREADS (0 or unset = auto); a value that is not a
+non-negative integer is a config error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .costs import ANGLE_COSTS, COST_IDS, make_cost
 from .geometry import (
@@ -51,7 +54,7 @@ from .harness import (
 )
 from .integrators import INTEGRATOR_IDS, StepFailureError
 from .linalg import frobenius_norm
-from .manifolds import make_manifold
+from .manifolds import MANIFOLD_NAMES, family_keys, make_manifold
 from .oracles import heat_expectation_s2, heat_expectation_s3
 from .rng import RngStream
 
@@ -59,34 +62,17 @@ EXIT_OK = 0
 EXIT_STEP_FAILURE = 2
 EXIT_CONFIG = 3
 
-COMMANDS = ("validate", "simulate", "compare", "uniform", "heat-kernel")
-
-_INT_KEYS = frozenset({"n", "p", "N", "metric_seed", "n_div", "n_path", "seed"})
-_FLOAT_KEYS = frozenset({"alpha0", "alpha1", "T", "r"})
-_STR_KEYS = frozenset({"command", "manifold", "integrator", "cost", "out"})
-CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
-
-# manifold families reachable from the CLI and the parameter keys they take
-_FAMILY_KEYS = {
-    "sphere": ({"n"}, {"n"}),
-    "hyperbolic": ({"n"}, {"n"}),
-    "spd": ({"N"}, {"N"}),
-    "stiefel": ({"n", "p"}, {"n", "p", "alpha0", "alpha1"}),
-    "grassmann": ({"n", "p"}, {"n", "p"}),
-    "so": ({"N"}, {"N", "metric_seed"}),
-    "sl": ({"N"}, {"N", "metric_seed"}),
-    "gl+": ({"N"}, {"N", "metric_seed"}),
-    "se": ({"N"}, {"N", "metric_seed"}),
-    "aff": ({"N"}, {"N", "metric_seed"}),
+# every config key and the type of its value
+_KEY_TYPES = {
+    "command": str, "manifold": str, "integrator": str, "cost": str, "out": str,
+    "n": int, "p": int, "N": int, "metric_seed": int, "n_div": int, "n_path": int,
+    "seed": int, "alpha0": float, "alpha1": float, "T": float, "r": float,
 }
+CONFIG_KEYS = frozenset(_KEY_TYPES)
 
-_REQUIRED = {
-    "validate": ("manifold",),
-    "simulate": ("manifold", "integrator", "T", "n_div", "n_path", "seed", "cost", "out"),
-    "compare": ("manifold", "T", "n_path", "seed", "cost", "out"),
-    "uniform": ("manifold", "cost", "out"),
-    "heat-kernel": ("manifold", "n", "cost"),
-}
+# keys that some family builder takes; each config is checked against its own family
+_FAMILY_PARAMS = frozenset().union(*(family_keys(f)[1] for f in MANIFOLD_NAMES))
+_SIM_FIELDS = frozenset(f.name for f in fields(SimulationConfig))
 
 # reference configuration of the spectral heat-kernel cross-check
 _HEAT_DIFFUSION = 0.4
@@ -109,15 +95,12 @@ class RunConfig:
 
 def _convert(key: str, raw: str, where: str):
     raw = raw.strip()
+    kind = _KEY_TYPES[key]
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
+        return kind(raw)
     except ValueError:
-        kind = "integer" if key in _INT_KEYS else "number"
-        raise ConfigError(f"{where}: key {key!r} expects an {kind}, got {raw!r}")
-    return raw
+        expected = "integer" if kind is int else "number"
+        raise ConfigError(f"{where}: key {key!r} expects an {expected}, got {raw!r}")
 
 
 def _parse_pairs(lines) -> dict:
@@ -156,7 +139,7 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         raise ConfigError(
             f"unknown command {command!r}; valid commands: {', '.join(COMMANDS)}"
         )
-    for key in _REQUIRED[command]:
+    for key in COMMANDS[command][0]:
         if key not in values:
             raise ConfigError(f"missing required key {key!r} for command {command!r}")
 
@@ -171,30 +154,25 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         )
     if "manifold" in values:
         family = values["manifold"]
-        if family not in _FAMILY_KEYS:
+        if family not in MANIFOLD_NAMES:
             raise ConfigError(
-                f"unknown manifold {family!r}; valid names: "
-                f"{', '.join(sorted(_FAMILY_KEYS))}"
+                f"unknown manifold {family!r}; valid names: {', '.join(MANIFOLD_NAMES)}"
             )
-        required, allowed = _FAMILY_KEYS[family]
-        given = {k for k in ("n", "p", "N", "alpha0", "alpha1", "metric_seed") if k in values}
+        required, allowed = family_keys(family)
+        given = _FAMILY_PARAMS & values.keys()
         missing = sorted(required - given)
         extra = sorted(given - allowed)
         if missing:
-            raise ConfigError(
-                f"manifold {family!r} needs key(s) {', '.join(missing)}"
-            )
+            raise ConfigError(f"manifold {family!r} needs key(s) {', '.join(missing)}")
         if extra:
-            raise ConfigError(
-                f"key(s) {', '.join(extra)} do not apply to manifold {family!r}"
-            )
+            raise ConfigError(f"key(s) {', '.join(extra)} do not apply to manifold {family!r}")
     return RunConfig(command=command, values=values)
 
 
 def _build_handle(config: RunConfig) -> ManifoldHandle:
     family = config.get("manifold")
-    _, allowed = _FAMILY_KEYS[family]
-    params = {k: config.values[k] for k in allowed if k in config.values}
+    _, allowed = family_keys(family)
+    params = {k: config.values[k] for k in allowed & config.values.keys()}
     return make_manifold(family, **params)
 
 
@@ -206,10 +184,8 @@ def _write_csv(path: str, header, rows):
 
 
 def _summary_path(out: str) -> str:
-    stem, dot, suffix = out.rpartition(".")
-    if not dot:
-        return out + ".summary"
-    return f"{stem}.summary.{suffix}"
+    stem, ext = os.path.splitext(out)
+    return f"{stem}.summary{ext}"
 
 
 SUMMARY_HEADER = ("metric", "mean", "stderr", "n_path", "n_div", "T", "integrator", "manifold")
@@ -220,54 +196,50 @@ def _summary_row(metric, mean, stderr, n_path, n_div, T, integrator, manifold):
 
 
 def _sim_config(config: RunConfig, **defaults) -> SimulationConfig:
-    merged = dict(defaults)
-    for key in ("T", "n_div", "n_path", "seed", "integrator", "r"):
-        if key in config.values:
-            merged[key] = config.values[key]
-    return SimulationConfig(**merged)
+    given = {k: v for k, v in config.values.items() if k in _SIM_FIELDS}
+    return SimulationConfig(**{**defaults, **given})
 
 
 # ---------------------------------------------------------------------------
 # command bodies
 
 
+# validate checks in the order their values are computed, with their tolerances
+_VALIDATE_TOLERANCES = {
+    "projection idempotency": 1e-9,
+    "projection self-adjointness": 1e-9,
+    "christoffel symmetry": 1e-10,
+    "metric compatibility (FD)": 1e-5,
+    "brownian SOO residual": 1e-8,
+    "ito drift closed-form vs generic": 1e-9,
+}
+
+
 def _cmd_validate(config: RunConfig) -> int:
     handle = _build_handle(config)
     rng = RngStream(seed=config.get("seed", 0), stream_id=0)
-    checks = {
-        "projection idempotency": (0.0, 1e-9),
-        "projection self-adjointness": (0.0, 1e-9),
-        "christoffel symmetry": (0.0, 1e-10),
-        "metric compatibility (FD)": (0.0, 1e-5),
-        "brownian SOO residual": (0.0, 1e-8),
-        "ito drift closed-form vs generic": (0.0, 1e-9),
-    }
-
-    def bump(name, value):
-        worst, tol = checks[name]
-        checks[name] = (max(worst, float(value)), tol)
-
+    worst = [0.0] * len(_VALIDATE_TOLERANCES)
     for _ in range(5):
         x = handle.random_point(rng)
         report = check_projection(handle, x, trials=6, rng=rng)
-        bump("projection idempotency", report.max_idempotency)
-        bump("projection self-adjointness", report.max_asymmetry)
         xi = handle.random_tangent(rng, x)
         eta = handle.random_tangent(rng, x)
-        bump("christoffel symmetry",
-             frobenius_norm(handle.christoffel(x, xi, eta) - handle.christoffel(x, eta, xi)))
-        bump("metric compatibility (FD)",
-             check_metric_compatibility(handle, x, trials=4, rng=rng))
-        bump("brownian SOO residual", soo_residual(handle, x, brownian_soo(handle, x)))
-        bump("ito drift closed-form vs generic",
-             frobenius_norm(handle.ito_drift(x) - brownian_ito_drift(handle, x)))
+        values = (
+            report.max_idempotency,
+            report.max_asymmetry,
+            frobenius_norm(handle.christoffel(x, xi, eta) - handle.christoffel(x, eta, xi)),
+            check_metric_compatibility(handle, x, trials=4, rng=rng),
+            soo_residual(handle, x, brownian_soo(handle, x)),
+            frobenius_norm(handle.ito_drift(x) - brownian_ito_drift(handle, x)),
+        )
+        worst = [max(w, float(v)) for w, v in zip(worst, values)]
 
     print(f"validate {handle.name}")
     ok = True
-    for name, (worst, tol) in checks.items():
-        passed = worst < tol
+    for (name, tol), value in zip(_VALIDATE_TOLERANCES.items(), worst):
+        passed = value < tol
         ok = ok and passed
-        print(f"  {'PASS' if passed else 'FAIL'}  {name}: {worst:.3e} (< {tol:g})")
+        print(f"  {'PASS' if passed else 'FAIL'}  {name}: {value:.3e} (< {tol:g})")
     return EXIT_OK if ok else EXIT_STEP_FAILURE
 
 
@@ -360,22 +332,27 @@ def _cmd_heat_kernel(config: RunConfig) -> int:
     return EXIT_OK
 
 
-_COMMAND_BODY = {
-    "validate": _cmd_validate,
-    "simulate": _cmd_simulate,
-    "compare": _cmd_compare,
-    "uniform": _cmd_uniform,
-    "heat-kernel": _cmd_heat_kernel,
+# each command's required keys and its body
+COMMANDS = {
+    "validate": (("manifold",), _cmd_validate),
+    "simulate": (("manifold", "integrator", "T", "n_div", "n_path", "seed", "cost", "out"),
+                 _cmd_simulate),
+    "compare": (("manifold", "T", "n_path", "seed", "cost", "out"), _cmd_compare),
+    "uniform": (("manifold", "cost", "out"), _cmd_uniform),
+    "heat-kernel": (("manifold", "n", "cost"), _cmd_heat_kernel),
 }
 
 
 def run(config: RunConfig) -> int:
     """Execute a parsed config; returns the process exit code."""
     try:
-        return _COMMAND_BODY[config.command](config)
+        return COMMANDS[config.command][1](config)
     except (ConfigError, ValueError) as exc:
         # invalid ids, impossible parameter combinations, bad manifold sizes
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except StepFailureError as exc:
         print(f"step failure: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import ManifoldHandle, SdeSpec, require_on_manifold
+from .geometry import ManifoldHandle, require_on_manifold
 from .integrators import (
     INTEGRATOR_IDS,
     StepFailureError,
@@ -133,7 +133,7 @@ def _worker_count(n_chunks: int) -> int:
 
 
 def _run_chunk(handle: ManifoldHandle, stepper: Stepper, config: SimulationConfig,
-               cost: CostFunctional, x0: np.ndarray, lo: int, hi: int) -> np.ndarray:
+               cost: CostFunctional, lo: int, hi: int) -> np.ndarray:
     """Advance paths [lo, hi) as whole arrays; returns their samples.
 
     Each step moves the whole chunk at once.  Rows the stepper flags are
@@ -153,7 +153,9 @@ def _run_chunk(handle: ManifoldHandle, stepper: Stepper, config: SimulationConfi
     streams = [RngStream(seed=config.seed, stream_id=i) for i in range(lo, hi)]
     blocks = np.stack([s.normal((config.n_div,) + noise) for s in streams], axis=1)
 
-    state = np.broadcast_to(x0, (size,) + handle.shape).astype(float).copy()
+    # astype keeps the broadcast view's axis order; the copy makes the state
+    # C-ordered, and the steppers' rounding depends on that layout
+    state = np.broadcast_to(handle.default_point(), (size,) + handle.shape).astype(float).copy()
     acc = np.zeros(size)
 
     for j in range(config.n_div):
@@ -188,18 +190,16 @@ def _run_chunk(handle: ManifoldHandle, stepper: Stepper, config: SimulationConfi
 
 
 def simulate(config: SimulationConfig, handle: ManifoldHandle,
-             sde: SdeSpec | None = None, cost: CostFunctional | None = None,
-             x0: np.ndarray | None = None) -> SampleSet:
-    """Run n_path independent paths and accumulate the cost functional.
+             cost: CostFunctional | None = None) -> SampleSet:
+    """Run n_path independent paths from the handle's canonical point and
+    accumulate the cost functional.
 
-    ``sde`` defaults to the Brownian motion with generator scale
-    config.diffusion, in the form the chosen integrator consumes.  ``x0``
-    defaults to the handle's canonical point.
+    The paths follow the Brownian motion with generator scale
+    config.diffusion, in the form the chosen integrator consumes.
     """
     cost = cost if cost is not None else CostFunctional()
-    stepper = make_stepper(handle, config.integrator, sde=sde, diffusion=config.diffusion)
-    x0 = handle.default_point() if x0 is None else np.asarray(x0, dtype=float)
-    require_on_manifold(handle, x0, tol=1e-8)
+    stepper = make_stepper(handle, config.integrator, diffusion=config.diffusion)
+    require_on_manifold(handle, handle.default_point(), tol=1e-8)
 
     chunks = [
         (lo, min(lo + config.path_chunk, config.n_path))
@@ -208,7 +208,7 @@ def simulate(config: SimulationConfig, handle: ManifoldHandle,
     samples = np.empty(config.n_path)
 
     def run(span):
-        return _run_chunk(handle, stepper, config, cost, x0, span[0], span[1])
+        return _run_chunk(handle, stepper, config, cost, span[0], span[1])
 
     workers = _worker_count(len(chunks))
     if workers <= 1:

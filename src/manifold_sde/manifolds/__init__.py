@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 from functools import partial
 
 from ..geometry import ManifoldHandle
@@ -25,6 +26,21 @@ _BUILDERS = {
 MANIFOLD_NAMES = tuple(sorted(_BUILDERS))
 
 
+def _builder(name: str):
+    try:
+        return _BUILDERS[name]
+    except KeyError:
+        known = ", ".join(MANIFOLD_NAMES)
+        raise ValueError(f"unknown manifold {name!r}; known families: {known}") from None
+
+
+def family_keys(name: str) -> tuple[frozenset, frozenset]:
+    """``(required, allowed)`` parameter names of a family, read from its builder."""
+    params = inspect.signature(_builder(name)).parameters.values()
+    required = frozenset(p.name for p in params if p.default is p.empty)
+    return required, frozenset(p.name for p in params)
+
+
 def make_manifold(name: str, **params) -> ManifoldHandle:
     """Build a manifold handle by family name.
 
@@ -32,17 +48,13 @@ def make_manifold(name: str, **params) -> ManifoldHandle:
     alpha0, alpha1), grassmann(n, p), and the groups gl+/sl/so/se/aff
     (N, metric_seed).
     """
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        known = ", ".join(MANIFOLD_NAMES)
-        raise ValueError(f"unknown manifold {name!r}; known families: {known}") from None
-    return builder(**params)
+    return _builder(name)(**params)
 
 
 __all__ = [
     "LIE_KINDS",
     "MANIFOLD_NAMES",
+    "family_keys",
     "make_grassmann",
     "make_hyperbolic",
     "make_hypersurface",

@@ -7,6 +7,7 @@ import pytest
 from manifold_sde import SimulationConfig, StepFailureError, cli, make_manifold, simulate
 from manifold_sde.cli import ConfigError, main, parse_config
 from manifold_sde.harness import THREADS_ENV
+from manifold_sde.manifolds import MANIFOLD_NAMES
 
 HAPPY = (
     "command=simulate\nmanifold=sphere\nn=3\nintegrator=ito-em\nT=2\n"
@@ -85,6 +86,33 @@ def test_family_parameter_checks():
         parse_config("command=validate\nmanifold=stiefel\nn=5\n")  # p missing
     with pytest.raises(ConfigError, match="do not apply"):
         parse_config("command=validate\nmanifold=sphere\nn=3\nN=3\n")
+
+
+# the smallest validate config for each family: exactly its builder's required keys
+FAMILY_REQUIRED = {
+    "sphere": {"n": 3}, "hyperbolic": {"n": 2}, "spd": {"N": 2},
+    "stiefel": {"n": 4, "p": 2}, "grassmann": {"n": 4, "p": 2},
+    **{kind: {"N": 3} for kind in ("so", "sl", "gl+", "se", "aff")},
+}
+
+
+@pytest.mark.parametrize("family", MANIFOLD_NAMES)
+def test_family_keys_match_the_builders(family):
+    required = FAMILY_REQUIRED[family]
+
+    def config(params):
+        lines = "".join(f"{k}={v}\n" for k, v in params.items())
+        return f"command=validate\nmanifold={family}\n{lines}"
+
+    handle = cli._build_handle(parse_config(config(required)))
+    assert handle.name.startswith(family)
+    for key in required:
+        rest = {k: v for k, v in required.items() if k != key}
+        with pytest.raises(ConfigError, match=rf"needs key\(s\) {key}$"):
+            parse_config(config(rest))
+    foreign = "n" if "N" in required else "N"
+    with pytest.raises(ConfigError, match=rf"{foreign} do not apply to manifold"):
+        parse_config(config({**required, foreign: 2}))
 
 
 def test_overrides_apply_after_file():
@@ -238,6 +266,23 @@ def test_retry_heavy_path_csv_bytes_are_pinned(tmp_path, capsys, monkeypatch):
     assert main([write(tmp_path, "retry.cfg", text)]) == 0
     assert (hashlib.sha256(out.read_bytes()).hexdigest()
             == "92cdfeebb90ea4d44ef57b10f4c15c54407b7c31c07f7a9b8cc9d49e81386624")
+
+
+def test_summary_sits_next_to_an_output_in_a_dotted_directory(tmp_path, capsys):
+    folder = tmp_path / "runs.v2"
+    folder.mkdir()
+    out = folder / "run"
+    assert main([write(tmp_path, "dotted.cfg", SMALL_SIM.format(out=out))]) == 0
+    assert sorted(p.name for p in folder.iterdir()) == ["run", "run.summary"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dotted.cfg", "runs.v2"]
+
+
+def test_unwritable_output_is_config_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "run.csv"
+    assert main([write(tmp_path, "nowrite.cfg", SMALL_SIM.format(out=out))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output:")
+    assert "missing" in err
 
 
 def test_set_override_changes_the_run(tmp_path, capsys):

@@ -196,15 +196,18 @@ LIE_GROUP_DIGESTS = {
 }
 
 
-def _lie_group_digest(kind):
-    digest = hashlib.sha256()
-
+def _feeder(digest):
     def feed(*arrays):
         for a in arrays:
             a = np.ascontiguousarray(a)
             digest.update(repr((a.dtype.str, a.shape)).encode())
             digest.update(a.tobytes())
+    return feed
 
+
+def _lie_group_digest(kind):
+    digest = hashlib.sha256()
+    feed = _feeder(digest)
     for n in range(1 if kind in ("gl+", "se", "aff") else 2, 5):
         for seed in (None, 4):
             handle = make_manifold(kind, N=n, metric_seed=seed)
@@ -232,6 +235,36 @@ def _lie_group_digest(kind):
 @pytest.mark.parametrize("kind", LIE_KINDS)
 def test_lie_group_handles_are_pinned(kind):
     assert _lie_group_digest(kind) == LIE_GROUP_DIGESTS[kind]
+
+
+# the same over every Grassmann handle output for (n, p) in (2, 1), (4, 2),
+# (5, 3) and (4, 4), recorded before Grassmann was rebuilt on the Stiefel handle
+GRASSMANN_DIGEST = "7ff73e4d92bda118ed2b3594aacbd3427962c8276bbbffdd84d21f82f9fc75fc"
+
+
+def test_grassmann_handle_is_pinned():
+    digest = hashlib.sha256()
+    feed = _feeder(digest)
+    for n, p in ((2, 1), (4, 2), (5, 3), (4, 4)):
+        handle = make_manifold("grassmann", n=n, p=p)
+        rng = RngStream(119, 0)
+        x = np.stack([handle.random_point(rng) for _ in range(3)])
+        u = rng.normal(x.shape)
+        v = rng.normal(x.shape)
+        q = np.concatenate([x + 0.1 * u, np.zeros_like(x[:1])])
+        bad = np.concatenate([q, np.full_like(x[:1], np.nan)])
+        feed(x, handle.project(x, u), handle.metric(x, u), handle.metric_inv(x, u),
+             handle.sigma(x, u), handle.christoffel(x, u, v), handle.christoffel(x, u, u),
+             handle.ito_drift(x), handle.strat_drift(x),
+             *handle.tubular.mapping(q), handle.tubular.domain(q),
+             handle.tubular.differential(x, u), handle.domain_ok(q),
+             *handle.tubular.retract(bad, np.concatenate([x, x[:2]])),
+             handle.functional_point(x), handle.default_point())
+        for c in handle.constraints:
+            feed(c.value(q), c.grad(x), c.hess(x, u, v))
+        feed(np.array([handle.dim, handle.compact, len(handle.constraints)]))
+        digest.update(repr((handle.name, sorted(handle.params.items()))).encode())
+    assert digest.hexdigest() == GRASSMANN_DIGEST
 
 
 def test_two_metric_seeds_differ_but_both_valid():
