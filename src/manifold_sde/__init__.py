@@ -31,6 +31,7 @@ from .harness import (
     SampleSet,
     SimulationConfig,
     UniformLimitRow,
+    WorkerProcessError,
     compare_methods,
     simulate,
     uniform_limit_run,
@@ -75,6 +76,7 @@ __all__ = [
     "StepFailureError",
     "TangentRetraction",
     "UniformLimitRow",
+    "WorkerProcessError",
     "brownian_sde",
     "brownian_soo",
     "check_metric_compatibility",

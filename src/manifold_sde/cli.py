@@ -24,8 +24,10 @@ Commands:
                    configuration (diffusion 0.4, radius 3), no simulation.
 
 Exit codes: 0 success, 2 step/validation failure, 3 config error (an
-output file that cannot be written is one too).  Worker threads are capped
-by MANIFOLD_SDE_THREADS (0 or unset = auto); a value that is not a
+output file that cannot be written is one too; ``simulate``, ``compare`` and
+``uniform`` check that the directory of ``out`` exists and is writable before
+they run).  Path chunks run in forked worker processes, capped by
+MANIFOLD_SDE_THREADS (0 or unset = auto); a value that is not a
 non-negative integer is a config error.
 """
 
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -99,8 +102,8 @@ def _convert(key: str, raw: str, where: str):
     try:
         return kind(raw)
     except ValueError:
-        expected = "integer" if kind is int else "number"
-        raise ConfigError(f"{where}: key {key!r} expects an {expected}, got {raw!r}")
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where}: key {key!r} expects {expected}, got {raw!r}")
 
 
 def _parse_pairs(lines) -> dict:
@@ -181,6 +184,16 @@ def _write_csv(path: str, header, rows):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _check_writable(path: str) -> None:
+    """Raise OSError unless the directory of ``path`` exists and is writable;
+    creates nothing."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), folder)
+    if not os.access(folder, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), folder)
 
 
 def _summary_path(out: str) -> str:
@@ -345,8 +358,11 @@ COMMANDS = {
 
 def run(config: RunConfig) -> int:
     """Execute a parsed config; returns the process exit code."""
+    required, body = COMMANDS[config.command]
     try:
-        return COMMANDS[config.command][1](config)
+        if "out" in required:  # the commands that simulate fail before the run
+            _check_writable(config.get("out"))
+        return body(config)
     except (ConfigError, ValueError) as exc:
         # invalid ids, impossible parameter combinations, bad manifold sizes
         print(f"config error: {exc}", file=sys.stderr)

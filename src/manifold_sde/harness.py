@@ -4,11 +4,19 @@ Paths evolve on a uniform grid h = T / n_div.  Path i draws all of its noise
 from the counter-based stream (seed, stream_id=i): one block of n_div
 increments up front, then any retry draws in failure order.  That makes the
 estimate bit-identical for a fixed config no matter how paths are chunked or
-how many worker threads run, and lets a single path be replayed in isolation.
+how many worker processes run, and lets a single path be replayed in isolation.
 Opening a path's stream builds no generator: its block is drawn from one
-generator per worker thread re-keyed to the stream, and only a path that
-retries opens a generator of its own (see ``rng``).  The draws are those of
-the stream's own generator either way, so the samples do not depend on it.
+generator per process re-keyed to the stream, and only a path that retries
+opens a generator of its own (see ``rng``).  The draws are those of the
+stream's own generator either way, so the samples do not depend on it.
+
+Chunks of paths run in forked worker processes (``os.fork``): the calling
+process is worker 0 and forks ``workers - 1`` children, chunk k goes to worker
+k mod workers, and every worker runs its chunks in ascending order.  The
+children write their samples into one shared anonymous ``mmap`` and report
+their first failure through a pipe; the run raises the failure of the lowest
+chunk index, which is what one process running every chunk in order raises.
+With one worker, one chunk, or no ``os.fork`` the chunks run in-process.
 
 The running cost is accumulated as sum_j g(X_{j+1}, j h) * h (the post-step
 point with the pre-step time, matching the reference loop order), plus the
@@ -19,8 +27,10 @@ terminal f(X_T, T).  Costs act on the functional representation of the state
 from __future__ import annotations
 
 import math
+import mmap
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import signal
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -38,6 +48,19 @@ from .integrators import (
 from .rng import RngStream
 
 THREADS_ENV = "MANIFOLD_SDE_THREADS"
+
+
+class WorkerProcessError(RuntimeError):
+    """A worker process ended without reporting on its chunks.
+
+    ``status`` is the exit status, or minus the signal that killed it.
+    """
+
+    def __init__(self, pid: int, status: int):
+        self.pid = pid
+        self.status = status
+        how = f"killed by signal {-status}" if status < 0 else f"exited with status {status}"
+        super().__init__(f"worker process {pid} {how} without a report")
 
 
 @dataclass(frozen=True)
@@ -120,7 +143,7 @@ class SampleSet:
 
 
 def _worker_count(n_chunks: int) -> int:
-    """Worker threads for ``n_chunks`` chunks, capped by THREADS_ENV (0 or unset = auto)."""
+    """Worker processes for ``n_chunks`` chunks, capped by THREADS_ENV (0 or unset = auto)."""
     raw = os.environ.get(THREADS_ENV, "0").strip()
     try:
         cap = int(raw)
@@ -189,6 +212,107 @@ def _run_chunk(handle: ManifoldHandle, stepper: Stepper, config: SimulationConfi
     return acc
 
 
+def _run_share(run, chunks, worker: int, workers: int, out: np.ndarray):
+    """Run chunks worker, worker + workers, ... in order into ``out``; returns
+    the first failure as (chunk index, exception), or None."""
+    for k in range(worker, len(chunks), workers):
+        lo, hi = chunks[k]
+        try:
+            out[lo:hi] = run(lo, hi)
+        except Exception as exc:
+            return k, exc
+    return None
+
+
+def _encode_report(failure) -> bytes:
+    """A child's report: None, or (chunk index, pickled exception or None, repr)."""
+    if failure is None:
+        return pickle.dumps(None)
+    k, exc = failure
+    try:
+        payload = pickle.dumps(exc)
+    except Exception:
+        payload = None
+    return pickle.dumps((k, payload, repr(exc)))
+
+
+def _decode_report(pid: int, status: int, data: bytes):
+    """The failure a child reported, as (chunk index, exception), or None.
+
+    A child that exited nonzero or left a short report is a WorkerProcessError;
+    an exception that does not unpickle comes back as a RuntimeError of its repr.
+    """
+    if status != 0:
+        raise WorkerProcessError(pid, status)
+    try:
+        report = pickle.loads(data)
+    except Exception:
+        raise WorkerProcessError(pid, status) from None
+    if report is None:
+        return None
+    k, payload, text = report
+    try:
+        return k, pickle.loads(payload)
+    except Exception:
+        return k, RuntimeError(text)
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _run_forked(run, chunks, n_path: int, workers: int) -> np.ndarray:
+    """Run ``chunks`` on this process (worker 0) and ``workers - 1`` forked
+    children; returns the samples or raises the lowest-indexed chunk failure.
+
+    The children write samples into one shared anonymous mmap and a report
+    into a pipe each.  A child never returns into the caller: it leaves by
+    ``os._exit``, so it flushes no buffers and runs no exit hooks.  Every
+    child is reaped on every path; if this process raises, the children are
+    killed first.
+    """
+    shared = np.frombuffer(mmap.mmap(-1, 8 * n_path), dtype=float)
+    children = []  # (pid, read end of its report pipe)
+    reports, statuses = {}, {}
+    try:
+        for w in range(1, workers):
+            r, wr = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(wr)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    _write_all(wr, _encode_report(_run_share(run, chunks, w, workers, shared)))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(wr)
+            children.append((pid, r))
+        failures = [_run_share(run, chunks, 0, workers, shared)]
+        for pid, r in children:
+            with open(r, "rb", closefd=False) as fh:
+                reports[pid] = fh.read()
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, r in children:
+            os.close(r)
+            statuses[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    failures += [_decode_report(pid, statuses[pid], reports[pid]) for pid, _ in children]
+    failures = [f for f in failures if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return shared.copy()
+
+
 def simulate(config: SimulationConfig, handle: ManifoldHandle,
              cost: CostFunctional | None = None) -> SampleSet:
     """Run n_path independent paths from the handle's canonical point and
@@ -205,19 +329,17 @@ def simulate(config: SimulationConfig, handle: ManifoldHandle,
         (lo, min(lo + config.path_chunk, config.n_path))
         for lo in range(0, config.n_path, config.path_chunk)
     ]
-    samples = np.empty(config.n_path)
 
-    def run(span):
-        return _run_chunk(handle, stepper, config, cost, span[0], span[1])
+    def run(lo, hi):
+        return _run_chunk(handle, stepper, config, cost, lo, hi)
 
     workers = _worker_count(len(chunks))
-    if workers <= 1:
-        results = [run(span) for span in chunks]
+    if workers > 1 and hasattr(os, "fork"):
+        samples = _run_forked(run, chunks, config.n_path, workers)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, chunks))
-    for (lo, hi), acc in zip(chunks, results):
-        samples[lo:hi] = acc
+        samples = np.empty(config.n_path)
+        for lo, hi in chunks:
+            samples[lo:hi] = run(lo, hi)
     return SampleSet(samples=samples)
 
 

@@ -79,6 +79,8 @@ def test_type_mismatches_are_reported():
         parse_config(HAPPY.replace("n_div=1000", "n_div=many"))
     with pytest.raises(ConfigError, match="number"):
         parse_config(HAPPY.replace("T=2", "T=two"))
+    with pytest.raises(ConfigError, match=r"key 'T' expects a number, got 'two'"):
+        parse_config(HAPPY.replace("T=2", "T=two"))
 
 
 def test_family_parameter_checks():
@@ -277,7 +279,11 @@ def test_summary_sits_next_to_an_output_in_a_dotted_directory(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dotted.cfg", "runs.v2"]
 
 
-def test_unwritable_output_is_config_error(tmp_path, capsys):
+def test_unwritable_output_is_config_error(tmp_path, capsys, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        pytest.fail("the output check must come before the Monte Carlo run")
+
+    monkeypatch.setattr(cli, "simulate", no_simulation)
     out = tmp_path / "missing" / "run.csv"
     assert main([write(tmp_path, "nowrite.cfg", SMALL_SIM.format(out=out))]) == 3
     err = capsys.readouterr().err

@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import os
+import pickle
 
 import numpy as np
 import pytest
@@ -11,10 +13,12 @@ from manifold_sde import (
     compare_methods,
     make_cost,
     make_manifold,
+    WorkerProcessError,
+    make_stepper,
     simulate,
     uniform_limit_run,
 )
-from manifold_sde.harness import THREADS_ENV
+from manifold_sde.harness import THREADS_ENV, _run_chunk
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +135,79 @@ def test_step_failure_names_path_and_step():
                                     path_chunk=32), spd)
     assert out.divergent == ()
     assert np.all(np.isfinite(out.samples))
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "4"])
+def test_step_failure_in_a_worker_process_is_raised_as_in_process(monkeypatch, workers):
+    # chunk 1 fails on path 15, which a child runs at 2 workers; chunk 2, the
+    # calling process's own at 2 workers, fails at the same step on path 23.
+    # The lowest chunk index wins, so every worker count raises the same error.
+    spd = make_manifold("spd", N=3)
+    cfg = SimulationConfig(T=2.0, n_div=4, n_path=32, seed=1, integrator="ito-em",
+                           max_retries=0, path_chunk=8)
+    stepper = make_stepper(spd, "ito-em", diffusion=cfg.diffusion)
+    with pytest.raises(StepFailureError, match=r"path 23 failed step 2 "):
+        _run_chunk(spd, stepper, cfg, CostFunctional(), 16, 24)
+    monkeypatch.setenv(THREADS_ENV, workers)
+    with pytest.raises(StepFailureError) as excinfo:
+        simulate(cfg, spd)
+    assert str(excinfo.value) == "spd(3): path 15 failed step 2 (t=1) after 0 retries"
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_process_that_dies_is_a_named_error(so3, monkeypatch):
+    parent = os.getpid()
+
+    def terminal(pts, t):
+        if os.getpid() != parent:
+            os._exit(7)
+        return np.zeros(pts.shape[0])
+
+    monkeypatch.setenv(THREADS_ENV, "2")
+    cfg = SimulationConfig(T=0.5, n_div=2, n_path=16, seed=0, path_chunk=8)
+    with pytest.raises(WorkerProcessError, match="exited with status 7") as excinfo:
+        simulate(cfg, so3, cost=CostFunctional(terminal=terminal))
+    assert excinfo.value.status == 7 and excinfo.value.pid != parent
+    _assert_no_child_left()
+
+
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise pickle.PicklingError("not picklable")
+
+
+def test_unpicklable_child_exception_comes_back_as_runtime_error(so3, monkeypatch):
+    parent = os.getpid()
+
+    def terminal(pts, t):
+        if os.getpid() != parent:
+            raise _Unpicklable("in a child")
+        return np.zeros(pts.shape[0])
+
+    monkeypatch.setenv(THREADS_ENV, "2")
+    cfg = SimulationConfig(T=0.5, n_div=2, n_path=16, seed=0, path_chunk=8)
+    with pytest.raises(RuntimeError, match=r"_Unpicklable\('in a child'\)"):
+        simulate(cfg, so3, cost=CostFunctional(terminal=terminal))
+    _assert_no_child_left()
+
+
+def test_interrupt_in_the_calling_process_reaps_every_worker(so3, monkeypatch):
+    parent = os.getpid()
+
+    def terminal(pts, t):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return np.zeros(pts.shape[0])
+
+    monkeypatch.setenv(THREADS_ENV, "4")
+    cfg = SimulationConfig(T=0.5, n_div=2, n_path=32, seed=0, path_chunk=8)
+    with pytest.raises(KeyboardInterrupt):
+        simulate(cfg, so3, cost=CostFunctional(terminal=terminal))
+    _assert_no_child_left()
 
 
 def test_rk4_blowup_in_simulate_is_a_step_failure(so3):

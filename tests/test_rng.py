@@ -127,14 +127,14 @@ def philox_builds(monkeypatch):
     return built
 
 
-def test_paths_without_retries_build_one_philox_per_worker_thread(philox_builds, monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "4")
+def test_paths_without_retries_build_one_shared_philox(philox_builds, monkeypatch):
+    # one worker, so every build happens where the monkeypatch can count it
+    monkeypatch.setenv(THREADS_ENV, "1")
+    monkeypatch.setattr(rng, "_local", threading.local())
     so3 = make_manifold("so", N=3)
     out = simulate(SimulationConfig(T=1.0, n_div=10, n_path=64, seed=3, path_chunk=8), so3)
     assert out.n_path == 64
-    threads = [tid for tid, _ in philox_builds]
-    assert len(threads) == len(set(threads)) <= 4
-    assert all(key is None for _, key in philox_builds)
+    assert [key for _, key in philox_builds] == [None]
 
 
 def test_only_paths_that_retry_open_a_generator_of_their_own(philox_builds, monkeypatch):
