@@ -26,7 +26,8 @@ Commands:
 Exit codes: 0 success, 2 step/validation failure, 3 config error (an
 output file that cannot be written is one too; ``simulate``, ``compare`` and
 ``uniform`` check that the directory of ``out`` exists and is writable before
-they run).  Path chunks run in forked worker processes, capped by
+they run), 4 worker failure (a worker process died without reporting on its
+chunks).  Path chunks run in forked worker processes, capped by
 MANIFOLD_SDE_THREADS (0 or unset = auto); a value that is not a
 non-negative integer is a config error.
 """
@@ -51,6 +52,7 @@ from .geometry import (
 )
 from .harness import (
     SimulationConfig,
+    WorkerProcessError,
     compare_methods,
     simulate,
     uniform_limit_run,
@@ -64,6 +66,7 @@ from .rng import RngStream
 EXIT_OK = 0
 EXIT_STEP_FAILURE = 2
 EXIT_CONFIG = 3
+EXIT_WORKER = 4
 
 # every config key and the type of its value
 _KEY_TYPES = {
@@ -373,6 +376,9 @@ def run(config: RunConfig) -> int:
     except StepFailureError as exc:
         print(f"step failure: {exc}", file=sys.stderr)
         return EXIT_STEP_FAILURE
+    except WorkerProcessError as exc:
+        print(f"worker failure: {exc}", file=sys.stderr)
+        return EXIT_WORKER
 
 
 def main(argv=None) -> int:

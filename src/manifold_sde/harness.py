@@ -1,14 +1,18 @@
 """Monte Carlo estimation of E[ int_0^T g(X_s, s) ds + f(X_T, T) ] on a manifold.
 
-Paths evolve on a uniform grid h = T / n_div.  Path i draws all of its noise
-from the counter-based stream (seed, stream_id=i): one block of n_div
-increments up front, then any retry draws in failure order.  That makes the
-estimate bit-identical for a fixed config no matter how paths are chunked or
-how many worker processes run, and lets a single path be replayed in isolation.
-Opening a path's stream builds no generator: its block is drawn from one
-generator per process re-keyed to the stream, and only a path that retries
-opens a generator of its own (see ``rng``).  The draws are those of the
-stream's own generator either way, so the samples do not depend on it.
+Paths evolve on a uniform grid h = T / n_div.  Every normal is a pure
+function of (seed, path, step, attempt), addressed through the Philox counter
+(see ``rng``).  Paths 64 b ... 64 b + 63 over steps 16 tau ... 16 tau + 15
+form block (b, tau), whose increments are one C-ordered
+``(steps, 64) + noise_shape`` draw from the stream ``(seed, b, (0, tau, 0, 0))``;
+the last time block draws ``min(16, n_div - 16 tau)`` steps, a prefix of the
+same layout.  Attempt a >= 1 of path i at step j draws ``noise_shape`` from
+the stream ``(seed, i, (0, j, a, 0))``, so a retry's values do not depend on
+which other rows failed.  That makes the estimate bit-identical for a fixed
+config no matter how paths are chunked or how many worker processes run, and
+lets one increment be replayed by one stream call.  A chunk holds the noise
+of one time block at a time, so its noise memory is bounded by
+chunk x 16 x noise size whatever n_div is.
 
 Chunks of paths run in forked worker processes (``os.fork``): the calling
 process is worker 0 and forks ``workers - 1`` children, chunk k goes to worker
@@ -48,6 +52,10 @@ from .integrators import (
 from .rng import RngStream
 
 THREADS_ENV = "MANIFOLD_SDE_THREADS"
+
+# the noise layout: paths and steps per block drawn by one stream (see _noise_block)
+BLOCK_PATHS = 64
+BLOCK_STEPS = 16
 
 
 class WorkerProcessError(RuntimeError):
@@ -155,13 +163,33 @@ def _worker_count(n_chunks: int) -> int:
     return max(1, min(cap, n_chunks) if cap else auto)
 
 
+def _noise_block(seed: int, lo: int, hi: int, tau: int, steps: int, noise: tuple) -> np.ndarray:
+    """Main increments of paths [lo, hi) at steps 16 tau ... 16 tau + steps - 1,
+    shaped (steps, hi - lo) + noise.
+
+    Path block b holds paths 64 b ... 64 b + 63; its increments over time
+    block tau are one C-ordered ``(steps, 64) + noise`` draw from the stream
+    ``(seed, b, (0, tau, 0, 0))``.  A shorter last time block draws a prefix
+    of that layout, so step j's normals do not depend on ``n_div``.
+    """
+    first, last = lo // BLOCK_PATHS, (hi - 1) // BLOCK_PATHS
+    shape = (steps, BLOCK_PATHS) + noise
+    parts = [RngStream(seed, stream_id=b, counter=(0, tau, 0, 0)).normal(shape)
+             for b in range(first, last + 1)]
+    block = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    offset = first * BLOCK_PATHS
+    return block[:, lo - offset:hi - offset]
+
+
 def _run_chunk(handle: ManifoldHandle, stepper: Stepper, config: SimulationConfig,
                cost: CostFunctional, lo: int, hi: int) -> np.ndarray:
     """Advance paths [lo, hi) as whole arrays; returns their samples.
 
-    Each step moves the whole chunk at once.  Rows the stepper flags are
-    resampled from their own streams; a row still flagged after
-    ``max_retries`` draws raises StepFailureError, the one way a run fails.
+    Each step moves the whole chunk at once.  The chunk holds the noise of
+    one time block at a time (``_noise_block``).  A row the stepper flags is
+    resampled, attempt a of path i at step j drawing from the stream
+    ``(seed, i, (0, j, a, 0))``; a row still flagged after ``max_retries``
+    draws raises StepFailureError, the one way a run fails.
     """
     size = hi - lo
     h = config.h
@@ -173,9 +201,6 @@ def _run_chunk(handle: ManifoldHandle, stepper: Stepper, config: SimulationConfi
         zeta = np.clip(raw, -bound, bound) if bound is not None else raw
         return WienerIncrement(raw=raw, truncated=zeta, h=h, r=config.r)
 
-    streams = [RngStream(seed=config.seed, stream_id=i) for i in range(lo, hi)]
-    blocks = np.stack([s.normal((config.n_div,) + noise) for s in streams], axis=1)
-
     # astype keeps the broadcast view's axis order; the copy makes the state
     # C-ordered, and the steppers' rounding depends on that layout
     state = np.broadcast_to(handle.default_point(), (size,) + handle.shape).astype(float).copy()
@@ -183,20 +208,27 @@ def _run_chunk(handle: ManifoldHandle, stepper: Stepper, config: SimulationConfi
 
     for j in range(config.n_div):
         t = j * h
-        out = stepper.step(state, t, h, increment(blocks[j]))
+        tau, s = divmod(j, BLOCK_STEPS)
+        if s == 0:
+            block = _noise_block(config.seed, lo, hi, tau,
+                                 min(BLOCK_STEPS, config.n_div - j), noise)
+        out = stepper.step(state, t, h, increment(block[s]))
         ok = np.asarray(out.ok)
         state[ok] = out.state[ok]
 
-        attempts = 0
+        attempt = 0
         pending = np.nonzero(~ok)[0]
         while pending.size:
-            attempts += 1
-            if attempts > config.max_retries:
+            attempt += 1
+            if attempt > config.max_retries:
                 raise StepFailureError(
                     f"{handle.name}: path {lo + int(pending[0])} failed step {j} "
                     f"(t={t:.6g}) after {config.max_retries} retries"
                 )
-            raw = np.stack([streams[i].normal(noise) for i in pending])
+            raw = np.stack([
+                RngStream(config.seed, stream_id=lo + i, counter=(0, j, attempt, 0)).normal(noise)
+                for i in pending.tolist()
+            ])
             out = stepper.step(state[pending], t, h, increment(raw))
             ok = np.asarray(out.ok)
             state[pending[ok]] = out.state[ok]
@@ -362,7 +394,7 @@ class ComparisonTable:
 
     ``consistent`` is True when every pair of cells differs by at most three
     combined standard errors, hypot(stderr_a, stderr_b).  The cells share
-    their per-path streams, so that allowance overstates the noise in a
+    their random numbers, so that allowance overstates the noise in a
     difference and can miss a real bias; see :func:`compare_methods`.
     """
 
@@ -406,8 +438,9 @@ def compare_methods(config: SimulationConfig, handle: ManifoldHandle,
                     n_divs: Sequence[int] = (200, 500, 700)) -> ComparisonTable:
     """Estimate the same functional over an integrator x n_div grid.
 
-    Every cell reuses the config's seed, so path i draws from the same
-    stream (seed, i) in every cell and the cells are strongly positively
+    Every cell reuses the config's seed, so path i draws the same normals at
+    step j in every cell, whatever its n_div (each (path block, time block)
+    draw is a prefix of one stream), and the cells are strongly positively
     correlated (common random numbers).  The pairwise check allows
     3 * hypot(stderr_a, stderr_b), which treats the cells as independent:
     under that correlation the allowance is loose, not conservative, and a

@@ -26,10 +26,10 @@ call: the projected schemes and each RK4 pass through
 Gamma(x; v, v) once per step).  Rows whose step is non-finite or leaves the
 retraction domain are frozen at the previous state and flagged in
 ``StepResult.ok``; the caller decides whether to resample those increments
-(the simulation harness retries a few times from the path's own stream
-before giving up).  ``make_stepper`` holds the per-scheme rules in one table:
-the SDE form consumed, whether the move is a normalized walk (raw increments,
-generator scale required) and the tangent retraction.
+(the simulation harness retries a few times, each attempt from a stream of
+its own, before giving up).  ``make_stepper`` holds the per-scheme rules in
+one table: the SDE form consumed, whether the move is a normalized walk (raw
+increments, generator scale required) and the tangent retraction.
 """
 
 from __future__ import annotations

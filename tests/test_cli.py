@@ -1,10 +1,11 @@
 import csv
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
-from manifold_sde import SimulationConfig, StepFailureError, cli, make_manifold, simulate
+from manifold_sde import SimulationConfig, StepFailureError, cli, harness, make_manifold, simulate
 from manifold_sde.cli import ConfigError, main, parse_config
 from manifold_sde.harness import THREADS_ENV
 from manifold_sde.manifolds import MANIFOLD_NAMES
@@ -178,6 +179,26 @@ def test_step_failure_exits_with_code_2(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_dead_worker_process_exits_with_code_4(tmp_path, capsys, monkeypatch):
+    parent = os.getpid()
+    run_chunk = harness._run_chunk
+
+    def dying_run_chunk(*args):
+        if os.getpid() != parent:
+            os._exit(9)
+        return run_chunk(*args)
+
+    monkeypatch.setattr(harness, "_run_chunk", dying_run_chunk)
+    monkeypatch.setenv(THREADS_ENV, "2")
+    out = tmp_path / "dead.csv"
+    text = SMALL_SIM.format(out=out).replace("n_path = 16", "n_path = 600")
+    assert main([write(tmp_path, "dead.cfg", text)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("worker failure: worker process ") and "exited with status 9" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_validate_sphere_passes(tmp_path, capsys):
     path = write(tmp_path, "val.cfg", "command=validate\nmanifold=sphere\nn=3\n")
     assert main([path]) == 0
@@ -233,15 +254,15 @@ def test_simulate_csv_schema_and_summary_consistency(tmp_path, capsys):
 # numpy/LAPACK build, so a toolchain change may need them re-recorded.
 PINNED_PATH_CSV = [
     ("manifold = so\nN = 3\n", "retractive-em", "sum_abs",
-     "c1ba7158028c831ff16189961056e339e9fa6ff353bc4688db264d150508a222"),
+     "75cfda9738debf9f5faedeaaa4b91d4f0473828247c02d8ba726a1b8b6e0aacb"),
     ("manifold = spd\nN = 3\n", "strat-heun", "spd_running",
-     "2dbccbb106c035dc1594ae045f04fe2b3a4f327550437484f9ee871ba5537793"),
+     "e0d4bc19a3a5ec5580909cbf5bdbc7bc71d6c987dba8e26472b42bc9e9b62de1"),
     ("manifold = sphere\nn = 3\n", "geodesic-walk", "phi_5_2",
-     "b410ef3d5833ba49354b701d6aee19901c8d5ef83679f6dd13a7e0c5f3e993d9"),
+     "359c8489eb90a9ccfe33163b7590914edfee598926e082de013fbd9ac8b412d6"),
     ("manifold = stiefel\nn = 5\np = 3\n", "rk4-geodesic", "sum_abs",
-     "99cb2ab6957745923175aa6b021339a312f4686897bb97a66a928cb477b56104"),
+     "33e5e998c36de540fe31ba7cd4a074b59a98e3abc189bfba09fde6cda9e50bfd"),
     ("manifold = so\nN = 8\n", "ito-em", "sum_abs",
-     "86ae9f344a3a3e3f85951a0325cff6686f44eee4744e2de1d061e8c12272c96c"),
+     "2cd2a647922965bafae8f21bc74b24953731ec122d67dc2da381ed5e8420fb6a"),
 ]
 
 
@@ -258,8 +279,8 @@ def test_simulate_path_csv_bytes_are_pinned(tmp_path, capsys, monkeypatch,
 
 
 # the same for a coarse spd(3) strat-heun run (T = 2, 10 steps, 48 paths,
-# seed 5) in which 67 proposal rows over 26 retract calls leave the domain
-# and are retried, so the digest also covers the rejected-row path
+# seed 5) in which 64 stepped rows over 14 step calls leave the domain and
+# are retried, so the digest also covers the rejected-row path
 def test_retry_heavy_path_csv_bytes_are_pinned(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(THREADS_ENV, "1")
     out = tmp_path / "retry.csv"
@@ -267,7 +288,7 @@ def test_retry_heavy_path_csv_bytes_are_pinned(tmp_path, capsys, monkeypatch):
             f"n_div = 10\nn_path = 48\nseed = 5\ncost = spd_running\nout = {out}\n")
     assert main([write(tmp_path, "retry.cfg", text)]) == 0
     assert (hashlib.sha256(out.read_bytes()).hexdigest()
-            == "92cdfeebb90ea4d44ef57b10f4c15c54407b7c31c07f7a9b8cc9d49e81386624")
+            == "0ae675ad83fb45cf36efc54a79d341d38e18422d391fd584fdb1fbab4dc5f534")
 
 
 def test_summary_sits_next_to_an_output_in_a_dotted_directory(tmp_path, capsys):

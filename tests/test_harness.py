@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import math
 import os
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,7 +20,9 @@ from manifold_sde import (
     simulate,
     uniform_limit_run,
 )
-from manifold_sde.harness import THREADS_ENV, _run_chunk
+from manifold_sde import harness
+from manifold_sde.harness import BLOCK_PATHS, BLOCK_STEPS, THREADS_ENV, _noise_block, _run_chunk
+from manifold_sde.rng import RngStream
 
 
 @pytest.fixture(scope="module")
@@ -87,21 +91,21 @@ def test_results_independent_of_chunking_and_threads(so3, monkeypatch):
 # numpy/LAPACK change may need them re-recorded.
 PINNED_WALK_SAMPLES = [
     ("so", {"N": 3}, "geodesic-walk",
-     "c2f609e15f87ef5ca8418b86122eaf3edfcb764c914a7d1449916f6e3e511c5d"),
+     "a8f4663fe08ef1f285ee3a0db79a17b4a2a7fea0a4f0b6149fcc1a3f94f68fdd"),
     ("so", {"N": 3}, "rk4-geodesic",
-     "4e189757b5b5add95e8777d008e8c513aa2ad9a362e9d92649c6be4b29af95bd"),
+     "c5eb6f0b774cc1355bb4e98aa1c1a6a567132e7160f294c3e165dd2b1d25fed1"),
     ("spd", {"N": 3}, "geodesic-walk",
-     "23184248b9c26e242a39ef5b1c6372c915be071c6299fcab0669dd627d367e8d"),
+     "6d4d2f4a891875abc5191e7729a832198a0204d6eb93539aca197d613682d012"),
     ("spd", {"N": 3}, "rk4-geodesic",
-     "6f272d0af018dd49971e2b0c59fc4092dd61726964edd9024fabd42d606d2899"),
+     "6af60cd570a2c0a439d4753bcaa8250c4d5cce86d00f0d992c2e7beb448bf4f5"),
     ("hyperbolic", {"n": 3}, "geodesic-walk",
-     "4a612d4c51ff834db9cce68747730742e10a2a71d69c49d3117884c3c8b6940d"),
+     "3e492f1caca5c72840baa44207df2998f71817f3dec6ebcea32ebbe6ae3f22e5"),
     ("hyperbolic", {"n": 3}, "rk4-geodesic",
-     "4b8b839b85e6b61d803a52afa6c1fb9be94e8bd2da4826be47027654829938c9"),
+     "cac5af8618cc25c634da5462221b366bde7c30ea45afb507ecef0d938ea1e8a6"),
     ("grassmann", {"n": 5, "p": 2}, "geodesic-walk",
-     "5d86223711403c3f5ba69524cfd8492f25e70fc722ef63f75e8f5234c0e6d0b8"),
+     "038abca6da1b311e0e55d8c92ad4cee79eb756bf3617676c2492bca22deda71d"),
     ("grassmann", {"n": 5, "p": 2}, "rk4-geodesic",
-     "a7e94297424bdebbf6ee9bc6acf1656ffc16c824d4f26a52d5f98a3f81d39bfc"),
+     "e9d2bf662518bd67a38478d6c5810641fa561e4a39e6e8684394a09cacfad239"),
 ]
 
 
@@ -127,9 +131,9 @@ def test_step_failure_names_path_and_step():
     spd = make_manifold("spd", N=3)
     cfg = SimulationConfig(T=2.0, n_div=4, n_path=32, seed=0, integrator="ito-em",
                            max_retries=0, path_chunk=32)
-    with pytest.raises(StepFailureError, match=r"path 24 failed step 0"):
+    with pytest.raises(StepFailureError, match=r"path 17 failed step 1"):
         simulate(cfg, spd)
-    # retried draws from the same per-path streams recover every path
+    # retry draws (attempts 1, 2, ... of the path-step) recover every path
     out = simulate(SimulationConfig(T=2.0, n_div=4, n_path=32, seed=0,
                                     integrator="ito-em", max_retries=5,
                                     path_chunk=32), spd)
@@ -139,19 +143,21 @@ def test_step_failure_names_path_and_step():
 
 @pytest.mark.parametrize("workers", ["1", "2", "4"])
 def test_step_failure_in_a_worker_process_is_raised_as_in_process(monkeypatch, workers):
-    # chunk 1 fails on path 15, which a child runs at 2 workers; chunk 2, the
-    # calling process's own at 2 workers, fails at the same step on path 23.
-    # The lowest chunk index wins, so every worker count raises the same error.
+    # chunk 0 finishes; chunk 1 fails on path 15, which a child runs at 2
+    # workers; chunk 2, the calling process's own at 2 workers, fails at the
+    # same step on path 17.  The lowest chunk index wins, so every worker
+    # count raises the same error.
     spd = make_manifold("spd", N=3)
-    cfg = SimulationConfig(T=2.0, n_div=4, n_path=32, seed=1, integrator="ito-em",
+    cfg = SimulationConfig(T=2.0, n_div=4, n_path=32, seed=50, integrator="ito-em",
                            max_retries=0, path_chunk=8)
     stepper = make_stepper(spd, "ito-em", diffusion=cfg.diffusion)
-    with pytest.raises(StepFailureError, match=r"path 23 failed step 2 "):
+    _run_chunk(spd, stepper, cfg, CostFunctional(), 0, 8)
+    with pytest.raises(StepFailureError, match=r"path 17 failed step 1 "):
         _run_chunk(spd, stepper, cfg, CostFunctional(), 16, 24)
     monkeypatch.setenv(THREADS_ENV, workers)
     with pytest.raises(StepFailureError) as excinfo:
         simulate(cfg, spd)
-    assert str(excinfo.value) == "spd(3): path 15 failed step 2 (t=1) after 0 retries"
+    assert str(excinfo.value) == "spd(3): path 15 failed step 1 (t=0.5) after 0 retries"
 
 
 def _assert_no_child_left():
@@ -229,6 +235,142 @@ def test_retry_draws_keep_runs_chunk_invariant():
     a = simulate(SimulationConfig(path_chunk=32, **base), spd)
     b = simulate(SimulationConfig(path_chunk=7, **base), spd)
     np.testing.assert_array_equal(a.samples, b.samples)
+
+
+# ---------------------------------------------------------------------------
+# the noise layout: 64-path x 16-step blocks, one stream per block, and one
+# stream per retry attempt of a path-step
+
+
+def _record_steps(monkeypatch):
+    """Patch the harness's ``make_stepper`` so every step call appends
+    (raw increment, ok flags) to the returned list."""
+    calls = []
+    real = harness.make_stepper
+
+    def factory(*args, **kwargs):
+        stepper = real(*args, **kwargs)
+
+        def step(x, t, h, inc):
+            out = stepper.step(x, t, h, inc)
+            calls.append((np.array(inc.raw), np.array(out.ok)))
+            return out
+
+        return dataclasses.replace(stepper, step=step)
+
+    monkeypatch.setattr(harness, "make_stepper", factory)
+    return calls
+
+
+def test_each_increment_replays_from_one_stream_call(monkeypatch):
+    # one chunk at one worker: each step is one call on every path, then one
+    # call per retry attempt on the rows still flagged, in path order
+    monkeypatch.setenv(THREADS_ENV, "1")
+    calls = _record_steps(monkeypatch)
+    spd = make_manifold("spd", N=3)
+    cfg = SimulationConfig(T=6.0, n_div=33, n_path=130, seed=3, path_chunk=1000)
+    simulate(cfg, spd)
+    noise = (3, 3)
+
+    def main_increment(i, j):
+        tau = j // BLOCK_STEPS
+        steps = min(BLOCK_STEPS, cfg.n_div - BLOCK_STEPS * tau)
+        block = RngStream(cfg.seed, i // BLOCK_PATHS, counter=(0, tau, 0, 0))
+        return block.normal((steps, BLOCK_PATHS) + noise)[j % BLOCK_STEPS, i % BLOCK_PATHS]
+
+    calls = iter(calls)
+    retries = Counter()
+    for j in range(cfg.n_div):
+        raw, ok = next(calls)
+        for i in (0, 63, 64, 129):
+            np.testing.assert_array_equal(raw[i], main_increment(i, j))
+        pending = np.nonzero(~ok)[0]
+        attempt = 0
+        while pending.size:
+            attempt += 1
+            raw, ok = next(calls)
+            for row, i in enumerate(pending):
+                retry = RngStream(cfg.seed, int(i), counter=(0, j, attempt, 0))
+                np.testing.assert_array_equal(raw[row], retry.normal(noise))
+            retries[attempt] += pending.size
+            pending = pending[~ok]
+    assert next(calls, None) is None
+    assert retries[2] > 0  # second attempts too
+
+
+@pytest.mark.parametrize("n_div", [17, 33])
+@pytest.mark.parametrize("family,params,integrator,T,cost", [
+    ("sphere", {"n": 3}, "ito-em", 1.0, "phi_5_2"),
+    # coarse enough that hundreds of rows leave the domain and are retried
+    ("spd", {"N": 3}, "strat-heun", 4.0, "spd_running"),
+], ids=["sphere-ito-em", "spd-strat-heun"])
+def test_samples_do_not_depend_on_chunk_or_workers_across_block_edges(
+        monkeypatch, family, params, integrator, T, cost, n_div):
+    handle = make_manifold(family, **params)
+    reference = None
+    for chunk in (7, 63, 64, 65, 1000):
+        for cap in ("1", "2"):
+            monkeypatch.setenv(THREADS_ENV, cap)
+            cfg = SimulationConfig(T=T, n_div=n_div, n_path=150, seed=3,
+                                   integrator=integrator, path_chunk=chunk)
+            samples = simulate(cfg, handle, cost=make_cost(cost, handle)).samples
+            if reference is None:
+                reference = samples
+            assert samples.tobytes() == reference.tobytes(), (chunk, cap)
+
+
+def test_main_draws_hold_at_most_one_block(so3, monkeypatch):
+    shapes = []
+
+    class Recording(RngStream):
+        def normal(self, shape=()):
+            shapes.append(tuple(shape))
+            return super().normal(shape)
+
+    monkeypatch.setattr(harness, "RngStream", Recording)
+    monkeypatch.setenv(THREADS_ENV, "1")
+    for n_div in (40, 400):
+        shapes.clear()
+        simulate(SimulationConfig(T=1.0, n_div=n_div, n_path=200, seed=1), so3)
+        # 4 path blocks per time block; the draws grow in number, not in size
+        assert len(shapes) == 4 * math.ceil(n_div / BLOCK_STEPS)
+        assert all(s[0] <= BLOCK_STEPS and s[1:] == (BLOCK_PATHS, 3, 3) for s in shapes)
+
+
+def _assert_uncorrelated(a, b):
+    a, b = np.ravel(a), np.ravel(b)
+    assert abs(np.corrcoef(a, b)[0, 1]) < 5.0 / math.sqrt(a.size)
+
+
+def test_block_normals_are_standard_normal():
+    z = _noise_block(seed=7, lo=0, hi=15_625, tau=0, steps=BLOCK_STEPS, noise=(4,)).ravel()
+    n = z.size
+    assert n == 10**6
+    assert abs(z.mean()) < 5.0 / math.sqrt(n)
+    assert abs(z.var() - 1.0) < 5.0 * math.sqrt(2.0 / n)
+    # Kolmogorov-Smirnov: sqrt(n) D below 1.95, the 0.001 critical value
+    x = np.sort(z)
+    cdf = 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
+    d = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+    assert math.sqrt(n) * d < 1.95
+
+
+def test_paths_across_a_path_block_edge_are_uncorrelated():
+    pairs = [_noise_block(11, 63, 65, tau, BLOCK_STEPS, (3, 3)) for tau in range(1000)]
+    _assert_uncorrelated([p[:, 0] for p in pairs], [p[:, 1] for p in pairs])
+
+
+def test_steps_across_a_time_block_edge_are_uncorrelated():
+    last = _noise_block(12, 0, 20_000, 0, BLOCK_STEPS, (3,))[BLOCK_STEPS - 1]
+    first = _noise_block(12, 0, 20_000, 1, BLOCK_STEPS, (3,))[0]
+    _assert_uncorrelated(last, first)
+
+
+def test_first_retry_is_uncorrelated_with_the_main_draw():
+    j, n = 5, 20_000
+    main = _noise_block(13, 0, n, 0, BLOCK_STEPS, (3,))[j]
+    retry = [RngStream(13, i, counter=(0, j, 1, 0)).normal((3,)) for i in range(n)]
+    _assert_uncorrelated(main, retry)
 
 
 def test_non_finite_cost_value_shows_in_the_estimate(so3):

@@ -11,6 +11,7 @@ from manifold_sde import (
     laplace_beltrami,
     laplacian_frame_oracle,
     make_manifold,
+    oracles,
     sample_uniform,
     uniform_cost_estimate,
 )
@@ -77,6 +78,29 @@ def test_heat_kernel_values_positive_at_series_floor():
     for tag in ("s2", "s3"):
         dens = heat_kernel_values(tag, grid, T=2e-4, diffusion=0.5)
         assert float(np.min(dens)) >= -1e-12
+
+
+def _s3_expectation_summed_wide(cost, T, diffusion, radius):
+    """heat_expectation_s3 with the series summed in long double at every tau."""
+    tau = diffusion * T / radius**2
+    ls = np.arange(oracles._series_order(tau) + 1, dtype=float)
+    weights = (ls + 1.0) / (2.0 * np.pi**2) * np.exp(-ls * (ls + 2.0) * tau)
+
+    def integrand(phi):
+        sphi = np.where(np.abs(np.sin(phi)) < 1e-14, 1e-14, np.sin(phi))
+        args = np.outer(phi.astype(np.longdouble), (ls + 1.0).astype(np.longdouble))
+        dens = np.asarray(np.sin(args) @ weights.astype(np.longdouble), dtype=float) / sphi
+        return cost(phi) * dens * 4.0 * np.pi * np.sin(phi) ** 2
+
+    return oracles._refined_integral(integrand)
+
+
+@pytest.mark.parametrize("T,diffusion,radius", [(2.0, 0.4, 3.0), (2e-3, 0.5, 1.0)],
+                         ids=["reference-config", "tau-1e-3"])
+def test_s3_expectation_matches_the_long_double_sum(T, diffusion, radius):
+    for cost in (phi_32_52, phi_52):
+        want = _s3_expectation_summed_wide(cost, T, diffusion, radius)
+        assert abs(heat_expectation_s3(cost, T, diffusion, radius) - want) <= 1e-15
 
 
 def test_heat_kernel_values_unknown_tag():

@@ -63,6 +63,22 @@ def oracle(seed, stream_id):
     return np.random.Generator(np.random.Philox(key=(seed % 2**64, stream_id % 2**64)))
 
 
+@pytest.mark.parametrize("counter", [0, 1, 3 << 64, (0, 5, 0, 0), (7, 2, 1, 0),
+                                     (2**64 - 1, 2**64 - 1, 2**64 - 1, 2**64 - 1)])
+def test_counter_draws_match_the_philox_generator_at_that_counter(counter):
+    words = counter if isinstance(counter, int) else np.array(counter, dtype=np.uint64)
+    ref = np.random.Generator(np.random.Philox(key=(21, 8), counter=words))
+    s = RngStream(21, 8, counter=counter)
+    np.testing.assert_array_equal(s.normal((4, 3)), ref.standard_normal((4, 3)))
+    np.testing.assert_array_equal(s.normal((5,)), ref.standard_normal((5,)))
+
+
+@pytest.mark.parametrize("counter", [-1, 2**256, (0, 0, 0), (0, 0, 2**64, 0)])
+def test_out_of_range_counter_is_rejected(counter):
+    with pytest.raises(ValueError, match="counter"):
+        RngStream(0, 0, counter=counter)
+
+
 @pytest.mark.parametrize("seed,stream_id", [(0, 0), (7, 12345), (2**64 + 3, 2**65 + 11),
                                             (2**70, 2**64)])
 def test_draws_match_the_keyed_philox_generator(seed, stream_id):
@@ -137,18 +153,25 @@ def test_paths_without_retries_build_one_shared_philox(philox_builds, monkeypatc
     assert [key for _, key in philox_builds] == [None]
 
 
-def test_only_paths_that_retry_open_a_generator_of_their_own(philox_builds, monkeypatch):
+def test_simulate_builds_no_philox_and_draws_every_stream_once(philox_builds, monkeypatch):
+    # a retry-heavy run in one 64-path chunk: each block stream and each
+    # retry stream is drawn once, so none opens a generator of its own
+    monkeypatch.setenv(THREADS_ENV, "1")
+    RngStream(0).normal()  # this thread's shared generator exists before counting
+    philox_builds.clear()
     draws = Counter()
     normal = RngStream.normal
 
     def counted_normal(self, shape=()):
-        draws[(self.seed, self.stream_id)] += 1
+        draws[(self.seed, self.stream_id, self.counter)] += 1
         return normal(self, shape)
 
     monkeypatch.setattr(RngStream, "normal", counted_normal)
     spd = make_manifold("spd", N=3)
-    simulate(SimulationConfig(T=2.0, n_div=10, n_path=64, seed=5), spd)
-    retried = sorted(k for k, n in draws.items() if n > 1)
-    opened = sorted(key for _, key in philox_builds if key is not None)
-    assert 0 < len(retried) < 64
-    assert opened == retried
+    simulate(SimulationConfig(T=6.0, n_div=40, n_path=64, seed=5), spd)
+    blocks = [key for key in draws if key[2][2] == 0]
+    retries = [key for key in draws if key[2][2] > 0]
+    assert sorted(blocks) == [(5, 0, (0, tau, 0, 0)) for tau in range(3)]
+    assert len(retries) > 0
+    assert set(draws.values()) == {1}
+    assert philox_builds == []
