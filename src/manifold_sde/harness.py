@@ -16,11 +16,14 @@ chunk x 16 x noise size whatever n_div is.
 
 Chunks of paths run in forked worker processes (``os.fork``): the calling
 process is worker 0 and forks ``workers - 1`` children, chunk k goes to worker
-k mod workers, and every worker runs its chunks in ascending order.  The
-children write their samples into one shared anonymous ``mmap`` and report
-their first failure through a pipe; the run raises the failure of the lowest
-chunk index, which is what one process running every chunk in order raises.
-With one worker, one chunk, or no ``os.fork`` the chunks run in-process.
+k mod workers, and every worker runs its chunks in ascending order.  Each run
+plans its chunks for its worker count (``_plan_chunks``), so every worker runs
+as many chunks of near-equal size.  The children write their samples into one
+shared anonymous ``mmap`` and report their least failure through a pipe.  A
+failing run raises the StepFailureError of the earliest step, and of the
+lowest path at that step, which is what one chunk holding every path raises;
+any other exception comes first, from the lowest chunk that raised one.  With
+one worker, which is all there is without ``os.fork``, nothing is forked.
 
 The running cost is accumulated as sum_j g(X_{j+1}, j h) * h (the post-step
 point with the pre-step time, matching the reference loop order), plus the
@@ -73,7 +76,11 @@ class WorkerProcessError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Inputs of one Monte Carlo run; h = T / n_div."""
+    """Inputs of one Monte Carlo run; h = T / n_div.
+
+    ``path_chunk`` is an upper bound on the paths per chunk; each run plans
+    its chunks for its worker count (see ``_plan_chunks``).
+    """
 
     T: float
     n_div: int
@@ -150,8 +157,14 @@ class SampleSet:
         return float(np.std(self.samples, ddof=1) / np.sqrt(n))
 
 
-def _worker_count(n_chunks: int) -> int:
-    """Worker processes for ``n_chunks`` chunks, capped by THREADS_ENV (0 or unset = auto)."""
+def _worker_count(config: SimulationConfig) -> int:
+    """Worker processes for one run, capped by THREADS_ENV (0 or unset = auto).
+
+    A cap gives min(cap, ceil(n_path / path_chunk)).  Auto gives up to the CPU
+    count, but no more workers than started blocks of 64 x 16 path-steps,
+    so a run of at most one block does not fork, and never more than the
+    paths.  Without ``os.fork`` there is one.
+    """
     raw = os.environ.get(THREADS_ENV, "0").strip()
     try:
         cap = int(raw)
@@ -159,8 +172,36 @@ def _worker_count(n_chunks: int) -> int:
         cap = -1
     if cap < 0:
         raise ValueError(f"{THREADS_ENV} must be a non-negative integer, got {raw!r}")
-    auto = min(n_chunks, os.cpu_count() or 1)
-    return max(1, min(cap, n_chunks) if cap else auto)
+    if not hasattr(os, "fork"):
+        return 1
+    if cap:
+        return max(1, min(cap, -(-config.n_path // config.path_chunk)))
+    blocks = -(-config.n_path * config.n_div // (BLOCK_PATHS * BLOCK_STEPS))
+    return max(1, min(os.cpu_count() or 1, blocks, config.n_path))
+
+
+def _plan_chunks(n_path: int, path_chunk: int, workers: int) -> list:
+    """Contiguous (lo, hi) chunks covering paths [0, n_path) in order.
+
+    There are k = workers * ceil(n_path / (workers * path_chunk)) chunks, so
+    every worker runs as many, and none holds more than path_chunk paths.
+    Whole 64-path blocks are shared out when every chunk then gets one,
+    the larger shares going last, where the short final block is; chunk
+    sizes then differ by at most one block.  Otherwise paths are shared out
+    the same way and sizes differ by at most one path; a chunk left empty
+    (k above n_path) is dropped.
+    """
+    k = workers * -(-n_path // (workers * path_chunk))
+
+    def edges(units, size):
+        q, rem = divmod(units, k)
+        return [min(n_path, size * (i * q + max(0, i - k + rem))) for i in range(k + 1)]
+
+    bounds = edges(-(-n_path // BLOCK_PATHS), BLOCK_PATHS)
+    sizes = np.diff(bounds)
+    if sizes.min() < 1 or sizes.max() > path_chunk:
+        bounds = edges(n_path, 1)
+    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
 def _noise_block(seed: int, lo: int, hi: int, tau: int, steps: int, noise: tuple) -> np.ndarray:
@@ -221,9 +262,11 @@ def _run_chunk(handle: ManifoldHandle, stepper: Stepper, config: SimulationConfi
         while pending.size:
             attempt += 1
             if attempt > config.max_retries:
+                path = lo + int(pending[0])
                 raise StepFailureError(
-                    f"{handle.name}: path {lo + int(pending[0])} failed step {j} "
-                    f"(t={t:.6g}) after {config.max_retries} retries"
+                    f"{handle.name}: path {path} failed step {j} "
+                    f"(t={t:.6g}) after {config.max_retries} retries",
+                    step=j, path=path,
                 )
             raw = np.stack([
                 RngStream(config.seed, stream_id=lo + i, counter=(0, j, attempt, 0)).normal(noise)
@@ -244,16 +287,37 @@ def _run_chunk(handle: ManifoldHandle, stepper: Stepper, config: SimulationConfi
     return acc
 
 
+def _failure_order(failure) -> tuple:
+    """Sort key of a chunk failure (chunk index, exception): any other
+    exception before a located step failure, the lowest chunk first; step
+    failures by (step, path).  The least is what one chunk holding every path
+    raises, whatever the layout."""
+    k, exc = failure
+    if isinstance(exc, StepFailureError) and exc.step is not None:
+        return (1, exc.step, exc.path)
+    return (0, k)
+
+
 def _run_share(run, chunks, worker: int, workers: int, out: np.ndarray):
     """Run chunks worker, worker + workers, ... in order into ``out``; returns
-    the first failure as (chunk index, exception), or None."""
+    the least failure (``_failure_order``) as (chunk index, exception), or None.
+
+    A chunk stops at its first failure.  After a step failure the share runs
+    on, since a later chunk may fail at an earlier step; any other exception
+    ends it.
+    """
+    least = None
     for k in range(worker, len(chunks), workers):
         lo, hi = chunks[k]
         try:
             out[lo:hi] = run(lo, hi)
         except Exception as exc:
-            return k, exc
-    return None
+            failure = (k, exc)
+            if least is None or _failure_order(failure) < _failure_order(least):
+                least = failure
+            if _failure_order(failure)[0] == 0:
+                break
+    return least
 
 
 def _encode_report(failure) -> bytes:
@@ -297,7 +361,8 @@ def _write_all(fd: int, data: bytes) -> None:
 
 def _run_forked(run, chunks, n_path: int, workers: int) -> np.ndarray:
     """Run ``chunks`` on this process (worker 0) and ``workers - 1`` forked
-    children; returns the samples or raises the lowest-indexed chunk failure.
+    children (none for one worker); returns the samples or raises the least
+    failure (``_failure_order``).
 
     The children write samples into one shared anonymous mmap and a report
     into a pipe each.  A child never returns into the caller: it leaves by
@@ -341,7 +406,7 @@ def _run_forked(run, chunks, n_path: int, workers: int) -> np.ndarray:
     failures += [_decode_report(pid, statuses[pid], reports[pid]) for pid, _ in children]
     failures = [f for f in failures if f is not None]
     if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+        raise min(failures, key=_failure_order)[1]
     return shared.copy()
 
 
@@ -357,22 +422,12 @@ def simulate(config: SimulationConfig, handle: ManifoldHandle,
     stepper = make_stepper(handle, config.integrator, diffusion=config.diffusion)
     require_on_manifold(handle, handle.default_point(), tol=1e-8)
 
-    chunks = [
-        (lo, min(lo + config.path_chunk, config.n_path))
-        for lo in range(0, config.n_path, config.path_chunk)
-    ]
-
     def run(lo, hi):
         return _run_chunk(handle, stepper, config, cost, lo, hi)
 
-    workers = _worker_count(len(chunks))
-    if workers > 1 and hasattr(os, "fork"):
-        samples = _run_forked(run, chunks, config.n_path, workers)
-    else:
-        samples = np.empty(config.n_path)
-        for lo, hi in chunks:
-            samples[lo:hi] = run(lo, hi)
-    return SampleSet(samples=samples)
+    workers = _worker_count(config)
+    chunks = _plan_chunks(config.n_path, config.path_chunk, workers)
+    return SampleSet(samples=_run_forked(run, chunks, config.n_path, workers))
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +500,7 @@ def compare_methods(config: SimulationConfig, handle: ManifoldHandle,
     3 * hypot(stderr_a, stderr_b), which treats the cells as independent:
     under that correlation the allowance is loose, not conservative, and a
     real O(h) bias between schemes can pass it.  Paired-difference
-    statistics are the open fix (ROADMAP item 5, coupled grids).
+    statistics are the open fix (ROADMAP item 6, coupled grids).
     """
     cells = []
     for integ in _COMPARED_INTEGRATORS:

@@ -61,7 +61,16 @@ class IntegratorParameterError(ValueError):
 
 
 class StepFailureError(RuntimeError):
-    """A path could not complete a step inside the retraction domain."""
+    """A path could not complete a step inside the retraction domain.
+
+    ``step`` and ``path`` locate the failure when the raiser knows them (the
+    simulation harness always sets both).
+    """
+
+    def __init__(self, message: str, step: int | None = None, path: int | None = None):
+        super().__init__(message)
+        self.step = step
+        self.path = path
 
 
 class DivergenceError(RuntimeError):
@@ -130,10 +139,13 @@ def step_stratonovich_heun_projected(handle, sde, retraction, x, t, h, zeta) -> 
     """Predictor/corrector: pi(x + h mu_S + sqrt(h)/2 (sigma(x) + sigma(pred)) zeta)."""
     x = np.asarray(x, dtype=float)
     rooth = math.sqrt(h)
+    # the drift right after sigma at the same x, so a handle can reuse a
+    # factorisation of x between them
     s0 = sde.sigma(x, zeta, t)
+    mu = sde.drift(x, t)
     pred, ok_pred = handle.tubular.admit(x + rooth * s0, x)
     s1 = sde.sigma(pred, zeta, t)
-    q = x + h * sde.drift(x, t) + 0.5 * rooth * (s0 + s1)
+    q = x + h * mu + 0.5 * rooth * (s0 + s1)
     return StepResult(*handle.tubular.retract(q, x, ok_pred))
 
 

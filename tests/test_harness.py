@@ -21,7 +21,15 @@ from manifold_sde import (
     uniform_limit_run,
 )
 from manifold_sde import harness
-from manifold_sde.harness import BLOCK_PATHS, BLOCK_STEPS, THREADS_ENV, _noise_block, _run_chunk
+from manifold_sde.harness import (
+    BLOCK_PATHS,
+    BLOCK_STEPS,
+    THREADS_ENV,
+    _noise_block,
+    _plan_chunks,
+    _run_chunk,
+    _worker_count,
+)
 from manifold_sde.rng import RngStream
 
 
@@ -235,6 +243,112 @@ def test_retry_draws_keep_runs_chunk_invariant():
     a = simulate(SimulationConfig(path_chunk=32, **base), spd)
     b = simulate(SimulationConfig(path_chunk=7, **base), spd)
     np.testing.assert_array_equal(a.samples, b.samples)
+
+
+# ---------------------------------------------------------------------------
+# the chunk layout, the worker count and the failure contract
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+@pytest.mark.parametrize("path_chunk", [1, 7, 32, 64, 100, 256, 1000, 25_000])
+def test_chunk_plan_is_balanced_and_bounded(path_chunk, workers):
+    for n_path in (1, 3, 5, 63, 64, 65, 128, 129, 160, 384, 640, 1000, 5000, 25_000):
+        chunks = _plan_chunks(n_path, path_chunk, workers)
+        bounds = [lo for lo, _ in chunks] + [chunks[-1][1]]
+        assert bounds[0] == 0 and bounds[-1] == n_path
+        assert all(chunks[i][1] == chunks[i + 1][0] for i in range(len(chunks) - 1))
+        sizes = np.diff(bounds)
+        assert sizes.min() >= 1 and sizes.max() <= path_chunk
+        assert sizes.max() - sizes.min() <= BLOCK_PATHS
+        shares = [sizes[w::workers].sum() for w in range(workers)]
+        assert max(shares) - min(shares) <= BLOCK_PATHS
+        k = workers * -(-n_path // (workers * path_chunk))
+        if k <= n_path:
+            assert len(chunks) == k  # every worker runs as many chunks
+        else:
+            assert np.all(sizes == 1)  # more chunks than paths: one path each
+        if path_chunk % BLOCK_PATHS == 0 and -(-n_path // BLOCK_PATHS) >= k:
+            assert all(b % BLOCK_PATHS == 0 for b in bounds[:-1]), (n_path, bounds)
+
+
+def test_chunk_plan_keeps_every_worker_busy():
+    # no worker idles while another runs an extra chunk
+    assert _plan_chunks(384, 256, 2) == [(0, 192), (192, 384)]
+    assert _plan_chunks(160, 256, 2) == [(0, 64), (64, 160)]
+    assert _plan_chunks(640, 256, 2) == [(0, 128), (128, 256), (256, 448), (448, 640)]
+    assert _plan_chunks(100, 256, 1) == [(0, 100)]
+
+
+def test_auto_worker_count_is_at_most_one_per_started_block(monkeypatch):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+
+    def workers(n_path, n_div, cap="0", path_chunk=256):
+        monkeypatch.setenv(THREADS_ENV, cap)
+        return _worker_count(SimulationConfig(T=1.0, n_div=n_div, n_path=n_path, seed=0,
+                                              path_chunk=path_chunk))
+
+    block = BLOCK_PATHS * BLOCK_STEPS
+    assert workers(512, 1) == 1
+    assert workers(block, 1) == 1 and workers(block + 1, 1) == 2
+    assert workers(128, 10) == 2  # 1280 path-steps start two blocks
+    assert workers(2 * block + 1, 1) == 3
+    assert workers(128, 50) == 4  # one chunk of paths still fills the CPUs
+    assert workers(1_000_000, 1) == 4
+    assert workers(2, 100_000) == 2  # never more workers than paths
+    # an explicit cap keeps min(cap, ceil(n_path / path_chunk))
+    assert workers(512, 1, cap="2") == 2
+    assert workers(512, 1, cap="8") == 2
+    assert workers(100, 1, cap="3", path_chunk=7) == 3
+
+
+def test_a_tiny_run_does_not_fork(so3, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(harness.os, "fork", no_fork)
+    monkeypatch.delenv(THREADS_ENV, raising=False)
+    out = simulate(SimulationConfig(T=0.5, n_div=1, n_path=512, seed=0, path_chunk=64), so3)
+    assert out.n_path == 512
+
+
+def test_step_failure_is_the_earliest_step_whatever_the_layout(monkeypatch):
+    # every path alone: path 33 first fails step 1, path 68 step 0.  A single
+    # chunk raises path 68; the lowest failing chunk would say path 33 at
+    # path_chunk 8, 32 and 64, so the earliest step must win across chunks
+    spd = make_manifold("spd", N=3)
+    cfg = SimulationConfig(T=2.0, n_div=4, n_path=128, seed=8, integrator="ito-em",
+                           max_retries=0, path_chunk=1000)
+    stepper = make_stepper(spd, "ito-em", diffusion=cfg.diffusion)
+    with pytest.raises(StepFailureError, match=r"path 33 failed step 1 "):
+        _run_chunk(spd, stepper, cfg, CostFunctional(), 0, 64)
+    monkeypatch.setenv(THREADS_ENV, "1")
+    with pytest.raises(StepFailureError) as single:
+        simulate(cfg, spd)
+    assert (single.value.step, single.value.path) == (0, 68)
+    expected = str(single.value)
+    assert expected == "spd(3): path 68 failed step 0 (t=0) after 0 retries"
+    for chunk in (8, 32, 64, 1000):
+        for cap in ("1", "2", "4"):
+            monkeypatch.setenv(THREADS_ENV, cap)
+            with pytest.raises(StepFailureError) as excinfo:
+                simulate(dataclasses.replace(cfg, path_chunk=chunk), spd)
+            assert str(excinfo.value) == expected, (chunk, cap)
+            assert (excinfo.value.step, excinfo.value.path) == (0, 68)
+    _assert_no_child_left()
+
+
+def test_step_failure_location_survives_pickling():
+    exc = pickle.loads(pickle.dumps(StepFailureError("path 3 failed step 2", step=2, path=3)))
+    assert (str(exc), exc.step, exc.path) == ("path 3 failed step 2", 2, 3)
+    assert StepFailureError("no location").step is None
+
+
+def test_other_exceptions_win_over_step_failures_by_lowest_chunk():
+    step = (2, StepFailureError("step", step=0, path=5))
+    low, high = (3, ValueError("low")), (1, ValueError("high"))
+    assert min([step, low, high], key=harness._failure_order) is high
+    unlocated = (0, StepFailureError("no location"))
+    assert min([step, unlocated], key=harness._failure_order) is unlocated
 
 
 # ---------------------------------------------------------------------------

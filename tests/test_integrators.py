@@ -21,7 +21,7 @@ from manifold_sde import (
 )
 from manifold_sde.geometry import SdeSpec
 from manifold_sde.integrators import WienerIncrement
-from manifold_sde.linalg import frobenius_norm, mT, matrix_exp, polar_orth
+from manifold_sde.linalg import frobenius_norm, mT, matrix_exp, polar_orth, sym
 from manifold_sde.manifolds.hypersurface import make_hypersurface, rescale_tangent_retraction
 from manifold_sde.rng import RngStream
 
@@ -498,6 +498,25 @@ def test_first_order_retractive_em_step_skips_domain_test():
                            retraction=first_order_retraction(handle.tubular))
     _one_step(stepper, handle, 45)
     assert calls == {"mapping": 3, "domain": 0}
+
+
+@pytest.mark.parametrize("integrator,eighs", [("ito-em", 1), ("strat-heun", 2)])
+def test_spd_step_factors_each_point_once(monkeypatch, integrator, eighs):
+    # sigma and the Stratonovich drift share the eigh of x, and the domain
+    # test certifies near-identity rows without eigvalsh
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, real=getattr(np.linalg, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    handle = make_manifold("spd", N=3)
+    stepper = make_stepper(handle, integrator)
+    rng = RngStream(46, 0)
+    x = np.eye(3) + 0.01 * sym(rng.normal((64, 3, 3)))
+    out = stepper.step(x, 0.0, 0.01, truncated_increment(rng, (64, 3, 3), 0.01))
+    assert out.ok.all()
+    assert calls == {"eigh": eighs, "eigvalsh": 0}
 
 
 def test_stiefel_polar_retraction_closed_form():

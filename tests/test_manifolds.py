@@ -402,3 +402,51 @@ def test_spd_points_and_sym_tangents():
     assert np.min(np.linalg.eigvalsh(sym(x))) > 0
     xi = handle.random_tangent(rng, x)
     assert frobenius_norm(xi - mT(xi)) < 1e-12
+
+
+def _spd_rows_near_the_domain_edge():
+    """65 symmetric 3x3 rows whose smallest eigenvalue sits on, just above or
+    just below the domain threshold 1e-10, or clearly inside or outside it;
+    each also scaled by 1e8, plus the zero matrix."""
+    rng = RngStream(118, 0)
+    rows = []
+    for lam in (1e-10 * (1 + 1e-6), 1e-10 * (1 - 1e-6), 1e-10, 0.0, -1e-3, 1e-9, 1e-11, 1.0):
+        diag = np.diag([lam, 1.0, 2.0])
+        rows.append(diag)
+        for _ in range(3):
+            q, _ = np.linalg.qr(rng.normal((3, 3)))
+            rows.append(q @ diag @ q.T)
+    rows += [1e8 * r for r in rows]
+    rows.append(np.zeros((3, 3)))
+    return sym(np.stack(rows))
+
+
+def test_spd_domain_certificate_decides_as_eigvalsh():
+    from manifold_sde.manifolds.spd import _CERTIFY_ROWS, _certified_positive
+
+    domain = make_manifold("spd", N=3).tubular.domain
+    s = _spd_rows_near_the_domain_edge()
+    assert s.shape[0] >= _CERTIFY_ROWS  # large enough to take the certificate
+    expected = np.linalg.eigvalsh(s)[:, 0] > 1e-10
+    certified = _certified_positive(s)
+    assert certified.any() and not certified.all()
+    assert not np.any(certified & ~expected)  # a certified row is accepted
+    np.testing.assert_array_equal(domain(s), expected)
+    np.testing.assert_array_equal(domain(s[:64].reshape(8, 8, 3, 3)), expected[:64].reshape(8, 8))
+    for row, want in zip(s, expected):  # unbatched
+        got = domain(row)
+        assert np.ndim(got) == 0 and got == want
+
+
+def test_spd_eigendecomposition_is_reused_only_for_the_same_bits():
+    handle, fresh = make_manifold("spd", N=3), make_manifold("spd", N=3)
+    rng = RngStream(119, 0)
+    x = np.stack([handle.random_point(rng) for _ in range(4)])
+    w = sym(rng.normal((4, 3, 3)))
+    before = handle.sigma(x, w)
+    assert handle.strat_drift(x).tobytes() == fresh.strat_drift(x).tobytes()
+    x[1, 0, 0] += 0.5  # the same array, changed in place
+    after = handle.sigma(x, w)
+    assert after.tobytes() == fresh.sigma(x, w).tobytes()
+    assert not np.array_equal(after[1], before[1])
+    np.testing.assert_array_equal(after[[0, 2, 3]], before[[0, 2, 3]])
