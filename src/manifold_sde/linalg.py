@@ -7,6 +7,8 @@ single place where shape and symmetry preconditions are enforced and
 reported with useful errors instead of garbage output downstream.  The
 polar routines pick the factorisation per matrix: one ``eigh`` of the Gram
 matrix where its eigenvalues certify the result, the SVD everywhere else.
+:func:`reuse_last` lets a handle factor a point once however many of its
+callables ask for it.
 """
 
 from __future__ import annotations
@@ -88,6 +90,28 @@ class SymEigDecomposition:
         return (self.vectors * f(self.values)[..., None, :]) @ mT(self.vectors)
 
 
+def reuse_last(factor):
+    """``factor`` (a function of one array) that remembers its last call.
+
+    The wrapper keeps a copy of its last input and the result, and returns
+    that same result for an input of the same shape and the same bits.  Bits
+    are compared as uint64, so -0.0 and 0.0 differ: a factorisation may treat
+    them differently.  Callers must not write into the result.
+    """
+    last = None  # (copy of the input, its result)
+
+    def wrapper(x):
+        nonlocal last
+        x = np.asarray(x, dtype=float)
+        if last is not None and np.array_equal(last[0].view(np.uint64), x.view(np.uint64)):
+            return last[1]
+        result = factor(x)
+        last = (x.copy(), result)
+        return result
+
+    return wrapper
+
+
 def sym_eig(a: np.ndarray) -> SymEigDecomposition:
     """Eigendecomposition of a symmetric matrix, with a symmetry precheck."""
     a = _require_symmetric(a, "sym_eig")
@@ -101,8 +125,15 @@ def sym_eig(a: np.ndarray) -> SymEigDecomposition:
 # _well_conditioned, and caps kappa(a)^2 at 100, so the Gram-form error
 # (of order kappa^2 * eps; Higham, Functions of Matrices, 2008, ch. 8) stays
 # near 100 eps.  Every other row (zero, rank-deficient, non-finite or near
-# the threshold) goes through the SVD and is decided exactly as by it.
+# the threshold) goes through the SVD and is decided exactly as by it; the
+# domain test alone fails a non-finite row without it.
 _GRAM_SAFE = 1e-2
+
+# Rows with ||I - a^T a||_F <= _GRAM_CERTIFIED pass the domain test without a
+# factorisation: every eigenvalue of the Gram matrix then lies in [1/2, 3/2],
+# so s_min^2 >= 1/2 and s_max^2 <= 3/2, far inside both _GRAM_SAFE and the
+# threshold of _well_conditioned.
+_GRAM_CERTIFIED = 0.5
 
 
 def _polar_rows(a: np.ndarray, who: str) -> np.ndarray:
@@ -115,7 +146,8 @@ def _polar_rows(a: np.ndarray, who: str) -> np.ndarray:
 
 def _gram_eigh(rows: np.ndarray, vectors: bool):
     """``(values, vectors or None, safe)`` of the Gram matrices rows^T rows."""
-    g = mT(rows) @ rows
+    with np.errstate(all="ignore"):  # a row that overflows is not finite below
+        g = mT(rows) @ rows
     finite = np.all(np.isfinite(g), axis=(-2, -1))
     g[~finite] = np.eye(g.shape[-1])  # eigh raises on them; the SVD decides them
     if vectors:
@@ -157,15 +189,32 @@ def polar_orth(a: np.ndarray) -> np.ndarray:
     return polar_fused(a)[0]
 
 
-def polar_domain(a: np.ndarray) -> np.ndarray:
-    """Domain of the polar retraction, the test of :func:`polar_fused`, read
-    off the eigenvalues of a^T a, or the singular values where those do not
-    certify it."""
-    rows = _polar_rows(a, "polar_domain")
+def _factored_domain(rows: np.ndarray) -> np.ndarray:
+    """The domain test from the eigenvalues of rows^T rows, or the singular
+    values where those do not certify it; a non-finite row fails it."""
     _, _, ok = _gram_eigh(rows, vectors=False)
-    unsafe = ~ok
+    unsafe = ~ok & np.all(np.isfinite(rows), axis=(-2, -1))
     if np.any(unsafe):
         ok[unsafe] = _well_conditioned(np.linalg.svd(rows[unsafe], compute_uv=False))
+    return ok
+
+
+def polar_domain(a: np.ndarray) -> np.ndarray:
+    """Domain of the polar retraction, the test of :func:`polar_fused`.
+
+    A row whose Gram matrix is near I (see ``_GRAM_CERTIFIED``) passes
+    outright; the others are read off the eigenvalues of a^T a, or the
+    singular values where those do not certify it, so every decision is the
+    one the SVD makes.
+    """
+    rows = _polar_rows(a, "polar_domain")
+    # a non-finite or overflowing row gives a NaN or inf norm and is left to
+    # _factored_domain
+    with np.errstate(all="ignore"):
+        ok = frobenius_norm(np.eye(rows.shape[-1]) - mT(rows) @ rows) <= _GRAM_CERTIFIED
+    rest = ~ok
+    if np.any(rest):
+        ok[rest] = _factored_domain(rows[rest])
     return ok.reshape(np.shape(a)[:-2])
 
 

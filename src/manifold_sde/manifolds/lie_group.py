@@ -20,6 +20,13 @@ complement of g, so every callable extends smoothly off the group, which
 the integrators rely on.  With {f_k} a metric-orthonormal basis of g the
 Brownian drifts are x (sum_k f_k f_k - S) / 2 (Ito) and -x S / 2
 (Stratonovich), S = sum_k I^{-1} P_g [I f_k, f_k^T].
+
+``project``, ``metric`` and ``christoffel`` start from x^{-1}; a handle
+inverts each point once and hands the inverse to all three
+(:func:`~manifold_sde.linalg.reuse_last`).  With the bi-invariant metric on
+so(N) the Levi-Civita connection is nabla_X Y = [X, Y] / 2 (Milnor,
+Curvatures of left invariant metrics on Lie groups, Adv. Math. 21, 1976),
+so the bracket term of the Christoffel function vanishes and is not formed.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from ..linalg import (
     polar_domain,
     polar_fused,
     polar_orth,
+    reuse_last,
     skew,
     sym_eig,
 )
@@ -214,13 +222,18 @@ def make_lie_group(kind: str, N: int, metric_seed: int | None = None) -> Manifol
     ito_const = 0.5 * (ito_term - strat_term)
     strat_const = -0.5 * strat_term
 
-    # x^{-1} once per call, then products: a broadcast solve would factor x
-    # again for every right-hand side (every ambient basis element)
+    # x^{-1} once per point, then products: a broadcast solve would factor x
+    # again for every right-hand side (every ambient basis element), and one
+    # step asks for the inverse of the same x in sigma, metric, christoffel
+    # and the retraction's differential.  np.linalg.inv is looked up per call,
+    # so a wrapped np.linalg.inv sees every inversion.
+    inverse = reuse_last(lambda x: np.linalg.inv(x))
+
     def project(x, w):
-        return x @ algebra_project(np.linalg.inv(x) @ w)
+        return x @ algebra_project(inverse(x) @ w)
 
     def metric(x, w):
-        xinv = np.linalg.inv(x)
+        xinv = inverse(x)
         return mT(xinv) @ mix(xinv @ w, coeff)
 
     def metric_inv(x, w):
@@ -229,11 +242,19 @@ def make_lie_group(kind: str, N: int, metric_seed: int | None = None) -> Manifol
     def sigma(x, w):
         return x @ mix(algebra_project(w), coeff_inv_sqrt)
 
+    # With the bi-invariant metric on so(N) the bracket below has the form
+    # (P - Q) + (P^T - Q^T), which numpy forms from the same products in the
+    # same order, so it is symmetric bit for bit and its skew part is +0:
+    # dropping it changes at most the sign of an exact zero.
+    bi_invariant = kind == "so" and metric_seed is None
+
     def christoffel(x, u, v):
-        xinv = np.linalg.inv(x)
+        xinv = inverse(x)
         a = xinv @ u
         b = a if v is u else xinv @ v
         first = -0.5 * (u @ b + v @ a)
+        if bi_invariant:
+            return first
         la = mix(a, coeff)
         lb = mix(b, coeff)
         bracket = (la @ mT(b) - mT(b) @ la) + (lb @ mT(a) - mT(a) @ lb)

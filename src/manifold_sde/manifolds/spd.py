@@ -2,9 +2,10 @@
 
 g(x) w = x^{-1} w x^{-1}; the diffusion factor is sigma(x) w = x^{1/2} w x^{1/2}.
 The Stratonovich drift uses the closed form through the eigenvalues of x.
-sigma and the drift read one eigendecomposition: the handle keeps the last
-one with a copy of its input, and reuses it for an input with the same bits
-(a Stratonovich step asks for both at the same x).
+sigma and the drift read one eigendecomposition through
+:func:`~manifold_sde.linalg.reuse_last`, which returns the last one again
+for an input with the same bits (a Stratonovich step asks for both at the
+same x).
 
 The domain is lambda_min(sym q) > 1e-10.  A row is accepted outright when an
 LDL^T elimination of s - (1e-10 + m) I, m = 1e-12 max(1, max|s|), has only
@@ -23,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..geometry import ManifoldHandle, TubularRetraction
-from ..linalg import SymEigDecomposition, ambient_identity, sym, sym_eig
+from ..linalg import SymEigDecomposition, ambient_identity, reuse_last, sym, sym_eig
 from ..rng import RngStream
 from ._constraints import symmetry_constraints
 
@@ -80,17 +81,7 @@ def make_spd(N: int) -> ManifoldHandle:
     if N < 1:
         raise ValueError(f"spd needs N >= 1, got {N}")
 
-    last = None  # (copy of the input, its decomposition)
-
-    def eig(x):
-        nonlocal last
-        x = np.asarray(x, dtype=float)
-        # compared bit for bit: -0.0 == 0.0, but eigh may factor them differently
-        if last is not None and np.array_equal(last[0].view(np.uint64), x.view(np.uint64)):
-            return last[1]
-        decomposition = sym_eig(x)
-        last = (x.copy(), decomposition)
-        return decomposition
+    eig = reuse_last(sym_eig)
 
     def metric(x, w):
         xinv = np.linalg.inv(x)

@@ -1,4 +1,6 @@
-"""Shared manifold batteries for the test suite."""
+"""Shared manifold batteries and call counters for the test suite."""
+
+import numpy as np
 
 from manifold_sde import make_manifold
 
@@ -32,3 +34,15 @@ SPOT_BATTERY = [
 
 IDS = [name for name, _ in GEOMETRY_BATTERY]
 SPOT_IDS = [name for name, _ in SPOT_BATTERY]
+
+
+def count_linalg(monkeypatch, *names):
+    """Patch the named ``np.linalg`` functions to count their calls; returns
+    the live counts, keyed by name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, real=getattr(np.linalg, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from batteries import SPOT_BATTERY, SPOT_IDS
+from batteries import SPOT_BATTERY, SPOT_IDS, count_linalg
 from manifold_sde import (
     OffManifoldError,
     SdeSpec,
@@ -410,9 +410,11 @@ def test_polar_retraction_sends_only_unsafe_rows_to_the_svd(name, build, monkeyp
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    eigvalsh_calls = count_linalg(monkeypatch, "eigvalsh")
     for f in (tub.domain, tub.mapping):
         f(near)
     assert calls == []
+    assert eigvalsh_calls == {"eigvalsh": 0}  # near rows pass the Gram certificate
 
     np.testing.assert_array_equal(tub.mapping(q)[1], expected)
     np.testing.assert_array_equal(tub.domain(q), expected)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from batteries import SPOT_BATTERY, SPOT_IDS
+from batteries import SPOT_BATTERY, SPOT_IDS, count_linalg
 from manifold_sde import (
     INTEGRATOR_IDS,
     DivergenceError,
@@ -21,7 +21,7 @@ from manifold_sde import (
 )
 from manifold_sde.geometry import SdeSpec
 from manifold_sde.integrators import WienerIncrement
-from manifold_sde.linalg import frobenius_norm, mT, matrix_exp, polar_orth, sym
+from manifold_sde.linalg import frobenius_norm, mT, matrix_exp, polar_orth, skew, sym
 from manifold_sde.manifolds.hypersurface import make_hypersurface, rescale_tangent_retraction
 from manifold_sde.rng import RngStream
 
@@ -504,12 +504,7 @@ def test_first_order_retractive_em_step_skips_domain_test():
 def test_spd_step_factors_each_point_once(monkeypatch, integrator, eighs):
     # sigma and the Stratonovich drift share the eigh of x, and the domain
     # test certifies near-identity rows without eigvalsh
-    calls = {"eigh": 0, "eigvalsh": 0}
-    for name in calls:
-        def counted(*args, real=getattr(np.linalg, name), name=name):
-            calls[name] += 1
-            return real(*args)
-        monkeypatch.setattr(np.linalg, name, counted)
+    calls = count_linalg(monkeypatch, "eigh", "eigvalsh")
     handle = make_manifold("spd", N=3)
     stepper = make_stepper(handle, integrator)
     rng = RngStream(46, 0)
@@ -517,6 +512,64 @@ def test_spd_step_factors_each_point_once(monkeypatch, integrator, eighs):
     out = stepper.step(x, 0.0, 0.01, truncated_increment(rng, (64, 3, 3), 0.01))
     assert out.ok.all()
     assert calls == {"eigh": eighs, "eigvalsh": 0}
+
+
+# x^{-1} per step on so(N): sigma, metric, christoffel and the retraction's
+# differential share the inverse of x; each RK4 stage point is a new matrix.
+# A following step starts from the point rk4-geodesic last projected at.
+@pytest.mark.parametrize("integrator_id,first,then", [
+    ("ito-em", 1, 1), ("strat-heun", 2, 2), ("geodesic-walk", 1, 1),
+    ("retractive-em", 1, 1), ("rk4-geodesic", 9, 8),
+])
+@pytest.mark.parametrize("N", [3, 8])
+def test_group_step_inverts_each_point_once(monkeypatch, N, integrator_id, first, then):
+    handle = make_manifold("so", N=N)
+    stepper = make_stepper(handle, integrator_id)
+    rng = RngStream(47, 0)
+    x = np.stack([handle.random_point(rng) for _ in range(16)])
+    incs = [truncated_increment(rng, (16,) + stepper.noise_shape, 0.01) for _ in range(2)]
+    calls = count_linalg(monkeypatch, "inv")  # patched after the handle is built
+    out = stepper.step(x, 0.0, 0.01, incs[0])
+    assert out.ok.all()
+    assert calls["inv"] == first
+    out = stepper.step(out.state, 0.01, 0.01, incs[1])
+    assert out.ok.all()
+    assert calls["inv"] == first + then
+
+
+@pytest.mark.parametrize("family,params", [("so", {"N": 3}), ("stiefel", {"n": 5, "p": 3})],
+                         ids=["so", "stiefel"])
+def test_strat_heun_predictor_domain_test_needs_no_factorisation(monkeypatch, family, params):
+    # the predictor's near-orthonormal rows pass the Gram certificate
+    handle = make_manifold(family, **params)
+    stepper = make_stepper(handle, "strat-heun")
+    rng = RngStream(48, 0)
+    x = np.stack([handle.random_point(rng) for _ in range(64)])
+    inc = truncated_increment(rng, (64,) + stepper.noise_shape, 0.01)
+    calls = count_linalg(monkeypatch, "eigvalsh", "svd")
+    out = stepper.step(x, 0.0, 0.01, inc)
+    assert out.ok.all()
+    assert calls == {"eigvalsh": 0, "svd": 0}
+
+
+def test_group_inverse_follows_its_input_bits(monkeypatch):
+    handle = make_manifold("so", N=3)
+    rng = RngStream(49, 0)
+    x = np.stack([handle.random_point(rng) for _ in range(4)])
+    w = rng.normal(x.shape)
+    calls = count_linalg(monkeypatch, "inv")
+    handle.project(x, w)
+    handle.project(x.copy(), w)  # same bits, another array: reused
+    assert calls["inv"] == 1
+    x[1] = handle.random_point(rng)  # the same array, written in place
+    np.testing.assert_array_equal(handle.project(x, w), x @ skew(np.linalg.inv(x) @ w))
+    assert calls["inv"] == 3  # the handle's miss plus the reference
+    # -0.0 == 0.0, but a factorisation may tell them apart: a miss
+    eye = np.eye(3)
+    handle.project(eye, w)
+    eye[0, 1] = -0.0
+    handle.project(eye, w)
+    assert calls["inv"] == 5
 
 
 def test_stiefel_polar_retraction_closed_form():

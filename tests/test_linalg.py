@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from batteries import count_linalg
 from manifold_sde.linalg import (
     frobenius_inner,
     frobenius_norm,
@@ -71,6 +72,46 @@ def test_polar_svd_matches_polar_orth_and_values_only_svd(shape):
     assert np.sum(gram_rows) >= 8
     err = np.max(np.abs(point - u @ vt), axis=(-2, -1))
     assert np.all(err[gram_rows] <= 100 * np.finfo(float).eps)
+
+
+def _orthonormal(rng, n, p):
+    return np.linalg.qr(rng.normal(size=(n, n)))[0][:, :p]
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (5, 3), (8, 8)])
+def test_polar_domain_certificate_keeps_every_decision(shape, monkeypatch):
+    n, p = shape
+    rng = np.random.default_rng(6)
+
+    def with_gram_gap(t):  # ||I - q^T q||_F = t
+        s = np.sqrt(1.0 - t / np.sqrt(p))
+        return _orthonormal(rng, n, p) @ (s * _orthonormal(rng, p, p))
+
+    edge = [with_gram_gap(0.5 * (1.0 - 1e-9)), with_gram_gap(0.5 * (1.0 + 1e-9))]
+    reflection = _orthonormal(rng, n, p) * np.r_[-1.0, np.ones(p - 1)]
+    rank_deficient = _orthonormal(rng, n, p) * np.r_[np.ones(p - 1), 0.0]
+    near = [_orthonormal(rng, n, p) + 0.01 * rng.normal(size=shape) for _ in range(4)]
+    rows = np.stack(edge + [reflection, np.zeros(shape), rank_deficient] + near)
+    bad = np.stack([rows[-1]] * 4)
+    for i, value in enumerate([np.nan, np.inf, -np.inf, 1e200]):
+        bad[i, 0, -1] = value
+    rows = np.concatenate([rows, bad])
+
+    # the SVD rule s_min > 1e-8 max(s_max, 1), and False on a non-finite row
+    finite = np.all(np.isfinite(rows), axis=(-2, -1))
+    expected = np.zeros(len(rows), dtype=bool)
+    s = np.linalg.svd(rows[finite], compute_uv=False)
+    expected[finite] = s[:, -1] > 1e-8 * np.maximum(s[:, 0], 1.0)
+    np.testing.assert_array_equal(expected[:5], [True, True, True, False, False])
+    np.testing.assert_array_equal(polar_domain(rows), expected)
+    assert polar_domain(rows[0]) == expected[0] and polar_domain(rows[1]) == expected[1]
+
+    # the certificate holds up to ||I - q^T q||_F = 1/2: then no factorisation
+    calls = count_linalg(monkeypatch, "eigvalsh", "svd")
+    assert polar_domain(rows[[0, 2, 5, 6, 7, 8]]).all()
+    assert calls == {"eigvalsh": 0, "svd": 0}
+    assert polar_domain(rows[1])
+    assert calls == {"eigvalsh": 1, "svd": 0}
 
 
 def test_matrix_exp_nilpotent_and_rotation():

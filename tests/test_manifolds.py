@@ -11,7 +11,7 @@ from manifold_sde import (
     make_manifold,
 )
 from manifold_sde.geometry import ambient_basis, brownian_ito_drift
-from manifold_sde.linalg import frobenius_norm, matrix_exp, mT, sym
+from manifold_sde.linalg import frobenius_norm, matrix_exp, mT, skew, sym
 from manifold_sde.manifolds.hypersurface import make_hypersurface
 from manifold_sde.manifolds.lie_group import LIE_KINDS, random_spd_coeff
 from manifold_sde.rng import RngStream
@@ -182,6 +182,35 @@ def test_group_inverse_forms_match_solve_forms(kind, n):
     assert close(handle.christoffel(xs, vs, w), christoffel(xs, vs, w))
     sigma = handle.sigma(xs, basis)
     assert close(handle.christoffel(xs, sigma, sigma), christoffel(xs, sigma, sigma))
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_so_christoffel_drops_only_a_zero_bracket(N):
+    """The bi-invariant so(N) handle leaves out a bracket term that is +0 bit for bit."""
+
+    def full(x, u, v):  # the formula of the other group handles, with I = id
+        xinv = np.linalg.inv(x)
+        a = xinv @ u
+        b = a if v is u else xinv @ v
+        bracket = (a @ mT(b) - mT(b) @ a) + (b @ mT(a) - mT(a) @ b)
+        return -0.5 * (u @ b + v @ a) + 0.5 * (x @ skew(bracket))
+
+    handle = make_manifold("so", N=N)
+    seeded = make_manifold("so", N=N, metric_seed=4)
+    rng = RngStream(120, 0)
+    x = np.stack([handle.random_point(rng) for _ in range(8)])
+    u = rng.normal(x.shape)
+    v = handle.project(x, rng.normal(x.shape))
+    # on the group, and off it as RK4 stage points are
+    for point in (x, x + 0.05 * rng.normal(x.shape)):
+        for uu, vv in ((u, v), (v, v), (u, u)):
+            assert np.array_equal(handle.christoffel(point, uu, vv), full(point, uu, vv))
+        # with a metric_seed the bracket term is kept, and it is not zero
+        # except on the abelian so(2)
+        xinv = np.linalg.inv(point)
+        first = -0.5 * (u @ (xinv @ v) + v @ (xinv @ u))
+        gap = np.max(np.abs(seeded.christoffel(point, u, v) - first))
+        assert gap > 1e-3 if N > 2 else gap < 1e-12
 
 
 # sha256 over every output of the group handles, per kind, for N = 1..4 where
