@@ -73,10 +73,10 @@ class TubularRetraction:
 
     ``mapping(q) -> (point, in_domain)`` is the one tubular map: it sends
     ambient points to manifold points and flags the rows where the map is
-    defined, from one evaluation (the polar families read both off one
-    ``eigh`` of q^T q, or one SVD for ill-conditioned rows; the rescaling
-    families compute their divisor once).  Its point must be finite on every
-    finite row of q, inside the domain or not.  ``domain`` is the same flag
+    defined, from one evaluation (the polar families certify a row from
+    q^T q and iterate from it, or take one SVD for the other rows; the
+    rescaling families compute their divisor once).  Its point must be
+    finite on every finite row of q, inside the domain or not.  ``domain`` is the same flag
     without the point and ``differential`` is the derivative of the map at
     on-manifold points.
     Callers go through :meth:`retract` (or :meth:`admit`), which holds the

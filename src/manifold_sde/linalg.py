@@ -5,8 +5,8 @@ dimensions; matrices live in the two trailing axes.  The routines are thin,
 checked wrappers around LAPACK via numpy -- the point of the module is a
 single place where shape and symmetry preconditions are enforced and
 reported with useful errors instead of garbage output downstream.  The
-polar routines pick the factorisation per matrix: one ``eigh`` of the Gram
-matrix where its eigenvalues certify the result, the SVD everywhere else.
+polar routines certify each matrix from its Gram matrix and then iterate
+(Newton-Schulz) or take the SVD; none of them calls ``eigh``.
 :func:`reuse_last` lets a handle factor a point once however many of its
 callables ask for it.
 """
@@ -119,21 +119,21 @@ def sym_eig(a: np.ndarray) -> SymEigDecomposition:
     return SymEigDecomposition(values=values, vectors=vectors)
 
 
-# Rows whose Gram matrix g = a^T a has lambda_min > _GRAM_SAFE * max(lambda_max, 1)
-# take the polar factor a g^{-1/2} from one eigh of g.  The bound certifies
-# s_min > 0.1 * max(s_max, 1), far inside the domain threshold 1e-8 of
-# _well_conditioned, and caps kappa(a)^2 at 100, so the Gram-form error
-# (of order kappa^2 * eps; Higham, Functions of Matrices, 2008, ch. 8) stays
-# near 100 eps.  Every other row (zero, rank-deficient, non-finite or near
-# the threshold) goes through the SVD and is decided exactly as by it; the
-# domain test alone fails a non-finite row without it.
-_GRAM_SAFE = 1e-2
-
 # Rows with ||I - a^T a||_F <= _GRAM_CERTIFIED pass the domain test without a
 # factorisation: every eigenvalue of the Gram matrix then lies in [1/2, 3/2],
-# so s_min^2 >= 1/2 and s_max^2 <= 3/2, far inside both _GRAM_SAFE and the
-# threshold of _well_conditioned.
+# so s_min^2 >= 1/2 and s_max^2 <= 3/2, far inside the threshold of
+# _well_conditioned.  Their polar factor is the limit of the Newton-Schulz
+# iteration x <- x + x (I - x^T x) / 2 (Higham, Functions of Matrices, 2008,
+# ch. 8), which converges quadratically from that bound.
 _GRAM_CERTIFIED = 0.5
+
+# One Newton-Schulz step maps the gap g = ||I - x^T x||_F to at most
+# (3 g^2 + g^3) / 4, so a row whose gap exceeds k of these values (the
+# preimages of 1e-16 under that map, rounded down) is below 1e-16 after k
+# steps.  The count depends on the row alone, never on its batch.
+_NEWTON_SCHULZ_GAPS = np.array(
+    [1e-16, 1.15470e-8, 1.24078e-4, 1.28348e-2, 0.128110, 0.388861, 0.652571]
+)
 
 
 def _polar_rows(a: np.ndarray, who: str) -> np.ndarray:
@@ -144,18 +144,18 @@ def _polar_rows(a: np.ndarray, who: str) -> np.ndarray:
     return a.reshape((-1,) + a.shape[-2:])
 
 
-def _gram_eigh(rows: np.ndarray, vectors: bool):
-    """``(values, vectors or None, safe)`` of the Gram matrices rows^T rows."""
-    with np.errstate(all="ignore"):  # a row that overflows is not finite below
-        g = mT(rows) @ rows
-    finite = np.all(np.isfinite(g), axis=(-2, -1))
-    g[~finite] = np.eye(g.shape[-1])  # eigh raises on them; the SVD decides them
-    if vectors:
-        lam, v = np.linalg.eigh(g)
-    else:
-        lam, v = np.linalg.eigvalsh(g), None
-    safe = finite & (lam[:, 0] > _GRAM_SAFE * np.maximum(lam[:, -1], 1.0))
-    return lam, v, safe
+def _gram_defect(x: np.ndarray) -> np.ndarray:
+    """I - x^T x, batched.  x^T is copied first: ``mT(x) @ x`` (a view of
+    the same array) takes numpy's per-matrix syrk path, 2-3x slower here."""
+    return np.eye(x.shape[-1]) - np.ascontiguousarray(mT(x)) @ x
+
+
+def _gram_gap(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(I - rows^T rows, its Frobenius norm)``; a non-finite or overflowing
+    row gets a NaN or inf norm."""
+    with np.errstate(all="ignore"):
+        e = _gram_defect(rows)
+        return e, frobenius_norm(e)
 
 
 def _well_conditioned(s: np.ndarray) -> np.ndarray:
@@ -164,57 +164,54 @@ def _well_conditioned(s: np.ndarray) -> np.ndarray:
 
 def polar_fused(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal polar factor of n x p matrices (n >= p) and the domain test
-    s_min > 1e-8 * max(s_max, 1), from one factorisation per row.
+    s_min > 1e-8 * max(s_max, 1), from one Gram product per row.
 
     The factor is the minimizer of ||q - a||_F over matrices with
-    orthonormal columns, unique only for full-rank input.  Well-conditioned
-    rows (see ``_GRAM_SAFE``) read it off one ``eigh`` of a^T a as
-    a V diag(lambda^{-1/2}) V^T and pass the test by the bound that selects
-    them; every other row takes ``u @ vt`` and the test from one thin SVD.
+    orthonormal columns, unique only for full-rank input.  A row with
+    ||I - a^T a||_F <= 1/2 passes the test by that bound and takes as many
+    Newton-Schulz steps as its own gap needs (see ``_NEWTON_SCHULZ_GAPS``),
+    the first from the Gram matrix of the test; every other finite row takes
+    ``u @ vt`` and the test from one thin SVD.  A non-finite row fails the
+    test, with a NaN point, and never reaches LAPACK.
     """
     rows = _polar_rows(a, "polar_fused")
-    lam, v, ok = _gram_eigh(rows, vectors=True)
-    unsafe = ~ok
-    lam[unsafe] = 1.0  # placeholder: the SVD below overwrites these rows
-    point = rows @ ((v / np.sqrt(lam)[:, None, :]) @ mT(v))
-    if np.any(unsafe):
-        u, s, vt = np.linalg.svd(rows[unsafe], full_matrices=False)
-        point[unsafe] = u @ vt
-        ok[unsafe] = _well_conditioned(s)
+    e, gap = _gram_gap(rows)
+    ok = gap <= _GRAM_CERTIFIED
+    steps = np.where(ok, np.searchsorted(_NEWTON_SCHULZ_GAPS, gap), 0)
+    x = rows
+    with np.errstate(all="ignore"):  # uncertified rows are overwritten below
+        for k in range(steps.max(initial=0)):
+            if k:
+                e = _gram_defect(x)
+            # a row that has taken its steps keeps its bits, -0.0 included
+            x = np.where((steps > k)[:, None, None], x + 0.5 * (x @ e), x)
+    point = np.where(ok[:, None, None], x, np.nan)
+    svd_rows = ~ok & np.all(np.isfinite(rows), axis=(-2, -1))
+    if np.any(svd_rows):
+        u, s, vt = np.linalg.svd(rows[svd_rows], full_matrices=False)
+        point[svd_rows] = u @ vt
+        ok[svd_rows] = _well_conditioned(s)
     return point.reshape(np.shape(a)), ok.reshape(np.shape(a)[:-2])
 
 
 def polar_orth(a: np.ndarray) -> np.ndarray:
-    """Orthonormal polar factor of :func:`polar_fused`."""
+    """Orthonormal polar factor of :func:`polar_fused`: NaN on a non-finite
+    row."""
     return polar_fused(a)[0]
-
-
-def _factored_domain(rows: np.ndarray) -> np.ndarray:
-    """The domain test from the eigenvalues of rows^T rows, or the singular
-    values where those do not certify it; a non-finite row fails it."""
-    _, _, ok = _gram_eigh(rows, vectors=False)
-    unsafe = ~ok & np.all(np.isfinite(rows), axis=(-2, -1))
-    if np.any(unsafe):
-        ok[unsafe] = _well_conditioned(np.linalg.svd(rows[unsafe], compute_uv=False))
-    return ok
 
 
 def polar_domain(a: np.ndarray) -> np.ndarray:
     """Domain of the polar retraction, the test of :func:`polar_fused`.
 
     A row whose Gram matrix is near I (see ``_GRAM_CERTIFIED``) passes
-    outright; the others are read off the eigenvalues of a^T a, or the
-    singular values where those do not certify it, so every decision is the
-    one the SVD makes.
+    outright, a non-finite row fails, and the other rows are decided by
+    their singular values, so every decision is the one the SVD makes.
     """
     rows = _polar_rows(a, "polar_domain")
-    # a non-finite or overflowing row gives a NaN or inf norm and is left to
-    # _factored_domain
-    with np.errstate(all="ignore"):
-        ok = frobenius_norm(np.eye(rows.shape[-1]) - mT(rows) @ rows) <= _GRAM_CERTIFIED
-    rest = ~ok
+    ok = _gram_gap(rows)[1] <= _GRAM_CERTIFIED
+    rest = ~ok & np.all(np.isfinite(rows), axis=(-2, -1))
     if np.any(rest):
-        ok[rest] = _factored_domain(rows[rest])
+        ok[rest] = _well_conditioned(np.linalg.svd(rows[rest], compute_uv=False))
     return ok.reshape(np.shape(a)[:-2])
 
 

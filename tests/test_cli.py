@@ -254,15 +254,15 @@ def test_simulate_csv_schema_and_summary_consistency(tmp_path, capsys):
 # numpy/LAPACK build, so a toolchain change may need them re-recorded.
 PINNED_PATH_CSV = [
     ("manifold = so\nN = 3\n", "retractive-em", "sum_abs",
-     "75cfda9738debf9f5faedeaaa4b91d4f0473828247c02d8ba726a1b8b6e0aacb"),
+     "785e8735456ae8bd06acfd12944c4973268c021c533a43b4cf7dac4357e5ea58"),
     ("manifold = spd\nN = 3\n", "strat-heun", "spd_running",
      "e0d4bc19a3a5ec5580909cbf5bdbc7bc71d6c987dba8e26472b42bc9e9b62de1"),
     ("manifold = sphere\nn = 3\n", "geodesic-walk", "phi_5_2",
      "359c8489eb90a9ccfe33163b7590914edfee598926e082de013fbd9ac8b412d6"),
     ("manifold = stiefel\nn = 5\np = 3\n", "rk4-geodesic", "sum_abs",
-     "33e5e998c36de540fe31ba7cd4a074b59a98e3abc189bfba09fde6cda9e50bfd"),
+     "bd59770aefb3e0b49e01a7e6b04acdc95f4a795abe7991c89c203a5e6532dfc2"),
     ("manifold = so\nN = 8\n", "ito-em", "sum_abs",
-     "2cd2a647922965bafae8f21bc74b24953731ec122d67dc2da381ed5e8420fb6a"),
+     "2710027f7acc55161cfa118f1e1595ca2a7da22925941edead8ceb05ba0554ca"),
 ]
 
 

@@ -25,7 +25,7 @@ from manifold_sde.geometry import (
     require_on_manifold,
     retraction_second_derivative,
 )
-from manifold_sde.linalg import frobenius_inner, frobenius_norm
+from manifold_sde.linalg import frobenius_inner, frobenius_norm, mT
 from manifold_sde.manifolds import make_hypersurface
 from manifold_sde.rng import RngStream
 
@@ -358,6 +358,7 @@ def test_second_order_retraction_flags_nonfinite_step(name, build):
 
 POLAR_FAMILIES = [
     ("so-3", lambda: make_manifold("so", N=3)),
+    ("so-8", lambda: make_manifold("so", N=8)),
     ("se-3", lambda: make_manifold("se", N=3)),
     ("stiefel-5-3", lambda: make_manifold("stiefel", n=5, p=3)),
     ("grassmann-5-2", lambda: make_manifold("grassmann", n=5, p=2)),
@@ -402,6 +403,10 @@ def test_polar_retraction_sends_only_unsafe_rows_to_the_svd(name, build, monkeyp
         expected &= np.linalg.det(block(q)) > 0
     np.testing.assert_array_equal(expected[4:8], [False, False, True, False])
 
+    # so the near rows take the iteration, and only the others reach the SVD
+    gap = frobenius_norm(np.eye(p) - mT(block(near)) @ block(near))
+    assert np.all(gap <= 0.5)
+
     calls = []
     svd = np.linalg.svd
 
@@ -410,11 +415,11 @@ def test_polar_retraction_sends_only_unsafe_rows_to_the_svd(name, build, monkeyp
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    eigvalsh_calls = count_linalg(monkeypatch, "eigvalsh")
+    eigh_calls = count_linalg(monkeypatch, "eigh", "eigvalsh")
     for f in (tub.domain, tub.mapping):
         f(near)
     assert calls == []
-    assert eigvalsh_calls == {"eigvalsh": 0}  # near rows pass the Gram certificate
+    assert eigh_calls == {"eigh": 0, "eigvalsh": 0}
 
     np.testing.assert_array_equal(tub.mapping(q)[1], expected)
     np.testing.assert_array_equal(tub.domain(q), expected)

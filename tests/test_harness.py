@@ -99,9 +99,9 @@ def test_results_independent_of_chunking_and_threads(so3, monkeypatch):
 # numpy/LAPACK change may need them re-recorded.
 PINNED_WALK_SAMPLES = [
     ("so", {"N": 3}, "geodesic-walk",
-     "a8f4663fe08ef1f285ee3a0db79a17b4a2a7fea0a4f0b6149fcc1a3f94f68fdd"),
+     "6f1518b5bb5a25ceda4398a747c697a20ee0fc57de125a7da76dfd5b0673b6e4"),
     ("so", {"N": 3}, "rk4-geodesic",
-     "c5eb6f0b774cc1355bb4e98aa1c1a6a567132e7160f294c3e165dd2b1d25fed1"),
+     "dcefb0e67b0908153b382eedf3a9cc8bf93b925931ad012061b214a1bb9fedff"),
     ("spd", {"N": 3}, "geodesic-walk",
      "6d4d2f4a891875abc5191e7729a832198a0204d6eb93539aca197d613682d012"),
     ("spd", {"N": 3}, "rk4-geodesic",
@@ -111,9 +111,9 @@ PINNED_WALK_SAMPLES = [
     ("hyperbolic", {"n": 3}, "rk4-geodesic",
      "cac5af8618cc25c634da5462221b366bde7c30ea45afb507ecef0d938ea1e8a6"),
     ("grassmann", {"n": 5, "p": 2}, "geodesic-walk",
-     "038abca6da1b311e0e55d8c92ad4cee79eb756bf3617676c2492bca22deda71d"),
+     "28be7b1bd5094abb796f443125493a49dcdb6e3d39da082913771af8077535c8"),
     ("grassmann", {"n": 5, "p": 2}, "rk4-geodesic",
-     "e9d2bf662518bd67a38478d6c5810641fa561e4a39e6e8684394a09cacfad239"),
+     "c9d24977b23b75244fa96f0f6ec3a897efcd5558d91c50995887f654f8b2d8f3"),
 ]
 
 

@@ -552,6 +552,24 @@ def test_strat_heun_predictor_domain_test_needs_no_factorisation(monkeypatch, fa
     assert calls == {"eigvalsh": 0, "svd": 0}
 
 
+@pytest.mark.parametrize("integrator_id", ["ito-em", "strat-heun", "retractive-em"])
+@pytest.mark.parametrize("family,params", [
+    ("so", {"N": 3}), ("so", {"N": 8}), ("se", {"N": 3}), ("stiefel", {"n": 5, "p": 3}),
+    ("grassmann", {"n": 5, "p": 2}),
+], ids=["so-3", "so-8", "se-3", "stiefel-5-3", "grassmann-5-2"])
+def test_polar_step_makes_no_factorisation(monkeypatch, family, params, integrator_id):
+    # the proposals pass the Gram certificate and take Newton-Schulz steps
+    handle = make_manifold(family, **params)
+    stepper = make_stepper(handle, integrator_id)
+    rng = RngStream(50, 0)
+    x = np.stack([handle.random_point(rng) for _ in range(64)])
+    inc = truncated_increment(rng, (64,) + stepper.noise_shape, 0.01)
+    calls = count_linalg(monkeypatch, "eigh", "eigvalsh", "svd")
+    out = stepper.step(x, 0.0, 0.01, inc)
+    assert out.ok.all()
+    assert calls == {"eigh": 0, "eigvalsh": 0, "svd": 0}
+
+
 def test_group_inverse_follows_its_input_bits(monkeypatch):
     handle = make_manifold("so", N=3)
     rng = RngStream(49, 0)

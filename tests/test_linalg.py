@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from batteries import count_linalg
 from manifold_sde.linalg import (
+    _NEWTON_SCHULZ_GAPS,
     frobenius_inner,
     frobenius_norm,
     mT,
@@ -55,39 +56,39 @@ def test_polar_orth_properties():
 @pytest.mark.parametrize("shape", [(3, 3), (8, 8), (4, 4), (5, 3), (5, 2)])
 def test_polar_svd_matches_polar_orth_and_values_only_svd(shape):
     # polar_fused must agree with the separate polar_orth and values-only
-    # polar_domain, and its Gram-form factor with the SVD polar factor
+    # polar_domain, and its Newton-Schulz factor with the SVD polar factor
     rng = np.random.default_rng(3)
     a = rng.normal(size=(64,) + shape)
-    a[:16] += 3.0 * np.eye(*shape)  # near the manifold, as retraction proposals are
+    # near the manifold, as retraction proposals are
+    a[:16] = [_orthonormal(rng, *shape) + 0.02 * rng.normal(size=shape) for _ in range(16)]
     a[16] *= 1e-9
     point, in_domain = polar_fused(a)
     np.testing.assert_array_equal(point, polar_orth(a))
     np.testing.assert_array_equal(in_domain, polar_domain(a))
     assert not in_domain[16]
-    # rows with s_min > 0.1 * max(s_max, 1) take the Gram route, whose error
-    # grows like kappa^2 * eps with kappa^2 < 100 there: allow 100 ulps of 1
-    # (29 seen on 3 x 3)
+    # rows with ||I - a^T a||_F <= 1/2 take the iteration: allow 100 ulps of 1
+    certified = frobenius_norm(np.eye(shape[1]) - mT(a) @ a) <= 0.5
+    assert np.sum(certified) >= 8
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    gram_rows = s[:, -1] > 0.1 * np.maximum(s[:, 0], 1.0)
-    assert np.sum(gram_rows) >= 8
     err = np.max(np.abs(point - u @ vt), axis=(-2, -1))
-    assert np.all(err[gram_rows] <= 100 * np.finfo(float).eps)
+    assert np.all(err[certified] <= 100 * np.finfo(float).eps)
 
 
 def _orthonormal(rng, n, p):
     return np.linalg.qr(rng.normal(size=(n, n)))[0][:, :p]
 
 
+def _with_gram_gap(rng, n, p, t):
+    """An n x p matrix q with ||I - q^T q||_F = t."""
+    s = np.sqrt(1.0 - t / np.sqrt(p))
+    return _orthonormal(rng, n, p) @ (s * _orthonormal(rng, p, p))
+
+
 @pytest.mark.parametrize("shape", [(3, 3), (5, 3), (8, 8)])
 def test_polar_domain_certificate_keeps_every_decision(shape, monkeypatch):
     n, p = shape
     rng = np.random.default_rng(6)
-
-    def with_gram_gap(t):  # ||I - q^T q||_F = t
-        s = np.sqrt(1.0 - t / np.sqrt(p))
-        return _orthonormal(rng, n, p) @ (s * _orthonormal(rng, p, p))
-
-    edge = [with_gram_gap(0.5 * (1.0 - 1e-9)), with_gram_gap(0.5 * (1.0 + 1e-9))]
+    edge = [_with_gram_gap(rng, n, p, 0.5 * (1.0 + d)) for d in (-1e-9, 1e-9)]
     reflection = _orthonormal(rng, n, p) * np.r_[-1.0, np.ones(p - 1)]
     rank_deficient = _orthonormal(rng, n, p) * np.r_[np.ones(p - 1), 0.0]
     near = [_orthonormal(rng, n, p) + 0.01 * rng.normal(size=shape) for _ in range(4)]
@@ -111,7 +112,119 @@ def test_polar_domain_certificate_keeps_every_decision(shape, monkeypatch):
     assert polar_domain(rows[[0, 2, 5, 6, 7, 8]]).all()
     assert calls == {"eigvalsh": 0, "svd": 0}
     assert polar_domain(rows[1])
-    assert calls == {"eigvalsh": 1, "svd": 0}
+    assert calls == {"eigvalsh": 0, "svd": 1}
+
+
+def _gap_preimage(target):
+    """The g with (3 g^2 + g^3) / 4 = target, by bisection."""
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if (3.0 * mid**2 + mid**3) / 4.0 <= target else (lo, mid)
+    return lo
+
+
+def test_newton_schulz_gap_table_follows_the_gap_map():
+    exact = [1e-16]
+    while len(exact) < len(_NEWTON_SCHULZ_GAPS):
+        exact.append(_gap_preimage(exact[-1]))
+    # rounded down, so no row is counted a step short
+    assert np.all(_NEWTON_SCHULZ_GAPS <= exact)
+    np.testing.assert_allclose(_NEWTON_SCHULZ_GAPS, exact, rtol=1e-5)
+    assert _NEWTON_SCHULZ_GAPS[-2] < 0.5 < _NEWTON_SCHULZ_GAPS[-1]
+    # the map bounds one step: E' = (3 E^2 + E^3) / 4 for E = I - x^T x
+    rng = np.random.default_rng(8)
+    for g in (1e-3, 0.1, 0.5):
+        e = sym(rng.normal(size=(100, 4, 4)))
+        e *= (g / frobenius_norm(e))[:, None, None]
+        step = (3.0 * e @ e + e @ e @ e) / 4.0
+        assert np.all(frobenius_norm(step) <= (3.0 * g**2 + g**3) / 4.0 * (1 + 1e-12))
+
+
+def _polar_test_rows(rng, n, p):
+    """Rows at the certificate's edge, near-orthonormal rows across the step
+    counts, an orthonormal row and the identity block with a -0.0 entry (no
+    step)."""
+    edge = [_with_gram_gap(rng, n, p, 0.5 * (1.0 + d)) for d in (-1e-9, 1e-9)]
+    near = [_orthonormal(rng, n, p) + scale / np.sqrt(n * p) * rng.normal(size=(n, p))
+            for scale in (1e-12, 1e-6, 1e-3, 0.01, 0.05, 0.15)]
+    eye = np.eye(n, p)
+    eye[-1, 0] = -0.0
+    return np.stack(edge + near + [_orthonormal(rng, n, p), eye])
+
+
+def _step_counts(rows):
+    """Newton-Schulz steps each row needs, from the gap map alone."""
+    counts = []
+    for g in frobenius_norm(np.eye(rows.shape[-1]) - mT(rows) @ rows):
+        k = 0
+        while g > 1e-16:
+            g, k = (3.0 * g**2 + g**3) / 4.0, k + 1
+        counts.append(k)
+    return np.array(counts)
+
+
+POLAR_SHAPES = [(3, 3), (5, 3), (8, 8), (5, 2)]
+
+
+@pytest.mark.parametrize("shape", POLAR_SHAPES)
+def test_newton_schulz_polar_factor_matches_the_svd(shape):
+    rng = np.random.default_rng(9)
+    rows = _polar_test_rows(rng, *shape)
+    point, ok = polar_fused(rows)
+    assert ok.all()
+    eps = np.finfo(float).eps
+    u, _, vt = np.linalg.svd(rows, full_matrices=False)
+    assert np.max(np.abs(point - u @ vt)) <= 32 * eps
+    certified = frobenius_norm(np.eye(shape[1]) - mT(rows) @ rows) <= 0.5
+    np.testing.assert_array_equal(certified, np.arange(len(rows)) != 1)
+    q = point[certified].astype(np.longdouble)
+    assert np.max(np.abs(mT(q) @ q - np.eye(shape[1]))) <= 4 * eps
+    # the identity takes no step and keeps its bits
+    np.testing.assert_array_equal(point[-1].view(np.uint64), rows[-1].view(np.uint64))
+
+
+@pytest.mark.parametrize("shape", POLAR_SHAPES)
+def test_polar_rows_do_not_depend_on_their_batch(shape):
+    rng = np.random.default_rng(10)
+    rows = _polar_test_rows(rng, *shape)
+    bad = np.stack([rows[3]] * 4)
+    for i, value in enumerate([np.nan, np.inf, -np.inf, 1e200]):
+        bad[i, 0, -1] = value
+    rows = np.concatenate([rows, np.zeros((1,) + shape), bad])
+    assert len(set(_step_counts(rows[:10]))) >= 4
+    point, ok = polar_fused(rows)
+    for i, row in enumerate(rows):
+        for alone in (polar_fused(row), polar_fused(row[None])):
+            np.testing.assert_array_equal(alone[0].reshape(shape).view(np.uint64),
+                                          point[i].view(np.uint64))
+            assert alone[1].item() == ok[i]
+
+
+def test_polar_routines_keep_nonfinite_rows_from_lapack(capfd, monkeypatch):
+    rng = np.random.default_rng(11)
+    rows = np.stack([_orthonormal(rng, 5, 3) + 0.01 * rng.normal(size=(5, 3))
+                     for _ in range(7)])
+    rows[2] = rng.normal(size=(5, 3))  # an SVD row
+    for i, value in enumerate([np.nan, np.inf, -np.inf], start=3):
+        rows[i, 0, -1] = value
+    rows[-1, 1, 0] = 1e200  # finite, but its Gram matrix overflows
+    seen = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        seen.append(np.array(a, copy=True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    point, ok = polar_fused(rows)
+    np.testing.assert_array_equal(polar_orth(rows), point)
+    np.testing.assert_array_equal(ok, polar_domain(rows))
+    np.testing.assert_array_equal(ok, [True, True, True, False, False, False, False])
+    assert np.all(np.isnan(point[3:6]))
+    assert np.all(np.isfinite(point[[0, 1, 2, 6]]))
+    assert len(seen) == 3 and all(np.isfinite(a).all() for a in seen)
+    assert capfd.readouterr().err == ""
 
 
 def test_matrix_exp_nilpotent_and_rotation():
