@@ -180,11 +180,17 @@ def polar_fused(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     steps = np.where(ok, np.searchsorted(_NEWTON_SCHULZ_GAPS, gap), 0)
     x = rows
     with np.errstate(all="ignore"):  # uncertified rows are overwritten below
+        # the step is x + x (e / 2), with the halving (exact) folded into the
+        # Gram product: (I - x^T x) / 2 = I / 2 - (x^T / 2) x, where x^T / 2
+        # is a new array, so the product stays off the syrk path
+        half, half_eye = 0.5 * e, 0.5 * np.eye(rows.shape[-1])
+        common = steps.min() if steps.size else 0  # steps that every row takes
         for k in range(steps.max(initial=0)):
             if k:
-                e = _gram_defect(x)
+                half = half_eye - (0.5 * mT(x)) @ x
+            step = x + x @ half
             # a row that has taken its steps keeps its bits, -0.0 included
-            x = np.where((steps > k)[:, None, None], x + 0.5 * (x @ e), x)
+            x = step if k < common else np.where((steps > k)[:, None, None], step, x)
     point = np.where(ok[:, None, None], x, np.nan)
     svd_rows = ~ok & np.all(np.isfinite(rows), axis=(-2, -1))
     if np.any(svd_rows):

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from ..geometry import ManifoldHandle
 from ..linalg import ambient_identity, mT
 from .stiefel import make_stiefel
@@ -30,6 +32,7 @@ def make_grassmann(n: int, p: int) -> ManifoldHandle:
         # horizontal projection: kill every component along the columns of y
         project=lambda y, w: w - y @ (mT(y) @ w),
         ito_drift=lambda y: coeff * y,
-        cost_point=lambda y: y @ mT(y),
+        # a copied y^T: ``y @ mT(y)`` takes numpy's per-matrix syrk path
+        cost_point=lambda y: y @ np.ascontiguousarray(mT(y)),
         params={"n": n, "p": p},
     )

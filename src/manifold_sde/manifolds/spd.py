@@ -1,11 +1,25 @@
 """Symmetric positive-definite matrices with the affine-invariant metric.
 
 g(x) w = x^{-1} w x^{-1}; the diffusion factor is sigma(x) w = x^{1/2} w x^{1/2}.
-The Stratonovich drift uses the closed form through the eigenvalues of x.
-sigma and the drift read one eigendecomposition through
-:func:`~manifold_sde.linalg.reuse_last`, which returns the last one again
-for an input with the same bits (a Stratonovich step asks for both at the
-same x).
+The Stratonovich drift is S(x) + (N + 1) x / 4, S a spectral function of x
+(see ``_strat_correction``).  sigma and the drift read one factor of x
+through :func:`~manifold_sde.linalg.reuse_last`, which returns the last one
+again for an input with the same bits (a Stratonovich step asks for both at
+the same x).
+
+On spd(3) a row whose eigenvalues lie in [1e-100, 1e100] within a ratio
+``_CLOSED_FORM_COND`` takes x^{1/2} and S(x) from its eigenvalues alone, with
+no eigenvectors and no LAPACK: the eigenvalues from the trigonometric form
+(Smith, Comm. ACM 4, 1961), then, with b = sqrt(lambda) and I_1, I_2, I_3 the
+elementary symmetric polynomials of b and D = I_1 I_2 - I_3 > 0,
+Cayley-Hamilton on U = x^{1/2} gives
+
+    U = (-x^2 + (I_1^2 - I_2) x + I_1 I_3 I) / D,
+    S = -(x / 2 + ((I_1 I_3 + I_2^2) U - I_3 x - I_2 I_3 I) / (2 D)).
+
+Every other row (non-finite, indefinite, worse conditioned or out of that
+range), and every row of spd(N) for N != 3, takes ``eigh`` on those rows
+alone, so it keeps the bits of the eigendecomposition route.
 
 The domain is lambda_min(sym q) > 1e-10.  A row is accepted outright when an
 LDL^T elimination of s - (1e-10 + m) I, m = 1e-12 max(1, max|s|), has only
@@ -21,10 +35,12 @@ The rows the elimination does not certify, and batches under
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..geometry import ManifoldHandle, TubularRetraction
-from ..linalg import SymEigDecomposition, ambient_identity, reuse_last, sym, sym_eig
+from ..linalg import SymEigDecomposition, _require_symmetric, ambient_identity, reuse_last, sym
 from ..rng import RngStream
 from ._constraints import symmetry_constraints
 
@@ -35,6 +51,12 @@ _MARGIN = 1e-12
 # below this many rows one eigvalsh call is cheaper than the elimination
 # (spd(3) on a 2-core host: about 1.1 us per row against 22 us plus 0.2 us per row)
 _CERTIFY_ROWS = 32
+# the closed form's error grows with cond(x): against a 40-digit reference,
+# x^{1/2} is within about 11 ulps of max|x^{1/2}| at cond 64 (eigh: 8),
+# 17 at 100 and 1000 at 1e3 (eigh: 20)
+_CLOSED_FORM_COND = 64.0
+# keeps x^2 and the powers of b normal numbers (1e-160 I would lose digits)
+_CLOSED_FORM_RANGE = (1e-100, 1e100)
 
 
 def _strat_correction(eig: SymEigDecomposition) -> np.ndarray:
@@ -45,6 +67,96 @@ def _strat_correction(eig: SymEigDecomposition) -> np.ndarray:
         return beta**2 * (0.25 + 0.5 * np.sum(pair, axis=-1))
 
     return -eig.apply(coeff)
+
+
+# phi + these angles gives lambda_0 <= lambda_1 <= lambda_2 in _eigenvalues3
+_THIRDS = np.array([[2.0], [4.0], [0.0]]) * np.pi / 3.0
+
+
+def _eigenvalues3(rows: np.ndarray) -> np.ndarray:
+    """Eigenvalues of symmetric 3x3 rows, ascending along the first axis of
+    the (3, rows) result, by the trigonometric form
+    lambda_k = q + 2 p cos(phi + 2 pi k / 3); reads the lower triangle, as
+    ``eigh`` does."""
+    a00, a11, a22 = rows[:, 0, 0], rows[:, 1, 1], rows[:, 2, 2]
+    a10, a20, a21 = rows[:, 1, 0], rows[:, 2, 0], rows[:, 2, 1]
+    q = (a00 + a11 + a22) / 3.0
+    d0, d1, d2 = a00 - q, a11 - q, a22 - q
+    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (a10 * a10 + a20 * a20 + a21 * a21)) / 6.0)
+    # det(x - q I) / (2 p^3) is cos(3 phi); p = 0 is x = q I
+    det = d0 * (d1 * d2 - a21 * a21) - a10 * (a10 * d2 - a21 * a20) + a20 * (a10 * a21 - d1 * a20)
+    r = np.where(p > 0.0, det / (2.0 * p * p * p), 0.0)
+    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+    return q + (2.0 * p) * np.cos(phi + _THIRDS)
+
+
+def _add_to_diagonal(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """a + c I for a stack of square matrices a, in place."""
+    np.einsum("nii->ni", a)[...] += c[:, None]
+    return a
+
+
+@dataclass(frozen=True)
+class _SqrtFactor:
+    """x^{1/2} for a stack of points (``root``, in the shape of x), and what
+    S(x) reads: on the rows that took the closed form, the weights
+    (I_1 I_3 + I_2^2, I_3, I_2 I_3) / (2 D); on the ``rest``, their ``eig``."""
+
+    rows: np.ndarray
+    root: np.ndarray
+    weights: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    rest: np.ndarray
+    eig: SymEigDecomposition | None
+
+    def correction(self) -> np.ndarray:
+        """S(x), in the shape of x."""
+        with np.errstate(all="ignore"):  # as in _sqrt_factor
+            if self.weights is None:
+                s = np.empty_like(self.rows)
+            else:
+                w_root, w_x, w_eye = self.weights
+                s = ((w_x - 0.5)[:, None, None] * self.rows
+                     - w_root[:, None, None] * self.root.reshape(self.rows.shape))
+                _add_to_diagonal(s, w_eye)
+            if self.eig is not None:
+                s[self.rest] = _strat_correction(self.eig)
+        return s.reshape(self.root.shape)
+
+
+def _sqrt_factor(x: np.ndarray) -> _SqrtFactor:
+    """x^{1/2} of symmetric x, after ``sym_eig``'s symmetry check on all of x:
+    from the closed form on the 3x3 rows it certifies, from ``eigh`` on the
+    others (see the module docstring).  A non-finite, indefinite or singular
+    row gets NaN entries, without a warning."""
+    weights = None
+    with np.errstate(all="ignore"):  # the closed form's uncertified rows are replaced
+        x = _require_symmetric(x, "sym_eig")
+        rows = x.reshape((-1,) + x.shape[-2:])
+        if x.shape[-1] == 3:
+            lam = _eigenvalues3(rows)
+            square = rows @ rows
+            low, high = _CLOSED_FORM_RANGE
+            # tr(x^2) = sum_ij x_ij x_ji is finite only if every entry is
+            rest = ~(np.isfinite(np.einsum("nii->n", square)) & (lam[0] >= low)
+                     & (lam[2] <= np.minimum(_CLOSED_FORM_COND * lam[0], high)))
+            b0, b1, b2 = np.sqrt(lam)
+            i1 = b0 + b1 + b2
+            i2 = b0 * b1 + (b0 + b1) * b2
+            i3 = b0 * b1 * b2
+            i13 = i1 * i3
+            d = i1 * i2 - i3
+            root = _add_to_diagonal((i1 * i1 - i2)[:, None, None] * rows - square, i13)
+            root /= d[:, None, None]
+            half = 0.5 / d
+            weights = ((i13 + i2 * i2) * half, i3 * half, i2 * i3 * half)
+        else:
+            rest = np.ones(rows.shape[0], dtype=bool)
+            root = np.empty_like(rows)
+        eig = None
+        if rest.any():
+            eig = SymEigDecomposition(*np.linalg.eigh(rows[rest]))
+            root[rest] = eig.apply(np.sqrt)
+    return _SqrtFactor(rows, root.reshape(x.shape), weights, rest, eig)
 
 
 def _certified_positive(s: np.ndarray) -> np.ndarray:
@@ -81,7 +193,7 @@ def make_spd(N: int) -> ManifoldHandle:
     if N < 1:
         raise ValueError(f"spd needs N >= 1, got {N}")
 
-    eig = reuse_last(sym_eig)
+    factor = reuse_last(_sqrt_factor)
 
     def metric(x, w):
         xinv = np.linalg.inv(x)
@@ -101,7 +213,7 @@ def make_spd(N: int) -> ManifoldHandle:
         return -0.5 * (sym(u @ xinv_v) + sym(v @ xinv_u))
 
     def sqrt_conjugate(x, w):
-        s = eig(x).apply(np.sqrt)
+        s = factor(x).root
         return s @ w @ s
 
     def mapping(q):
@@ -118,7 +230,7 @@ def make_spd(N: int) -> ManifoldHandle:
         return (N + 1) / 4.0 * x
 
     def strat_drift(x):
-        return _strat_correction(eig(x)) + (N + 1) / 4.0 * x
+        return factor(x).correction() + (N + 1) / 4.0 * x
 
     def random_point(rng: RngStream):
         a = 0.6 * rng.normal((N, N))

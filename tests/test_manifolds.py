@@ -11,9 +11,19 @@ from manifold_sde import (
     make_manifold,
 )
 from manifold_sde.geometry import ambient_basis, brownian_ito_drift
-from manifold_sde.linalg import frobenius_norm, matrix_exp, mT, skew, sym
+from manifold_sde.linalg import (
+    AsymmetricInputError,
+    SymEigDecomposition,
+    frobenius_norm,
+    matrix_exp,
+    mT,
+    skew,
+    sym,
+    sym_eig,
+)
 from manifold_sde.manifolds.hypersurface import make_hypersurface
 from manifold_sde.manifolds.lie_group import LIE_KINDS, random_spd_coeff
+from manifold_sde.manifolds.spd import _sqrt_factor, _strat_correction
 from manifold_sde.rng import RngStream
 
 
@@ -481,3 +491,142 @@ def test_spd_eigendecomposition_is_reused_only_for_the_same_bits():
     assert after.tobytes() == fresh.sigma(x, w).tobytes()
     assert not np.array_equal(after[1], before[1])
     np.testing.assert_array_equal(after[[0, 2, 3]], before[[0, 2, 3]])
+
+
+def _rotated_spd(rng, eigenvalues):
+    """q diag(eigenvalues) q^T for a random rotation q."""
+    q, _ = np.linalg.qr(rng.normal((3, 3)))
+    return sym(q @ np.diag(eigenvalues) @ q.T)
+
+
+def _eigh_route(x):
+    """x^{1/2} and S(x) from ``sym_eig``, the route the closed form replaces."""
+    with np.errstate(invalid="ignore"):
+        dec = sym_eig(x)
+        return dec.apply(np.sqrt), _strat_correction(dec)
+
+
+def _ulps(a, ref):
+    """Rowwise max |a - ref| in units of eps max |ref|."""
+    scale = np.finfo(float).eps * np.max(np.abs(ref), axis=(-2, -1))
+    return np.max(np.abs(a - ref), axis=(-2, -1)) / scale
+
+
+def _uncertified_spd3_rows(rng):
+    """3x3 rows the closed form leaves to eigh: too badly conditioned,
+    indefinite, singular, out of range, or not finite (a NaN in the upper
+    triangle alone is invisible to eigh, which reads the lower one)."""
+    rows = [_rotated_spd(rng, (1.0, 2.0, 64.5)), np.diag([1.0, 1.0, 64.01]),
+            _rotated_spd(rng, (1.0, 10.0, 1e4)), _rotated_spd(rng, (-1.0, 1.0, 2.0)),
+            np.diag([0.0, 1.0, 2.0]), _rotated_spd(rng, (1e-120, 2e-120, 3e-120)),
+            _rotated_spd(rng, (1e120, 2e120, 3e120)), 1e-160 * np.eye(3), 1e160 * np.eye(3)]
+    for i, j, value in [(1, 0, np.nan), (0, 2, np.nan), (1, 1, np.inf), (2, 2, -np.inf)]:
+        row = np.eye(3)
+        row[i, j] = value
+        rows.append(row)
+    return rows
+
+
+def test_spd_closed_form_is_within_64_ulps_of_eigh():
+    rng = RngStream(120, 0)
+    spectra = [(c, c, c) for c in (1.0, 2.5, 1e-3, 7e4)]
+    spectra += [(1.0, 1.0, 2.0), (1.0, 2.0, 2.0), (1.0, 1.0, 63.99), (1.0, 63.99, 63.99),
+                (0.5, 4.0, 0.5 * 63.99), (1e-90, 3e-90, 5e-89), (1e90, 3e90, 5e91)]
+    spectra += [tuple(63.0 ** rng.uniform(3)) for _ in range(40)]
+    x = np.stack([np.diag(s) for s in spectra] + [_rotated_spd(rng, s) for s in spectra])
+    factor = _sqrt_factor(x)
+    assert not factor.rest.any()  # every row took the closed form
+    root, correction = _eigh_route(x)
+    assert _ulps(factor.root, root).max() <= 64
+    assert _ulps(factor.correction(), correction).max() <= 64
+
+
+def test_spd_uncertified_rows_keep_the_eigh_bits():
+    rng = RngStream(121, 0)
+    x = np.stack(_uncertified_spd3_rows(rng))
+    factor = _sqrt_factor(x)
+    assert factor.rest.all()
+    root, correction = _eigh_route(x)
+    assert factor.root.tobytes() == root.tobytes()
+    assert factor.correction().tobytes() == correction.tobytes()
+    for n in (2, 4):  # spd(N), N != 3, takes eigh on every row
+        a = rng.normal((8, n, n))
+        y = sym(a @ mT(a)) + 0.1 * np.eye(n)
+        factor = _sqrt_factor(y)
+        root, correction = _eigh_route(y)
+        assert factor.root.tobytes() == root.tobytes()
+        assert factor.correction().tobytes() == correction.tobytes()
+
+
+def test_spd_sqrt_rows_do_not_depend_on_their_batch():
+    # pytest turns a RuntimeWarning into an error, so the non-finite,
+    # indefinite and singular rows also show that none is raised
+    rng = RngStream(122, 0)
+    rows = _uncertified_spd3_rows(rng)
+    rows += [_rotated_spd(rng, 60.0 ** rng.uniform(3)) for _ in range(22)]
+    batch = np.stack([rows[i] for i in np.argsort(rng.uniform(len(rows)))])
+    factor = _sqrt_factor(batch)
+    assert factor.rest.any() and not factor.rest.all()
+    root, correction = factor.root, factor.correction()
+    for i, row in enumerate(batch):
+        for alone in (row, row[None]):
+            single = _sqrt_factor(alone)
+            assert single.root.shape == alone.shape
+            assert single.root.tobytes() == root[i].tobytes()
+            assert single.correction().tobytes() == correction[i].tobytes()
+    tail = _sqrt_factor(batch[5:].reshape(3, 10, 3, 3))
+    assert tail.root.shape == (3, 10, 3, 3)
+    assert tail.root.tobytes() == root[5:].tobytes()
+    assert tail.correction().tobytes() == correction[5:].tobytes()
+    handle = make_manifold("spd", N=3)
+    w = sym(rng.normal(batch.shape))
+    assert handle.sigma(batch, w).tobytes() == (root @ w @ root).tobytes()
+    assert handle.strat_drift(batch).tobytes() == (correction + batch).tobytes()
+
+
+def test_spd_strat_coefficient_reduces_to_the_closed_form_polynomial():
+    # g_i = b_i^2 (1/4 + sum_j b_j / (2 (b_i + b_j))), reduced with the
+    # characteristic polynomial of x^{1/2}
+    rng = RngStream(123, 0)
+    b = np.exp(rng.normal((200, 3)))
+    eye = np.broadcast_to(np.eye(3), (200, 3, 3))
+    g = -np.diagonal(_strat_correction(SymEigDecomposition(b**2, eye)), axis1=1, axis2=2)
+    b0, b1, b2 = b.T
+    i1, i2, i3 = b0 + b1 + b2, b0 * b1 + b0 * b2 + b1 * b2, b0 * b1 * b2
+    d = i1 * i2 - i3
+    np.testing.assert_allclose(d, (b0 + b1) * (b0 + b2) * (b1 + b2), rtol=1e-14)
+    poly = b**2 / 2 + (((i1 * i3 + i2**2) / (2 * d))[:, None] * b
+                       - (i3 / (2 * d))[:, None] * b**2 - (i2 * i3 / (2 * d))[:, None])
+    np.testing.assert_allclose(poly, g, rtol=1e-13)
+
+
+def test_spd_sigma_sends_only_the_uncertified_row_to_eigh(monkeypatch):
+    handle = make_manifold("spd", N=3)
+    rng = RngStream(124, 0)
+    x = np.stack([_rotated_spd(rng, (1.0, 2.0, 3.0)) for _ in range(15)]
+                 + [_rotated_spd(rng, (1.0, 2.0, 100.0))])
+    w = sym(rng.normal((16, 3, 3)))
+    rows_factored = []
+    real = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        rows_factored.append(np.shape(a)[:-2])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    handle.sigma(x, w)
+    handle.strat_drift(x)  # the same x: the factor is reused
+    assert rows_factored == [(1,)]
+    x[0] *= 2.0
+    handle.sigma(x, w)
+    assert rows_factored == [(1,), (1,)]
+
+
+def test_spd_sigma_keeps_the_symmetry_check():
+    handle = make_manifold("spd", N=3)
+    x = 2.0 * np.eye(3)
+    x[0, 1] += 1e-6
+    with pytest.raises(AsymmetricInputError):
+        handle.sigma(x, np.eye(3))
+    with pytest.raises(AsymmetricInputError):
+        handle.strat_drift(x)
