@@ -6,7 +6,9 @@ checked wrappers around LAPACK via numpy -- the point of the module is a
 single place where shape and symmetry preconditions are enforced and
 reported with useful errors instead of garbage output downstream.  The
 polar routines certify each matrix from its Gram matrix and then iterate
-(Newton-Schulz) or take the SVD; none of them calls ``eigh``.
+(Newton-Schulz) or take the SVD; none of them calls ``eigh``.  In the same
+way :func:`so_inv` inverts matrices near SO(n) by the 3 x 3 adjugate or
+Schulz steps from x^T on the rows it certifies, and by LAPACK on the rest.
 :func:`reuse_last` lets a handle factor a point once however many of its
 callables ask for it.
 """
@@ -219,6 +221,82 @@ def polar_domain(a: np.ndarray) -> np.ndarray:
     if np.any(rest):
         ok[rest] = _well_conditioned(np.linalg.svd(rows[rest], compute_uv=False))
     return ok.reshape(np.shape(a)[:-2])
+
+
+# Entry k of the row-major 3 x 3 adjugate is f[P] f[Q] - f[R] f[S], f the
+# row-major entries of the matrix; the rows here are P, Q, R, S.
+_ADJUGATE_3 = np.array([
+    [4, 2, 1, 5, 0, 2, 3, 1, 0],
+    [8, 7, 5, 6, 8, 3, 7, 6, 4],
+    [5, 1, 2, 3, 2, 0, 4, 0, 1],
+    [7, 8, 4, 8, 6, 5, 6, 7, 3],
+])
+
+# A 3 x 3 row with ||x||_F^3 <= 8 |det x| has cond_2(x) <= 8: s_max^3 <=
+# ||x||_F^3 and |det x| <= s_max^2 s_min.  The floor on ||x||_F^2 keeps det x
+# normal.
+_ADJUGATE_COND = 8.0
+_ADJUGATE_FLOOR = 1e-200
+
+# Rows with g = ||I - x x^T||_F <= _SCHULZ_CERTIFIED invert by the Schulz
+# iteration X <- X + X (I - x X) from X = x^T (Higham, Functions of
+# Matrices, 2008, sec. 7.3).  Its residual I - x X maps g to at most g^2, so
+# a row whose gap exceeds k of these values (the preimages of 1e-16) is below
+# 1e-16 after k steps.  Past the cap LAPACK is faster than the extra steps.
+_SCHULZ_CERTIFIED = 1e-2
+_SCHULZ_GAPS = np.array([1e-16, 1e-8, 1e-4])
+
+
+def _adjugate_inv(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(adj(x) / det x, certified)`` for 3 x 3 rows."""
+    f = rows.reshape(-1, 9)
+    g = f[:, _ADJUGATE_3]
+    with np.errstate(all="ignore"):  # uncertified rows are overwritten
+        adj = g[:, 0] * g[:, 1] - g[:, 2] * g[:, 3]
+        det = np.einsum("ij,ij->i", f[:, :3], adj[:, ::3])  # along the first row
+        norm2 = np.einsum("ij,ij->i", f, f)
+        # false on a NaN ratio: a non-finite, overflowing or singular row
+        ok = (norm2 * np.sqrt(norm2) / np.abs(det) <= _ADJUGATE_COND) \
+            & (norm2 >= _ADJUGATE_FLOOR)
+        return (adj / det[:, None]).reshape(rows.shape), ok
+
+
+def _schulz_inv(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(Schulz iterate from x^T, certified)`` for n x n rows."""
+    xinv = mT(rows).copy()  # C order, off the syrk path, never a view of x
+    eye = np.eye(rows.shape[-1])
+    with np.errstate(all="ignore"):  # uncertified rows are overwritten
+        e = eye - rows @ xinv
+        gap = frobenius_norm(e)
+        ok = gap <= _SCHULZ_CERTIFIED
+        steps = np.where(ok, np.searchsorted(_SCHULZ_GAPS, gap), 0)
+        common = steps.min() if steps.size else 0  # steps that every row takes
+        for k in range(steps.max(initial=0)):
+            if k:
+                e = eye - rows @ xinv
+            step = xinv + xinv @ e
+            # a row that has taken its steps keeps its bits
+            xinv = step if k < common else np.where((steps > k)[:, None, None], step, xinv)
+    return xinv, ok
+
+
+def so_inv(x: np.ndarray) -> np.ndarray:
+    """x^{-1} for square matrices near SO(n), without LAPACK on certified rows.
+
+    A 3 x 3 row with ||x||_F^3 <= 8 |det x| (so cond_2(x) <= 8) takes its
+    adjugate over its determinant.  Any other size takes Schulz steps from
+    x^T where g = ||I - x x^T||_F <= 1e-2, as many as its own gap needs to
+    bring the residual below 1e-16 (see ``_SCHULZ_GAPS``), so a row's bits
+    never depend on its batch.  Every other row (uncertified, non-finite or
+    singular) takes ``np.linalg.inv`` on those rows alone, which raises
+    ``LinAlgError`` on a singular one.
+    """
+    a = _require_square(x, "so_inv")
+    rows = a.reshape((-1,) + a.shape[-2:])
+    xinv, ok = (_adjugate_inv if a.shape[-1] == 3 else _schulz_inv)(rows)
+    if not ok.all():
+        xinv[~ok] = np.linalg.inv(rows[~ok])
+    return xinv.reshape(a.shape)
 
 
 def matrix_exp(a: np.ndarray) -> np.ndarray:

@@ -23,7 +23,10 @@ Brownian drifts are x (sum_k f_k f_k - S) / 2 (Ito) and -x S / 2
 
 ``project``, ``metric`` and ``christoffel`` start from x^{-1}; a handle
 inverts each point once and hands the inverse to all three
-(:func:`~manifold_sde.linalg.reuse_last`).  With the bi-invariant metric on
+(:func:`~manifold_sde.linalg.reuse_last`).  On so(N) the inverse is
+:func:`~manifold_sde.linalg.so_inv`, which takes the 3 x 3 adjugate or Schulz
+steps from x^T on the rows it certifies and LAPACK on the rest; the other
+kinds call ``np.linalg.inv``.  With the bi-invariant metric on
 so(N) the Levi-Civita connection is nabla_X Y = [X, Y] / 2 (Milnor,
 Curvatures of left invariant metrics on Lie groups, Adv. Math. 21, 1976),
 so the bracket term of the Christoffel function vanishes and is not formed.
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import linalg
 from ..geometry import Constraint, ManifoldHandle, TubularRetraction, ambient_basis
 from ..linalg import (
     ambient_identity,
@@ -225,9 +229,10 @@ def make_lie_group(kind: str, N: int, metric_seed: int | None = None) -> Manifol
     # x^{-1} once per point, then products: a broadcast solve would factor x
     # again for every right-hand side (every ambient basis element), and one
     # step asks for the inverse of the same x in sigma, metric, christoffel
-    # and the retraction's differential.  np.linalg.inv is looked up per call,
-    # so a wrapped np.linalg.inv sees every inversion.
-    inverse = reuse_last(lambda x: np.linalg.inv(x))
+    # and the retraction's differential.  so inverts through linalg.so_inv,
+    # the other kinds through np.linalg.inv; both are looked up per call, so a
+    # wrapped routine sees every inversion.
+    inverse = reuse_last(lambda x: linalg.so_inv(x) if kind == "so" else np.linalg.inv(x))
 
     def project(x, w):
         return x @ algebra_project(inverse(x) @ w)
@@ -252,7 +257,8 @@ def make_lie_group(kind: str, N: int, metric_seed: int | None = None) -> Manifol
         xinv = inverse(x)
         a = xinv @ u
         b = a if v is u else xinv @ v
-        first = -0.5 * (u @ b + v @ a)
+        # u @ a + u @ a = 2 (u @ a) exactly, so Gamma(x; u, u) forms one product
+        first = -(u @ a) if v is u else -0.5 * (u @ b + v @ a)
         if bi_invariant:
             return first
         la = mix(a, coeff)

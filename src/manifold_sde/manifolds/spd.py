@@ -207,10 +207,12 @@ def make_spd(N: int) -> ManifoldHandle:
 
     def christoffel(x, u, v):
         # -sym(u x^{-1} v), symmetrized in (u, v) so the bilinear extension
-        # off the symmetric subspace is symmetric too; Gamma(x; v, v) solves once
+        # off the symmetric subspace is symmetric too; Gamma(x; v, v) solves
+        # once and forms one product, since s + s = 2 s exactly
         xinv_u = np.linalg.solve(x, u)
-        xinv_v = xinv_u if v is u else np.linalg.solve(x, v)
-        return -0.5 * (sym(u @ xinv_v) + sym(v @ xinv_u))
+        if v is u:
+            return -sym(u @ xinv_u)
+        return -0.5 * (sym(u @ np.linalg.solve(x, v)) + sym(v @ xinv_u))
 
     def sqrt_conjugate(x, w):
         s = factor(x).root

@@ -53,9 +53,11 @@ def make_stiefel(n: int, p: int, alpha0: float = 1.0, alpha1: float = 1.0) -> Ma
         return perp / np.sqrt(a0) + sk / np.sqrt(a1) + nor
 
     def christoffel(y, u, v):
-        gam = y @ sym(mT(u) @ v)
+        # the transposed operands are copied: with v is u, ``mT(u) @ v`` (a view
+        # of the same array) takes numpy's per-matrix syrk path, 3-5x slower
+        gam = y @ sym(np.ascontiguousarray(mT(u)) @ v)
         if a0 != a1:
-            uvt = sym(u @ mT(v))
+            uvt = sym(u @ np.ascontiguousarray(mT(v)))
             k0 = uvt @ y - y @ (mT(y) @ (uvt @ y))
             gam = gam + (2.0 * (a0 - a1) / a0) * k0
         return gam

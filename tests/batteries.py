@@ -36,13 +36,27 @@ IDS = [name for name, _ in GEOMETRY_BATTERY]
 SPOT_IDS = [name for name, _ in SPOT_BATTERY]
 
 
-def count_linalg(monkeypatch, *names):
-    """Patch the named ``np.linalg`` functions to count their calls; returns
-    the live counts, keyed by name."""
+def count_linalg(monkeypatch, *names, module=np.linalg):
+    """Patch the named functions of ``module`` (``np.linalg`` by default) to
+    count their calls; returns the live counts, keyed by name."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        def counted(*args, real=getattr(np.linalg, name), name=name, **kwargs):
+        def counted(*args, real=getattr(module, name), name=name, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def record_inv(monkeypatch):
+    """Patch ``np.linalg.inv`` to keep a copy of every argument; returns the
+    live list."""
+    seen = []
+    real = np.linalg.inv
+
+    def recording(a, *args, **kwargs):
+        seen.append(np.array(a, copy=True))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", recording)
+    return seen

@@ -253,10 +253,11 @@ def test_simulate_csv_schema_and_summary_consistency(tmp_path, capsys):
 # number must leave these unchanged; the digests also depend on the
 # numpy/LAPACK build, so a toolchain change may need them re-recorded.
 # The spd(3) digests here and below were re-recorded when sigma and the
-# Stratonovich drift moved to the closed form on well-conditioned rows.
+# Stratonovich drift moved to the closed form on well-conditioned rows, the
+# so(3) and so(8) digests when so(N) inverted through linalg.so_inv.
 PINNED_PATH_CSV = [
     ("manifold = so\nN = 3\n", "retractive-em", "sum_abs",
-     "785e8735456ae8bd06acfd12944c4973268c021c533a43b4cf7dac4357e5ea58"),
+     "5066d4062adf2762a0e83d47122bb1b160c6acf597b46d2ea80c1524778df3ac"),
     ("manifold = spd\nN = 3\n", "strat-heun", "spd_running",
      "060f4332db108dc373ba1c4f7559f67676d4df25eb184b5e082e1a3dbc64bf44"),
     ("manifold = sphere\nn = 3\n", "geodesic-walk", "phi_5_2",
@@ -264,7 +265,7 @@ PINNED_PATH_CSV = [
     ("manifold = stiefel\nn = 5\np = 3\n", "rk4-geodesic", "sum_abs",
      "bd59770aefb3e0b49e01a7e6b04acdc95f4a795abe7991c89c203a5e6532dfc2"),
     ("manifold = so\nN = 8\n", "ito-em", "sum_abs",
-     "2710027f7acc55161cfa118f1e1595ca2a7da22925941edead8ceb05ba0554ca"),
+     "d875e249b4c9472f5ecd35a12d7184f4012b1b7689fba5155c601c81b2860c82"),
 ]
 
 

@@ -97,12 +97,13 @@ def test_results_independent_of_chunking_and_threads(so3, monkeypatch):
 # steps, 24 paths, seed 5, chunks of 7, terminal sum_abs).  Like the CLI
 # pins, a change meant to keep every number leaves these unchanged, and a
 # numpy/LAPACK change may need them re-recorded.  The spd ones were
-# re-recorded when sigma moved to the closed form on well-conditioned rows.
+# re-recorded when sigma moved to the closed form on well-conditioned rows,
+# the so ones when so(N) inverted through linalg.so_inv.
 PINNED_WALK_SAMPLES = [
     ("so", {"N": 3}, "geodesic-walk",
-     "6f1518b5bb5a25ceda4398a747c697a20ee0fc57de125a7da76dfd5b0673b6e4"),
+     "bfbab28f737a5de4e13114f70067b05e98c307ee6d8a0e2a7a2c8c288fe78bcc"),
     ("so", {"N": 3}, "rk4-geodesic",
-     "dcefb0e67b0908153b382eedf3a9cc8bf93b925931ad012061b214a1bb9fedff"),
+     "08e9a9398c4e84b0326a8ff8ffdb6efcb1b1eac963eca4e0514f338bcefa9bbb"),
     ("spd", {"N": 3}, "geodesic-walk",
      "8babec1e59ac0d5454d96a904ffe623297c62f3bad3832f8e21472076a46faf1"),
     ("spd", {"N": 3}, "rk4-geodesic",

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from batteries import SPOT_BATTERY, SPOT_IDS, count_linalg
+from batteries import SPOT_BATTERY, SPOT_IDS, count_linalg, record_inv
 from manifold_sde import (
     INTEGRATOR_IDS,
     DivergenceError,
@@ -13,6 +13,7 @@ from manifold_sde import (
     first_order_retraction,
     integrate_geodesic_rk4_projected,
     integrators,
+    linalg,
     make_manifold,
     make_stepper,
     mu_retraction_adjusted,
@@ -529,13 +530,22 @@ def test_group_step_inverts_each_point_once(monkeypatch, N, integrator_id, first
     rng = RngStream(47, 0)
     x = np.stack([handle.random_point(rng) for _ in range(16)])
     incs = [truncated_increment(rng, (16,) + stepper.noise_shape, 0.01) for _ in range(2)]
-    calls = count_linalg(monkeypatch, "inv")  # patched after the handle is built
+    # patched after the handle is built
+    calls = count_linalg(monkeypatch, "so_inv", module=linalg)
+    lapack = record_inv(monkeypatch)
     out = stepper.step(x, 0.0, 0.01, incs[0])
     assert out.ok.all()
-    assert calls["inv"] == first
+    assert calls["so_inv"] == first
     out = stepper.step(out.state, 0.01, 0.01, incs[1])
     assert out.ok.all()
-    assert calls["inv"] == first + then
+    assert calls["so_inv"] == first + then
+    # every so(3) row and every accepted so(8) point is certified; LAPACK
+    # sees only so(8) rows well off the group (the Heun predictor, RK4 stage
+    # points) whose gap ||I - x x^T||_F exceeds the Schulz certificate
+    if N == 3 or integrator_id in ("ito-em", "geodesic-walk", "retractive-em"):
+        assert lapack == []
+    for rows in lapack:
+        assert np.all(frobenius_norm(np.eye(N) - rows @ mT(rows)) > 1e-2)
 
 
 @pytest.mark.parametrize("family,params", [("so", {"N": 3}), ("stiefel", {"n": 5, "p": 3})],
@@ -576,19 +586,19 @@ def test_group_inverse_follows_its_input_bits(monkeypatch):
     rng = RngStream(49, 0)
     x = np.stack([handle.random_point(rng) for _ in range(4)])
     w = rng.normal(x.shape)
-    calls = count_linalg(monkeypatch, "inv")
+    calls = count_linalg(monkeypatch, "so_inv", module=linalg)
     handle.project(x, w)
     handle.project(x.copy(), w)  # same bits, another array: reused
-    assert calls["inv"] == 1
+    assert calls["so_inv"] == 1
     x[1] = handle.random_point(rng)  # the same array, written in place
-    np.testing.assert_array_equal(handle.project(x, w), x @ skew(np.linalg.inv(x) @ w))
-    assert calls["inv"] == 3  # the handle's miss plus the reference
+    np.testing.assert_array_equal(handle.project(x, w), x @ skew(linalg.so_inv(x) @ w))
+    assert calls["so_inv"] == 3  # the handle's miss plus the reference
     # -0.0 == 0.0, but a factorisation may tell them apart: a miss
     eye = np.eye(3)
     handle.project(eye, w)
     eye[0, 1] = -0.0
     handle.project(eye, w)
-    assert calls["inv"] == 5
+    assert calls["so_inv"] == 5
 
 
 def test_stiefel_polar_retraction_closed_form():

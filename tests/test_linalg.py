@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from manifold_sde.linalg import (
     polar_fused,
     polar_orth,
     skew,
+    so_inv,
     sym,
     sym_eig,
 )
@@ -225,6 +228,118 @@ def test_polar_routines_keep_nonfinite_rows_from_lapack(capfd, monkeypatch):
     assert np.all(np.isfinite(point[[0, 1, 2, 6]]))
     assert len(seen) == 3 and all(np.isfinite(a).all() for a in seen)
     assert capfd.readouterr().err == ""
+
+
+def _with_cond_ratio(rng, r):
+    """A 3 x 3 row with ||x||_F^3 = 8 r |det x|: u diag(1, 1, t) v^T, where
+    (2 + t^2)^{3/2} / (8 t) = r (decreasing on (0, 1)), by bisection."""
+    lo, hi = 1e-3, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if (2.0 + mid**2) ** 1.5 / (8.0 * mid) > r else (lo, mid)
+    return _orthonormal(rng, 3, 3) @ np.diag([1.0, 1.0, lo]) @ _orthonormal(rng, 3, 3).T
+
+
+def _schulz(x, k):
+    """k Schulz steps X <- X + X (I - x X) from X = x^T, written out."""
+    xinv = mT(x).copy()
+    for _ in range(k):
+        xinv = xinv + xinv @ (np.eye(x.shape[-1]) - x @ xinv)
+    return xinv
+
+
+def _so_gap(x):
+    return frobenius_norm(np.eye(x.shape[-1]) - x @ mT(x).copy())
+
+
+def test_so_inv_certificates_take_the_expected_rule(monkeypatch):
+    rng = np.random.default_rng(12)
+    calls = count_linalg(monkeypatch, "inv")
+    # 3 x 3: the adjugate while ||x||_F^3 <= 8 |det x|, LAPACK past it
+    inside, outside = (_with_cond_ratio(rng, 1.0 + d)[None] for d in (-1e-6, 1e-6))
+    so_inv(inside)
+    assert calls["inv"] == 0
+    np.testing.assert_array_equal(so_inv(outside), np.linalg.inv(outside))
+    assert calls["inv"] == 2  # the routine's and the reference's
+    # 8 x 8: one Schulz step more past each preimage of 1e-16 under g -> g^2,
+    # LAPACK past the cap; an exactly orthogonal row takes no step
+    signed_permutation = np.eye(8)[rng.permutation(8)] * rng.choice([-1.0, 1.0], 8)
+    assert _so_gap(signed_permutation) == 0.0
+    np.testing.assert_array_equal(so_inv(signed_permutation), signed_permutation.T)
+    for g, steps in [(1e-8, 1), (1e-4, 2), (1e-2, 3)]:
+        for d, k in [(-1e-6, steps), (1e-6, steps + 1)]:
+            x = _with_gram_gap(rng, 8, 8, g * (1.0 + d))[None]
+            assert (_so_gap(x) > g) == (d > 0)
+            expected = _schulz(x, k) if k <= 3 else np.linalg.inv(x)
+            np.testing.assert_array_equal(so_inv(x), expected)
+            assert not np.array_equal(expected, _schulz(x, k - 1))
+    assert calls["inv"] == 4
+
+
+def test_so_inv_matches_lapack_on_certified_rows(monkeypatch):
+    rng = np.random.default_rng(13)
+    cond = [_with_cond_ratio(rng, r) for r in np.linspace(0.66, 0.999, 32)]
+    near = [_orthonormal(rng, 3, 3) + 0.1 * rng.normal(size=(3, 3)) for _ in range(32)]
+    batches = [np.stack(cond + near)]
+    for n in (2, 4, 8):
+        batches.append(np.stack([_with_gram_gap(rng, n, n, g)
+                                 for g in np.geomspace(1e-14, 9e-3, 48)]))
+    calls = count_linalg(monkeypatch, "inv")
+    results = [so_inv(rows) for rows in batches]
+    assert calls["inv"] == 0
+    # within 8 ulps of the row's largest entry
+    for rows, xinv in zip(batches, results):
+        ref = np.linalg.inv(rows)
+        err = np.max(np.abs(xinv - ref), axis=(-2, -1))
+        assert np.all(err <= 8 * np.finfo(float).eps * np.max(np.abs(ref), axis=(-2, -1)))
+
+
+def _mixed_so_rows(rng, n):
+    """64 rows: certified ones across the rules, uncertified finite ones, and
+    last non-finite, overflowing and tiny ones."""
+    if n == 3:
+        good = [_with_cond_ratio(rng, r) for r in np.linspace(0.7, 0.99, 24)]
+    else:
+        good = [_with_gram_gap(rng, n, n, g) for g in np.geomspace(1e-12, 9e-3, 24)]
+    far = [rng.normal(size=(n, n)) for _ in range(15)]
+    near = [_orthonormal(rng, n, n) + 0.02 * rng.normal(size=(n, n)) for _ in range(16)]
+    # at 1e-103 det x would be subnormal
+    bad = np.stack([good[0]] * 7 + [1e200 * good[0], 1e-103 * good[0]])
+    for i, value in enumerate([np.nan, np.inf, -np.inf, 1e200, np.nan, np.inf, -np.inf]):
+        bad[i, i % n, -1] = value
+    return np.concatenate([np.stack(good + far + near), bad])
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_so_inv_rows_do_not_depend_on_their_batch(n):
+    rng = np.random.default_rng(14)
+    rows = _mixed_so_rows(rng, n)
+    xinv = so_inv(rows)
+    order = rng.permutation(64)
+    shuffled = np.empty_like(xinv)
+    shuffled[order] = so_inv(rows[order])
+    for i, row in enumerate(rows):
+        for other in (so_inv(row), so_inv(row[None])[0], shuffled[i]):
+            np.testing.assert_array_equal(other.view(np.uint64), xinv[i].view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_so_inv_sends_nonfinite_and_singular_rows_to_lapack(n):
+    rng = np.random.default_rng(15)
+    rows = _mixed_so_rows(rng, n)[-9:]
+    # as np.linalg.inv leaves them, and with no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xinv = so_inv(rows)
+    np.testing.assert_array_equal(xinv, np.linalg.inv(rows))
+    assert np.all(np.isfinite(xinv[[3, 7, 8]]))
+    # a singular row raises, as np.linalg.inv does on the whole batch
+    singular = np.concatenate([rows[3:4], np.zeros((1, n, n)), np.ones((1, n, n))])
+    for rows in (singular, singular[1:2], singular[2:]):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(rows)
+        with pytest.raises(np.linalg.LinAlgError):
+            so_inv(rows)
 
 
 def test_matrix_exp_nilpotent_and_rotation():

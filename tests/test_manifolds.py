@@ -18,6 +18,7 @@ from manifold_sde.linalg import (
     matrix_exp,
     mT,
     skew,
+    so_inv,
     sym,
     sym_eig,
 )
@@ -199,7 +200,7 @@ def test_so_christoffel_drops_only_a_zero_bracket(N):
     """The bi-invariant so(N) handle leaves out a bracket term that is +0 bit for bit."""
 
     def full(x, u, v):  # the formula of the other group handles, with I = id
-        xinv = np.linalg.inv(x)
+        xinv = so_inv(x)
         a = xinv @ u
         b = a if v is u else xinv @ v
         bracket = (a @ mT(b) - mT(b) @ a) + (b @ mT(a) - mT(a) @ b)
@@ -226,11 +227,12 @@ def test_so_christoffel_drops_only_a_zero_bracket(N):
 # sha256 over every output of the group handles, per kind, for N = 1..4 where
 # the kind exists and metric_seed None and 4.  First recorded before the group
 # module was rewritten as one construction, so it pinned that rewrite bit for
-# bit; re-recorded when the polar factor moved to Newton-Schulz steps.
+# bit; re-recorded when the polar factor moved to Newton-Schulz steps, and
+# the so digest again when so(N) inverted through linalg.so_inv.
 LIE_GROUP_DIGESTS = {
     "gl+": "c7072dd9a70a69835f458379ca086fa6fb89f72d39f221a36b756fa05ac21959",
     "sl": "2a78d8b10d910136d899236594d1bbb9465d95273638a91168f2b19755872f8c",
-    "so": "6ecd4c3fc829e227edaecf9e145ed1354651164bd5ae491c746edcdfc0a5b9ab",
+    "so": "040ee5a0a4035bde1923a41e00ccd6b93aaf3fe86e069e7c2c8d8e62fd64ade8",
     "se": "93358ba68db09c126a7740e5fc01592ea22283a946d158737f4a9829954b7254",
     "aff": "5e8ab63116760321f68f7ee0cd72f601204aa644fbde9523208b58907c08e6d3",
 }
