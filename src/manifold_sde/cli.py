@@ -182,8 +182,15 @@ def _build_handle(config: RunConfig) -> ManifoldHandle:
     return make_manifold(family, **params)
 
 
-def _write_csv(path: str, header, rows):
+def _write_csv(path: str, header, rows, row_format: str | None = None):
+    """Write ``header`` and ``rows`` as CSV.  With ``row_format``, a
+    %-format of one whole line that needs no quoting, the file is built as
+    one string instead of through ``csv.writer``: the same bytes, faster on
+    the long per-path file."""
     with open(path, "w", newline="") as fh:
+        if row_format is not None:
+            fh.write(",".join(header) + "\n" + "".join([row_format % row for row in rows]))
+            return
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -265,8 +272,8 @@ def _cmd_simulate(config: RunConfig) -> int:
     sim = _sim_config(config)
     out = simulate(sim, handle, cost=cost)
 
-    path_rows = [(i, f"{v:.17g}") for i, v in enumerate(out.samples)]
-    _write_csv(config.get("out"), ("path_index", "value"), path_rows)
+    _write_csv(config.get("out"), ("path_index", "value"),
+               enumerate(out.samples.tolist()), "%d,%.17g\n")
     summary = _summary_row(cost.name, out.mean, out.stderr, out.n_path,
                            sim.n_div, sim.T, sim.integrator, handle.name)
     _write_csv(_summary_path(config.get("out")), SUMMARY_HEADER, [summary])

@@ -176,8 +176,13 @@ class ManifoldHandle:
     All callables take points/vectors of shape ``(..., n, m)`` and broadcast
     over the leading axes.  ``christoffel`` is the bilinear extension of the
     Christoffel function: symmetric in its two vector arguments and smooth in
-    a neighborhood of the manifold.  ``ito_drift`` / ``strat_drift`` are the
-    standard-speed Brownian drifts (generator = Laplace-Beltrami / 2).
+    a neighborhood of the manifold.  ``sigma`` is the diffusion factor: it
+    maps ambient noise into T_xM, with sigma sigma^T = Pi(x) g(x)^{-1}, and
+    off M (Heun predictors, RK4 stage points) it is the smooth extension
+    Pi(x) sigma_E(x) of the family's ambient factor sigma_E, which each
+    family forms directly (on the groups sigma_E is already tangent).
+    ``ito_drift`` / ``strat_drift`` are the standard-speed Brownian drifts
+    (generator = Laplace-Beltrami / 2).
     """
 
     name: str
@@ -512,8 +517,8 @@ def brownian_sde(
 
     ``diffusion`` is the generator scale c; the classical Brownian motion
     (generator Laplacian/2) is c = 1/2.  Drift and noise scale as 2c and
-    sqrt(2c).  The noise has the ambient shape and is pushed to the tangent
-    space by Pi(x) sigma(x).
+    sqrt(2c).  The noise has the ambient shape; ``handle.sigma`` is already
+    tangent-valued, so it is only scaled.
     """
     if diffusion <= 0.0:
         raise ValueError(f"diffusion must be positive, got {diffusion}")
@@ -528,7 +533,7 @@ def brownian_sde(
             return c2 * handle.strat_drift(x)
 
     def sigma(x, dw, t):
-        return root * handle.project(x, handle.sigma(x, dw))
+        return root * handle.sigma(x, dw)
 
     return SdeSpec(form=form, drift=drift, sigma=sigma, noise_shape=handle.shape,
                    diffusion=diffusion)

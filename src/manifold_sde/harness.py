@@ -160,8 +160,10 @@ class SampleSet:
 def _worker_count(config: SimulationConfig) -> int:
     """Worker processes for one run, capped by THREADS_ENV (0 or unset = auto).
 
-    A cap gives min(cap, ceil(n_path / path_chunk)).  Auto gives up to the CPU
-    count, but no more workers than started blocks of 64 x 16 path-steps,
+    A cap gives min(cap, ceil(n_path / path_chunk)).  Auto gives up to the
+    CPUs the process may run on (its affinity mask where the OS has one:
+    ``taskset`` or a cpuset can leave fewer than ``os.cpu_count()``), but no
+    more workers than started blocks of 64 x 16 path-steps,
     so a run of at most one block does not fork, and never more than the
     paths.  Without ``os.fork`` there is one.
     """
@@ -177,7 +179,11 @@ def _worker_count(config: SimulationConfig) -> int:
     if cap:
         return max(1, min(cap, -(-config.n_path // config.path_chunk)))
     blocks = -(-config.n_path * config.n_div // (BLOCK_PATHS * BLOCK_STEPS))
-    return max(1, min(os.cpu_count() or 1, blocks, config.n_path))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, blocks, config.n_path))
 
 
 def _plan_chunks(n_path: int, path_chunk: int, workers: int) -> list:

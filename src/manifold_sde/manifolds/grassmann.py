@@ -22,15 +22,19 @@ from .stiefel import make_stiefel
 
 def make_grassmann(n: int, p: int) -> ManifoldHandle:
     coeff = -(n - p) / 2.0
+
+    def horizontal(y, w):
+        # kill every component along the columns of y
+        return w - y @ (mT(y) @ w)
+
     return replace(
         make_stiefel(n, p),
         name=f"grassmann({n},{p})",
         dim=p * (n - p),
         metric=ambient_identity,
         metric_inv=ambient_identity,
-        sigma=ambient_identity,
-        # horizontal projection: kill every component along the columns of y
-        project=lambda y, w: w - y @ (mT(y) @ w),
+        sigma=horizontal,
+        project=horizontal,
         ito_drift=lambda y: coeff * y,
         # a copied y^T: ``y @ mT(y)`` takes numpy's per-matrix syrk path
         cost_point=lambda y: y @ np.ascontiguousarray(mT(y)),

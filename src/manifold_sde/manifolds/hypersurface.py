@@ -82,8 +82,8 @@ def make_hypersurface(n: int, p: int = 4, d: np.ndarray | None = None) -> Manifo
         return -0.5 * (tr_tan / g2)[..., None, None] * g
 
     def strat_drift(x):
-        # isometric embedding with identity sigma: projected Stratonovich
-        # noise needs no drift
+        # isometric embedding whose sigma is the orthogonal projection:
+        # projected Stratonovich noise needs no drift
         return np.zeros(np.shape(x))
 
     constraint = Constraint(
@@ -103,7 +103,7 @@ def make_hypersurface(n: int, p: int = 4, d: np.ndarray | None = None) -> Manifo
         metric_inv=ambient_identity,
         project=project,
         christoffel=christoffel,
-        sigma=ambient_identity,
+        sigma=project,
         tubular=tubular,
         ito_drift=ito_drift,
         strat_drift=strat_drift,

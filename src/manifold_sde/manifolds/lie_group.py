@@ -23,7 +23,10 @@ Brownian drifts are x (sum_k f_k f_k - S) / 2 (Ito) and -x S / 2
 
 ``project``, ``metric`` and ``christoffel`` start from x^{-1}; a handle
 inverts each point once and hands the inverse to all three
-(:func:`~manifold_sde.linalg.reuse_last`).  On so(N) the inverse is
+(:func:`~manifold_sde.linalg.reuse_last`).  ``sigma`` needs no inverse: its
+value x mix(P_g w, I^{-1/2}) lies in x g for every invertible x, so it is
+tangent without a projection, and the projected Euler and Heun steps of a
+Brownian SDE never invert x.  On so(N) the inverse is
 :func:`~manifold_sde.linalg.so_inv`, which takes the 3 x 3 adjugate or Schulz
 steps from x^T on the rows it certifies and LAPACK on the rest; the other
 kinds call ``np.linalg.inv``.  With the bi-invariant metric on
@@ -228,8 +231,8 @@ def make_lie_group(kind: str, N: int, metric_seed: int | None = None) -> Manifol
 
     # x^{-1} once per point, then products: a broadcast solve would factor x
     # again for every right-hand side (every ambient basis element), and one
-    # step asks for the inverse of the same x in sigma, metric, christoffel
-    # and the retraction's differential.  so inverts through linalg.so_inv,
+    # step asks for the inverse of the same x in metric, christoffel and the
+    # retraction's differential.  so inverts through linalg.so_inv,
     # the other kinds through np.linalg.inv; both are looked up per call, so a
     # wrapped routine sees every inversion.
     inverse = reuse_last(lambda x: linalg.so_inv(x) if kind == "so" else np.linalg.inv(x))
@@ -245,6 +248,8 @@ def make_lie_group(kind: str, N: int, metric_seed: int | None = None) -> Manifol
         return x @ mix(mT(x) @ w, coeff_inv)
 
     def sigma(x, w):
+        # in x g for every invertible x, where project(x, .) is the identity:
+        # tangent as it stands, so no step inverts x for its noise
         return x @ mix(algebra_project(w), coeff_inv_sqrt)
 
     # With the bi-invariant metric on so(N) the bracket below has the form

@@ -1,6 +1,7 @@
 """Symmetric positive-definite matrices with the affine-invariant metric.
 
-g(x) w = x^{-1} w x^{-1}; the diffusion factor is sigma(x) w = x^{1/2} w x^{1/2}.
+g(x) w = x^{-1} w x^{-1}; the diffusion factor is sigma(x) w = sym(x^{1/2} w x^{1/2}),
+which is x^{1/2} w x^{1/2} on symmetric noise.
 The Stratonovich drift is S(x) + (N + 1) x / 4, S a spectral function of x
 (see ``_strat_correction``).  sigma and the drift read one factor of x
 through :func:`~manifold_sde.linalg.reuse_last`, which returns the last one
@@ -216,7 +217,7 @@ def make_spd(N: int) -> ManifoldHandle:
 
     def sqrt_conjugate(x, w):
         s = factor(x).root
-        return s @ w @ s
+        return sym(s @ w @ s)
 
     def mapping(q):
         s = sym(q)

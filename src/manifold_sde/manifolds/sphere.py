@@ -62,7 +62,7 @@ def make_sphere(n: int, radius: float = 1.0) -> ManifoldHandle:
         metric_inv=ambient_identity,
         project=project,
         christoffel=christoffel,
-        sigma=ambient_identity,
+        sigma=project,
         tubular=tubular,
         ito_drift=lambda x: drift_coeff * x,
         strat_drift=lambda x: np.zeros_like(x),

@@ -48,9 +48,17 @@ def make_stiefel(n: int, p: int, alpha0: float = 1.0, alpha1: float = 1.0) -> Ma
         perp, sk, nor = _split(y, w)
         return perp / a0 + sk / a1 + nor
 
+    s, k = 1.0 / np.sqrt(a0), 1.0 / np.sqrt(a1)
+
     def sigma(y, w):
-        perp, sk, nor = _split(y, w)
-        return perp / np.sqrt(a0) + sk / np.sqrt(a1) + nor
+        # Pi(y) (s perp + k y skew(c) + y sym(c)), c = y^T w, formed directly:
+        # with A = -s c + k skew(c) + sym(c) the factor is s w + y A, and
+        # y^T (s w + y A) = s c + (y^T y) A
+        # (a copied y^T: ``mT(y) @ y`` takes numpy's per-matrix syrk path)
+        yt = np.ascontiguousarray(mT(y))
+        c = yt @ w
+        a = -s * c + k * skew(c) + sym(c)
+        return s * w + y @ (a - sym(s * c + (yt @ y) @ a))
 
     def christoffel(y, u, v):
         # the transposed operands are copied: with v is u, ``mT(u) @ v`` (a view
@@ -79,6 +87,9 @@ def make_stiefel(n: int, p: int, alpha0: float = 1.0, alpha1: float = 1.0) -> Ma
     def random_point(rng):
         return polar_orth(rng.normal((n, p)))
 
+    # at the embedded metric A vanishes and sigma is the projection
+    embedded = a0 == a1 == 1.0
+
     return ManifoldHandle(
         name=f"stiefel({n},{p})",
         shape=(n, p),
@@ -87,7 +98,7 @@ def make_stiefel(n: int, p: int, alpha0: float = 1.0, alpha1: float = 1.0) -> Ma
         metric_inv=metric_inv,
         project=project,
         christoffel=christoffel,
-        sigma=sigma,
+        sigma=project if embedded else sigma,
         tubular=tubular,
         ito_drift=ito_drift,
         strat_drift=strat_drift,

@@ -98,12 +98,13 @@ def test_results_independent_of_chunking_and_threads(so3, monkeypatch):
 # pins, a change meant to keep every number leaves these unchanged, and a
 # numpy/LAPACK change may need them re-recorded.  The spd ones were
 # re-recorded when sigma moved to the closed form on well-conditioned rows,
-# the so ones when so(N) inverted through linalg.so_inv.
+# the so ones when so(N) inverted through linalg.so_inv and again when
+# brownian_sde stopped projecting the (tangent-valued) group sigma.
 PINNED_WALK_SAMPLES = [
     ("so", {"N": 3}, "geodesic-walk",
-     "bfbab28f737a5de4e13114f70067b05e98c307ee6d8a0e2a7a2c8c288fe78bcc"),
+     "30abaffab6a3a1bac15989cee81fb9a10167174b5977ff07b4209687b4b77c76"),
     ("so", {"N": 3}, "rk4-geodesic",
-     "08e9a9398c4e84b0326a8ff8ffdb6efcb1b1eac963eca4e0514f338bcefa9bbb"),
+     "2d2e23082c88c3ba6db238d85fed635d700cbdad4a16fe54a72efe817cf776d3"),
     ("spd", {"N": 3}, "geodesic-walk",
      "8babec1e59ac0d5454d96a904ffe623297c62f3bad3832f8e21472076a46faf1"),
     ("spd", {"N": 3}, "rk4-geodesic",
@@ -282,7 +283,8 @@ def test_chunk_plan_keeps_every_worker_busy():
 
 
 def test_auto_worker_count_is_at_most_one_per_started_block(monkeypatch):
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
 
     def workers(n_path, n_div, cap="0", path_chunk=256):
         monkeypatch.setenv(THREADS_ENV, cap)
@@ -301,6 +303,19 @@ def test_auto_worker_count_is_at_most_one_per_started_block(monkeypatch):
     assert workers(512, 1, cap="2") == 2
     assert workers(512, 1, cap="8") == 2
     assert workers(100, 1, cap="3", path_chunk=7) == 3
+
+
+def test_auto_worker_count_follows_the_cpu_affinity(monkeypatch):
+    # one usable CPU (taskset -c 1, a one-CPU cpuset) on a larger machine:
+    # a second worker would only share it
+    monkeypatch.setenv(THREADS_ENV, "0")
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    config = SimulationConfig(T=1.0, n_div=100, n_path=10_000, seed=0)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {1}, raising=False)
+    assert _worker_count(config) == 1
+    # without an affinity call the CPU count is the bound
+    monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    assert _worker_count(config) == 8
 
 
 def test_a_tiny_run_does_not_fork(so3, monkeypatch):

@@ -516,11 +516,13 @@ def test_spd_step_factors_each_point_once(monkeypatch, integrator):
     assert calls == {"eigh": 0, "eigvalsh": 0}
 
 
-# x^{-1} per step on so(N): sigma, metric, christoffel and the retraction's
+# x^{-1} per step on so(N): metric, christoffel and the retraction's
 # differential share the inverse of x; each RK4 stage point is a new matrix.
 # A following step starts from the point rk4-geodesic last projected at.
+# sigma is tangent without a projection, so the projected Euler and Heun
+# steps invert nothing.
 @pytest.mark.parametrize("integrator_id,first,then", [
-    ("ito-em", 1, 1), ("strat-heun", 2, 2), ("geodesic-walk", 1, 1),
+    ("ito-em", 0, 0), ("strat-heun", 0, 0), ("geodesic-walk", 1, 1),
     ("retractive-em", 1, 1), ("rk4-geodesic", 9, 8),
 ])
 @pytest.mark.parametrize("N", [3, 8])
@@ -540,12 +542,35 @@ def test_group_step_inverts_each_point_once(monkeypatch, N, integrator_id, first
     assert out.ok.all()
     assert calls["so_inv"] == first + then
     # every so(3) row and every accepted so(8) point is certified; LAPACK
-    # sees only so(8) rows well off the group (the Heun predictor, RK4 stage
-    # points) whose gap ||I - x x^T||_F exceeds the Schulz certificate
-    if N == 3 or integrator_id in ("ito-em", "geodesic-walk", "retractive-em"):
+    # sees only so(8) RK4 stage points, well off the group, whose gap
+    # ||I - x x^T||_F exceeds the Schulz certificate
+    if N == 3 or integrator_id != "rk4-geodesic":
         assert lapack == []
     for rows in lapack:
         assert np.all(frobenius_norm(np.eye(N) - rows @ mT(rows)) > 1e-2)
+
+
+@pytest.mark.parametrize("integrator_id", ["ito-em", "strat-heun"])
+@pytest.mark.parametrize("family,params", [
+    ("so", {"N": 3}), ("so", {"N": 8}), ("stiefel", {"n": 5, "p": 3}),
+    ("stiefel", {"n": 5, "p": 3, "alpha0": 1.0, "alpha1": 0.5}),
+], ids=["so-3", "so-8", "stiefel-5-3", "stiefel-5-3-canonical"])
+def test_brownian_projected_step_does_not_project_sigma(family, params, integrator_id):
+    # sigma is tangent-valued: the Euler and Heun steps of a Brownian SDE
+    # never call the handle's projection
+    calls = {"project": 0}
+    handle = make_manifold(family, **params)
+
+    def counted(x, w):
+        calls["project"] += 1
+        return handle.project(x, w)
+
+    stepper = make_stepper(dataclasses.replace(handle, project=counted), integrator_id)
+    rng = RngStream(51, 0)
+    x = np.stack([handle.random_point(rng) for _ in range(16)])
+    out = stepper.step(x, 0.0, 0.01, truncated_increment(rng, (16,) + stepper.noise_shape, 0.01))
+    assert out.ok.all()
+    assert calls == {"project": 0}
 
 
 @pytest.mark.parametrize("family,params", [("so", {"N": 3}), ("stiefel", {"n": 5, "p": 3})],

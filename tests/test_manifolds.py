@@ -70,6 +70,47 @@ def test_sigma_factorizes_inverse_metric(name, build):
     assert frobenius_norm(recovered - xi) < 1e-10
 
 
+# the battery plus a hypersurface and groups with a non-bi-invariant metric
+SIGMA_BATTERY = GEOMETRY_BATTERY + [
+    ("hypersurface-3-4", lambda: make_hypersurface(3, p=4)),
+    ("so-3-seeded", lambda: make_manifold("so", N=3, metric_seed=4)),
+    ("sl-3-seeded", lambda: make_manifold("sl", N=3, metric_seed=4)),
+    ("se-3-seeded", lambda: make_manifold("se", N=3, metric_seed=4)),
+]
+
+
+def _ambient_sigma(handle, x, w):
+    """The ambient diffusion factor the projection was applied to before
+    sigma was tangent-valued (unchanged on the groups and hyperbolic space)."""
+    family = handle.name.split("(")[0]
+    if family == "stiefel":
+        c = mT(x) @ w
+        a0, a1 = handle.params["alpha0"], handle.params["alpha1"]
+        return (w - x @ c) / np.sqrt(a0) + x @ skew(c) / np.sqrt(a1) + x @ sym(c)
+    if family == "spd":
+        root = sym_eig(x).apply(np.sqrt)
+        return root @ w @ root
+    if family in ("sphere", "hypersurface", "grassmann"):
+        return w + np.zeros_like(x)
+    return handle.sigma(x, w)
+
+
+@pytest.mark.parametrize("name,build", SIGMA_BATTERY, ids=[row[0] for row in SIGMA_BATTERY])
+def test_sigma_is_tangent_valued(name, build):
+    # on M sigma needs no projection; off M (Heun predictors, RK4 stage
+    # points) it is Pi(x) applied to the family's ambient factor
+    handle = build()
+    rng = RngStream(125, 0)
+    x = np.stack([handle.random_point(rng) for _ in range(4)])
+    w = rng.normal(x.shape)
+    s = handle.sigma(x, w)
+    assert np.all(frobenius_norm(handle.project(x, s) - s) <= 1e-12 * frobenius_norm(s))
+    xi = handle.project(x, rng.normal(x.shape))
+    y = x + 0.05 * xi / frobenius_norm(xi)[:, None, None]
+    ref = handle.project(y, _ambient_sigma(handle, y, w))
+    assert np.all(frobenius_norm(handle.sigma(y, w) - ref) <= 1e-12 * frobenius_norm(ref))
+
+
 # ---------------------------------------------------------------------------
 # closed-form facts per family
 
@@ -281,8 +322,9 @@ def test_lie_group_handles_are_pinned(kind):
 
 # the same over every Grassmann handle output for (n, p) in (2, 1), (4, 2),
 # (5, 3) and (4, 4), first recorded before Grassmann was rebuilt on the Stiefel
-# handle and re-recorded with the pins above
-GRASSMANN_DIGEST = "418c1598e1d3d81aec36dd47ca0b658c8afbaa8eb102265dcd32e7ddfe23427b"
+# handle, re-recorded with the pins above and again when sigma became the
+# horizontal projection
+GRASSMANN_DIGEST = "537931b047f078920de374f3adf25707b3d0b1b42df72ffb45f34a9dd55524ec"
 
 
 def test_grassmann_handle_is_pinned():
@@ -582,7 +624,7 @@ def test_spd_sqrt_rows_do_not_depend_on_their_batch():
     assert tail.correction().tobytes() == correction[5:].tobytes()
     handle = make_manifold("spd", N=3)
     w = sym(rng.normal(batch.shape))
-    assert handle.sigma(batch, w).tobytes() == (root @ w @ root).tobytes()
+    assert handle.sigma(batch, w).tobytes() == sym(root @ w @ root).tobytes()
     assert handle.strat_drift(batch).tobytes() == (correction + batch).tobytes()
 
 
