@@ -41,6 +41,8 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from .costs import ANGLE_COSTS, COST_IDS, make_cost
 from .geometry import (
     ManifoldHandle,
@@ -255,7 +257,7 @@ def _cmd_validate(config: RunConfig) -> int:
             soo_residual(handle, x, brownian_soo(handle, x)),
             frobenius_norm(handle.ito_drift(x) - brownian_ito_drift(handle, x)),
         )
-        worst = [max(w, float(v)) for w, v in zip(worst, values)]
+        worst = np.maximum(worst, values)  # a NaN residual stays NaN and fails
 
     print(f"validate {handle.name}")
     ok = True

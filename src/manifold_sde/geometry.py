@@ -272,7 +272,7 @@ def check_projection(
     """Check that Pi(x) is idempotent and Pi g^{-1} is self-adjoint at ``x``.
 
     Draws ``trials`` unit-norm ambient directions; the reported numbers are
-    the worst-case residuals over the draws.
+    the worst-case residuals over the draws (NaN if any residual is NaN).
     """
     require_on_manifold(handle, x)
     rng = rng if rng is not None else RngStream(0, 0)
@@ -283,12 +283,12 @@ def check_projection(
         w = rng.normal((n, m))
         w /= frobenius_norm(w)
         pw = handle.project(x, w)
-        max_idem = max(max_idem, float(frobenius_norm(handle.project(x, pw) - pw)))
+        max_idem = float(np.maximum(max_idem, frobenius_norm(handle.project(x, pw) - pw)))
         w2 = rng.normal((n, m))
         w2 /= frobenius_norm(w2)
         lhs = frobenius_inner(w2, handle.project(x, handle.metric_inv(x, w)))
         rhs = frobenius_inner(w, handle.project(x, handle.metric_inv(x, w2)))
-        max_asym = max(max_asym, float(abs(lhs - rhs)))
+        max_asym = float(np.maximum(max_asym, abs(lhs - rhs)))
     return ProjectionReport(max_idempotency=max_idem, max_asymmetry=max_asym)
 
 
@@ -303,7 +303,7 @@ def check_metric_compatibility(
     For tangent fields Y(y) = Pi(y) w extended by projection and a tangent
     direction xi, compares d/dt <Y, Y>_g along x + t xi against
     2 <Y, D_xi Y + Gamma(xi, Y)>_g, by central differences with step 1e-5.
-    Returns the worst residual over draws.
+    Returns the worst residual over draws (NaN if any residual is NaN).
     """
     rng = rng if rng is not None else RngStream(0, 0)
     n, m = handle.shape
@@ -332,7 +332,7 @@ def check_metric_compatibility(
         y0 = field(x)
         nabla = dy + handle.christoffel(x, xi, y0)
         rhs = 2.0 * float(frobenius_inner(y0, handle.metric(x, nabla)))
-        worst = max(worst, abs(lhs - rhs))
+        worst = float(np.maximum(worst, abs(lhs - rhs)))
     return worst
 
 
@@ -386,7 +386,7 @@ def soo_residual(handle: ManifoldHandle, x: np.ndarray, sot: SecondOrderTangent)
     For each scalar constraint c the pair (A, M) must satisfy
     tr(c''(x) M) + c'(x) A = 0 and c'(x) M = 0; the residual is the max of
     |tr(c'' M) + c' A| and |M grad c|_F over constraints (0 when there are
-    none).
+    none, NaN if any term is NaN).
     """
     if not handle.constraints:
         return 0.0
@@ -398,7 +398,7 @@ def soo_residual(handle: ManifoldHandle, x: np.ndarray, sot: SecondOrderTangent)
         grad = c.grad(x)
         lin = float(frobenius_inner(grad, sot.a))
         cross = float(frobenius_norm(sot.m_apply(grad)))
-        worst = max(worst, abs(tr + lin), cross)
+        worst = float(np.max([worst, abs(tr + lin), cross]))
     return worst
 
 

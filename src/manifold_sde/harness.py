@@ -481,7 +481,7 @@ def _pairwise_consistency(cells: Sequence[ComparisonCell]):
             a, b = cells[i], cells[k]
             gap = abs(a.mean - b.mean)
             allowance = 3.0 * float(np.hypot(a.stderr, b.stderr))
-            if gap > allowance:
+            if not gap <= allowance:  # a NaN gap or allowance is no evidence
                 consistent = False
             ratio = gap / allowance if allowance > 0 else np.inf
             if ratio > worst_ratio:

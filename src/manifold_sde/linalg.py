@@ -1,16 +1,15 @@
 """Dense linear-algebra primitives shared by the geometry and simulation layers.
 
 Everything here works on float64 arrays and broadcasts over leading batch
-dimensions; matrices live in the two trailing axes.  The routines are thin,
-checked wrappers around LAPACK via numpy -- the point of the module is a
-single place where shape and symmetry preconditions are enforced and
-reported with useful errors instead of garbage output downstream.  The
-polar routines certify each matrix from its Gram matrix and then iterate
-(Newton-Schulz) or take the SVD; none of them calls ``eigh``.  In the same
-way :func:`so_inv` inverts matrices near SO(n) by the 3 x 3 adjugate or
-Schulz steps from x^T on the rows it certifies, and by LAPACK on the rest.
-:func:`reuse_last` lets a handle factor a point once however many of its
-callables ask for it.
+dimensions; matrices live in the two trailing axes.  Shape and symmetry
+preconditions are enforced here and reported with useful errors instead of
+garbage output downstream.  The polar routines certify each matrix from its
+Gram matrix and then iterate (Newton-Schulz) or take the SVD; none of them
+calls ``eigh``.  In the same way :func:`so_inv` inverts matrices near SO(n)
+by the 3 x 3 adjugate or Schulz steps from x^T on the rows it certifies, and
+by LAPACK on the rest.  Both iterations run through one per-row loop,
+``_certified_iteration``.  :func:`reuse_last` lets a handle factor a point
+once however many of its callables ask for it.
 """
 
 from __future__ import annotations
@@ -164,6 +163,29 @@ def _well_conditioned(s: np.ndarray) -> np.ndarray:
     return s[..., -1] > 1e-8 * np.maximum(s[..., 0], 1.0)
 
 
+def _certified_iteration(x, r, residual, gap, certified, gaps):
+    """``(x, ok)`` after the iteration x <- x + x r on rows along one axis,
+    with ``ok = gap <= certified``.
+
+    The first r is given and every later one is ``residual(x)``.  An ``ok``
+    row takes as many steps as its own gap needs (``searchsorted(gaps,
+    gap)``), so its bits never depend on its batch; any other row takes none
+    and is the caller's to overwrite.  The steps that every row takes run on
+    the whole batch, and a row that has taken its steps keeps its bits,
+    -0.0 included.
+    """
+    ok = gap <= certified
+    steps = np.where(ok, np.searchsorted(gaps, gap), 0)
+    common = steps.min() if steps.size else 0
+    with np.errstate(all="ignore"):  # non-finite uncertified rows
+        for k in range(steps.max(initial=0)):
+            if k:
+                r = residual(x)
+            step = x + x @ r
+            x = step if k < common else np.where((steps > k)[:, None, None], step, x)
+    return x, ok
+
+
 def polar_fused(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal polar factor of n x p matrices (n >= p) and the domain test
     s_min > 1e-8 * max(s_max, 1), from one Gram product per row.
@@ -178,21 +200,12 @@ def polar_fused(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     rows = _polar_rows(a, "polar_fused")
     e, gap = _gram_gap(rows)
-    ok = gap <= _GRAM_CERTIFIED
-    steps = np.where(ok, np.searchsorted(_NEWTON_SCHULZ_GAPS, gap), 0)
-    x = rows
-    with np.errstate(all="ignore"):  # uncertified rows are overwritten below
-        # the step is x + x (e / 2), with the halving (exact) folded into the
-        # Gram product: (I - x^T x) / 2 = I / 2 - (x^T / 2) x, where x^T / 2
-        # is a new array, so the product stays off the syrk path
-        half, half_eye = 0.5 * e, 0.5 * np.eye(rows.shape[-1])
-        common = steps.min() if steps.size else 0  # steps that every row takes
-        for k in range(steps.max(initial=0)):
-            if k:
-                half = half_eye - (0.5 * mT(x)) @ x
-            step = x + x @ half
-            # a row that has taken its steps keeps its bits, -0.0 included
-            x = step if k < common else np.where((steps > k)[:, None, None], step, x)
+    # the step is x + x (e / 2), with the halving (exact) folded into the
+    # Gram product: (I - x^T x) / 2 = I / 2 - (x^T / 2) x, where x^T / 2 is
+    # a new array, so the product stays off the syrk path
+    half_eye = 0.5 * np.eye(rows.shape[-1])
+    x, ok = _certified_iteration(rows, 0.5 * e, lambda x: half_eye - (0.5 * mT(x)) @ x,
+                                 gap, _GRAM_CERTIFIED, _NEWTON_SCHULZ_GAPS)
     point = np.where(ok[:, None, None], x, np.nan)
     svd_rows = ~ok & np.all(np.isfinite(rows), axis=(-2, -1))
     if np.any(svd_rows):
@@ -268,16 +281,8 @@ def _schulz_inv(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(all="ignore"):  # uncertified rows are overwritten
         e = eye - rows @ xinv
         gap = frobenius_norm(e)
-        ok = gap <= _SCHULZ_CERTIFIED
-        steps = np.where(ok, np.searchsorted(_SCHULZ_GAPS, gap), 0)
-        common = steps.min() if steps.size else 0  # steps that every row takes
-        for k in range(steps.max(initial=0)):
-            if k:
-                e = eye - rows @ xinv
-            step = xinv + xinv @ e
-            # a row that has taken its steps keeps its bits
-            xinv = step if k < common else np.where((steps > k)[:, None, None], step, xinv)
-    return xinv, ok
+    return _certified_iteration(xinv, e, lambda xinv: eye - rows @ xinv,
+                                gap, _SCHULZ_CERTIFIED, _SCHULZ_GAPS)
 
 
 def so_inv(x: np.ndarray) -> np.ndarray:

@@ -33,8 +33,8 @@ def make_hypersurface(n: int, p: int = 4, d: np.ndarray | None = None) -> Manifo
     if p < 2 or p % 2 != 0:
         raise ValueError(f"exponent p must be even and >= 2, got {p}")
     d = np.ones(n) if d is None else np.asarray(d, dtype=float)
-    if d.shape != (n,) or np.any(d <= 0):
-        raise ValueError("d must be a length-n vector of positive weights")
+    if d.shape != (n,) or not np.all(np.isfinite(d) & (d > 0)):
+        raise ValueError("d must be a length-n vector of positive finite weights")
     dcol = d.reshape(n, 1)
 
     def level(x):

@@ -96,25 +96,21 @@ def _algebra_basis(kind: str, size: int) -> np.ndarray:
     return skews if kind == "so" else np.concatenate([skews, e[range(m), m]])
 
 
-def _det(x: np.ndarray) -> np.ndarray:
-    return np.linalg.det(x)
-
-
 def _trace(x: np.ndarray) -> np.ndarray:
     return np.trace(x, axis1=-2, axis2=-1)
 
 
 def _unit_det_constraint() -> Constraint:
     def value(x):
-        return _det(x) - 1.0
+        return np.linalg.det(x) - 1.0
 
     def grad(x):
-        return _det(x)[..., None, None] * mT(np.linalg.inv(x))
+        return np.linalg.det(x)[..., None, None] * mT(np.linalg.inv(x))
 
     def hess(x, u, v):
-        xiu = np.linalg.solve(x, u)
-        xiv = np.linalg.solve(x, v)
-        return _det(x) * (_trace(xiu) * _trace(xiv) - _trace(xiu @ xiv))
+        xinv = np.linalg.inv(x)
+        xiu, xiv = xinv @ u, xinv @ v
+        return np.linalg.det(x) * (_trace(xiu) * _trace(xiv) - _trace(xiu @ xiv))
 
     return Constraint(value=value, grad=grad, hess=hess)
 
@@ -129,12 +125,12 @@ def _embedding(kind: str, n: int, project):
     if kind == "sl":
         def rescale(q):
             q = np.asarray(q, dtype=float)
-            d = _det(q)
+            d = np.linalg.det(q)
             ok = d > _MIN_DET
             return q * (np.where(ok, d, 1.0) ** (-1.0 / n))[..., None, None], ok
 
         tubular = TubularRetraction(
-            mapping=rescale, differential=project, domain=lambda q: _det(q) > _MIN_DET
+            mapping=rescale, differential=project, domain=lambda q: np.linalg.det(q) > _MIN_DET
         )
         return tubular, (_unit_det_constraint(),), None
 
@@ -148,7 +144,7 @@ def _embedding(kind: str, n: int, project):
     min_det = 0.0 if polar else _MIN_DET
 
     def in_domain(x):
-        return _det(x[..., :m, :m]) > min_det
+        return np.linalg.det(x[..., :m, :m]) > min_det
 
     def mapping(q):
         q = np.asarray(q, dtype=float)

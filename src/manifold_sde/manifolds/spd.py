@@ -29,9 +29,8 @@ n^2 eps max|s| of the one factored (the Cholesky backward-error bound;
 Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 10), so
 lambda_min(s) exceeds 1e-10 + m less that amount; ``eigvalsh`` is backward
 stable to the same order, so with m far above both it accepts the row too.
-The rows the elimination does not certify, and batches under
-``_CERTIFY_ROWS`` rows, go to ``eigvalsh``, so every decision is the one
-``eigvalsh`` makes.
+The rows the elimination does not certify go to ``eigvalsh``, so every
+decision is the one ``eigvalsh`` makes.
 """
 
 from __future__ import annotations
@@ -49,9 +48,6 @@ from ._constraints import symmetry_constraints
 _MIN_EIGENVALUE = 1e-10
 # the certificate's margin per unit of max(1, max|s|)
 _MARGIN = 1e-12
-# below this many rows one eigvalsh call is cheaper than the elimination
-# (spd(3) on a 2-core host: about 1.1 us per row against 22 us plus 0.2 us per row)
-_CERTIFY_ROWS = 32
 # the closed form's error grows with cond(x): against a 40-digit reference,
 # x^{1/2} is within about 11 ulps of max|x^{1/2}| at cond 64 (eigh: 8),
 # 17 at 100 and 1000 at 1e3 (eigh: 20)
@@ -180,13 +176,9 @@ def _certified_positive(s: np.ndarray) -> np.ndarray:
 def _positive(s: np.ndarray) -> np.ndarray:
     """lambda_min(s) > 1e-10 for symmetric s, exactly as ``eigvalsh`` decides it."""
     rows = s.reshape((-1,) + s.shape[-2:])
-    if rows.shape[0] < _CERTIFY_ROWS:
-        ok = np.linalg.eigvalsh(rows)[:, 0] > _MIN_EIGENVALUE
-    else:
-        ok = _certified_positive(rows)
-        rest = ~ok
-        if rest.any():
-            ok[rest] = np.linalg.eigvalsh(rows[rest])[:, 0] > _MIN_EIGENVALUE
+    ok = _certified_positive(rows)
+    if not ok.all():
+        ok[~ok] = np.linalg.eigvalsh(rows[~ok])[:, 0] > _MIN_EIGENVALUE
     return ok.reshape(s.shape[:-2])[()]
 
 
@@ -195,9 +187,12 @@ def make_spd(N: int) -> ManifoldHandle:
         raise ValueError(f"spd needs N >= 1, got {N}")
 
     factor = reuse_last(_sqrt_factor)
+    # x^{-1} once per point for metric and christoffel; np.linalg.inv is
+    # looked up per call, so a wrapped routine sees every inversion
+    inverse = reuse_last(lambda x: np.linalg.inv(x))
 
     def metric(x, w):
-        xinv = np.linalg.inv(x)
+        xinv = inverse(x)
         return xinv @ w @ xinv
 
     def metric_inv(x, w):
@@ -208,12 +203,13 @@ def make_spd(N: int) -> ManifoldHandle:
 
     def christoffel(x, u, v):
         # -sym(u x^{-1} v), symmetrized in (u, v) so the bilinear extension
-        # off the symmetric subspace is symmetric too; Gamma(x; v, v) solves
-        # once and forms one product, since s + s = 2 s exactly
-        xinv_u = np.linalg.solve(x, u)
+        # off the symmetric subspace is symmetric too; Gamma(x; v, v) forms
+        # one product, since s + s = 2 s exactly
+        xinv = inverse(x)
+        a = xinv @ u
         if v is u:
-            return -sym(u @ xinv_u)
-        return -0.5 * (sym(u @ np.linalg.solve(x, v)) + sym(v @ xinv_u))
+            return -sym(u @ a)
+        return -0.5 * (sym(u @ (xinv @ v)) + sym(v @ a))
 
     def sqrt_conjugate(x, w):
         s = factor(x).root

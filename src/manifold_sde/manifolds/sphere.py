@@ -14,8 +14,8 @@ _MIN_NORM = 1e-12
 def make_sphere(n: int, radius: float = 1.0) -> ManifoldHandle:
     if n < 2:
         raise ValueError(f"sphere needs ambient dimension >= 2, got n={n}")
-    if radius <= 0.0:
-        raise ValueError(f"sphere radius must be positive, got {radius}")
+    if not (np.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"sphere radius must be positive and finite, got {radius}")
     r2 = radius * radius
 
     def project(x, w):

@@ -33,8 +33,9 @@ def _split(y, w):
 def make_stiefel(n: int, p: int, alpha0: float = 1.0, alpha1: float = 1.0) -> ManifoldHandle:
     if not (1 <= p <= n):
         raise ValueError(f"need 1 <= p <= n, got n={n}, p={p}")
-    if alpha0 <= 0 or alpha1 <= 0:
-        raise ValueError("metric weights alpha0, alpha1 must be positive")
+    if not all(np.isfinite(a) and a > 0 for a in (alpha0, alpha1)):
+        raise ValueError(f"metric weights alpha0, alpha1 must be positive and finite, "
+                         f"got {alpha0}, {alpha1}")
     a0, a1 = float(alpha0), float(alpha1)
 
     def project(y, w):

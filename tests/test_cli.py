@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import os
 
@@ -156,6 +157,15 @@ def test_non_finite_parameters_are_config_errors(tmp_path, capsys, override, int
     assert not out.exists()
 
 
+def test_non_finite_family_parameter_is_config_error(tmp_path, capsys):
+    out = tmp_path / "stiefel.csv"
+    text = SMALL_SIM.format(out=out).replace("manifold = sphere\nn = 3", "manifold = stiefel\nn = 5\np = 3")
+    text = text.replace("cost = phi_5_2", "cost = sum_abs")
+    assert main([write(tmp_path, "stiefel.cfg", text), "--set", "alpha1=nan"]) == 3
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", ["abc", "-1", "2.5"])
 def test_bad_thread_cap_is_config_error(tmp_path, capsys, monkeypatch, threads):
     monkeypatch.setenv(THREADS_ENV, threads)
@@ -204,6 +214,20 @@ def test_validate_sphere_passes(tmp_path, capsys):
     assert main([path]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_validate_fails_on_a_nan_residual(tmp_path, capsys, monkeypatch):
+    def nan_operator(x, w):
+        return np.full(np.broadcast_shapes(np.shape(x), np.shape(w)), np.nan)
+
+    def broken(*args, **kwargs):
+        handle = make_manifold(*args, **kwargs)
+        return dataclasses.replace(handle, metric=nan_operator, metric_inv=nan_operator)
+
+    monkeypatch.setattr(cli, "make_manifold", broken)
+    path = write(tmp_path, "val.cfg", "command=validate\nmanifold=sphere\nn=3\n")
+    assert main([path]) == 2
+    assert "FAIL  metric compatibility (FD): nan" in capsys.readouterr().out
 
 
 def test_heat_kernel_prints_reference_value(tmp_path, capsys):
@@ -341,6 +365,15 @@ def test_compare_command_writes_grid(tmp_path, capsys):
     assert len(lines) == 1 + 4  # four integrators at the single n_div
     printed = capsys.readouterr().out
     assert ("consistent" in printed) or ("UNSTABLE" in printed)
+
+
+def test_compare_command_flags_nan_stderrs(tmp_path, capsys):
+    out = tmp_path / "cmp1.csv"
+    text = (f"command=compare\nmanifold=sphere\nn=3\nT=0.5\nn_div=20\n"
+            f"n_path=1\nseed=1\ncost=phi_5_2\nout={out}\n")
+    assert main([write(tmp_path, "cmp1.cfg", text)]) == 0
+    printed = capsys.readouterr().out
+    assert "UNSTABLE" in printed and "consistent" not in printed
 
 
 def test_uniform_command_requires_compact_manifold(tmp_path, capsys):

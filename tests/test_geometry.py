@@ -22,6 +22,8 @@ from manifold_sde.geometry import (
     ManifoldHandle,
     ambient_basis,
     brownian_ito_drift,
+    check_metric_compatibility,
+    check_projection,
     require_on_manifold,
     retraction_second_derivative,
 )
@@ -474,3 +476,16 @@ def test_brownian_soo_residual_zero_on_battery(so3, sphere3):
     for handle in (so3, sphere3):
         x = handle.random_point(RngStream(13, 0))
         assert soo_residual(handle, x, brownian_soo(handle, x)) < 1e-8
+
+
+def test_geometry_checks_report_a_nan_residual_as_nan(sphere3):
+    # a NaN residual fails a check; a running max(worst, nan) would keep worst
+    def nan_operator(x, w):
+        return np.full(np.broadcast_shapes(np.shape(x), np.shape(w)), np.nan)
+
+    broken = dataclasses.replace(sphere3, metric=nan_operator, metric_inv=nan_operator,
+                                 sigma=nan_operator)
+    x = sphere3.random_point(RngStream(14, 0))
+    assert np.isnan(check_projection(broken, x, trials=3).max_asymmetry)
+    assert np.isnan(check_metric_compatibility(broken, x, trials=3))
+    assert np.isnan(soo_residual(broken, x, brownian_soo(broken, x)))

@@ -97,18 +97,20 @@ def test_results_independent_of_chunking_and_threads(so3, monkeypatch):
 # steps, 24 paths, seed 5, chunks of 7, terminal sum_abs).  Like the CLI
 # pins, a change meant to keep every number leaves these unchanged, and a
 # numpy/LAPACK change may need them re-recorded.  The spd ones were
-# re-recorded when sigma moved to the closed form on well-conditioned rows,
-# the so ones when so(N) inverted through linalg.so_inv and again when
-# brownian_sde stopped projecting the (tangent-valued) group sigma.
+# re-recorded when sigma moved to the closed form on well-conditioned rows
+# and again when christoffel took products with the metric's x^{-1} instead
+# of solves (a rounding change only), the so ones when so(N) inverted through
+# linalg.so_inv and again when brownian_sde stopped projecting the
+# (tangent-valued) group sigma.
 PINNED_WALK_SAMPLES = [
     ("so", {"N": 3}, "geodesic-walk",
      "30abaffab6a3a1bac15989cee81fb9a10167174b5977ff07b4209687b4b77c76"),
     ("so", {"N": 3}, "rk4-geodesic",
      "2d2e23082c88c3ba6db238d85fed635d700cbdad4a16fe54a72efe817cf776d3"),
     ("spd", {"N": 3}, "geodesic-walk",
-     "8babec1e59ac0d5454d96a904ffe623297c62f3bad3832f8e21472076a46faf1"),
+     "7526d02b886a36d4815c53a1b13c1eb126f4a1eceeb3dcee4a311cbb76179047"),
     ("spd", {"N": 3}, "rk4-geodesic",
-     "daf95a09b75cfa116c8476fd86764ff97968e228a85655ca4a91ea418c1ebc91"),
+     "386073df5d6f89fa3b884f60191fac9f4cab60ce533c37837f17861207be73f2"),
     ("hyperbolic", {"n": 3}, "geodesic-walk",
      "3e492f1caca5c72840baa44207df2998f71817f3dec6ebcea32ebbe6ae3f22e5"),
     ("hyperbolic", {"n": 3}, "rk4-geodesic",
@@ -536,6 +538,16 @@ def test_compare_methods_grid_and_lookup(so3):
     assert table.worst_gap >= 0.0 and table.worst_allowance > 0.0
     if table.consistent:
         assert table.worst_gap <= table.worst_allowance
+
+
+def test_compare_methods_with_nan_stderrs_is_not_consistent():
+    # one path gives NaN stderrs, so every allowance is NaN: no evidence of
+    # agreement
+    sphere = make_manifold("sphere", n=3)
+    cfg = SimulationConfig(T=0.5, n_div=20, n_path=1, seed=1)
+    table = compare_methods(cfg, sphere, make_cost("phi_5_2", sphere), n_divs=(20,))
+    assert all(math.isnan(c.stderr) for c in table.cells)
+    assert table.consistent is False
 
 
 def test_invariant_measure_independent_of_metric_choice():

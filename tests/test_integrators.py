@@ -550,6 +550,30 @@ def test_group_step_inverts_each_point_once(monkeypatch, N, integrator_id, first
         assert np.all(frobenius_norm(np.eye(N) - rows @ mT(rows)) > 1e-2)
 
 
+# x^{-1} per step on spd: metric and christoffel share the inverse of x, and
+# each RK4 stage point is a new matrix; nothing solves
+@pytest.mark.parametrize("integrator_id,per_step", [
+    ("geodesic-walk", 1), ("retractive-em", 1), ("rk4-geodesic", 8),
+])
+def test_spd_step_inverts_each_point_once(monkeypatch, integrator_id, per_step):
+    handle = make_manifold("spd", N=3)
+    stepper = make_stepper(handle, integrator_id)
+    rng = RngStream(52, 0)
+    x = np.stack([handle.random_point(rng) for _ in range(16)])
+    incs = [truncated_increment(rng, (16,) + stepper.noise_shape, 0.01) for _ in range(2)]
+    # patched after the handle is built
+    calls = count_linalg(monkeypatch, "inv", "solve")
+    seen = record_inv(monkeypatch)
+    out = stepper.step(x, 0.0, 0.01, incs[0])
+    assert out.ok.all()
+    assert calls == {"inv": per_step, "solve": 0}
+    out = stepper.step(out.state, 0.01, 0.01, incs[1])
+    assert out.ok.all()
+    assert calls == {"inv": 2 * per_step, "solve": 0}
+    # no point is inverted twice
+    assert len({a.tobytes() for a in seen}) == len(seen)
+
+
 @pytest.mark.parametrize("integrator_id", ["ito-em", "strat-heun"])
 @pytest.mark.parametrize("family,params", [
     ("so", {"N": 3}), ("so", {"N": 8}), ("stiefel", {"n": 5, "p": 3}),

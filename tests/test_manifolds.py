@@ -70,6 +70,25 @@ def test_sigma_factorizes_inverse_metric(name, build):
     assert frobenius_norm(recovered - xi) < 1e-10
 
 
+@pytest.mark.parametrize("name,build", GEOMETRY_BATTERY, ids=IDS)
+def test_geometry_never_solves(monkeypatch, name, build):
+    # every x^{-1} comes from one inversion per point, then products
+    handle = build()
+    rng = RngStream(57, 0)
+    x = handle.random_point(rng)
+    u = handle.random_tangent(rng, x)
+    v = handle.random_tangent(rng, x)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    handle.metric(x, u)
+    handle.christoffel(x, u, v)
+    for c in handle.constraints:
+        c.hess(x, u, v)
+
+
 # the battery plus a hypersurface and groups with a non-bi-invariant metric
 SIGMA_BATTERY = GEOMETRY_BATTERY + [
     ("hypersurface-3-4", lambda: make_hypersurface(3, p=4)),
@@ -268,11 +287,13 @@ def test_so_christoffel_drops_only_a_zero_bracket(N):
 # sha256 over every output of the group handles, per kind, for N = 1..4 where
 # the kind exists and metric_seed None and 4.  First recorded before the group
 # module was rewritten as one construction, so it pinned that rewrite bit for
-# bit; re-recorded when the polar factor moved to Newton-Schulz steps, and
-# the so digest again when so(N) inverted through linalg.so_inv.
+# bit; re-recorded when the polar factor moved to Newton-Schulz steps, the
+# so digest again when so(N) inverted through linalg.so_inv, and the sl
+# digest when its constraint Hessian took products with one x^{-1} instead
+# of two solves (a rounding change only).
 LIE_GROUP_DIGESTS = {
     "gl+": "c7072dd9a70a69835f458379ca086fa6fb89f72d39f221a36b756fa05ac21959",
-    "sl": "2a78d8b10d910136d899236594d1bbb9465d95273638a91168f2b19755872f8c",
+    "sl": "9b993525012ff960f9de48861720a7a76729a669eff4af2979b332ea666f39f1",
     "so": "040ee5a0a4035bde1923a41e00ccd6b93aaf3fe86e069e7c2c8d8e62fd64ade8",
     "se": "93358ba68db09c126a7740e5fc01592ea22283a946d158737f4a9829954b7254",
     "aff": "5e8ab63116760321f68f7ee0cd72f601204aa644fbde9523208b58907c08e6d3",
@@ -470,6 +491,18 @@ def test_manifold_registry_rejects_unknown():
         make_manifold("torus", n=2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("build", [
+    lambda bad: make_manifold("sphere", n=3, radius=bad),
+    lambda bad: make_manifold("stiefel", n=5, p=3, alpha0=bad),
+    lambda bad: make_manifold("stiefel", n=5, p=3, alpha1=bad),
+    lambda bad: make_hypersurface(3, d=[1.0, bad, 1.0]),
+], ids=["sphere-radius", "stiefel-alpha0", "stiefel-alpha1", "hypersurface-d"])
+def test_family_parameters_must_be_finite(build, bad):
+    with pytest.raises(ValueError, match="finite"):
+        build(bad)
+
+
 def test_group_points_exponentials_consistent():
     handle = make_manifold("so", N=3)
     rng = RngStream(116, 0)
@@ -507,11 +540,10 @@ def _spd_rows_near_the_domain_edge():
 
 
 def test_spd_domain_certificate_decides_as_eigvalsh():
-    from manifold_sde.manifolds.spd import _CERTIFY_ROWS, _certified_positive
+    from manifold_sde.manifolds.spd import _certified_positive
 
     domain = make_manifold("spd", N=3).tubular.domain
     s = _spd_rows_near_the_domain_edge()
-    assert s.shape[0] >= _CERTIFY_ROWS  # large enough to take the certificate
     expected = np.linalg.eigvalsh(s)[:, 0] > 1e-10
     certified = _certified_positive(s)
     assert certified.any() and not certified.all()
@@ -521,6 +553,17 @@ def test_spd_domain_certificate_decides_as_eigvalsh():
     for row, want in zip(s, expected):  # unbatched
         got = domain(row)
         assert np.ndim(got) == 0 and got == want
+    # every batch size takes the certificate, around the former 32-row fork too
+    for n in (1, 2, 31, 32, 33):
+        np.testing.assert_array_equal(domain(s[:n]), expected[:n])
+        np.testing.assert_array_equal(domain(s[-n:]), expected[-n:])
+    # a NaN row is eigvalsh's to decide, alone or in a batch
+    nan_row = np.full((1, 3, 3), np.nan)
+    for rows in (nan_row, np.concatenate([s[:32], nan_row])):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eigvalsh(rows)
+        with pytest.raises(np.linalg.LinAlgError):
+            domain(rows)
 
 
 def test_spd_eigendecomposition_is_reused_only_for_the_same_bits():
