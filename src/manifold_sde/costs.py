@@ -1,19 +1,10 @@
 """Registered cost functionals for the experiment runners and the CLI.
 
-Ids and shapes:
-
-- ``phi_5_2``:      terminal phi^{5/2}, phi the great-circle angle from the
-                    start point (sphere families),
-- ``phi_32_52``:    terminal phi^{3/2} + phi^{5/2},
-- ``abs11``:        terminal |X_11|^2,
-- ``sum_abs``:      terminal sum_ij |X_ij|,
-- ``exp_half_sum``: terminal exp(sum_ij |X_ij| / 2),
-- ``inv_sqrt_sum``: terminal (1 + sum_ij |X_ij|)^{-1/2},
-- ``spd_running``:  terminal |X_11| plus running max(X_11, 0), integrated
-                    over [0, T] (not time-averaged).
-
-All costs act on the functional representation supplied by the harness
-(identity except Grassmann, whose points arrive as projectors Y Y^T).
+The ids are the keys of ``ANGLE_COSTS`` (sphere families, functions of the
+great-circle angle phi from the start point) followed by those of
+``_MATRIX_COSTS``; each entry says what its cost is.  All costs act on the
+functional representation supplied by the harness (identity except
+Grassmann, whose points arrive as projectors Y Y^T).
 """
 
 from __future__ import annotations
@@ -23,22 +14,35 @@ import numpy as np
 from .geometry import ManifoldHandle
 from .harness import CostFunctional
 
-COST_IDS = (
-    "phi_5_2",
-    "phi_32_52",
-    "abs11",
-    "sum_abs",
-    "exp_half_sum",
-    "inv_sqrt_sum",
-    "spd_running",
-)
-
 # the sphere costs as functions of the angle phi, shared with the spectral
 # heat-kernel series that checks them
 ANGLE_COSTS = {
-    "phi_5_2": lambda p: p ** 2.5,
-    "phi_32_52": lambda p: p ** 1.5 + p ** 2.5,
+    "phi_5_2": lambda p: p ** 2.5,  # terminal phi^{5/2}
+    "phi_32_52": lambda p: p ** 1.5 + p ** 2.5,  # terminal phi^{3/2} + phi^{5/2}
 }
+
+
+def _sum_abs(x):
+    return np.abs(x).sum(axis=(-2, -1))
+
+
+# id -> (running, terminal), both taking (points, t); None is no cost
+_MATRIX_COSTS = {
+    # terminal |X_11|^2
+    "abs11": (None, lambda x, t: np.abs(x[..., 0, 0]) ** 2),
+    # terminal sum_ij |X_ij|
+    "sum_abs": (None, lambda x, t: _sum_abs(x)),
+    # terminal exp(sum_ij |X_ij| / 2)
+    "exp_half_sum": (None, lambda x, t: np.exp(0.5 * _sum_abs(x))),
+    # terminal (1 + sum_ij |X_ij|)^{-1/2}
+    "inv_sqrt_sum": (None, lambda x, t: (1.0 + _sum_abs(x)) ** -0.5),
+    # terminal |X_11| plus running max(X_11, 0), integrated over [0, T]
+    # (not time-averaged)
+    "spd_running": (lambda x, t: np.maximum(x[..., 0, 0], 0.0),
+                    lambda x, t: np.abs(x[..., 0, 0])),
+}
+
+COST_IDS = tuple(ANGLE_COSTS) + tuple(_MATRIX_COSTS)
 
 
 def sphere_angle(handle: ManifoldHandle, x0: np.ndarray):
@@ -53,10 +57,6 @@ def sphere_angle(handle: ManifoldHandle, x0: np.ndarray):
     return phi
 
 
-def _sum_abs(x):
-    return np.abs(x).sum(axis=(-2, -1))
-
-
 def make_cost(cost_id: str, handle: ManifoldHandle) -> CostFunctional:
     """Build a registered cost functional bound to one manifold handle."""
     if cost_id in ANGLE_COSTS:
@@ -65,22 +65,7 @@ def make_cost(cost_id: str, handle: ManifoldHandle) -> CostFunctional:
         phi = sphere_angle(handle, handle.default_point())
         of_angle = ANGLE_COSTS[cost_id]
         return CostFunctional(terminal=lambda x, t: of_angle(phi(x)), name=cost_id)
-    if cost_id == "abs11":
-        return CostFunctional(terminal=lambda x, t: np.abs(x[..., 0, 0]) ** 2, name=cost_id)
-    if cost_id == "sum_abs":
-        return CostFunctional(terminal=lambda x, t: _sum_abs(x), name=cost_id)
-    if cost_id == "exp_half_sum":
-        return CostFunctional(
-            terminal=lambda x, t: np.exp(0.5 * _sum_abs(x)), name=cost_id
-        )
-    if cost_id == "inv_sqrt_sum":
-        return CostFunctional(
-            terminal=lambda x, t: (1.0 + _sum_abs(x)) ** -0.5, name=cost_id
-        )
-    if cost_id == "spd_running":
-        return CostFunctional(
-            running=lambda x, t: np.maximum(x[..., 0, 0], 0.0),
-            terminal=lambda x, t: np.abs(x[..., 0, 0]),
-            name=cost_id,
-        )
+    if cost_id in _MATRIX_COSTS:
+        running, terminal = _MATRIX_COSTS[cost_id]
+        return CostFunctional(running=running, terminal=terminal, name=cost_id)
     raise ValueError(f"unknown cost {cost_id!r}; valid ids: {', '.join(COST_IDS)}")

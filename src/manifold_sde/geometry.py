@@ -42,11 +42,13 @@ class FrameConditionError(RuntimeError):
 
 @dataclass(frozen=True)
 class Constraint:
-    """A scalar constraint c: E -> R cut out by the embedding.
+    """A block of k scalar constraints c_1, ..., c_k: E -> R, evaluated in one call.
 
-    ``value`` maps ``(..., n, m)`` to ``(...)``.  ``grad`` returns the ambient
-    gradient matrix and ``hess`` the second derivative c''(x)[u, v] as a
-    scalar.
+    Each block states one embedding condition (orthogonality, a fixed last
+    row, symmetry, a level set).  ``value`` maps ``(..., n, m)`` to
+    ``(..., k)``, ``grad`` returns the ambient gradient matrices
+    ``(..., k, n, m)`` and ``hess(x, u, v)`` the second derivatives
+    c_i''(x)[u, v], ``(..., k)``.  A handle carries at most two blocks.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -182,7 +184,16 @@ class ManifoldHandle:
     Pi(x) sigma_E(x) of the family's ambient factor sigma_E, which each
     family forms directly (on the groups sigma_E is already tangent).
     ``ito_drift`` / ``strat_drift`` are the standard-speed Brownian drifts
-    (generator = Laplace-Beltrami / 2).
+    (generator = Laplace-Beltrami / 2).  ``constraints`` holds at most two
+    :class:`Constraint` blocks (se has its rotation block and its last row)
+    and is empty on the open families.
+
+    A row with a non-finite entry is off M: :meth:`domain_ok` and
+    :meth:`on_manifold` answer False for it without evaluating anything on
+    it, since the row is swapped for ``default_point()`` first.
+    ``tubular.mapping`` and ``tubular.domain`` only promise an answer on
+    finite rows; :meth:`TubularRetraction.retract` and ``admit`` filter the
+    non-finite ones before calling them.
     """
 
     name: str
@@ -207,21 +218,29 @@ class ManifoldHandle:
     # -- conveniences -------------------------------------------------------
 
     def constraint_residual(self, x: np.ndarray) -> np.ndarray:
-        """Largest |c(x)| over the constraints, shape ``(...)``."""
+        """Largest |c_i(x)| over the constraint components, shape ``(...)``."""
         x = np.asarray(x, dtype=float)
         if not self.constraints:
             return np.zeros(x.shape[:-2])
-        vals = np.stack([c.value(x) for c in self.constraints], axis=-1)
-        return np.max(np.abs(vals), axis=-1)
+        vals = np.concatenate([c.value(x) for c in self.constraints], axis=-1)
+        return np.max(np.abs(vals), axis=-1, initial=0.0)
+
+    def _finite_part(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x with its non-finite rows swapped for ``default_point()``, and the
+        rows that were finite."""
+        x = np.asarray(x, dtype=float)
+        finite = finite_rows(x)
+        return freeze_rows(x, self.default_point(), finite), finite
 
     def domain_ok(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x, finite = self._finite_part(x)
         if self.in_domain is None:
-            return np.ones(x.shape[:-2], dtype=bool)
-        return np.asarray(self.in_domain(x))
+            return finite
+        return np.asarray(self.in_domain(x)) & finite
 
     def on_manifold(self, x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        return (self.constraint_residual(x) <= tol) & self.domain_ok(x)
+        x, finite = self._finite_part(x)
+        return (self.constraint_residual(x) <= tol) & self.domain_ok(x) & finite
 
     def random_tangent(self, rng: RngStream, x: np.ndarray) -> np.ndarray:
         return self.project(x, rng.normal(np.shape(x)))
@@ -236,6 +255,9 @@ class ManifoldHandle:
 def require_on_manifold(handle: ManifoldHandle, x: np.ndarray, tol: float = 1e-9) -> None:
     ok = handle.on_manifold(x, tol)
     if not np.all(ok):
+        x = np.asarray(x, dtype=float)
+        if not np.all(finite_rows(x)):
+            raise OffManifoldError(f"{handle.name}: point has a non-finite entry")
         worst = float(np.max(handle.constraint_residual(x)))
         raise OffManifoldError(
             f"{handle.name}: point is off-manifold (max constraint residual "
@@ -385,20 +407,19 @@ def soo_residual(handle: ManifoldHandle, x: np.ndarray, sot: SecondOrderTangent)
 
     For each scalar constraint c the pair (A, M) must satisfy
     tr(c''(x) M) + c'(x) A = 0 and c'(x) M = 0; the residual is the max of
-    |tr(c'' M) + c' A| and |M grad c|_F over constraints (0 when there are
-    none, NaN if any term is NaN).
+    |tr(c'' M) + c' A| and |M grad c|_F over constraint components (0 when
+    there are none, NaN if any term is NaN).  Each block takes one ``hess``
+    call over the ambient basis, one ``grad`` and one ``m_apply`` call.
     """
-    if not handle.constraints:
-        return 0.0
     basis = ambient_basis(handle.shape)
     mb = sot.m_apply(basis)
     worst = 0.0
     for c in handle.constraints:
-        tr = float(np.sum(c.hess(x, basis, mb)))
+        tr = np.sum(c.hess(x, basis, mb), axis=0)
         grad = c.grad(x)
-        lin = float(frobenius_inner(grad, sot.a))
-        cross = float(frobenius_norm(sot.m_apply(grad)))
-        worst = float(np.max([worst, abs(tr + lin), cross]))
+        lin = frobenius_inner(grad, sot.a)
+        cross = frobenius_norm(sot.m_apply(grad))
+        worst = float(np.max(np.concatenate([[worst], np.abs(tr + lin), cross])))
     return worst
 
 

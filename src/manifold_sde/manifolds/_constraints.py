@@ -1,4 +1,12 @@
-"""Constraint builders shared between manifold families."""
+"""Constraint blocks shared between manifold families.
+
+Each builder returns one :class:`~manifold_sde.geometry.Constraint` block
+of k components (values ``(..., k)``, gradients ``(..., k, n, m)``), listed
+by index arrays in ``np.triu_indices`` order for pairs; each component is a
+contiguous row-wise sum, bit-equal to the scalar constraint it stands for.
+A handle has at most two blocks, and rows with a non-finite entry never
+reach them through ``on_manifold``.
+"""
 
 from __future__ import annotations
 
@@ -11,85 +19,69 @@ def orthogonality_constraints(
     shape: tuple[int, int],
     rows: tuple[int, int] | None = None,
     cols: tuple[int, int] | None = None,
-) -> tuple[Constraint, ...]:
-    """Constraints (B^T B - I)_{ab} = 0 for a <= b on a block B of the matrix.
+    target: float = 1.0,
+) -> Constraint:
+    """The block (B^T B - target I)_{ab} = 0, a <= b, on a block B of the matrix.
 
-    ``rows``/``cols`` select the block (defaults: everything).  Analytic
-    gradients and second derivatives: the constraints are quadratic.
+    ``rows``/``cols`` select B (defaults: everything).  Analytic gradients
+    and second derivatives: the constraints are quadratic.
     """
     n, m = shape
     r0, r1 = rows if rows is not None else (0, n)
     c0, c1 = cols if cols is not None else (0, m)
-    p = c1 - c0
+    ia, ib = np.triu_indices(c1 - c0)
+    comp = np.arange(ia.size)
+    targets = np.where(ia == ib, target, 0.0)
 
-    def block(x):
-        return x[..., r0:r1, c0:c1]
+    def pairs(x, y):
+        # (..., k, r1 - r0) column products x_a * y_b, contiguous rows
+        xt = np.swapaxes(x[..., r0:r1, c0:c1], -1, -2)
+        yt = np.swapaxes(y[..., r0:r1, c0:c1], -1, -2)
+        return np.take(xt, ia, axis=-2) * np.take(yt, ib, axis=-2)
 
-    out = []
-    for a in range(p):
-        for b in range(a, p):
-            def value(x, a=a, b=b):
-                bl = block(x)
-                v = np.sum(bl[..., :, a] * bl[..., :, b], axis=-1)
-                return v - (1.0 if a == b else 0.0)
+    def value(x):
+        return np.sum(pairs(x, x), axis=-1) - targets
 
-            def grad(x, a=a, b=b):
-                bl = block(x)
-                g = np.zeros(np.shape(x))
-                ga = np.zeros(bl.shape)
-                ga[..., :, a] += bl[..., :, b]
-                ga[..., :, b] += bl[..., :, a]
-                g[..., r0:r1, c0:c1] = ga
-                return g
+    def grad(x):
+        bt = np.swapaxes(x[..., r0:r1, c0:c1], -1, -2)
+        gt = np.zeros(np.shape(x)[:-2] + (ia.size, m, n))
+        gt[..., comp, c0 + ia, r0:r1] = bt[..., ib, :]
+        gt[..., comp, c0 + ib, r0:r1] += bt[..., ia, :]
+        return np.swapaxes(gt, -1, -2)
 
-            def hess(x, u, v, a=a, b=b):
-                ub = u[..., r0:r1, c0:c1]
-                vb = v[..., r0:r1, c0:c1]
-                return np.sum(ub[..., :, a] * vb[..., :, b], axis=-1) + np.sum(
-                    vb[..., :, a] * ub[..., :, b], axis=-1
-                )
+    def hess(x, u, v):
+        return np.sum(pairs(u, v), axis=-1) + np.sum(pairs(v, u), axis=-1)
 
-            out.append(Constraint(value=value, grad=grad, hess=hess))
-    return tuple(out)
+    return Constraint(value=value, grad=grad, hess=hess)
+
+
+def _linear(value, coeffs) -> Constraint:
+    """A block of linear constraints with gradients ``coeffs``, (k, n, m)."""
+    k = coeffs.shape[0]
+
+    def grad(x):
+        return np.broadcast_to(coeffs, np.shape(x)[:-2] + coeffs.shape)
+
+    def hess(x, u, v):
+        return np.zeros(np.broadcast(u, v).shape[:-2] + (k,))
+
+    return Constraint(value=value, grad=grad, hess=hess)
 
 
 def fixed_entry_constraints(
     shape: tuple[int, int], entries: list[tuple[int, int, float]]
-) -> tuple[Constraint, ...]:
-    """Linear constraints x_ij = target (zero Hessian)."""
-    out = []
-    for (i, j, target) in entries:
-        def value(x, i=i, j=j, target=target):
-            return x[..., i, j] - target
-
-        def grad(x, i=i, j=j):
-            g = np.zeros(np.shape(x))
-            g[..., i, j] = 1.0
-            return g
-
-        def hess(x, u, v):
-            return np.zeros(np.broadcast(u, v).shape[:-2])
-
-        out.append(Constraint(value=value, grad=grad, hess=hess))
-    return tuple(out)
+) -> Constraint:
+    """The block x_ij = target over ``entries`` (zero Hessian)."""
+    i, j, target = map(np.array, zip(*entries))
+    coeffs = np.zeros((i.size,) + tuple(shape))
+    coeffs[np.arange(i.size), i, j] = 1.0
+    return _linear(lambda x: x[..., i, j] - target, coeffs)
 
 
-def symmetry_constraints(n: int) -> tuple[Constraint, ...]:
-    """Linear constraints x_ab = x_ba for a < b."""
-    out = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            def value(x, a=a, b=b):
-                return x[..., a, b] - x[..., b, a]
-
-            def grad(x, a=a, b=b):
-                g = np.zeros(np.shape(x))
-                g[..., a, b] = 1.0
-                g[..., b, a] = -1.0
-                return g
-
-            def hess(x, u, v):
-                return np.zeros(np.broadcast(u, v).shape[:-2])
-
-            out.append(Constraint(value=value, grad=grad, hess=hess))
-    return tuple(out)
+def symmetry_constraints(n: int) -> Constraint:
+    """The block x_ab = x_ba, a < b (zero Hessian)."""
+    a, b = np.triu_indices(n, 1)
+    coeffs = np.zeros((a.size, n, n))
+    coeffs[np.arange(a.size), a, b] = 1.0
+    coeffs[np.arange(a.size), b, a] = -1.0
+    return _linear(lambda x: x[..., a, b] - x[..., b, a], coeffs)

@@ -87,9 +87,9 @@ def make_hypersurface(n: int, p: int = 4, d: np.ndarray | None = None) -> Manifo
         return np.zeros(np.shape(x))
 
     constraint = Constraint(
-        value=lambda x: level(x) - 1.0,
-        grad=cgrad,
-        hess=chess,
+        value=lambda x: (level(x) - 1.0)[..., None],
+        grad=lambda x: cgrad(x)[..., None, :, :],
+        hess=lambda x, u, v: chess(x, u, v)[..., None],
     )
 
     def random_point(rng):
@@ -126,5 +126,5 @@ def rescale_tangent_retraction(handle: ManifoldHandle) -> TangentRetraction:
     chess, p = handle.constraints[0].hess, handle.params["p"]
     return replace(
         first_order_retraction(handle.tubular),
-        second_derivative=lambda x, v: -(chess(x, v, v) / p)[..., None, None] * x,
+        second_derivative=lambda x, v: -(chess(x, v, v)[..., 0] / p)[..., None, None] * x,
     )

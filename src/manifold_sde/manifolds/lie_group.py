@@ -102,15 +102,15 @@ def _trace(x: np.ndarray) -> np.ndarray:
 
 def _unit_det_constraint() -> Constraint:
     def value(x):
-        return np.linalg.det(x) - 1.0
+        return (np.linalg.det(x) - 1.0)[..., None]
 
     def grad(x):
-        return np.linalg.det(x)[..., None, None] * mT(np.linalg.inv(x))
+        return (np.linalg.det(x)[..., None, None] * mT(np.linalg.inv(x)))[..., None, :, :]
 
     def hess(x, u, v):
         xinv = np.linalg.inv(x)
         xiu, xiv = xinv @ u, xinv @ v
-        return np.linalg.det(x) * (_trace(xiu) * _trace(xiv) - _trace(xiu @ xiv))
+        return (np.linalg.det(x) * (_trace(xiu) * _trace(xiv) - _trace(xiu @ xiv)))[..., None]
 
     return Constraint(value=value, grad=grad, hess=hess)
 
@@ -163,11 +163,10 @@ def _embedding(kind: str, n: int, project):
     def domain(q):
         return polar_domain(q[..., :m, :m]) & in_domain(q) if polar else in_domain(q)
 
-    constraints = orthogonality_constraints((n, n), rows=(0, m), cols=(0, m)) if polar else ()
+    constraints = (orthogonality_constraints((n, n), rows=(0, m), cols=(0, m)),) if polar else ()
     if affine:
-        constraints += fixed_entry_constraints(
-            (n, n), [(m, j, 0.0) for j in range(m)] + [(m, m, 1.0)]
-        )
+        last_row = [(m, j, 0.0) for j in range(m)] + [(m, m, 1.0)]
+        constraints += (fixed_entry_constraints((n, n), last_row),)
     differential = ambient_identity if kind == "gl+" else project
     tubular = TubularRetraction(mapping=mapping, differential=differential, domain=domain)
     return tubular, constraints, in_domain

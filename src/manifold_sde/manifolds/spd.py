@@ -249,7 +249,7 @@ def make_spd(N: int) -> ManifoldHandle:
         strat_drift=strat_drift,
         random_point=random_point,
         default_point=lambda: np.eye(N),
-        constraints=symmetry_constraints(N),
+        constraints=(symmetry_constraints(N),),
         in_domain=tubular.domain,
         compact=False,
         params={"N": N},

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geometry import Constraint, ManifoldHandle, TubularRetraction
+from ..geometry import ManifoldHandle, TubularRetraction
 from ..linalg import ambient_identity, frobenius_norm, mT
 from ..rng import RngStream
+from ._constraints import orthogonality_constraints
 
 _MIN_NORM = 1e-12
 
@@ -33,12 +34,6 @@ def make_sphere(n: int, radius: float = 1.0) -> ManifoldHandle:
         mapping=rescale,
         differential=project,
         domain=lambda q: frobenius_norm(q) > _MIN_NORM,
-    )
-
-    constraint = Constraint(
-        value=lambda x: np.sum(x * x, axis=(-2, -1)) - r2,
-        grad=lambda x: 2.0 * x,
-        hess=lambda x, u, v: 2.0 * np.sum(u * v, axis=(-2, -1)),
     )
 
     drift_coeff = -(n - 1) / (2.0 * r2)
@@ -68,7 +63,7 @@ def make_sphere(n: int, radius: float = 1.0) -> ManifoldHandle:
         strat_drift=lambda x: np.zeros_like(x),
         random_point=random_point,
         default_point=default_point,
-        constraints=(constraint,),
+        constraints=(orthogonality_constraints((n, 1), target=r2),),
         compact=True,
         params={"n": n, "radius": radius},
     )

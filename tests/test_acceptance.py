@@ -210,8 +210,10 @@ def test_criterion_7_retraction_suite():
         sde = brownian_sde(handle, form="ito")
         mu_r = mu_retraction_adjusted(handle, sde, ret, x, 0.0)
         if handle.constraints:
+            # per component: a sum over a whole block could cancel
             tangency = max(
-                abs(float(np.sum(c.grad(x) * mu_r))) for c in handle.constraints)
+                float(np.max(np.abs(np.sum(c.grad(x) * mu_r, axis=(-2, -1)))))
+                for c in handle.constraints)
         else:
             tangency = float(frobenius_norm(mu_r - handle.project(x, mu_r)))
         assert tangency < 1e-8, (name, "adjusted drift tangency")

@@ -10,7 +10,12 @@ from manifold_sde import (
     check_projection,
     make_manifold,
 )
-from manifold_sde.geometry import ambient_basis, brownian_ito_drift
+from manifold_sde.geometry import (
+    OffManifoldError,
+    ambient_basis,
+    brownian_ito_drift,
+    require_on_manifold,
+)
 from manifold_sde.linalg import (
     AsymmetricInputError,
     SymEigDecomposition,
@@ -89,9 +94,55 @@ def test_geometry_never_solves(monkeypatch, name, build):
         c.hess(x, u, v)
 
 
-# the battery plus a hypersurface and groups with a non-bi-invariant metric
-SIGMA_BATTERY = GEOMETRY_BATTERY + [
+# the battery plus the one handle built outside make_manifold
+CONSTRAINT_BATTERY = GEOMETRY_BATTERY + [
     ("hypersurface-3-4", lambda: make_hypersurface(3, p=4)),
+]
+CONSTRAINT_IDS = [name for name, _ in CONSTRAINT_BATTERY]
+
+
+@pytest.mark.parametrize("name,build", CONSTRAINT_BATTERY, ids=CONSTRAINT_IDS)
+def test_non_finite_rows_are_off_manifold(name, build):
+    # decided before any family code sees the row: no warning, no exception
+    handle = build()
+    x = handle.random_point(RngStream(58, 0))
+    batch = np.stack([x] + [np.full_like(x, bad) for bad in (np.nan, np.inf, -np.inf)])
+    expected = [True, False, False, False]
+    np.testing.assert_array_equal(handle.on_manifold(batch), expected)
+    np.testing.assert_array_equal(handle.domain_ok(batch), expected)
+    with pytest.raises(OffManifoldError):
+        require_on_manifold(handle, batch[1])
+
+
+@pytest.mark.parametrize("name,build", CONSTRAINT_BATTERY, ids=CONSTRAINT_IDS)
+def test_constraint_blocks_match_finite_differences(name, build):
+    # grad against central differences of value, hess against central
+    # differences of <grad, v>, component by component
+    handle = build()
+    assert len(handle.constraints) <= 2
+    rng = RngStream(59, 0)
+    x = handle.random_point(rng)
+    h = 1e-5
+    for c in handle.constraints:
+        k = c.value(x).shape[-1]
+        grad = c.grad(x)
+        assert grad.shape == (k,) + handle.shape
+        for _ in range(3):
+            u, v = rng.normal(x.shape), rng.normal(x.shape)
+            fd_grad = (c.value(x + h * u) - c.value(x - h * u)) / (2.0 * h)
+            exact = np.sum(grad * u, axis=(-2, -1))
+            np.testing.assert_allclose(fd_grad, exact, rtol=1e-6,
+                                       atol=1e-6 * (1.0 + np.max(np.abs(exact))))
+            fd_hess = np.sum((c.grad(x + h * u) - c.grad(x - h * u)) * v,
+                             axis=(-2, -1)) / (2.0 * h)
+            exact = c.hess(x, u, v)
+            assert exact.shape == (k,)
+            np.testing.assert_allclose(fd_hess, exact, rtol=1e-6,
+                                       atol=1e-6 * (1.0 + np.max(np.abs(exact))))
+
+
+# the battery plus a hypersurface and groups with a non-bi-invariant metric
+SIGMA_BATTERY = CONSTRAINT_BATTERY + [
     ("so-3-seeded", lambda: make_manifold("so", N=3, metric_seed=4)),
     ("sl-3-seeded", lambda: make_manifold("sl", N=3, metric_seed=4)),
     ("se-3-seeded", lambda: make_manifold("se", N=3, metric_seed=4)),
@@ -309,6 +360,19 @@ def _feeder(digest):
     return feed
 
 
+def _feed_constraints(feed, handle, q, x, u, v):
+    """Feed each constraint component in order, as the per-entry constraints
+    the digests were recorded with, then the metadata with the component
+    count."""
+    count = 0
+    for c in handle.constraints:
+        value, grad, hess = c.value(q), c.grad(x), c.hess(x, u, v)
+        for k in range(value.shape[-1]):
+            feed(value[..., k], grad[..., k, :, :], hess[..., k])
+        count += value.shape[-1]
+    feed(np.array([handle.dim, handle.compact, count]))
+
+
 def _lie_group_digest(kind):
     digest = hashlib.sha256()
     feed = _feeder(digest)
@@ -330,9 +394,7 @@ def _lie_group_digest(kind):
                  *handle.tubular.mapping(q), handle.tubular.domain(q),
                  handle.tubular.differential(x, u), handle.domain_ok(q),
                  *handle.tubular.retract(bad, np.concatenate([base, x[:1]])))
-            for c in handle.constraints:
-                feed(c.value(q), c.grad(x), c.hess(x, u, v))
-            feed(np.array([handle.dim, handle.compact, len(handle.constraints)]))
+            _feed_constraints(feed, handle, q, x, u, v)
     return digest.hexdigest()
 
 
@@ -366,9 +428,7 @@ def test_grassmann_handle_is_pinned():
              handle.tubular.differential(x, u), handle.domain_ok(q),
              *handle.tubular.retract(bad, np.concatenate([x, x[:2]])),
              handle.functional_point(x), handle.default_point())
-        for c in handle.constraints:
-            feed(c.value(q), c.grad(x), c.hess(x, u, v))
-        feed(np.array([handle.dim, handle.compact, len(handle.constraints)]))
+        _feed_constraints(feed, handle, q, x, u, v)
         digest.update(repr((handle.name, sorted(handle.params.items()))).encode())
     assert digest.hexdigest() == GRASSMANN_DIGEST
 
