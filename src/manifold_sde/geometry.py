@@ -118,10 +118,11 @@ class TubularRetraction:
 class TangentRetraction:
     """Tangent-vector retraction r(x, v) with optional second derivative.
 
-    ``retract`` returns ``(r(x, v), ok)`` from one call; the retractions
-    built here go through :meth:`TubularRetraction.retract`, so a row whose
-    step is non-finite or leaves the domain comes back as x with ``ok``
-    False.  ``second_derivative(x, v)`` is the quadratic term
+    ``retract`` returns ``(r(x, v), ok)`` from one call.  A row whose step
+    is non-finite or leaves the domain comes back as x, bit for bit, with
+    ``ok`` False, and every row of the point is final; the retractions built
+    here get that from :meth:`TubularRetraction.retract`, the one place a
+    row is rejected.  ``second_derivative(x, v)`` is the quadratic term
     r''(x)[v, v] = d^2/dt^2 r(x, tv)|_0; when absent a finite-difference
     evaluation is used.  For a second-order retraction it equals
     -Gamma(x; v, v), and ``second_order`` declares it, which lets the

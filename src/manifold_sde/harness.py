@@ -133,9 +133,11 @@ class SampleSet:
     """Per-path accumulated samples with summary statistics.
 
     A run either finishes every path or raises StepFailureError, so the
-    mean and stderr cover all ``n_path`` samples; a non-finite cost value
-    shows as a NaN estimate.  ``divergent`` is always empty; it stays only
-    because ``perfbench/run.py`` still reads it.
+    mean and stderr cover all ``n_path`` samples.  ``mean`` is NaN when a
+    sample is NaN or both +inf and -inf occur, else +-inf when one does;
+    ``stderr`` is NaN when a sample is non-finite or n_path < 2.
+    ``divergent`` is always empty; it stays only because
+    ``perfbench/run.py`` still reads it.
     """
 
     samples: np.ndarray
@@ -147,12 +149,13 @@ class SampleSet:
 
     @property
     def mean(self) -> float:
-        return float(np.mean(self.samples))
+        with np.errstate(invalid="ignore"):  # inf + -inf is NaN
+            return float(np.mean(self.samples))
 
     @property
     def stderr(self) -> float:
         n = self.n_path
-        if n < 2:
+        if n < 2 or not np.all(np.isfinite(self.samples)):
             return float("nan")
         return float(np.std(self.samples, ddof=1) / np.sqrt(n))
 
@@ -233,10 +236,12 @@ def _run_chunk(handle: ManifoldHandle, stepper: Stepper, config: SimulationConfi
     """Advance paths [lo, hi) as whole arrays; returns their samples.
 
     Each step moves the whole chunk at once.  The chunk holds the noise of
-    one time block at a time (``_noise_block``).  A row the stepper flags is
-    resampled, attempt a of path i at step j drawing from the stream
-    ``(seed, i, (0, j, a, 0))``; a row still flagged after ``max_retries``
-    draws raises StepFailureError, the one way a run fails.
+    one time block at a time (``_noise_block``).  A stepper's rows are final
+    (a flagged row is its previous state, bit for bit), so the chunk takes
+    them whole.  A row the stepper flags is resampled, attempt a of path i at
+    step j drawing from the stream ``(seed, i, (0, j, a, 0))``; a row still
+    flagged after ``max_retries`` draws raises StepFailureError, the one way
+    a run fails.
     """
     size = hi - lo
     h = config.h
@@ -260,11 +265,10 @@ def _run_chunk(handle: ManifoldHandle, stepper: Stepper, config: SimulationConfi
             block = _noise_block(config.seed, lo, hi, tau,
                                  min(BLOCK_STEPS, config.n_div - j), noise)
         out = stepper.step(state, t, h, increment(block[s]))
-        ok = np.asarray(out.ok)
-        state[ok] = out.state[ok]
+        state = out.state
 
         attempt = 0
-        pending = np.nonzero(~ok)[0]
+        pending = np.nonzero(~np.asarray(out.ok))[0]
         while pending.size:
             attempt += 1
             if attempt > config.max_retries:
@@ -279,9 +283,8 @@ def _run_chunk(handle: ManifoldHandle, stepper: Stepper, config: SimulationConfi
                 for i in pending.tolist()
             ])
             out = stepper.step(state[pending], t, h, increment(raw))
-            ok = np.asarray(out.ok)
-            state[pending[ok]] = out.state[ok]
-            pending = pending[~ok]
+            state[pending] = out.state
+            pending = pending[~np.asarray(out.ok)]
 
         if cost.running is not None:
             pts = handle.functional_point(state)
@@ -472,6 +475,14 @@ class ComparisonTable:
         raise KeyError(f"no cell ({integrator}, {n_div})")
 
 
+def _agreement(mean_a: float, stderr_a: float, mean_b: float, stderr_b: float) -> tuple:
+    """(gap, allowance, agree): |mean_a - mean_b| against 3 hypot(stderr_a,
+    stderr_b); a NaN gap or allowance is no evidence, so it does not agree."""
+    gap = abs(mean_a - mean_b)
+    allowance = 3.0 * float(np.hypot(stderr_a, stderr_b))
+    return gap, allowance, bool(gap <= allowance)
+
+
 def _pairwise_consistency(cells: Sequence[ComparisonCell]):
     worst_ratio = -1.0
     worst = (0.0, float("inf"), ("", ""))
@@ -479,10 +490,8 @@ def _pairwise_consistency(cells: Sequence[ComparisonCell]):
     for i in range(len(cells)):
         for k in range(i + 1, len(cells)):
             a, b = cells[i], cells[k]
-            gap = abs(a.mean - b.mean)
-            allowance = 3.0 * float(np.hypot(a.stderr, b.stderr))
-            if not gap <= allowance:  # a NaN gap or allowance is no evidence
-                consistent = False
+            gap, allowance, agree = _agreement(a.mean, a.stderr, b.mean, b.stderr)
+            consistent = consistent and agree
             ratio = gap / allowance if allowance > 0 else np.inf
             if ratio > worst_ratio:
                 worst_ratio = ratio
@@ -534,16 +543,13 @@ class UniformLimitRow:
     direct_stderr: float
 
     @property
-    def gap(self) -> float:
-        return abs(self.brownian.mean - self.direct_mean)
+    def _agreement(self) -> tuple:
+        return _agreement(self.brownian.mean, self.brownian.stderr,
+                          self.direct_mean, self.direct_stderr)
 
-    @property
-    def allowance(self) -> float:
-        return 3.0 * float(np.hypot(self.brownian.stderr, self.direct_stderr))
-
-    @property
-    def consistent(self) -> bool:
-        return self.gap <= self.allowance
+    gap = property(lambda self: self._agreement[0])
+    allowance = property(lambda self: self._agreement[1])
+    consistent = property(lambda self: self._agreement[2])
 
 
 def uniform_limit_run(config: SimulationConfig, handle: ManifoldHandle, costs,

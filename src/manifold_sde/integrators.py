@@ -23,9 +23,10 @@ batch axes.  Every scheme reaches the manifold through one domain-checked
 call: the projected schemes and each RK4 pass through
 ``TubularRetraction.retract``, the retraction schemes through
 ``TangentRetraction.retract`` (which for the second-order retraction forms
-Gamma(x; v, v) once per step).  Rows whose step is non-finite or leaves the
-retraction domain are frozen at the previous state and flagged in
-``StepResult.ok``; the caller decides whether to resample those increments
+Gamma(x; v, v) once per step).  Only that call rejects: a row whose
+proposal is non-finite or leaves the retraction domain comes back as its
+previous state, bit for bit, flagged in ``StepResult.ok``, and every row of
+a step's result is final.  The caller decides whether to resample flagged rows
 (the simulation harness retries a few times, each attempt from a stream of
 its own, before giving up).  ``make_stepper`` holds the per-scheme rules in
 one table: the SDE form consumed, whether the move is a normalized walk (raw
@@ -113,7 +114,8 @@ class StepResult:
     """Next state plus the per-row domain flag.
 
     ``ok`` flags batch rows whose proposal stayed inside the retraction
-    domain; failed rows carry the previous state, bit for bit.
+    domain; failed rows carry the previous state, bit for bit.  Every row of
+    ``state`` is final: a caller may take the array whole.
     """
 
     state: np.ndarray
@@ -188,13 +190,13 @@ def step_retractive_em(handle, sde, retraction, x, t, h, zeta) -> StepResult:
 
 
 def _normalized_move(handle, sde, x, raw, t, length2):
-    """Rescale sigma(x) xi to squared metric length ``length2`` (rowwise)."""
+    """Rescale sigma(x) xi to squared metric length ``length2`` (rowwise); a
+    row of zero or non-finite length becomes a NaN move, which is rejected."""
     u = sde.sigma(x, raw, t)
     norm2 = np.sum(u * handle.metric(x, u), axis=(-2, -1))
     good = np.isfinite(norm2) & (norm2 > 0.0)
     scale = np.sqrt(length2 / np.where(good, norm2, 1.0))
-    v = np.where(good[..., None, None], scale[..., None, None] * u, 0.0)
-    return v, good
+    return np.where(good[..., None, None], scale[..., None, None] * u, np.nan)
 
 
 def step_geodesic_walk(handle, sde, retraction, x, t, h, xi) -> StepResult:
@@ -207,9 +209,8 @@ def step_geodesic_walk(handle, sde, retraction, x, t, h, xi) -> StepResult:
     """
     x = np.asarray(x, dtype=float)
     length2 = 2.0 * sde.diffusion * float(h) * handle.dim
-    v, good = _normalized_move(handle, sde, x, xi, t, length2)
-    state, ok = retraction.retract(x, v)
-    return StepResult(state=state, ok=ok & good)
+    v = _normalized_move(handle, sde, x, xi, t, length2)
+    return StepResult(*retraction.retract(x, v))
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +226,7 @@ def _rk4_geodesic_masked(handle, x, v, T, steps):
     # the blow-up cap is per row, so a row's flag does not depend on its batch
     vcap = 1e6 * np.maximum(1.0, np.sqrt(np.sum(v * v, axis=(-2, -1))))
     ok = np.ones(np.broadcast(x, v).shape[:-2], dtype=bool)
-    x = np.broadcast_to(x, np.broadcast(x, v).shape).astype(float)
+    x0 = x = np.broadcast_to(x, np.broadcast(x, v).shape).astype(float)
     v = np.broadcast_to(v, x.shape).astype(float)
     for _ in range(int(steps)):
         k1x, k1v = _geodesic_field(handle, x, v)
@@ -234,10 +235,10 @@ def _rk4_geodesic_masked(handle, x, v, T, steps):
         k4x, k4v = _geodesic_field(handle, x + hstep * k3x, v + hstep * k3v)
         xn = x + (hstep / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         vn = v + (hstep / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        x, good = handle.tubular.retract(xn, x, finite_rows(vn))
-        v = handle.project(x, freeze_rows(vn, v, good))
-        good = good & (np.sqrt(np.sum(v * v, axis=(-2, -1))) <= vcap)
-        ok = ok & good
+        # a flagged row is held at its start point by the tubular call
+        ok = ok & finite_rows(vn) & (np.sqrt(np.sum(vn * vn, axis=(-2, -1))) <= vcap)
+        x, ok = handle.tubular.retract(xn, x0, ok)
+        v = handle.project(x, freeze_rows(vn, v, ok))
     return x, v, ok
 
 
@@ -269,7 +270,7 @@ def rk4_exponential_retraction(handle: ManifoldHandle) -> TangentRetraction:
 
     def retract(x, v):
         point, _, ok = _rk4_geodesic_masked(handle, x, v, 1.0, RK4_SUBSTEPS)
-        return freeze_rows(point, x, ok), ok
+        return point, ok
 
     return TangentRetraction(retract=retract)
 

@@ -98,6 +98,16 @@ def _series_order(tau: float) -> int:
 # heat-kernel expectations
 
 
+def _heat_expectation(tag: str, c: float, k: int, cost, T, diffusion, radius) -> float:
+    """The ``tag`` kernel series times ``cost`` against the unit sphere's
+    surface measure c pi sin(phi)^k d phi on [0, pi]."""
+    def integrand(phi):
+        dens = heat_kernel_values(tag, phi, T, diffusion, radius) * c * np.pi * np.sin(phi)**k
+        return np.asarray(cost(phi), dtype=float) * dens
+
+    return _refined_integral(integrand)
+
+
 def heat_expectation_s2(cost, T: float, diffusion: float = 0.5, radius: float = 1.0) -> float:
     """E[cost(phi(X_T))] for Brownian motion on a 2-sphere started anywhere.
 
@@ -107,11 +117,7 @@ def heat_expectation_s2(cost, T: float, diffusion: float = 0.5, radius: float = 
     P_l(cos phi) with tau = diffusion * T / radius^2, integrated against the
     surface measure 2 pi sin(phi) d phi.
     """
-    def integrand(phi):
-        dens = heat_kernel_values("s2", phi, T, diffusion, radius) * 2.0 * np.pi * np.sin(phi)
-        return np.asarray(cost(phi), dtype=float) * dens
-
-    return _refined_integral(integrand)
+    return _heat_expectation("s2", 2.0, 1, cost, T, diffusion, radius)
 
 
 def heat_expectation_s3(cost, T: float, diffusion: float = 0.5, radius: float = 1.0) -> float:
@@ -120,11 +126,7 @@ def heat_expectation_s3(cost, T: float, diffusion: float = 0.5, radius: float = 
     Spectral series p_t(phi) = sum_l (l+1)/(2 pi^2) e^{-l(l+2) tau}
     sin((l+1) phi)/sin(phi), integrated against 4 pi sin^2(phi) d phi.
     """
-    def integrand(phi):
-        dens = heat_kernel_values("s3", phi, T, diffusion, radius) * 4.0 * np.pi * np.sin(phi)**2
-        return np.asarray(cost(phi), dtype=float) * dens
-
-    return _refined_integral(integrand)
+    return _heat_expectation("s3", 4.0, 2, cost, T, diffusion, radius)
 
 
 def heat_kernel_values(tag: str, phis, T: float, diffusion: float = 0.5,

@@ -16,13 +16,11 @@ The simulation harness addresses its noise through the counter (see
 stream ``(seed, path block, (0, time block, 0, 0))``, and a retry of path
 ``i`` at step ``j`` draws from ``(seed, i, (0, j, attempt, 0))``.
 
-Opening a stream builds no generator; it only computes the key and counter.
-A stream's first draw comes from one generator per thread whose state is set
-to the stream's fresh state (its counter, an empty buffer), which costs a few
-microseconds where building a ``Philox`` costs several times that.  A second
-draw opens the stream's own generator, replays the first draw on it and
-continues from there, so a long-lived stream costs O(1) per draw.  The
-harness draws each stream once, so it never builds a generator of its own.
+A stream builds no generator; it holds only its Philox state (key, counter
+and buffer).  Every draw comes from one generator per thread: the draw sets
+that generator to the stream's state, draws, and saves the advanced state
+back, which costs a few microseconds where building a ``Philox`` costs
+several times that.
 """
 
 from __future__ import annotations
@@ -35,22 +33,6 @@ from numpy.random import Generator, Philox
 
 _local = threading.local()
 _WORD = 1 << 64
-
-
-def _thread_generator(key: tuple, counter: tuple) -> Generator:
-    """This thread's shared generator, set to the fresh state of ``(key, counter)``."""
-    gen = getattr(_local, "gen", None)
-    if gen is None:
-        gen = _local.gen = Generator(Philox(0))
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": counter, "key": key},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return gen
 
 
 def _counter_words(counter) -> tuple:
@@ -74,26 +56,27 @@ class RngStream:
     seed: int
     stream_id: int = 0
     counter: int | tuple = 0
-    _key: tuple = field(init=False, repr=False)
-    _counter: tuple = field(init=False, repr=False)
-    _gen: Generator | None = field(init=False, repr=False, default=None)
-    _first: tuple | None = field(init=False, repr=False, default=None)
+    _state: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._key = (int(self.seed) % _WORD, int(self.stream_id) % _WORD)
-        self._counter = _counter_words(self.counter)
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _counter_words(self.counter),
+                      "key": (int(self.seed) % _WORD, int(self.stream_id) % _WORD)},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def _draw(self, method: str, shape) -> np.ndarray:
-        if self._gen is None:
-            if self._first is None:
-                out = getattr(_thread_generator(self._key, self._counter), method)(shape)
-                self._first = (method, shape)
-                return out
-            self._gen = Generator(Philox(key=self._key,
-                                         counter=np.array(self._counter, dtype=np.uint64)))
-            first_method, first_shape = self._first
-            getattr(self._gen, first_method)(first_shape)
-        return getattr(self._gen, method)(shape)
+        gen = getattr(_local, "gen", None)
+        if gen is None:
+            gen = _local.gen = Generator(Philox(0))
+        gen.bit_generator.state = self._state
+        out = getattr(gen, method)(shape)
+        self._state = gen.bit_generator.state
+        return out
 
     def normal(self, shape=()) -> np.ndarray:
         return self._draw("standard_normal", shape)

@@ -524,6 +524,20 @@ def test_non_finite_cost_value_shows_in_the_estimate(so3):
     assert np.isnan(out.stderr)  # all 8 samples counted, the NaN ones too
 
 
+@pytest.mark.parametrize("samples,mean", [
+    ([1.0, np.inf, 2.0], np.inf),
+    ([1.0, -np.inf, 2.0], -np.inf),
+    ([1.0, np.inf, -np.inf], np.nan),
+    ([1.0, np.nan, np.inf], np.nan),
+])
+def test_infinite_samples_give_the_documented_estimate(samples, mean):
+    # no RuntimeWarning (an error under the suite's filter), and the values
+    # the SampleSet docstring states
+    out = harness.SampleSet(np.array(samples))
+    np.testing.assert_array_equal(out.mean, mean)
+    assert math.isnan(out.stderr)
+
+
 def test_compare_methods_grid_and_lookup(so3):
     cost = make_cost("sum_abs", so3)
     cfg = SimulationConfig(T=0.5, n_div=40, n_path=64, seed=5)
@@ -548,6 +562,16 @@ def test_compare_methods_with_nan_stderrs_is_not_consistent():
     table = compare_methods(cfg, sphere, make_cost("phi_5_2", sphere), n_divs=(20,))
     assert all(math.isnan(c.stderr) for c in table.cells)
     assert table.consistent is False
+
+
+def test_one_path_uniform_limit_row_is_not_consistent(so3):
+    # one path has a NaN stderr, so the allowance is NaN: no evidence of
+    # agreement
+    costs = [("sum_abs", lambda pts: np.sum(np.abs(pts), axis=(-2, -1)))]
+    (row,) = uniform_limit_run(SimulationConfig(T=1.0, n_div=4, n_path=1, seed=0), so3, costs,
+                               n_direct=8)
+    assert math.isnan(row.brownian.stderr) and math.isnan(row.allowance)
+    assert row.consistent is False
 
 
 def test_invariant_measure_independent_of_metric_choice():

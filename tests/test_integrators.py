@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from batteries import SPOT_BATTERY, SPOT_IDS, count_linalg, record_inv
+from batteries import IDS, GEOMETRY_BATTERY, SPOT_BATTERY, SPOT_IDS, count_linalg, record_inv
 from manifold_sde import (
     INTEGRATOR_IDS,
     DivergenceError,
@@ -114,8 +114,7 @@ def test_nan_increment_freezes_its_row(sphere3):
     inc = WienerIncrement(raw=z, truncated=z, h=0.01, r=1.0)
     result = stepper.step(x, 0.0, 0.01, inc)
     np.testing.assert_array_equal(result.ok, [True, False, True])
-    # failed rows carry the previous state (up to the tubular map's roundoff)
-    np.testing.assert_allclose(result.state[1], x[1], rtol=0.0, atol=1e-15)
+    np.testing.assert_array_equal(result.state[1], x[1])
     assert bool(np.all(sphere3.on_manifold(result.state[[0, 2]], tol=1e-9)))
 
 
@@ -148,11 +147,13 @@ def test_stepper_is_deterministic(so3):
 
 
 @pytest.mark.parametrize("integrator_id", INTEGRATOR_IDS)
-@pytest.mark.parametrize("name,build", SPOT_BATTERY, ids=SPOT_IDS)
+@pytest.mark.parametrize("name,build", GEOMETRY_BATTERY, ids=IDS)
 def test_step_does_not_write_its_input(name, build, integrator_id):
-    # the harness hands a stepper its whole state array, not a copy
+    # the harness hands a stepper its whole state array, not a copy, and
+    # takes the result whole: a flagged row must be its input row, bit for bit
     handle = build()
     stepper = make_stepper(handle, integrator_id)
+    walk = not stepper.uses_truncation
     rng = RngStream(46, 0)
     x = np.stack([handle.random_point(rng) for _ in range(6)])
     before = x.copy()
@@ -160,10 +161,13 @@ def test_step_does_not_write_its_input(name, build, integrator_id):
     for h in (0.2, 0.95):
         raw = 4.0 * rng.normal((6,) + stepper.noise_shape)
         raw[2] = np.nan
+        raw[4] = 0.0  # a walk has no direction to move in
         bound = truncation_bound(h)
         inc = WienerIncrement(raw=raw, truncated=np.clip(raw, -bound, bound), h=h, r=1.0)
         out = stepper.step(x, 0.0, h, inc)
         assert not out.ok[2]
+        assert not (walk and out.ok[4])
+        np.testing.assert_array_equal(out.state[~out.ok], x[~out.ok])
         np.testing.assert_array_equal(x, before)
 
 
@@ -209,8 +213,11 @@ def test_rk4_velocity_cap_is_per_row():
     v = np.array([[0.0], [14.0]])
     _, _, alone = integrators._rk4_geodesic_masked(hyp, x, v, 1.0, 50)
     batch = np.stack([v, np.array([[0.0], [-50.0]])])
-    _, _, together = integrators._rk4_geodesic_masked(hyp, x, batch, 1.0, 50)
+    point, _, together = integrators._rk4_geodesic_masked(hyp, x, batch, 1.0, 50)
     assert together[0] == alone
+    # row 1 passes 28 passes before the cap flags it, and comes back as x
+    assert not together[1]
+    np.testing.assert_array_equal(point[1], x)
 
 
 @pytest.mark.parametrize("name,build", SPOT_BATTERY, ids=SPOT_IDS)
@@ -226,7 +233,7 @@ def test_rk4_walk_step_matches_standalone_exponential_map(name, build):
     out = stepper.step(x, 0.0, h, WienerIncrement(raw=raw, truncated=raw, h=h, r=1.0))
     np.testing.assert_array_equal(out.ok, [True, True, True, True, False, True])
     sde = brownian_sde(handle, form="ito")
-    v, _ = integrators._normalized_move(handle, sde, x, raw, 0.0, 2.0 * 0.5 * h * handle.dim)
+    v = integrators._normalized_move(handle, sde, x, raw, 0.0, 2.0 * 0.5 * h * handle.dim)
     point, _ = integrate_geodesic_rk4_projected(handle, x[out.ok], v[out.ok], 1.0,
                                                 integrators.RK4_SUBSTEPS)
     np.testing.assert_array_equal(out.state[out.ok], point)
@@ -237,14 +244,17 @@ def test_rk4_walk_step_matches_standalone_exponential_map(name, build):
 
 
 def test_walk_flags_degenerate_noise(sphere3):
-    # at a basis point the projection of a radial draw is exactly zero
+    # a zero noise vector has no direction; its rows stay where they were,
+    # bit for bit, off the basis points where r(x, 0) = x holds exactly
     stepper = make_stepper(sphere3, "geodesic-walk")
-    x = np.array([[1.0], [0.0], [0.0]])
-    raw = np.stack([2.0 * x, RngStream(29, 1).normal((3, 1))])  # row 0 is radial
+    rng = RngStream(33, 0)
+    x = np.stack([sphere3.random_point(rng) for _ in range(8)])
+    raw = RngStream(33, 1).normal((8, 3, 1))
+    raw[::2] = 0.0
     inc = WienerIncrement(raw=raw, truncated=raw, h=0.01, r=1.0)
-    result = stepper.step(np.stack([x, x]), 0.0, 0.01, inc)
-    np.testing.assert_array_equal(result.ok, [False, True])
-    np.testing.assert_array_equal(result.state[0], x)
+    result = stepper.step(x, 0.0, 0.01, inc)
+    np.testing.assert_array_equal(result.ok, [False, True] * 4)
+    np.testing.assert_array_equal(result.state[::2], x[::2])
 
 
 def test_walk_moves_by_fixed_metric_length(sphere3):
