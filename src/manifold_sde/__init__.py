@@ -38,10 +38,8 @@ from .harness import (
 )
 from .integrators import (
     INTEGRATOR_IDS,
-    DivergenceError,
     IntegratorParameterError,
     StepFailureError,
-    integrate_geodesic_rk4_projected,
     make_stepper,
     mu_retraction_adjusted,
     truncation_bound,
@@ -62,7 +60,6 @@ __all__ = [
     "COST_IDS",
     "ComparisonTable",
     "CostFunctional",
-    "DivergenceError",
     "HeatKernelParameterError",
     "INTEGRATOR_IDS",
     "IntegratorParameterError",
@@ -87,7 +84,6 @@ __all__ = [
     "heat_expectation_s2",
     "heat_expectation_s3",
     "heat_kernel_values",
-    "integrate_geodesic_rk4_projected",
     "laplace_beltrami",
     "laplace_drift_vector",
     "laplacian_frame_oracle",
@@ -101,6 +97,7 @@ __all__ = [
     "soo_residual",
     "truncation_bound",
     "uniform_cost_estimate",
+    "uniform_limit_run",
 ]
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ Commands:
 - ``compare``:     the same functional across integrators and step ladders;
                    summary CSV, inconsistent grids are flagged, not fatal.
 - ``uniform``:     long-run Brownian estimate vs. direct uniform sampling
-                   (compact manifolds only).
+                   (compact manifolds and terminal costs only).
 - ``heat-kernel``: spectral-series expectation for the sphere reference
                    configuration (diffusion 0.4, radius 3), no simulation.
 
@@ -312,23 +312,20 @@ def _cmd_compare(config: RunConfig) -> int:
 def _cmd_uniform(config: RunConfig) -> int:
     handle = _build_handle(config)
     cost = make_cost(config.get("cost"), handle)
-    if cost.terminal is None:
-        raise ConfigError(f"cost {cost.name!r} has no terminal part; "
-                          "the uniform comparison needs a terminal cost")
     sim = _sim_config(config, T=40.0, n_div=700, n_path=1000, seed=0, integrator="ito-em")
-    rows = uniform_limit_run(sim, handle, [(cost.name, lambda x, c=cost: c.terminal(x, 0.0))])
+    rows = uniform_limit_run(sim, handle, [cost])
     out_rows = []
     for row in rows:
         out_rows.append(_summary_row(row.cost_name, row.brownian.mean, row.brownian.stderr,
                                      row.brownian.n_path, sim.n_div, sim.T, sim.integrator,
                                      handle.name))
-        out_rows.append(_summary_row(row.cost_name + "_uniform", row.direct_mean,
-                                     row.direct_stderr, 0, 0, sim.T, "direct-sampler",
+        out_rows.append(_summary_row(row.cost_name + "_uniform", row.direct.mean,
+                                     row.direct.stderr, 0, 0, sim.T, "direct-sampler",
                                      handle.name))
         verdict = "agrees with" if row.consistent else "DISAGREES with"
         print(f"{handle.name} {row.cost_name}: brownian {row.brownian.mean:.6g} "
-              f"({row.brownian.stderr:.3g}) {verdict} uniform {row.direct_mean:.6g} "
-              f"({row.direct_stderr:.3g})")
+              f"({row.brownian.stderr:.3g}) {verdict} uniform {row.direct.mean:.6g} "
+              f"({row.direct.stderr:.3g})")
     _write_csv(config.get("out"), SUMMARY_HEADER, out_rows)
     return EXIT_OK
 

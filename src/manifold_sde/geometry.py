@@ -512,13 +512,13 @@ def retraction_second_derivative(
     retraction: TangentRetraction, x: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
     """r''(x)[v, v]: the closed form, or a symmetric second difference along
-    v/|v| with step eps^(1/4) (1 + max |x|_F)."""
+    v/|v| with step eps^(1/4) (1 + |x|_F), each row's step from its own x."""
     if retraction.second_derivative is not None:
         return retraction.second_derivative(x, v)
     v = np.asarray(v, dtype=float)
     nv = np.maximum(frobenius_norm(v), 1e-300)[..., None, None]
     u = v / nv
-    h = float(_EPS ** 0.25 * (1.0 + np.max(frobenius_norm(x))))
+    h = (_EPS ** 0.25 * (1.0 + frobenius_norm(x)))[..., None, None]
     xb = np.broadcast_to(x, u.shape) if u.ndim > np.ndim(x) else x
     plus = retraction.retract(xb, h * u)[0]
     minus = retraction.retract(xb, -h * u)[0]

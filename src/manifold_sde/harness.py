@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import numbers
 import os
 import pickle
 import signal
@@ -79,7 +80,9 @@ class SimulationConfig:
     """Inputs of one Monte Carlo run; h = T / n_div.
 
     ``path_chunk`` is an upper bound on the paths per chunk; each run plans
-    its chunks for its worker count (see ``_plan_chunks``).
+    its chunks for its worker count (see ``_plan_chunks``).  The counts
+    ``n_div``, ``n_path``, ``seed``, ``max_retries`` and ``path_chunk`` are
+    ints or numpy integers (not bools).
     """
 
     T: float
@@ -93,6 +96,10 @@ class SimulationConfig:
     path_chunk: int = 256
 
     def __post_init__(self):
+        for name in ("n_div", "n_path", "seed", "max_retries", "path_chunk"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (math.isfinite(self.T) and self.T > 0.0):
             raise ValueError(f"T must be positive and finite, got {self.T}")
         if self.n_div < 1 or self.n_path < 1:
@@ -537,40 +544,50 @@ def compare_methods(config: SimulationConfig, handle: ManifoldHandle,
 
 @dataclass(frozen=True)
 class UniformLimitRow:
+    """One cost's long-run Brownian samples and its direct uniform samples."""
+
     cost_name: str
     brownian: SampleSet
-    direct_mean: float
-    direct_stderr: float
+    direct: SampleSet
 
     @property
     def _agreement(self) -> tuple:
         return _agreement(self.brownian.mean, self.brownian.stderr,
-                          self.direct_mean, self.direct_stderr)
+                          self.direct.mean, self.direct.stderr)
 
     gap = property(lambda self: self._agreement[0])
     allowance = property(lambda self: self._agreement[1])
     consistent = property(lambda self: self._agreement[2])
 
 
-def uniform_limit_run(config: SimulationConfig, handle: ManifoldHandle, costs,
-                      n_direct: int = 100_000) -> tuple:
+def uniform_limit_run(config: SimulationConfig, handle: ManifoldHandle,
+                      costs: Sequence[CostFunctional], n_direct: int = 100_000) -> tuple:
     """Long-run Brownian estimates vs direct uniform sampling, per cost.
 
-    ``costs`` is a sequence of (name, f) pairs with f acting on batched
-    functional points; each is simulated with ``config``.  Only compact
-    families have a uniform limit; the direct estimates come from the
-    independent samplers in oracles, seeded from ``config.seed``.
+    Each cost must be terminal only: the uniform law is a law of X_T, so a
+    running part has nothing to compare with.  Only compact families with a
+    direct sampler have a reference; for each cost the direct samples of
+    ``cost.terminal(points, config.T)`` come first, from the independent
+    samplers in oracles seeded from ``config.seed``, and then the cost is
+    simulated with ``config``.
     """
     from .oracles import uniform_cost_estimate
 
     if not handle.compact:
         raise ValueError(f"{handle.name} is not compact; no uniform limit")
+    for cost in costs:
+        if cost.terminal is None:
+            raise ValueError(f"cost {cost.name!r} has no terminal part; "
+                             "the uniform comparison needs a terminal cost")
+        if cost.running is not None:
+            raise ValueError(f"cost {cost.name!r} has a running part; "
+                             "the uniform comparison takes terminal costs only")
     rows = []
-    for k, (name, f) in enumerate(costs):
-        cost = CostFunctional(terminal=lambda x, t, f=f: f(x), name=name)
-        browny = simulate(config, handle, cost=cost)
-        direct_rng = RngStream(seed=config.seed, stream_id=2**32 + k)
-        dmean, dse = uniform_cost_estimate(handle, f, direct_rng, n_sample=n_direct)
-        rows.append(UniformLimitRow(cost_name=name, brownian=browny,
-                                    direct_mean=dmean, direct_stderr=dse))
+    for k, cost in enumerate(costs):
+        direct = uniform_cost_estimate(handle, lambda x: cost.terminal(x, config.T),
+                                       RngStream(seed=config.seed, stream_id=2**32 + k),
+                                       n_sample=n_direct)
+        rows.append(UniformLimitRow(cost_name=cost.name,
+                                    brownian=simulate(config, handle, cost=cost),
+                                    direct=direct))
     return tuple(rows)

@@ -75,7 +75,8 @@ class StepFailureError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """The standalone RK4 exponential map blew up or left the retraction domain."""
+    """Nothing raises it; it stays only because ``perfbench/run.py`` still
+    imports it."""
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +223,13 @@ def _geodesic_field(handle, x, v):
 
 
 def _rk4_geodesic_masked(handle, x, v, T, steps):
+    """Classical RK4 on d/dt (x, v) = (v, -Gamma(x; v, v)) over [0, T] in
+    ``steps`` passes, each pulled back by the tubular retraction with the
+    velocity re-projected; returns ``(point, velocity, ok)``.
+
+    A row whose pass turns non-finite, leaves the retraction domain or
+    passes the velocity cap 1e6 max(1, |v0|) is flagged and held at x.
+    """
     hstep = float(T) / int(steps)
     # the blow-up cap is per row, so a row's flag does not depend on its batch
     vcap = 1e6 * np.maximum(1.0, np.sqrt(np.sum(v * v, axis=(-2, -1))))
@@ -240,24 +248,6 @@ def _rk4_geodesic_masked(handle, x, v, T, steps):
         x, ok = handle.tubular.retract(xn, x0, ok)
         v = handle.project(x, freeze_rows(vn, v, ok))
     return x, v, ok
-
-
-def integrate_geodesic_rk4_projected(handle, x, v, T, steps):
-    """Classical RK4 on d/dt (x, v) = (v, -Gamma(x; v, v)), re-projected.
-
-    After every step the point is pulled back by the tubular retraction and
-    the velocity re-projected onto the tangent space, giving a numerical
-    exponential map.  Raises DivergenceError on blow-up (velocity growth
-    beyond 1e6 max(1, |v0|)) or a retraction-domain exit.
-    """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    point, velocity, ok = _rk4_geodesic_masked(handle, x, v, T, steps)
-    if not bool(np.all(ok)):
-        raise DivergenceError(
-            "geodesic integration blew up or left the retraction domain"
-        )
-    return point, velocity
 
 
 def rk4_exponential_retraction(handle: ManifoldHandle) -> TangentRetraction:

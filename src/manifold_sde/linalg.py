@@ -307,23 +307,26 @@ def so_inv(x: np.ndarray) -> np.ndarray:
 def matrix_exp(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a Taylor series.
 
-    Batched over leading axes.  The argument is scaled by 2^-s so its max
-    row-sum norm is below 1/2, the series is summed to machine precision,
-    and the result is squared back s times.
+    Batched over leading axes.  Each matrix is scaled by its own 2^-s so its
+    max row-sum norm is below 1/2, its series is summed until its own term
+    falls below machine precision, and it is squared back s times, so its
+    bits never depend on its batch.
     """
     a = _require_square(np.asarray(a, dtype=float), "matrix_exp")
     norm = np.max(np.sum(np.abs(a), axis=-1), axis=-1)
-    max_norm = float(np.max(norm)) if norm.size else 0.0
-    s = max(0, int(np.ceil(np.log2(max_norm / 0.5))) if max_norm > 0.5 else 0)
-    b = a / (2.0**s)
+    s = np.ceil(np.log2(np.fmax(norm, 0.5) / 0.5))
+    b = a / (2.0 ** s)[..., None, None]
     eye = np.broadcast_to(np.eye(a.shape[-1]), a.shape)
     result = eye.copy()
     term = eye.copy()
+    active = np.ones(norm.shape, dtype=bool)
     for k in range(1, 30):
         term = term @ b / k
-        result = result + term
-        if float(np.max(np.abs(term))) < 1e-17 * max(1.0, float(np.max(np.abs(result)))):
+        result = np.where(active[..., None, None], result + term, result)
+        active &= ~(np.max(np.abs(term), axis=(-2, -1))
+                    < 1e-17 * np.maximum(1.0, np.max(np.abs(result), axis=(-2, -1))))
+        if not active.any():
             break
-    for _ in range(s):
-        result = result @ result
+    for i in range(int(s.max(initial=0))):
+        result = np.where((s > i)[..., None, None], result @ result, result)
     return result

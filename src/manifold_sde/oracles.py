@@ -17,6 +17,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legval
 
 from .geometry import ManifoldHandle, dual_tangent_frame
+from .harness import SampleSet
 from .linalg import polar_orth
 from .rng import RngStream
 
@@ -191,25 +192,18 @@ def sample_uniform(handle: ManifoldHandle, rng: RngStream, size: int = 1) -> np.
 
 
 def uniform_cost_estimate(handle: ManifoldHandle, cost, rng: RngStream,
-                          n_sample: int = 100_000):
-    """Mean and standard error of ``cost`` under the uniform distribution.
+                          n_sample: int = 100_000) -> SampleSet:
+    """``cost`` at ``n_sample`` uniform points, as a ``SampleSet``.
 
     ``cost`` receives the functional representation of the points (identity
-    except for Grassmann, where it is the projector Y Y^T).
+    except for Grassmann, where it is the projector Y Y^T).  The points are
+    drawn from ``rng`` in batches of ``_UNIFORM_BATCH``.
     """
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < n_sample:
-        take = min(_UNIFORM_BATCH, n_sample - done)
-        pts = sample_uniform(handle, rng, take)
-        vals = np.asarray(cost(handle.functional_point(pts)), dtype=float)
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
-        done += take
-    mean = total / n_sample
-    var = max(total_sq / n_sample - mean * mean, 0.0) * n_sample / max(n_sample - 1, 1)
-    return mean, float(np.sqrt(var / n_sample))
+    vals = []
+    for done in range(0, n_sample, _UNIFORM_BATCH):
+        pts = sample_uniform(handle, rng, min(_UNIFORM_BATCH, n_sample - done))
+        vals.append(np.asarray(cost(handle.functional_point(pts)), dtype=float))
+    return SampleSet(samples=np.concatenate(vals))
 
 
 # ---------------------------------------------------------------------------

@@ -396,6 +396,16 @@ def test_uniform_command_writes_both_estimates(tmp_path, capsys):
     assert rows[2][6] == "direct-sampler"
 
 
+def test_uniform_command_rejects_a_running_cost(tmp_path, capsys):
+    out = tmp_path / "u.csv"
+    text = (f"command=uniform\nmanifold=so\nN=3\nn_path=16\nn_div=10\nT=2\n"
+            f"seed=1\ncost=spd_running\nout={out}\n")
+    assert main([write(tmp_path, "ur.cfg", text)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "running part" in err
+    assert not out.exists()
+
+
 def test_uniform_command_honours_truncation_parameter(tmp_path, capsys):
     outs = []
     for r in (1, 4):

@@ -441,6 +441,18 @@ def test_retraction_second_derivative_closed_vs_fd(so3):
     assert frobenius_norm(closed - (-so3.christoffel(x, v, v))) < 1e-12
 
 
+def test_fd_second_derivative_rows_do_not_depend_on_their_batch(so3):
+    # each row's difference step comes from its own |x|_F
+    rng = RngStream(12, 0)
+    x = so3.random_point(rng)
+    v = so3.random_tangent(rng, x)
+    r = first_order_retraction(so3.tubular)
+    batched = retraction_second_derivative(r, np.stack([x, 3.0 * x]), np.stack([v, v]))
+    for alone in (retraction_second_derivative(r, x, v),
+                  retraction_second_derivative(r, x[None], v[None])[0]):
+        np.testing.assert_array_equal(alone.view(np.uint64), batched[0].view(np.uint64))
+
+
 def test_first_order_retraction_tangency(so3):
     rng = RngStream(10, 0)
     x = so3.random_point(rng)

@@ -30,6 +30,7 @@ from manifold_sde.harness import (
     _run_chunk,
     _worker_count,
 )
+from manifold_sde.manifolds import make_hypersurface
 from manifold_sde.rng import RngStream
 
 
@@ -78,6 +79,26 @@ def test_config_validation(bad):
     base.update(bad)
     with pytest.raises(ValueError):
         SimulationConfig(**base)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seed", 1.5), ("max_retries", 2.5), ("n_div", True), ("n_div", 10.0),
+    ("path_chunk", 4.0), ("n_path", "8"),
+])
+def test_config_counts_must_be_integers(field, value):
+    base = dict(T=1.0, n_div=10, n_path=10, seed=0)
+    base[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SimulationConfig(**base)
+
+
+def test_config_counts_take_numpy_integers(so3):
+    counts = dict(n_div=10, n_path=8, seed=4, max_retries=2, path_chunk=4)
+    cost = make_cost("sum_abs", so3)
+    wide = SimulationConfig(T=0.5, **{k: np.int64(v) for k, v in counts.items()})
+    plain = SimulationConfig(T=0.5, **counts)
+    np.testing.assert_array_equal(simulate(wide, so3, cost=cost).samples,
+                                  simulate(plain, so3, cost=cost).samples)
 
 
 def test_results_independent_of_chunking_and_threads(so3, monkeypatch):
@@ -230,8 +251,8 @@ def test_interrupt_in_the_calling_process_reaps_every_worker(so3, monkeypatch):
 
 
 def test_rk4_blowup_in_simulate_is_a_step_failure(so3):
-    # a non-finite geodesic field is flagged like a domain exit and retried;
-    # DivergenceError belongs to integrate_geodesic_rk4_projected alone
+    # a non-finite geodesic field is flagged like a domain exit and retried,
+    # and a row still flagged after max_retries is a StepFailureError
     def christoffel(x, u, v):
         return np.full(np.broadcast(x, u, v).shape, np.nan)
 
@@ -567,7 +588,7 @@ def test_compare_methods_with_nan_stderrs_is_not_consistent():
 def test_one_path_uniform_limit_row_is_not_consistent(so3):
     # one path has a NaN stderr, so the allowance is NaN: no evidence of
     # agreement
-    costs = [("sum_abs", lambda pts: np.sum(np.abs(pts), axis=(-2, -1)))]
+    costs = [make_cost("sum_abs", so3)]
     (row,) = uniform_limit_run(SimulationConfig(T=1.0, n_div=4, n_path=1, seed=0), so3, costs,
                                n_direct=8)
     assert math.isnan(row.brownian.stderr) and math.isnan(row.allowance)
@@ -590,7 +611,41 @@ def test_invariant_measure_independent_of_metric_choice():
 
 def test_uniform_limit_requires_compact_target():
     hyp = make_manifold("hyperbolic", n=2)
-    costs = [("sum_abs", lambda pts: np.sum(np.abs(pts), axis=(-2, -1)))]
+    costs = [make_cost("sum_abs", hyp)]
     with pytest.raises(ValueError, match="compact"):
         uniform_limit_run(SimulationConfig(T=40.0, n_div=4, n_path=4, seed=0), hyp, costs,
                           n_direct=8)
+
+
+def test_uniform_limit_rows_hold_both_sample_sets(so3):
+    cfg = SimulationConfig(T=1.0, n_div=4, n_path=16, seed=3)
+    cost = make_cost("sum_abs", so3)
+    (row,) = uniform_limit_run(cfg, so3, [cost], n_direct=50)
+    np.testing.assert_array_equal(row.brownian.samples, simulate(cfg, so3, cost=cost).samples)
+    assert row.direct.n_path == 50
+    assert row.gap == abs(row.brownian.mean - row.direct.mean)
+
+
+@pytest.mark.parametrize("cost,message", [
+    (CostFunctional(name="none"), "'none' has no terminal part"),
+    (CostFunctional(running=lambda x, t: x[..., 0, 0], name="run"), "'run' has no terminal"),
+    (make_cost("spd_running", make_manifold("so", N=3)), "'spd_running' has a running part"),
+])
+def test_uniform_limit_takes_terminal_costs_only(so3, cost, message, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "simulate", lambda *args, **kw: calls.append(args))
+    cfg = SimulationConfig(T=1.0, n_div=4, n_path=4, seed=0)
+    with pytest.raises(ValueError, match=message):
+        uniform_limit_run(cfg, so3, [make_cost("sum_abs", so3), cost], n_direct=8)
+    assert calls == []
+
+
+def test_uniform_limit_without_a_sampler_fails_before_simulating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "simulate", lambda *args, **kw: calls.append(args))
+    surface = make_hypersurface(3, p=4)
+    cost = CostFunctional(terminal=lambda x, t: x[..., 0, 0], name="x1")
+    cfg = SimulationConfig(T=40.0, n_div=400, n_path=2000, seed=0)
+    with pytest.raises(ValueError, match="no direct uniform sampler"):
+        uniform_limit_run(cfg, surface, [cost], n_direct=8)
+    assert calls == []

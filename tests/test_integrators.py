@@ -7,11 +7,9 @@ import pytest
 from batteries import IDS, GEOMETRY_BATTERY, SPOT_BATTERY, SPOT_IDS, count_linalg, record_inv
 from manifold_sde import (
     INTEGRATOR_IDS,
-    DivergenceError,
     IntegratorParameterError,
     brownian_sde,
     first_order_retraction,
-    integrate_geodesic_rk4_projected,
     integrators,
     linalg,
     make_manifold,
@@ -178,7 +176,8 @@ def test_step_does_not_write_its_input(name, build, integrator_id):
 def test_rk4_geodesic_reaches_sphere_antipode(sphere3):
     x = np.array([[1.0], [0.0], [0.0]])
     v = np.array([[0.0], [1.0], [0.0]])
-    point, velocity = integrate_geodesic_rk4_projected(sphere3, x, v, math.pi, 100)
+    point, velocity, ok = integrators._rk4_geodesic_masked(sphere3, x, v, math.pi, 100)
+    assert ok
     assert frobenius_norm(point + x) < 1e-6
     assert frobenius_norm(velocity + v) < 1e-6
 
@@ -187,13 +186,15 @@ def test_rk4_geodesic_matches_group_exponential(so3):
     rng = RngStream(27, 0)
     x = so3.random_point(rng)
     v = so3.random_tangent(rng, x)
-    point, _ = integrate_geodesic_rk4_projected(so3, x, v, 1.0, 100)
+    point, _, ok = integrators._rk4_geodesic_masked(so3, x, v, 1.0, 100)
+    assert ok
     assert frobenius_norm(point - x @ matrix_exp(mT(x) @ v)) < 1e-6
 
 
 def test_rk4_geodesic_zero_velocity_is_stationary(sphere3):
     x = sphere3.random_point(RngStream(28, 0))
-    point, velocity = integrate_geodesic_rk4_projected(sphere3, x, np.zeros((3, 1)), 1.0, 10)
+    point, velocity, ok = integrators._rk4_geodesic_masked(sphere3, x, np.zeros((3, 1)), 1.0, 10)
+    assert ok
     np.testing.assert_array_equal(point, x)
     assert frobenius_norm(velocity) == 0.0
 
@@ -202,8 +203,9 @@ def test_rk4_geodesic_reports_blowup():
     hyp = make_manifold("hyperbolic", n=2)
     x = np.array([[0.0], [1.0]])
     v = np.array([[0.0], [20.0]])  # runs to infinity; ambient speed grows like e^{20t}
-    with pytest.raises(DivergenceError):
-        integrate_geodesic_rk4_projected(hyp, x, v, 1.0, 50)
+    point, _, ok = integrators._rk4_geodesic_masked(hyp, x, v, 1.0, 50)
+    assert not ok
+    np.testing.assert_array_equal(point, x)
 
 
 def test_rk4_velocity_cap_is_per_row():
@@ -234,8 +236,9 @@ def test_rk4_walk_step_matches_standalone_exponential_map(name, build):
     np.testing.assert_array_equal(out.ok, [True, True, True, True, False, True])
     sde = brownian_sde(handle, form="ito")
     v = integrators._normalized_move(handle, sde, x, raw, 0.0, 2.0 * 0.5 * h * handle.dim)
-    point, _ = integrate_geodesic_rk4_projected(handle, x[out.ok], v[out.ok], 1.0,
-                                                integrators.RK4_SUBSTEPS)
+    point, _, ok = integrators._rk4_geodesic_masked(handle, x[out.ok], v[out.ok], 1.0,
+                                                    integrators.RK4_SUBSTEPS)
+    assert ok.all()
     np.testing.assert_array_equal(out.state[out.ok], point)
 
 

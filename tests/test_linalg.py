@@ -367,6 +367,17 @@ def test_matrix_exp_batched_matches_loop():
         assert np.allclose(batched[k], matrix_exp(a[k]), atol=1e-12)
 
 
+def test_matrix_exp_rows_do_not_depend_on_their_batch():
+    # each matrix takes its own scaling exponent and its own stopping test
+    rng = np.random.default_rng(0)
+    a = 0.3 * rng.normal(size=(3, 3))
+    b = 5.0 * rng.normal(size=(3, 3))
+    batched = matrix_exp(np.stack([a, b]))
+    for k, m in enumerate((a, b)):
+        for alone in (matrix_exp(m), matrix_exp(m[None])[0]):
+            np.testing.assert_array_equal(alone.view(np.uint64), batched[k].view(np.uint64))
+
+
 def test_sym_eig_reconstruction():
     rng = np.random.default_rng(5)
     a = sym(rng.normal(size=(4, 4)))

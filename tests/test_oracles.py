@@ -5,6 +5,7 @@ from numpy.polynomial.legendre import leggauss
 from batteries import SPOT_BATTERY, SPOT_IDS
 from manifold_sde import (
     HeatKernelParameterError,
+    SampleSet,
     heat_expectation_s2,
     heat_expectation_s3,
     heat_kernel_values,
@@ -144,16 +145,27 @@ def test_uniform_moments_match_closed_forms():
     st = make_manifold("stiefel", n=5, p=3, alpha0=1.0, alpha1=0.8)
     gr = make_manifold("grassmann", n=5, p=3)
     x11sq = lambda pts: np.abs(pts[..., 0, 0]) ** 2
-    mean, _ = uniform_cost_estimate(s4, x11sq, RngStream(900, 0))
+    mean = uniform_cost_estimate(s4, x11sq, RngStream(900, 0)).mean
     assert abs(mean - 0.2) < 0.005           # E[x_1^2] = 1/n on S^{n-1}
-    mean, _ = uniform_cost_estimate(so3, x11sq, RngStream(901, 0))
+    mean = uniform_cost_estimate(so3, x11sq, RngStream(901, 0)).mean
     assert abs(mean - 1.0 / 3.0) < 0.006     # first column is uniform on S^2
-    mean, _ = uniform_cost_estimate(so3, sum_abs, RngStream(902, 0))
+    mean = uniform_cost_estimate(so3, sum_abs, RngStream(902, 0)).mean
     assert abs(mean - 4.500) < 0.006
-    mean, _ = uniform_cost_estimate(st, sum_abs, RngStream(903, 0))
+    mean = uniform_cost_estimate(st, sum_abs, RngStream(903, 0)).mean
     assert abs(mean - 5.625) < 0.006
-    mean, _ = uniform_cost_estimate(gr, sum_abs, RngStream(904, 0))
+    mean = uniform_cost_estimate(gr, sum_abs, RngStream(904, 0)).mean
     assert abs(mean - 6.389) < 0.010
+
+
+def test_uniform_estimate_stderr_ignores_a_constant_offset():
+    # the estimate keeps its values: a constant offset moves no spread
+    so3 = make_manifold("so", N=3)
+    plain = uniform_cost_estimate(so3, lambda x: x[..., 0, 0], RngStream(5, 0))
+    shifted = uniform_cost_estimate(so3, lambda x: 1e8 + x[..., 0, 0], RngStream(5, 0))
+    np.testing.assert_array_equal(shifted.samples, 1e8 + plain.samples)
+    assert shifted.stderr == SampleSet(shifted.samples).stderr
+    assert abs(shifted.stderr - plain.stderr) < 1e-6 * plain.stderr
+    assert abs(plain.stderr - np.sqrt(1.0 / 3.0 / 1e5)) < 0.02 * plain.stderr
 
 
 def test_rotation_samples_are_left_invariant():
