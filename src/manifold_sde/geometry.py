@@ -78,38 +78,30 @@ class TubularRetraction:
     defined, from one evaluation (the polar families certify a row from
     q^T q and iterate from it, or take one SVD for the other rows; the
     rescaling families compute their divisor once).  Its point must be
-    finite on every finite row of q, inside the domain or not.  ``domain`` is the same flag
-    without the point and ``differential`` is the derivative of the map at
-    on-manifold points.
-    Callers go through :meth:`retract` (or :meth:`admit`), which holds the
-    one domain rule: a proposal row that is non-finite, flagged on input or
-    outside the domain comes back as the matching row of the base point x,
-    bit for bit, and is flagged in ``ok``.
+    finite on every finite row of q, inside the domain or not.
+    ``differential`` is the derivative of the map at on-manifold points.
+    No family sets ``domain``: the flag of ``mapping`` is the only domain
+    test, and the field stays only because ``perfbench/tracing.py`` passes
+    it to ``dataclasses.replace``.
+    Callers go through :meth:`retract`, which holds the one domain rule: a
+    proposal row that is non-finite, flagged on input or outside the domain
+    comes back as the matching row of the base point x, bit for bit, and is
+    flagged in ``ok``.
     """
 
     mapping: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     differential: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    domain: Callable[[np.ndarray], np.ndarray]
-
-    def admit(
-        self, q: np.ndarray, x: np.ndarray, ok: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(q', ok)``: q with its rejected rows replaced by those of x."""
-        return self._apply(lambda q: (q, self.domain(q)), q, x, ok)
+    domain: Callable[[np.ndarray], np.ndarray] | None = None
 
     def retract(
         self, q: np.ndarray, x: np.ndarray, ok: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(pi(q), ok)`` on the accepted rows, x on the rejected ones, from
         one ``mapping`` call."""
-        return self._apply(self.mapping, q, x, ok)
-
-    @staticmethod
-    def _apply(fn, q, x, ok):
-        # non-finite and flagged rows reach ``fn`` as x, so its result is
-        # finite; rows it flags are then replaced by x as well
+        # non-finite and flagged rows reach ``mapping`` as x, so its result
+        # is finite; rows it flags are then replaced by x as well
         ok = finite_rows(q) if ok is None else finite_rows(q) & ok
-        point, in_domain = fn(freeze_rows(q, x, ok))
+        point, in_domain = self.mapping(freeze_rows(q, x, ok))
         ok = ok & in_domain
         return freeze_rows(point, x, ok), ok
 
@@ -192,9 +184,9 @@ class ManifoldHandle:
     A row with a non-finite entry is off M: :meth:`domain_ok` and
     :meth:`on_manifold` answer False for it without evaluating anything on
     it, since the row is swapped for ``default_point()`` first.
-    ``tubular.mapping`` and ``tubular.domain`` only promise an answer on
-    finite rows; :meth:`TubularRetraction.retract` and ``admit`` filter the
-    non-finite ones before calling them.
+    ``in_domain`` and ``tubular.mapping`` only promise an answer on finite
+    rows; :meth:`TubularRetraction.retract` filters the non-finite ones
+    before calling the map.
     """
 
     name: str

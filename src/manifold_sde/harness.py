@@ -82,7 +82,8 @@ class SimulationConfig:
     ``path_chunk`` is an upper bound on the paths per chunk; each run plans
     its chunks for its worker count (see ``_plan_chunks``).  The counts
     ``n_div``, ``n_path``, ``seed``, ``max_retries`` and ``path_chunk`` are
-    ints or numpy integers (not bools).
+    ints or numpy integers, and ``T``, ``r`` and ``diffusion`` real numbers;
+    none of them is a bool.
     """
 
     T: float
@@ -96,10 +97,15 @@ class SimulationConfig:
     path_chunk: int = 256
 
     def __post_init__(self):
-        for name in ("n_div", "n_path", "seed", "max_retries", "path_chunk"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for names, kind, noun in (
+            (("n_div", "n_path", "seed", "max_retries", "path_chunk"), numbers.Integral,
+             "an integer"),
+            (("T", "r", "diffusion"), numbers.Real, "a real number"),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ValueError(f"{name} must be {noun}, got {value!r}")
         if not (math.isfinite(self.T) and self.T > 0.0):
             raise ValueError(f"T must be positive and finite, got {self.T}")
         if self.n_div < 1 or self.n_path < 1:
@@ -119,6 +125,13 @@ class SimulationConfig:
     @property
     def h(self) -> float:
         return self.T / self.n_div
+
+
+def _require_count(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless value is a positive int or
+    numpy integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -523,15 +536,19 @@ def compare_methods(config: SimulationConfig, handle: ManifoldHandle,
     under that correlation the allowance is loose, not conservative, and a
     real O(h) bias between schemes can pass it.  Paired-difference
     statistics are the open fix (ROADMAP item 6, coupled grids).
+    ``n_divs`` must not be empty, and each entry goes to ``SimulationConfig``
+    as given, so it must be an integer.
     """
+    if len(n_divs) == 0:
+        raise ValueError("n_divs must hold at least one n_div")
+    # every cell's config is built, and so checked, before the first run
+    configs = [replace(config, integrator=integ, n_div=nd)
+               for integ in _COMPARED_INTEGRATORS for nd in n_divs]
     cells = []
-    for integ in _COMPARED_INTEGRATORS:
-        for nd in n_divs:
-            cfg = replace(config, integrator=integ, n_div=int(nd))
-            out = simulate(cfg, handle, cost=cost)
-            cells.append(ComparisonCell(integrator=integ, n_div=int(nd),
-                                        mean=out.mean, stderr=out.stderr,
-                                        n_path=out.n_path))
+    for cfg in configs:
+        out = simulate(cfg, handle, cost=cost)
+        cells.append(ComparisonCell(integrator=cfg.integrator, n_div=int(cfg.n_div),
+                                    mean=out.mean, stderr=out.stderr, n_path=out.n_path))
     gap, allowance, pair, consistent = _pairwise_consistency(cells)
     return ComparisonTable(cells=tuple(cells), worst_gap=gap,
                            worst_allowance=allowance, worst_pair=pair,
@@ -569,10 +586,12 @@ def uniform_limit_run(config: SimulationConfig, handle: ManifoldHandle,
     direct sampler have a reference; for each cost the direct samples of
     ``cost.terminal(points, config.T)`` come first, from the independent
     samplers in oracles seeded from ``config.seed``, and then the cost is
-    simulated with ``config``.
+    simulated with ``config``.  ``n_direct``, the direct sample count per
+    cost, must be a positive integer.
     """
     from .oracles import uniform_cost_estimate
 
+    _require_count("n_direct", n_direct)
     if not handle.compact:
         raise ValueError(f"{handle.name} is not compact; no uniform limit")
     for cost in costs:

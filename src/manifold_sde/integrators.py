@@ -23,14 +23,16 @@ batch axes.  Every scheme reaches the manifold through one domain-checked
 call: the projected schemes and each RK4 pass through
 ``TubularRetraction.retract``, the retraction schemes through
 ``TangentRetraction.retract`` (which for the second-order retraction forms
-Gamma(x; v, v) once per step).  Only that call rejects: a row whose
-proposal is non-finite or leaves the retraction domain comes back as its
-previous state, bit for bit, flagged in ``StepResult.ok``, and every row of
-a step's result is final.  The caller decides whether to resample flagged rows
-(the simulation harness retries a few times, each attempt from a stream of
-its own, before giving up).  ``make_stepper`` holds the per-scheme rules in
-one table: the SDE form consumed, whether the move is a normalized walk (raw
-increments, generator scale required) and the tangent retraction.
+Gamma(x; v, v) once per step).  The Heun predictor is an ambient point that
+sigma is evaluated at, never retracted or tested.  Only the proposal's call
+rejects: a row whose proposal is non-finite or leaves the retraction domain
+comes back as its previous state, bit for bit, flagged in ``StepResult.ok``,
+and every row of a step's result is final.  The caller decides whether to
+resample flagged rows (the simulation harness retries a few times, each
+attempt from a stream of its own, before giving up).  ``make_stepper``
+holds the per-scheme rules in one table: the SDE form consumed, whether the
+move is a normalized walk (raw increments, generator scale required) and the
+tangent retraction.
 """
 
 from __future__ import annotations
@@ -139,17 +141,24 @@ def step_ito_projected(handle, sde, retraction, x, t, h, zeta) -> StepResult:
 
 
 def step_stratonovich_heun_projected(handle, sde, retraction, x, t, h, zeta) -> StepResult:
-    """Predictor/corrector: pi(x + h mu_S + sqrt(h)/2 (sigma(x) + sigma(pred)) zeta)."""
+    """Predictor/corrector: pi(x + h mu_S + sqrt(h)/2 (sigma(x) + sigma(pred)) zeta).
+
+    The predictor pred = x + sqrt(h) sigma(x) zeta is an ambient point: sigma
+    is evaluated there as it stands, through its smooth extension off M, and
+    only the proposal is retracted.  A non-finite predictor row is evaluated
+    at x instead, so sigma never sees it; its proposal is non-finite as well
+    and is rejected.
+    """
     x = np.asarray(x, dtype=float)
     rooth = math.sqrt(h)
     # the drift right after sigma at the same x, so a handle can reuse a
     # factorisation of x between them
     s0 = sde.sigma(x, zeta, t)
     mu = sde.drift(x, t)
-    pred, ok_pred = handle.tubular.admit(x + rooth * s0, x)
-    s1 = sde.sigma(pred, zeta, t)
+    pred = x + rooth * s0
+    s1 = sde.sigma(freeze_rows(pred, x, finite_rows(pred)), zeta, t)
     q = x + h * mu + 0.5 * rooth * (s0 + s1)
-    return StepResult(*handle.tubular.retract(q, x, ok_pred))
+    return StepResult(*handle.tubular.retract(q, x))
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,12 @@ dimensions; matrices live in the two trailing axes.  Shape and symmetry
 preconditions are enforced here and reported with useful errors instead of
 garbage output downstream.  The polar routines certify each matrix from its
 Gram matrix and then iterate (Newton-Schulz) or take the SVD; none of them
-calls ``eigh``.  In the same way :func:`so_inv` inverts matrices near SO(n)
-by the 3 x 3 adjugate or Schulz steps from x^T on the rows it certifies, and
-by LAPACK on the rest.  Both iterations run through one per-row loop,
-``_certified_iteration``.  :func:`reuse_last` lets a handle factor a point
-once however many of its callables ask for it.
+calls ``eigh``, and :func:`polar_fused` returns the polar retraction's domain
+flag with the factor from that one pass.  In the same way :func:`so_inv`
+inverts matrices near SO(n) by the 3 x 3 adjugate or Schulz steps from x^T
+on the rows it certifies, and by LAPACK on the rest.  Both iterations run
+through one per-row loop, ``_certified_iteration``.  :func:`reuse_last` lets
+a handle factor a point once however many of its callables ask for it.
 """
 
 from __future__ import annotations
@@ -219,21 +220,6 @@ def polar_orth(a: np.ndarray) -> np.ndarray:
     """Orthonormal polar factor of :func:`polar_fused`: NaN on a non-finite
     row."""
     return polar_fused(a)[0]
-
-
-def polar_domain(a: np.ndarray) -> np.ndarray:
-    """Domain of the polar retraction, the test of :func:`polar_fused`.
-
-    A row whose Gram matrix is near I (see ``_GRAM_CERTIFIED``) passes
-    outright, a non-finite row fails, and the other rows are decided by
-    their singular values, so every decision is the one the SVD makes.
-    """
-    rows = _polar_rows(a, "polar_domain")
-    ok = _gram_gap(rows)[1] <= _GRAM_CERTIFIED
-    rest = ~ok & np.all(np.isfinite(rows), axis=(-2, -1))
-    if np.any(rest):
-        ok[rest] = _well_conditioned(np.linalg.svd(rows[rest], compute_uv=False))
-    return ok.reshape(np.shape(a)[:-2])
 
 
 # Entry k of the row-major 3 x 3 adjugate is f[P] f[Q] - f[R] f[S], f the

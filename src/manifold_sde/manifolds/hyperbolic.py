@@ -41,7 +41,6 @@ def make_hyperbolic(n: int) -> ManifoldHandle:
     tubular = TubularRetraction(
         mapping=lambda q: (np.asarray(q, dtype=float), in_domain(q)),
         differential=lambda x, w: np.asarray(w, dtype=float),
-        domain=in_domain,
     )
 
     def ito_drift(x):

@@ -70,7 +70,6 @@ def make_hypersurface(n: int, p: int = 4, d: np.ndarray | None = None) -> Manifo
         # dpsi(w) = w - x (c'(x)^T w) / p at on-manifold x: a projection onto
         # the tangent space along the ray direction, not the orthogonal one
         differential=lambda x, w: w - x @ (mT(cgrad(x)) @ w) / p,
-        domain=lambda q: level(q) > _MIN_LEVEL,
     )
 
     def ito_drift(x):

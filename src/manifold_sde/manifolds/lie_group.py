@@ -45,7 +45,6 @@ from ..linalg import (
     ambient_identity,
     matrix_exp,
     mT,
-    polar_domain,
     polar_fused,
     polar_orth,
     reuse_last,
@@ -129,9 +128,7 @@ def _embedding(kind: str, n: int, project):
             ok = d > _MIN_DET
             return q * (np.where(ok, d, 1.0) ** (-1.0 / n))[..., None, None], ok
 
-        tubular = TubularRetraction(
-            mapping=rescale, differential=project, domain=lambda q: np.linalg.det(q) > _MIN_DET
-        )
+        tubular = TubularRetraction(mapping=rescale, differential=project)
         return tubular, (_unit_det_constraint(),), None
 
     # so and gl+ map the whole matrix; se and aff map the leading m x m block,
@@ -160,15 +157,12 @@ def _embedding(kind: str, n: int, project):
         out[..., m, m] = 1.0
         return out, ok
 
-    def domain(q):
-        return polar_domain(q[..., :m, :m]) & in_domain(q) if polar else in_domain(q)
-
     constraints = (orthogonality_constraints((n, n), rows=(0, m), cols=(0, m)),) if polar else ()
     if affine:
         last_row = [(m, j, 0.0) for j in range(m)] + [(m, m, 1.0)]
         constraints += (fixed_entry_constraints((n, n), last_row),)
     differential = ambient_identity if kind == "gl+" else project
-    tubular = TubularRetraction(mapping=mapping, differential=differential, domain=domain)
+    tubular = TubularRetraction(mapping=mapping, differential=differential)
     return tubular, constraints, in_domain
 
 

@@ -123,8 +123,9 @@ class _SqrtFactor:
 def _sqrt_factor(x: np.ndarray) -> _SqrtFactor:
     """x^{1/2} of symmetric x, after ``sym_eig``'s symmetry check on all of x:
     from the closed form on the 3x3 rows it certifies, from ``eigh`` on the
-    others (see the module docstring).  A non-finite, indefinite or singular
-    row gets NaN entries, without a warning."""
+    others (see the module docstring).  An indefinite row gets NaN entries,
+    without a warning.  A non-finite row goes to ``eigh``, which raises
+    ``LinAlgError`` on an all-NaN row, so callers pass finite rows only."""
     weights = None
     with np.errstate(all="ignore"):  # the closed form's uncertified rows are replaced
         x = _require_symmetric(x, "sym_eig")
@@ -219,12 +220,6 @@ def make_spd(N: int) -> ManifoldHandle:
         s = sym(q)
         return s, _positive(s)
 
-    tubular = TubularRetraction(
-        mapping=mapping,
-        differential=lambda x, w: sym(w),
-        domain=lambda q: _positive(sym(q)),
-    )
-
     def ito_drift(x):
         return (N + 1) / 4.0 * x
 
@@ -244,13 +239,13 @@ def make_spd(N: int) -> ManifoldHandle:
         project=project,
         christoffel=christoffel,
         sigma=sqrt_conjugate,
-        tubular=tubular,
+        tubular=TubularRetraction(mapping=mapping, differential=lambda x, w: sym(w)),
         ito_drift=ito_drift,
         strat_drift=strat_drift,
         random_point=random_point,
         default_point=lambda: np.eye(N),
         constraints=(symmetry_constraints(N),),
-        in_domain=tubular.domain,
+        in_domain=lambda q: _positive(sym(q)),
         compact=False,
         params={"N": N},
     )

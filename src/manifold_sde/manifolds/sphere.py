@@ -30,11 +30,7 @@ def make_sphere(n: int, radius: float = 1.0) -> ManifoldHandle:
         ok = s > _MIN_NORM
         return radius * q / np.where(ok, s, 1.0)[..., None, None], ok
 
-    tubular = TubularRetraction(
-        mapping=rescale,
-        differential=project,
-        domain=lambda q: frobenius_norm(q) > _MIN_NORM,
-    )
+    tubular = TubularRetraction(mapping=rescale, differential=project)
 
     drift_coeff = -(n - 1) / (2.0 * r2)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..geometry import ManifoldHandle, TubularRetraction
-from ..linalg import mT, polar_domain, polar_fused, polar_orth, skew, sym
+from ..linalg import mT, polar_fused, polar_orth, skew, sym
 from ._constraints import orthogonality_constraints
 
 
@@ -71,11 +71,7 @@ def make_stiefel(n: int, p: int, alpha0: float = 1.0, alpha1: float = 1.0) -> Ma
             gam = gam + (2.0 * (a0 - a1) / a0) * k0
         return gam
 
-    tubular = TubularRetraction(
-        mapping=polar_fused,
-        differential=project,
-        domain=polar_domain,
-    )
+    tubular = TubularRetraction(mapping=polar_fused, differential=project)
 
     drift_coeff = -((n - p) / (2.0 * a0) + (p - 1) / (4.0 * a1))
 

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legval
 
 from .geometry import ManifoldHandle, dual_tangent_frame
-from .harness import SampleSet
+from .harness import SampleSet, _require_count
 from .linalg import polar_orth
 from .rng import RngStream
 
@@ -197,8 +197,10 @@ def uniform_cost_estimate(handle: ManifoldHandle, cost, rng: RngStream,
 
     ``cost`` receives the functional representation of the points (identity
     except for Grassmann, where it is the projector Y Y^T).  The points are
-    drawn from ``rng`` in batches of ``_UNIFORM_BATCH``.
+    drawn from ``rng`` in batches of ``_UNIFORM_BATCH``; ``n_sample`` must be
+    a positive integer.
     """
+    _require_count("n_sample", n_sample)
     vals = []
     for done in range(0, n_sample, _UNIFORM_BATCH):
         pts = sample_uniform(handle, rng, min(_UNIFORM_BATCH, n_sample - done))

@@ -204,13 +204,12 @@ def test_retraction_first_and_second_derivatives(so3):
 
 
 def _domain_then_mapping(tub, q, x, ok):
-    """The domain rule in two calls, spelled out: freeze non-finite and
-    flagged rows at x, test the domain, map, and put x back on every
-    rejected row."""
+    """The domain rule spelled out: freeze non-finite and flagged rows at x,
+    map, and put x back on every row the map's own flag rejects."""
     ok = ok & np.isfinite(q).all(axis=(-2, -1))
-    q = np.where(ok[..., None, None], q, x)
-    ok = ok & tub.domain(q)
-    return np.where(ok[..., None, None], tub.mapping(q)[0], x), ok
+    point, in_domain = tub.mapping(np.where(ok[..., None, None], q, x))
+    ok = ok & in_domain
+    return np.where(ok[..., None, None], point, x), ok
 
 
 # every family's tubular retraction; the rescalings (sphere, hypersurface)
@@ -263,14 +262,12 @@ def test_one_call_retraction_matches_domain_then_mapping(name, build):
     np.testing.assert_array_equal(state, state_ref)
     np.testing.assert_array_equal(q, q_in)
 
-    # on the finite rows, zero row included: the map's flag is the domain
-    # test, its point is finite, and retract (whose only rejected rows are
-    # then outside the domain) leaves its input as it was
+    # on the finite rows, zero row included: the map's point is finite, and
+    # retract (whose only rejected rows are then outside the domain) leaves
+    # its input as it was
     finite = np.isfinite(q).all(axis=(-2, -1))
     q, x = q[finite], x[finite]
-    point, in_domain = tub.mapping(q)
-    np.testing.assert_array_equal(in_domain, tub.domain(q))
-    assert np.isfinite(point).all()
+    assert np.isfinite(tub.mapping(q)[0]).all()
     q_in = q.copy()
     _, ok = tub.retract(q, x)
     assert not ok.all()
@@ -301,10 +298,9 @@ def test_retract_maps_once_and_leaves_rejected_rows_at_x(name, build):
     q[3, -1, -1] = np.inf
     flagged = np.ones(8, dtype=bool)
     flagged[4] = False
-    for step in (counted.retract, counted.admit):
-        state, ok = step(q, x, flagged)
-        np.testing.assert_array_equal(ok, [True, False, False, False, False, True, True, True])
-        assert state[~ok].tobytes() == x[~ok].tobytes()
+    state, ok = counted.retract(q, x, flagged)
+    np.testing.assert_array_equal(ok, [True, False, False, False, False, True, True, True])
+    assert state[~ok].tobytes() == x[~ok].tobytes()
     assert len(calls) == 2
 
 
@@ -317,7 +313,7 @@ def _proposals_with_rejected_rows(handle):
     q[1, 0, 0] = np.nan
     q[2] = 0.0
     q[3, -1, -1] = np.inf
-    assert not handle.tubular.domain(q[2])
+    assert not handle.tubular.mapping(q[2])[1]
     return x, q
 
 
@@ -329,11 +325,6 @@ def test_tubular_admit_and_retract_reject_bad_rows(name, build):
     flagged = np.ones(8, dtype=bool)
     flagged[4] = False
     expected = np.array([True, False, False, False, False, True, True, True])
-
-    admitted, ok = tub.admit(q, x, flagged)
-    np.testing.assert_array_equal(ok, expected)
-    np.testing.assert_array_equal(admitted[ok], q[ok])
-    np.testing.assert_array_equal(admitted[~ok], x[~ok])
 
     state, ok = tub.retract(q, x, flagged)
     np.testing.assert_array_equal(ok, expected)
@@ -418,14 +409,12 @@ def test_polar_retraction_sends_only_unsafe_rows_to_the_svd(name, build, monkeyp
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     eigh_calls = count_linalg(monkeypatch, "eigh", "eigvalsh")
-    for f in (tub.domain, tub.mapping):
-        f(near)
+    tub.mapping(near)
     assert calls == []
     assert eigh_calls == {"eigh": 0, "eigvalsh": 0}
 
     np.testing.assert_array_equal(tub.mapping(q)[1], expected)
-    np.testing.assert_array_equal(tub.domain(q), expected)
-    assert len(calls) == 2
+    assert len(calls) == 1
     for rows in calls:
         np.testing.assert_array_equal(rows, block(q)[unsafe])
 

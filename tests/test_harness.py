@@ -20,7 +20,7 @@ from manifold_sde import (
     simulate,
     uniform_limit_run,
 )
-from manifold_sde import harness
+from manifold_sde import harness, oracles
 from manifold_sde.harness import (
     BLOCK_PATHS,
     BLOCK_STEPS,
@@ -89,6 +89,16 @@ def test_config_counts_must_be_integers(field, value):
     base = dict(T=1.0, n_div=10, n_path=10, seed=0)
     base[field] = value
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SimulationConfig(**base)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("T", True), ("r", True), ("diffusion", True), ("T", "1.0"),
+])
+def test_config_float_fields_must_be_real_numbers(field, value):
+    base = dict(T=1.0, n_div=10, n_path=10, seed=0)
+    base[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be a real number"):
         SimulationConfig(**base)
 
 
@@ -575,6 +585,21 @@ def test_compare_methods_grid_and_lookup(so3):
         assert table.worst_gap <= table.worst_allowance
 
 
+@pytest.mark.parametrize("n_divs,message", [
+    ((), "n_divs must hold at least one n_div"),
+    ((10.7,), "n_div must be an integer"),
+    ((20, 10.7), "n_div must be an integer"),
+    ((20, True), "n_div must be an integer"),
+], ids=["empty", "float", "float-after-int", "bool"])
+def test_compare_methods_checks_its_grid_before_running(so3, n_divs, message, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "simulate", lambda *args, **kw: calls.append(args))
+    cfg = SimulationConfig(T=0.5, n_div=20, n_path=8, seed=5)
+    with pytest.raises(ValueError, match=message):
+        compare_methods(cfg, so3, make_cost("sum_abs", so3), n_divs=n_divs)
+    assert calls == []
+
+
 def test_compare_methods_with_nan_stderrs_is_not_consistent():
     # one path gives NaN stderrs, so every allowance is NaN: no evidence of
     # agreement
@@ -637,6 +662,17 @@ def test_uniform_limit_takes_terminal_costs_only(so3, cost, message, monkeypatch
     cfg = SimulationConfig(T=1.0, n_div=4, n_path=4, seed=0)
     with pytest.raises(ValueError, match=message):
         uniform_limit_run(cfg, so3, [make_cost("sum_abs", so3), cost], n_direct=8)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n_direct", [0, -5, True, 8.0])
+def test_uniform_limit_checks_its_direct_count_first(so3, n_direct, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "simulate", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(oracles, "sample_uniform", lambda *args: calls.append(args))
+    cfg = SimulationConfig(T=1.0, n_div=4, n_path=4, seed=0)
+    with pytest.raises(ValueError, match="n_direct must be a positive integer"):
+        uniform_limit_run(cfg, so3, [make_cost("sum_abs", so3)], n_direct=n_direct)
     assert calls == []
 
 

@@ -471,20 +471,25 @@ def test_one_christoffel_call_per_retraction_step(name, build, integrator_id):
 
 
 def _counted_tubular(handle):
-    """``handle`` whose tubular ``mapping`` and ``domain`` count their calls."""
+    """``handle`` whose tubular ``mapping`` counts its calls, and whose
+    standalone domain tests (``in_domain``, and a tubular ``domain`` where
+    one is set) count theirs under ``domain``."""
     calls = {"mapping": 0, "domain": 0}
 
     def counted(name, fn):
+        if fn is None:
+            return None
+
         def wrapper(*args):
             calls[name] += 1
             return fn(*args)
         return wrapper
 
     tub = handle.tubular
-    tubular = dataclasses.replace(
-        tub, **{name: counted(name, getattr(tub, name)) for name in calls}
-    )
-    return dataclasses.replace(handle, tubular=tubular), calls
+    tubular = dataclasses.replace(tub, mapping=counted("mapping", tub.mapping),
+                                  domain=counted("domain", tub.domain))
+    return dataclasses.replace(handle, tubular=tubular,
+                               in_domain=counted("domain", handle.in_domain)), calls
 
 
 @pytest.mark.parametrize("family,params", [("so", {"N": 3}), ("stiefel", {"n": 5, "p": 3})],
@@ -512,6 +517,60 @@ def test_first_order_retractive_em_step_skips_domain_test():
                            retraction=first_order_retraction(handle.tubular))
     _one_step(stepper, handle, 45)
     assert calls == {"mapping": 3, "domain": 0}
+
+
+@pytest.mark.parametrize("name,build", GEOMETRY_BATTERY, ids=IDS)
+def test_strat_heun_maps_only_the_proposal(name, build):
+    # the predictor is an ambient point: no domain test, no map of its own
+    handle, calls = _counted_tubular(build())
+    _one_step(make_stepper(handle, "strat-heun"), handle, 54, batch=8)
+    assert calls == {"mapping": 1, "domain": 0}
+
+
+def _heun_predictors(handle, stepper, seed, batch, h):
+    """Base points, an increment at step h, and the Heun predictors
+    x + sqrt(h) sigma(x) zeta of that increment."""
+    rng = RngStream(seed, 0)
+    x = np.stack([handle.random_point(rng) for _ in range(batch)])
+    inc = truncated_increment(rng, (batch,) + stepper.noise_shape, h)
+    sde = brownian_sde(handle, form="stratonovich")
+    return x, inc, x + math.sqrt(h) * sde.sigma(x, inc.truncated, 0.0)
+
+
+def test_strat_heun_accepts_a_proposal_whose_predictor_left_the_domain():
+    # on aff(3) sigma is x (.), smooth on all of E: a predictor with
+    # det <= 1e-12 is still a point to evaluate it at
+    handle = make_manifold("aff", N=3)
+    stepper = make_stepper(handle, "strat-heun")
+    x, inc, pred = _heun_predictors(handle, stepper, 53, 256, 0.3)
+    outside = np.linalg.det(pred[:, :3, :3]) <= 1e-12
+    assert outside.any()
+    out = stepper.step(x, 0.0, 0.3, inc)
+    assert out.ok[outside].all()
+    assert handle.on_manifold(out.state[outside]).all()
+
+
+def test_strat_heun_rejects_an_indefinite_spd_predictor_through_its_proposal():
+    # sigma is evaluated at every predictor as it stands; at an indefinite
+    # one it is NaN, so the proposal is rejected and the row stays at x
+    handle = make_manifold("spd", N=3)
+    seen = []
+
+    def sigma(x, w):
+        seen.append(np.array(x, copy=True))
+        return handle.sigma(x, w)
+
+    counted = dataclasses.replace(handle, sigma=sigma)
+    stepper = make_stepper(counted, "strat-heun")
+    x, inc, pred = _heun_predictors(handle, stepper, 53, 256, 0.2)
+    indefinite = np.linalg.eigvalsh(pred)[:, 0] < 0.0
+    assert indefinite.any()
+    seen.clear()
+    out = stepper.step(x, 0.0, 0.2, inc)
+    assert len(seen) == 2
+    np.testing.assert_array_equal(seen[1], pred)
+    assert not out.ok[indefinite].any()
+    assert out.state[indefinite].tobytes() == x[indefinite].tobytes()
 
 
 @pytest.mark.parametrize("integrator", ["ito-em", "strat-heun"])

@@ -12,7 +12,6 @@ from manifold_sde.linalg import (
     frobenius_norm,
     mT,
     matrix_exp,
-    polar_domain,
     polar_fused,
     polar_orth,
     skew,
@@ -58,8 +57,8 @@ def test_polar_orth_properties():
 
 @pytest.mark.parametrize("shape", [(3, 3), (8, 8), (4, 4), (5, 3), (5, 2)])
 def test_polar_svd_matches_polar_orth_and_values_only_svd(shape):
-    # polar_fused must agree with the separate polar_orth and values-only
-    # polar_domain, and its Newton-Schulz factor with the SVD polar factor
+    # polar_fused must agree with the separate polar_orth and the values-only
+    # SVD rule, and its Newton-Schulz factor with the SVD polar factor
     rng = np.random.default_rng(3)
     a = rng.normal(size=(64,) + shape)
     # near the manifold, as retraction proposals are
@@ -67,7 +66,8 @@ def test_polar_svd_matches_polar_orth_and_values_only_svd(shape):
     a[16] *= 1e-9
     point, in_domain = polar_fused(a)
     np.testing.assert_array_equal(point, polar_orth(a))
-    np.testing.assert_array_equal(in_domain, polar_domain(a))
+    s_ref = np.linalg.svd(a, compute_uv=False)
+    np.testing.assert_array_equal(in_domain, s_ref[:, -1] > 1e-8 * np.maximum(s_ref[:, 0], 1.0))
     assert not in_domain[16]
     # rows with ||I - a^T a||_F <= 1/2 take the iteration: allow 100 ulps of 1
     certified = frobenius_norm(np.eye(shape[1]) - mT(a) @ a) <= 0.5
@@ -107,14 +107,14 @@ def test_polar_domain_certificate_keeps_every_decision(shape, monkeypatch):
     s = np.linalg.svd(rows[finite], compute_uv=False)
     expected[finite] = s[:, -1] > 1e-8 * np.maximum(s[:, 0], 1.0)
     np.testing.assert_array_equal(expected[:5], [True, True, True, False, False])
-    np.testing.assert_array_equal(polar_domain(rows), expected)
-    assert polar_domain(rows[0]) == expected[0] and polar_domain(rows[1]) == expected[1]
+    np.testing.assert_array_equal(polar_fused(rows)[1], expected)
+    assert polar_fused(rows[0])[1] == expected[0] and polar_fused(rows[1])[1] == expected[1]
 
     # the certificate holds up to ||I - q^T q||_F = 1/2: then no factorisation
     calls = count_linalg(monkeypatch, "eigvalsh", "svd")
-    assert polar_domain(rows[[0, 2, 5, 6, 7, 8]]).all()
+    assert polar_fused(rows[[0, 2, 5, 6, 7, 8]])[1].all()
     assert calls == {"eigvalsh": 0, "svd": 0}
-    assert polar_domain(rows[1])
+    assert polar_fused(rows[1])[1]
     assert calls == {"eigvalsh": 0, "svd": 1}
 
 
@@ -222,11 +222,10 @@ def test_polar_routines_keep_nonfinite_rows_from_lapack(capfd, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     point, ok = polar_fused(rows)
     np.testing.assert_array_equal(polar_orth(rows), point)
-    np.testing.assert_array_equal(ok, polar_domain(rows))
     np.testing.assert_array_equal(ok, [True, True, True, False, False, False, False])
     assert np.all(np.isnan(point[3:6]))
     assert np.all(np.isfinite(point[[0, 1, 2, 6]]))
-    assert len(seen) == 3 and all(np.isfinite(a).all() for a in seen)
+    assert len(seen) == 2 and all(np.isfinite(a).all() for a in seen)
     assert capfd.readouterr().err == ""
 
 

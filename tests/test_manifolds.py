@@ -391,7 +391,7 @@ def _lie_group_digest(kind):
             feed(x, handle.project(x, u), handle.metric(x, u), handle.metric_inv(x, u),
                  handle.sigma(x, u), handle.christoffel(x, u, v),
                  handle.christoffel(x, u, u), handle.ito_drift(x), handle.strat_drift(x),
-                 *handle.tubular.mapping(q), handle.tubular.domain(q),
+                 *handle.tubular.mapping(q), handle.tubular.mapping(q)[1],
                  handle.tubular.differential(x, u), handle.domain_ok(q),
                  *handle.tubular.retract(bad, np.concatenate([base, x[:1]])))
             _feed_constraints(feed, handle, q, x, u, v)
@@ -424,7 +424,7 @@ def test_grassmann_handle_is_pinned():
         feed(x, handle.project(x, u), handle.metric(x, u), handle.metric_inv(x, u),
              handle.sigma(x, u), handle.christoffel(x, u, v), handle.christoffel(x, u, u),
              handle.ito_drift(x), handle.strat_drift(x),
-             *handle.tubular.mapping(q), handle.tubular.domain(q),
+             *handle.tubular.mapping(q), handle.tubular.mapping(q)[1],
              handle.tubular.differential(x, u), handle.domain_ok(q),
              *handle.tubular.retract(bad, np.concatenate([x, x[:2]])),
              handle.functional_point(x), handle.default_point())
@@ -602,7 +602,7 @@ def _spd_rows_near_the_domain_edge():
 def test_spd_domain_certificate_decides_as_eigvalsh():
     from manifold_sde.manifolds.spd import _certified_positive
 
-    domain = make_manifold("spd", N=3).tubular.domain
+    domain = make_manifold("spd", N=3).in_domain
     s = _spd_rows_near_the_domain_edge()
     expected = np.linalg.eigvalsh(s)[:, 0] > 1e-10
     certified = _certified_positive(s)

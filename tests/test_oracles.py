@@ -157,6 +157,16 @@ def test_uniform_moments_match_closed_forms():
     assert abs(mean - 6.389) < 0.010
 
 
+@pytest.mark.parametrize("n_sample", [0, -1, True, 2.5])
+def test_uniform_estimate_checks_its_sample_count_first(n_sample, monkeypatch):
+    draws = []
+    monkeypatch.setattr(oracles, "sample_uniform", lambda *args: draws.append(args))
+    so3 = make_manifold("so", N=3)
+    with pytest.raises(ValueError, match="n_sample must be a positive integer"):
+        uniform_cost_estimate(so3, lambda x: x[..., 0, 0], RngStream(5, 0), n_sample=n_sample)
+    assert draws == []
+
+
 def test_uniform_estimate_stderr_ignores_a_constant_offset():
     # the estimate keeps its values: a constant offset moves no spread
     so3 = make_manifold("so", N=3)
