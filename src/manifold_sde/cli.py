@@ -320,8 +320,8 @@ def _cmd_uniform(config: RunConfig) -> int:
                                      row.brownian.n_path, sim.n_div, sim.T, sim.integrator,
                                      handle.name))
         out_rows.append(_summary_row(row.cost_name + "_uniform", row.direct.mean,
-                                     row.direct.stderr, 0, 0, sim.T, "direct-sampler",
-                                     handle.name))
+                                     row.direct.stderr, row.direct.n_path, 0, sim.T,
+                                     "direct-sampler", handle.name))
         verdict = "agrees with" if row.consistent else "DISAGREES with"
         print(f"{handle.name} {row.cost_name}: brownian {row.brownian.mean:.6g} "
               f"({row.brownian.stderr:.3g}) {verdict} uniform {row.direct.mean:.6g} "

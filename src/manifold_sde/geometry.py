@@ -29,7 +29,7 @@ _EPS = np.finfo(float).eps
 
 
 class OffManifoldError(ValueError):
-    """A point violates the manifold's constraints or domain checks."""
+    """A point is non-finite, violates the constraints or leaves the tubular domain."""
 
 
 class FrameConditionError(RuntimeError):
@@ -80,9 +80,10 @@ class TubularRetraction:
     rescaling families compute their divisor once).  Its point must be
     finite on every finite row of q, inside the domain or not.
     ``differential`` is the derivative of the map at on-manifold points.
-    No family sets ``domain``: the flag of ``mapping`` is the only domain
-    test, and the field stays only because ``perfbench/tracing.py`` passes
-    it to ``dataclasses.replace``.
+    The flag of ``mapping`` is the package's only domain test: every step
+    rejects through it, and :meth:`ManifoldHandle.on_manifold` reads it.
+    No family sets ``domain``; the field stays only because
+    ``perfbench/tracing.py`` passes it to ``dataclasses.replace``.
     Callers go through :meth:`retract`, which holds the one domain rule: a
     proposal row that is non-finite, flagged on input or outside the domain
     comes back as the matching row of the base point x, bit for bit, and is
@@ -181,12 +182,11 @@ class ManifoldHandle:
     :class:`Constraint` blocks (se has its rotation block and its last row)
     and is empty on the open families.
 
-    A row with a non-finite entry is off M: :meth:`domain_ok` and
-    :meth:`on_manifold` answer False for it without evaluating anything on
-    it, since the row is swapped for ``default_point()`` first.
-    ``in_domain`` and ``tubular.mapping`` only promise an answer on finite
-    rows; :meth:`TubularRetraction.retract` filters the non-finite ones
-    before calling the map.
+    :meth:`on_manifold` accepts a row when the tubular map's flag accepts it
+    (one :meth:`TubularRetraction.retract` call against ``default_point()``;
+    a non-finite row is off M there) and its constraint residual is at most
+    ``tol``.  No family sets ``in_domain`` and nothing reads it; the field
+    stays only because ``perfbench/tracing.py`` passes it to the constructor.
     """
 
     name: str
@@ -218,22 +218,11 @@ class ManifoldHandle:
         vals = np.concatenate([c.value(x) for c in self.constraints], axis=-1)
         return np.max(np.abs(vals), axis=-1, initial=0.0)
 
-    def _finite_part(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """x with its non-finite rows swapped for ``default_point()``, and the
-        rows that were finite."""
-        x = np.asarray(x, dtype=float)
-        finite = finite_rows(x)
-        return freeze_rows(x, self.default_point(), finite), finite
-
-    def domain_ok(self, x: np.ndarray) -> np.ndarray:
-        x, finite = self._finite_part(x)
-        if self.in_domain is None:
-            return finite
-        return np.asarray(self.in_domain(x)) & finite
-
     def on_manifold(self, x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        x, finite = self._finite_part(x)
-        return (self.constraint_residual(x) <= tol) & self.domain_ok(x) & finite
+        x = np.asarray(x, dtype=float)
+        base = self.default_point()
+        _, ok = self.tubular.retract(x, base)
+        return ok & (self.constraint_residual(freeze_rows(x, base, ok)) <= tol)
 
     def random_tangent(self, rng: RngStream, x: np.ndarray) -> np.ndarray:
         return self.project(x, rng.normal(np.shape(x)))
@@ -246,16 +235,22 @@ class ManifoldHandle:
 
 
 def require_on_manifold(handle: ManifoldHandle, x: np.ndarray, tol: float = 1e-9) -> None:
-    ok = handle.on_manifold(x, tol)
-    if not np.all(ok):
-        x = np.asarray(x, dtype=float)
-        if not np.all(finite_rows(x)):
-            raise OffManifoldError(f"{handle.name}: point has a non-finite entry")
-        worst = float(np.max(handle.constraint_residual(x)))
+    """Raise :class:`OffManifoldError` naming the failed rule unless every row
+    of ``x`` is on M: a non-finite entry, a constraint residual above
+    ``tol``, or a row outside the tubular map's domain, checked in that
+    order."""
+    x = np.asarray(x, dtype=float)
+    if np.all(handle.on_manifold(x, tol)):
+        return
+    if not np.all(finite_rows(x)):
+        raise OffManifoldError(f"{handle.name}: point has a non-finite entry")
+    worst = float(np.max(handle.constraint_residual(x)))
+    if not worst <= tol:
         raise OffManifoldError(
             f"{handle.name}: point is off-manifold (max constraint residual "
-            f"{worst:.3e}, tolerance {tol:.1e}, or domain check failed)"
+            f"{worst:.3e} exceeds tolerance {tol:.1e})"
         )
+    raise OffManifoldError(f"{handle.name}: point lies outside the tubular map's domain")
 
 
 # ---------------------------------------------------------------------------

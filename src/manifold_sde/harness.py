@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import mmap
-import numbers
 import os
 import pickle
 import signal
@@ -44,9 +43,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._checks import require_integer, require_real
 from .geometry import ManifoldHandle, require_on_manifold
 from .integrators import (
     INTEGRATOR_IDS,
+    TRUNCATED_IDS,
     StepFailureError,
     Stepper,
     WienerIncrement,
@@ -83,7 +84,8 @@ class SimulationConfig:
     its chunks for its worker count (see ``_plan_chunks``).  The counts
     ``n_div``, ``n_path``, ``seed``, ``max_retries`` and ``path_chunk`` are
     ints or numpy integers, and ``T``, ``r`` and ``diffusion`` real numbers;
-    none of them is a bool.
+    none of them is a bool.  The schemes that clamp their increments
+    (``TRUNCATED_IDS``) need h in (0, 1); the walks take any h.
     """
 
     T: float
@@ -97,15 +99,10 @@ class SimulationConfig:
     path_chunk: int = 256
 
     def __post_init__(self):
-        for names, kind, noun in (
-            (("n_div", "n_path", "seed", "max_retries", "path_chunk"), numbers.Integral,
-             "an integer"),
-            (("T", "r", "diffusion"), numbers.Real, "a real number"),
-        ):
-            for name in names:
-                value = getattr(self, name)
-                if isinstance(value, bool) or not isinstance(value, kind):
-                    raise ValueError(f"{name} must be {noun}, got {value!r}")
+        for name in ("n_div", "n_path", "seed", "max_retries", "path_chunk"):
+            require_integer(name, getattr(self, name))
+        for name in ("T", "r", "diffusion"):
+            require_real(name, getattr(self, name))
         if not (math.isfinite(self.T) and self.T > 0.0):
             raise ValueError(f"T must be positive and finite, got {self.T}")
         if self.n_div < 1 or self.n_path < 1:
@@ -117,6 +114,8 @@ class SimulationConfig:
             )
         if not (math.isfinite(self.r) and self.r >= 1.0):
             raise ValueError(f"truncation parameter r must be finite and >= 1, got {self.r}")
+        if self.integrator in TRUNCATED_IDS:
+            truncation_bound(self.h, self.r)  # raises a ValueError naming h unless 0 < h < 1
         if not (math.isfinite(self.diffusion) and self.diffusion > 0.0):
             raise ValueError(f"diffusion must be positive and finite, got {self.diffusion}")
         if self.max_retries < 0 or self.path_chunk < 1:
@@ -125,13 +124,6 @@ class SimulationConfig:
     @property
     def h(self) -> float:
         return self.T / self.n_div
-
-
-def _require_count(name: str, value) -> None:
-    """Raise ``ValueError`` naming ``name`` unless value is a positive int or
-    numpy integer (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -591,7 +583,7 @@ def uniform_limit_run(config: SimulationConfig, handle: ManifoldHandle,
     """
     from .oracles import uniform_cost_estimate
 
-    _require_count("n_direct", n_direct)
+    require_integer("n_direct", n_direct, positive=True)
     if not handle.compact:
         raise ValueError(f"{handle.name} is not compact; no uniform limit")
     for cost in costs:

@@ -309,6 +309,8 @@ _SCHEMES = {
 }
 
 INTEGRATOR_IDS = tuple(_SCHEMES)
+# the schemes that read the clamped increment, whose bound needs h in (0, 1)
+TRUNCATED_IDS = tuple(i for i, (_, walk, _, _) in _SCHEMES.items() if not walk)
 
 
 def make_stepper(

@@ -21,6 +21,7 @@ from .stiefel import make_stiefel
 
 
 def make_grassmann(n: int, p: int) -> ManifoldHandle:
+    stiefel = make_stiefel(n, p)  # checks n and p
     coeff = -(n - p) / 2.0
 
     def horizontal(y, w):
@@ -28,7 +29,7 @@ def make_grassmann(n: int, p: int) -> ManifoldHandle:
         return w - y @ (mT(y) @ w)
 
     return replace(
-        make_stiefel(n, p),
+        stiefel,
         name=f"grassmann({n},{p})",
         dim=p * (n - p),
         metric=ambient_identity,

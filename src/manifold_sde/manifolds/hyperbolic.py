@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .._checks import require_integer
 from ..geometry import ManifoldHandle, TubularRetraction
 from ..linalg import ambient_identity
 from ..rng import RngStream
 
 
 def make_hyperbolic(n: int) -> ManifoldHandle:
+    require_integer("n", n)
     if n < 2:
         raise ValueError(f"hyperbolic needs dimension >= 2, got n={n}")
     e_last = np.zeros((n, 1))
@@ -35,11 +37,8 @@ def make_hyperbolic(n: int) -> ManifoldHandle:
     def scale_by_height(x, w):
         return w * last(x)
 
-    def in_domain(x):
-        return x[..., n - 1, 0] > 1e-12
-
     tubular = TubularRetraction(
-        mapping=lambda q: (np.asarray(q, dtype=float), in_domain(q)),
+        mapping=lambda q: (np.asarray(q, dtype=float), q[..., n - 1, 0] > 1e-12),
         differential=lambda x, w: np.asarray(w, dtype=float),
     )
 
@@ -69,7 +68,6 @@ def make_hyperbolic(n: int) -> ManifoldHandle:
         random_point=random_point,
         default_point=lambda: e_last.copy(),
         constraints=(),
-        in_domain=in_domain,
         compact=False,
         params={"n": n},
     )

@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from .._checks import require_integer
 from ..geometry import (
     Constraint,
     ManifoldHandle,
@@ -28,6 +29,8 @@ _MIN_LEVEL = 1e-12
 
 
 def make_hypersurface(n: int, p: int = 4, d: np.ndarray | None = None) -> ManifoldHandle:
+    require_integer("n", n)
+    require_integer("p", p)
     if n < 2:
         raise ValueError(f"need ambient dimension >= 2, got {n}")
     if p < 2 or p % 2 != 0:

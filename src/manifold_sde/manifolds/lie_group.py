@@ -40,6 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import linalg
+from .._checks import require_integer
 from ..geometry import Constraint, ManifoldHandle, TubularRetraction, ambient_basis
 from ..linalg import (
     ambient_identity,
@@ -115,11 +116,12 @@ def _unit_det_constraint() -> Constraint:
 
 
 def _embedding(kind: str, n: int, project):
-    """``(tubular, constraints, in_domain)`` of one kind in n x n matrices.
+    """``(tubular, constraints)`` of one kind in n x n matrices.
 
     ``project`` is the group's tangent projection, which is the differential
     of the tubular map at a group point for every kind but gl+, whose map is
-    the identity.
+    the identity.  The map's flag (the determinant test, and on so and se
+    the polar factor's) is the kind's only domain test.
     """
     if kind == "sl":
         def rescale(q):
@@ -129,7 +131,7 @@ def _embedding(kind: str, n: int, project):
             return q * (np.where(ok, d, 1.0) ** (-1.0 / n))[..., None, None], ok
 
         tubular = TubularRetraction(mapping=rescale, differential=project)
-        return tubular, (_unit_det_constraint(),), None
+        return tubular, (_unit_det_constraint(),)
 
     # so and gl+ map the whole matrix; se and aff map the leading m x m block,
     # keep the translation column and reset the last row.  so and se take the
@@ -140,12 +142,10 @@ def _embedding(kind: str, n: int, project):
     m = n - 1 if affine else n
     min_det = 0.0 if polar else _MIN_DET
 
-    def in_domain(x):
-        return np.linalg.det(x[..., :m, :m]) > min_det
-
     def mapping(q):
         q = np.asarray(q, dtype=float)
-        block, ok = q[..., :m, :m], in_domain(q)
+        block = q[..., :m, :m]
+        ok = np.linalg.det(block) > min_det
         if polar:
             block, polar_ok = polar_fused(block)
             ok = polar_ok & ok
@@ -163,7 +163,7 @@ def _embedding(kind: str, n: int, project):
         constraints += (fixed_entry_constraints((n, n), last_row),)
     differential = ambient_identity if kind == "gl+" else project
     tubular = TubularRetraction(mapping=mapping, differential=differential)
-    return tubular, constraints, in_domain
+    return tubular, constraints
 
 
 def make_lie_group(kind: str, N: int, metric_seed: int | None = None) -> ManifoldHandle:
@@ -176,6 +176,9 @@ def make_lie_group(kind: str, N: int, metric_seed: int | None = None) -> Manifol
     """
     if kind not in LIE_KINDS:
         raise ValueError(f"unknown group kind {kind!r}; expected one of {LIE_KINDS}")
+    require_integer("N", N)
+    if metric_seed is not None:
+        require_integer("metric_seed", metric_seed)
     min_n = 1 if kind in ("gl+", "se", "aff") else 2
     if N < min_n:
         raise ValueError(f"{kind} needs N >= {min_n}, got {N}")
@@ -260,7 +263,7 @@ def make_lie_group(kind: str, N: int, metric_seed: int | None = None) -> Manifol
         bracket = (la @ mT(b) - mT(b) @ la) + (lb @ mT(a) - mT(a) @ lb)
         return first + 0.5 * (x @ mix(algebra_project(bracket), coeff_inv))
 
-    tubular, constraints, in_domain = _embedding(kind, size, project)
+    tubular, constraints = _embedding(kind, size, project)
 
     return ManifoldHandle(
         name=f"{kind}({N})",
@@ -277,7 +280,6 @@ def make_lie_group(kind: str, N: int, metric_seed: int | None = None) -> Manifol
         random_point=lambda rng: matrix_exp(embed(0.35 * rng.normal((k,)))),
         default_point=lambda: np.eye(size),
         constraints=constraints,
-        in_domain=in_domain,
         compact=kind == "so",
         params={"kind": kind, "N": N, "metric_seed": metric_seed},
     )

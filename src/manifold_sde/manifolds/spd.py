@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._checks import require_integer
 from ..geometry import ManifoldHandle, TubularRetraction
 from ..linalg import SymEigDecomposition, _require_symmetric, ambient_identity, reuse_last, sym
 from ..rng import RngStream
@@ -184,6 +185,7 @@ def _positive(s: np.ndarray) -> np.ndarray:
 
 
 def make_spd(N: int) -> ManifoldHandle:
+    require_integer("N", N)
     if N < 1:
         raise ValueError(f"spd needs N >= 1, got {N}")
 
@@ -245,7 +247,6 @@ def make_spd(N: int) -> ManifoldHandle:
         random_point=random_point,
         default_point=lambda: np.eye(N),
         constraints=(symmetry_constraints(N),),
-        in_domain=lambda q: _positive(sym(q)),
         compact=False,
         params={"N": N},
     )

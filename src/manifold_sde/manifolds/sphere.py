@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .._checks import require_integer, require_real
 from ..geometry import ManifoldHandle, TubularRetraction
 from ..linalg import ambient_identity, frobenius_norm, mT
 from ..rng import RngStream
@@ -13,6 +14,8 @@ _MIN_NORM = 1e-12
 
 
 def make_sphere(n: int, radius: float = 1.0) -> ManifoldHandle:
+    require_integer("n", n)
+    require_real("radius", radius)
     if n < 2:
         raise ValueError(f"sphere needs ambient dimension >= 2, got n={n}")
     if not (np.isfinite(radius) and radius > 0.0):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .._checks import require_integer, require_real
 from ..geometry import ManifoldHandle, TubularRetraction
 from ..linalg import mT, polar_fused, polar_orth, skew, sym
 from ._constraints import orthogonality_constraints
@@ -31,6 +32,10 @@ def _split(y, w):
 
 
 def make_stiefel(n: int, p: int, alpha0: float = 1.0, alpha1: float = 1.0) -> ManifoldHandle:
+    require_integer("n", n)
+    require_integer("p", p)
+    require_real("alpha0", alpha0)
+    require_real("alpha1", alpha1)
     if not (1 <= p <= n):
         raise ValueError(f"need 1 <= p <= n, got n={n}, p={p}")
     if not all(np.isfinite(a) and a > 0 for a in (alpha0, alpha1)):

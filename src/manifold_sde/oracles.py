@@ -16,8 +16,9 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legval
 
+from ._checks import require_integer
 from .geometry import ManifoldHandle, dual_tangent_frame
-from .harness import SampleSet, _require_count
+from .harness import SampleSet
 from .linalg import polar_orth
 from .rng import RngStream
 
@@ -200,7 +201,7 @@ def uniform_cost_estimate(handle: ManifoldHandle, cost, rng: RngStream,
     drawn from ``rng`` in batches of ``_UNIFORM_BATCH``; ``n_sample`` must be
     a positive integer.
     """
-    _require_count("n_sample", n_sample)
+    require_integer("n_sample", n_sample, positive=True)
     vals = []
     for done in range(0, n_sample, _UNIFORM_BATCH):
         pts = sample_uniform(handle, rng, min(_UNIFORM_BATCH, n_sample - done))

@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox
 
+from ._checks import require_integer
+
 _local = threading.local()
 _WORD = 1 << 64
 
@@ -50,8 +52,8 @@ def _counter_words(counter) -> tuple:
 
 @dataclass
 class RngStream:
-    """An independent Gaussian/uniform source keyed by ``(seed, stream_id)``
-    and starting at Philox counter ``counter``."""
+    """An independent Gaussian/uniform source keyed by ``(seed, stream_id)``,
+    each an int or numpy integer, and starting at Philox counter ``counter``."""
 
     seed: int
     stream_id: int = 0
@@ -59,6 +61,8 @@ class RngStream:
     _state: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        require_integer("seed", self.seed)
+        require_integer("stream_id", self.stream_id)
         self._state = {
             "bit_generator": "Philox",
             "state": {"counter": _counter_words(self.counter),

@@ -1,5 +1,7 @@
 """Shared manifold batteries and call counters for the test suite."""
 
+import dataclasses
+
 import numpy as np
 
 from manifold_sde import make_manifold
@@ -60,3 +62,25 @@ def record_inv(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "inv", recording)
     return seen
+
+
+def counted_tubular(handle):
+    """``handle`` whose tubular ``mapping`` counts its calls, and whose
+    standalone domain callables (``in_domain`` and a tubular ``domain``,
+    which no family sets) would count theirs under ``domain``."""
+    calls = {"mapping": 0, "domain": 0}
+
+    def counted(name, fn):
+        if fn is None:
+            return None
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    tub = handle.tubular
+    tubular = dataclasses.replace(tub, mapping=counted("mapping", tub.mapping),
+                                  domain=counted("domain", tub.domain))
+    return dataclasses.replace(handle, tubular=tubular,
+                               in_domain=counted("domain", handle.in_domain)), calls

@@ -394,6 +394,8 @@ def test_uniform_command_writes_both_estimates(tmp_path, capsys):
     metrics = [r[0] for r in rows[1:]]
     assert metrics == ["sum_abs", "sum_abs_uniform"]
     assert rows[2][6] == "direct-sampler"
+    # the direct sampler's own sample count, and no grid
+    assert rows[1][3:5] == ["16", "10"] and rows[2][3:5] == ["100000", "0"]
 
 
 def test_uniform_command_rejects_a_running_cost(tmp_path, capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from manifold_sde import (
+    INTEGRATOR_IDS,
     CostFunctional,
     SimulationConfig,
     StepFailureError,
@@ -100,6 +101,20 @@ def test_config_float_fields_must_be_real_numbers(field, value):
     base[field] = value
     with pytest.raises(ValueError, match=f"{field} must be a real number"):
         SimulationConfig(**base)
+
+
+@pytest.mark.parametrize("integrator", INTEGRATOR_IDS)
+def test_clamped_schemes_need_a_step_below_one(integrator):
+    # the clamp level sqrt(2 r |ln h|) needs h in (0, 1); the walks read the
+    # raw increment and take any h
+    clamped = integrator in ("ito-em", "strat-heun", "retractive-em")
+    for T, n_div in ((2.0, 1), (1.0, 1), (3.0, 2)):
+        if clamped:
+            with pytest.raises(ValueError, match=f"got h={T / n_div}"):
+                SimulationConfig(T=T, n_div=n_div, n_path=4096, seed=0, integrator=integrator)
+        else:
+            SimulationConfig(T=T, n_div=n_div, n_path=4096, seed=0, integrator=integrator)
+    assert SimulationConfig(T=2.0, n_div=3, n_path=4, seed=0, integrator=integrator).h < 1.0
 
 
 def test_config_counts_take_numpy_integers(so3):
@@ -321,7 +336,7 @@ def test_auto_worker_count_is_at_most_one_per_started_block(monkeypatch):
 
     def workers(n_path, n_div, cap="0", path_chunk=256):
         monkeypatch.setenv(THREADS_ENV, cap)
-        return _worker_count(SimulationConfig(T=1.0, n_div=n_div, n_path=n_path, seed=0,
+        return _worker_count(SimulationConfig(T=0.5, n_div=n_div, n_path=n_path, seed=0,
                                               path_chunk=path_chunk))
 
     block = BLOCK_PATHS * BLOCK_STEPS
@@ -590,11 +605,12 @@ def test_compare_methods_grid_and_lookup(so3):
     ((10.7,), "n_div must be an integer"),
     ((20, 10.7), "n_div must be an integer"),
     ((20, True), "n_div must be an integer"),
-], ids=["empty", "float", "float-after-int", "bool"])
+    ((200, 1), r"step size in \(0, 1\), got h=2\.0"),
+], ids=["empty", "float", "float-after-int", "bool", "h-at-least-1"])
 def test_compare_methods_checks_its_grid_before_running(so3, n_divs, message, monkeypatch):
     calls = []
     monkeypatch.setattr(harness, "simulate", lambda *args, **kw: calls.append(args))
-    cfg = SimulationConfig(T=0.5, n_div=20, n_path=8, seed=5)
+    cfg = SimulationConfig(T=2.0, n_div=20, n_path=8, seed=5)
     with pytest.raises(ValueError, match=message):
         compare_methods(cfg, so3, make_cost("sum_abs", so3), n_divs=n_divs)
     assert calls == []
@@ -638,7 +654,7 @@ def test_uniform_limit_requires_compact_target():
     hyp = make_manifold("hyperbolic", n=2)
     costs = [make_cost("sum_abs", hyp)]
     with pytest.raises(ValueError, match="compact"):
-        uniform_limit_run(SimulationConfig(T=40.0, n_div=4, n_path=4, seed=0), hyp, costs,
+        uniform_limit_run(SimulationConfig(T=40.0, n_div=400, n_path=4, seed=0), hyp, costs,
                           n_direct=8)
 
 

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from batteries import IDS, GEOMETRY_BATTERY, SPOT_BATTERY, SPOT_IDS, count_linalg, record_inv
+from batteries import (IDS, GEOMETRY_BATTERY, SPOT_BATTERY, SPOT_IDS, count_linalg,
+                       counted_tubular, record_inv)
 from manifold_sde import (
     INTEGRATOR_IDS,
     IntegratorParameterError,
@@ -470,32 +471,10 @@ def test_one_christoffel_call_per_retraction_step(name, build, integrator_id):
     assert len(calls) == 1
 
 
-def _counted_tubular(handle):
-    """``handle`` whose tubular ``mapping`` counts its calls, and whose
-    standalone domain tests (``in_domain``, and a tubular ``domain`` where
-    one is set) count theirs under ``domain``."""
-    calls = {"mapping": 0, "domain": 0}
-
-    def counted(name, fn):
-        if fn is None:
-            return None
-
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    tub = handle.tubular
-    tubular = dataclasses.replace(tub, mapping=counted("mapping", tub.mapping),
-                                  domain=counted("domain", tub.domain))
-    return dataclasses.replace(handle, tubular=tubular,
-                               in_domain=counted("domain", handle.in_domain)), calls
-
-
 @pytest.mark.parametrize("family,params", [("so", {"N": 3}), ("stiefel", {"n": 5, "p": 3})],
                          ids=["so", "stiefel"])
 def test_polar_retraction_factors_each_proposal_once(family, params):
-    handle, calls = _counted_tubular(make_manifold(family, **params))
+    handle, calls = counted_tubular(make_manifold(family, **params))
     rng = RngStream(44, 0)
     x = np.stack([handle.random_point(rng) for _ in range(16)])
     q = x + 0.1 * rng.normal(x.shape)
@@ -512,7 +491,7 @@ def test_polar_retraction_factors_each_proposal_once(family, params):
 def test_first_order_retractive_em_step_skips_domain_test():
     # the step and the two finite-difference evaluations of its drift
     # adjustment each factor their proposal once
-    handle, calls = _counted_tubular(make_manifold("so", N=3))
+    handle, calls = counted_tubular(make_manifold("so", N=3))
     stepper = make_stepper(handle, "retractive-em",
                            retraction=first_order_retraction(handle.tubular))
     _one_step(stepper, handle, 45)
@@ -522,7 +501,7 @@ def test_first_order_retractive_em_step_skips_domain_test():
 @pytest.mark.parametrize("name,build", GEOMETRY_BATTERY, ids=IDS)
 def test_strat_heun_maps_only_the_proposal(name, build):
     # the predictor is an ambient point: no domain test, no map of its own
-    handle, calls = _counted_tubular(build())
+    handle, calls = counted_tubular(build())
     _one_step(make_stepper(handle, "strat-heun"), handle, 54, batch=8)
     assert calls == {"mapping": 1, "domain": 0}
 

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from batteries import GEOMETRY_BATTERY, IDS
+from batteries import GEOMETRY_BATTERY, IDS, counted_tubular
 from manifold_sde import (
     MANIFOLD_NAMES,
     check_metric_compatibility,
@@ -109,9 +109,34 @@ def test_non_finite_rows_are_off_manifold(name, build):
     batch = np.stack([x] + [np.full_like(x, bad) for bad in (np.nan, np.inf, -np.inf)])
     expected = [True, False, False, False]
     np.testing.assert_array_equal(handle.on_manifold(batch), expected)
-    np.testing.assert_array_equal(handle.domain_ok(batch), expected)
     with pytest.raises(OffManifoldError):
         require_on_manifold(handle, batch[1])
+
+
+@pytest.mark.parametrize("name,build", CONSTRAINT_BATTERY, ids=CONSTRAINT_IDS)
+def test_on_manifold_reads_the_tubular_map_once(name, build):
+    # the map's flag is the only domain test: one mapping call per batch
+    handle, calls = counted_tubular(build())
+    rng = RngStream(58, 0)
+    x = handle.random_point(rng)
+    batch = np.stack([x, x + 0.1 * rng.normal(x.shape), -x, np.zeros_like(x),
+                      np.full_like(x, np.nan)])
+    handle.on_manifold(batch)
+    assert calls == {"mapping": 1, "domain": 0}
+
+
+def test_require_on_manifold_names_the_failed_rule():
+    gl, so = make_manifold("gl+", N=2), make_manifold("so", N=3)
+    reflection = np.diag([1.0, -1.0])
+    assert gl.constraint_residual(reflection) == 0.0
+    with pytest.raises(OffManifoldError, match="outside the tubular map's domain"):
+        require_on_manifold(gl, reflection)
+    with pytest.raises(OffManifoldError,
+                       match=r"residual 1\.000e-06 exceeds tolerance 1\.0e-09"):
+        require_on_manifold(so, np.eye(3) + 1e-6 * np.eye(3, k=1))
+    for handle in (gl, so):
+        with pytest.raises(OffManifoldError, match="non-finite entry"):
+            require_on_manifold(handle, np.full(handle.shape, np.nan))
 
 
 @pytest.mark.parametrize("name,build", CONSTRAINT_BATTERY, ids=CONSTRAINT_IDS)
@@ -341,13 +366,15 @@ def test_so_christoffel_drops_only_a_zero_bracket(N):
 # bit; re-recorded when the polar factor moved to Newton-Schulz steps, the
 # so digest again when so(N) inverted through linalg.so_inv, and the sl
 # digest when its constraint Hessian took products with one x^{-1} instead
-# of two solves (a rounding change only).
+# of two solves (a rounding change only); all but gl+ again when the digest
+# fed ``on_manifold`` in place of the domain flag alone, whose constants the
+# handles from before that change give too, so no handle output moved.
 LIE_GROUP_DIGESTS = {
     "gl+": "c7072dd9a70a69835f458379ca086fa6fb89f72d39f221a36b756fa05ac21959",
-    "sl": "9b993525012ff960f9de48861720a7a76729a669eff4af2979b332ea666f39f1",
-    "so": "040ee5a0a4035bde1923a41e00ccd6b93aaf3fe86e069e7c2c8d8e62fd64ade8",
-    "se": "93358ba68db09c126a7740e5fc01592ea22283a946d158737f4a9829954b7254",
-    "aff": "5e8ab63116760321f68f7ee0cd72f601204aa644fbde9523208b58907c08e6d3",
+    "sl": "adb3de5a8e5595a9e11e59b69d4517bdd26b2fb4c73d8b98aeda51824a918a63",
+    "so": "7868c53a1e056b1b136752cf48224b222c1741807c102232e16ee173488a88d5",
+    "se": "1e16560bac3e44f7aa4a29814f0036a57c0f61f4d8ee6fbb373a9065ad01a0fb",
+    "aff": "cdef611bcaceb7ceb3303fd72181a74ccecbc1412f13f415cb0f51e9afada873",
 }
 
 
@@ -392,7 +419,7 @@ def _lie_group_digest(kind):
                  handle.sigma(x, u), handle.christoffel(x, u, v),
                  handle.christoffel(x, u, u), handle.ito_drift(x), handle.strat_drift(x),
                  *handle.tubular.mapping(q), handle.tubular.mapping(q)[1],
-                 handle.tubular.differential(x, u), handle.domain_ok(q),
+                 handle.tubular.differential(x, u), handle.on_manifold(q),
                  *handle.tubular.retract(bad, np.concatenate([base, x[:1]])))
             _feed_constraints(feed, handle, q, x, u, v)
     return digest.hexdigest()
@@ -405,9 +432,9 @@ def test_lie_group_handles_are_pinned(kind):
 
 # the same over every Grassmann handle output for (n, p) in (2, 1), (4, 2),
 # (5, 3) and (4, 4), first recorded before Grassmann was rebuilt on the Stiefel
-# handle, re-recorded with the pins above and again when sigma became the
-# horizontal projection
-GRASSMANN_DIGEST = "537931b047f078920de374f3adf25707b3d0b1b42df72ffb45f34a9dd55524ec"
+# handle, re-recorded with the pins above, again when sigma became the
+# horizontal projection and again when the digest fed ``on_manifold``
+GRASSMANN_DIGEST = "6cd8bd32815a619b6402681261ed54d554d964cf22cd9fb59e628da74cdc3e68"
 
 
 def test_grassmann_handle_is_pinned():
@@ -425,7 +452,7 @@ def test_grassmann_handle_is_pinned():
              handle.sigma(x, u), handle.christoffel(x, u, v), handle.christoffel(x, u, u),
              handle.ito_drift(x), handle.strat_drift(x),
              *handle.tubular.mapping(q), handle.tubular.mapping(q)[1],
-             handle.tubular.differential(x, u), handle.domain_ok(q),
+             handle.tubular.differential(x, u), handle.on_manifold(q),
              *handle.tubular.retract(bad, np.concatenate([x, x[:2]])),
              handle.functional_point(x), handle.default_point())
         _feed_constraints(feed, handle, q, x, u, v)
@@ -528,10 +555,52 @@ def test_basis_contraction_identity():
     assert frobenius_norm(total - c) < 1e-14
 
 
+@pytest.mark.parametrize("name,build", [
+    ("seed", lambda: RngStream(1.5, 0)),
+    ("seed", lambda: RngStream(True, 0)),
+    ("stream_id", lambda: RngStream(1, 2.0)),
+    ("metric_seed", lambda: make_manifold("so", N=3, metric_seed=1.5)),
+    ("N", lambda: make_manifold("gl+", N=True)),
+    ("N", lambda: make_manifold("so", N=2.5)),
+    ("N", lambda: make_manifold("spd", N=3.0)),
+    ("p", lambda: make_manifold("stiefel", n=5, p=3.0)),
+    ("n", lambda: make_manifold("grassmann", n="5", p=2)),
+    ("n", lambda: make_manifold("sphere", n=np.True_)),
+    ("n", lambda: make_manifold("hyperbolic", n=2.0)),
+    ("p", lambda: make_hypersurface(3, p=4.0)),
+    ("radius", lambda: make_manifold("sphere", n=3, radius=True)),
+    ("alpha0", lambda: make_manifold("stiefel", n=5, p=3, alpha0=True)),
+    ("alpha1", lambda: make_manifold("stiefel", n=5, p=3, alpha1="1")),
+], ids=["rng-float-seed", "rng-bool-seed", "rng-float-stream", "so-float-metric-seed",
+        "gl-bool-N", "so-float-N", "spd-float-N", "stiefel-float-p", "grassmann-str-n",
+        "sphere-numpy-bool-n", "hyperbolic-float-n", "hypersurface-float-p",
+        "sphere-bool-radius", "stiefel-bool-alpha0", "stiefel-str-alpha1"])
+def test_integer_inputs_must_be_integers(name, build):
+    # a ValueError naming the parameter, not a silent conversion or a TypeError
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        build()
+
+
+def test_integer_inputs_take_numpy_integers():
+    np.testing.assert_array_equal(RngStream(np.int64(7), np.uint32(2)).normal(5),
+                                  RngStream(7, 2).normal(5))
+    for family, params in (
+        ("so", dict(N=np.int64(3), metric_seed=np.int32(4))),
+        ("spd", dict(N=np.uint8(3))),
+        ("stiefel", dict(n=np.int64(5), p=np.int16(3), alpha1=np.float32(0.5))),
+        ("sphere", dict(n=np.int64(3), radius=np.float64(2.0))),
+    ):
+        wide = make_manifold(family, **params)
+        plain = make_manifold(family, **{k: v.item() for k, v in params.items()})
+        x = plain.random_point(RngStream(3, 0))
+        assert wide.name == plain.name
+        np.testing.assert_array_equal(wide.ito_drift(x), plain.ito_drift(x))
+
+
 def test_gl_positive_det_domain():
     handle = make_manifold("gl+", N=2)
-    assert handle.domain_ok(np.eye(2))
-    assert not handle.domain_ok(np.diag([1.0, -1.0]))
+    assert handle.on_manifold(np.eye(2))
+    assert not handle.on_manifold(np.diag([1.0, -1.0]))
 
 
 def test_hypersurface_family_constraint():
@@ -602,7 +671,11 @@ def _spd_rows_near_the_domain_edge():
 def test_spd_domain_certificate_decides_as_eigvalsh():
     from manifold_sde.manifolds.spd import _certified_positive
 
-    domain = make_manifold("spd", N=3).in_domain
+    mapping = make_manifold("spd", N=3).tubular.mapping
+
+    def domain(s):
+        return mapping(s)[1]
+
     s = _spd_rows_near_the_domain_edge()
     expected = np.linalg.eigvalsh(s)[:, 0] > 1e-10
     certified = _certified_positive(s)
