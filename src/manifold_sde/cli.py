@@ -21,15 +21,20 @@ Commands:
 - ``uniform``:     long-run Brownian estimate vs. direct uniform sampling
                    (compact manifolds and terminal costs only).
 - ``heat-kernel``: spectral-series expectation for the sphere reference
-                   configuration (diffusion 0.4, radius 3), no simulation.
+                   configuration (diffusion 0.4, radius 3, T = 2 unless
+                   set).  With ``n_path`` it also runs the ``compare`` grid
+                   at that configuration (n_div 1000 and seed 2024 unless
+                   set) and prints each cell next to the series; the
+                   series row and one row per cell go to ``out`` if set.
 
 Exit codes: 0 success, 2 step/validation failure, 3 config error (an
-output file that cannot be written is one too; ``simulate``, ``compare`` and
-``uniform`` check that the directory of ``out`` exists and is writable before
-they run), 4 worker failure (a worker process died without reporting on its
-chunks).  Path chunks run in forked worker processes, capped by
-MANIFOLD_SDE_THREADS (0 or unset = auto); a value that is not a
-non-negative integer is a config error.
+output file that cannot be written is one too: whenever ``out`` is set,
+every command checks before it runs that ``out`` is not empty, names no
+existing directory, and sits in an existing writable directory, and
+``simulate`` checks its summary path the same way), 4 worker failure (a
+worker process died without reporting on its chunks).  Path chunks run in
+forked worker processes, capped by MANIFOLD_SDE_THREADS (0 or unset =
+auto); a value that is not a non-negative integer is a config error.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from .geometry import (
 from .harness import (
     SimulationConfig,
     WorkerProcessError,
+    _agreement,
     compare_methods,
     simulate,
     uniform_limit_run,
@@ -86,6 +92,8 @@ _SIM_FIELDS = frozenset(f.name for f in fields(SimulationConfig))
 _HEAT_DIFFUSION = 0.4
 _HEAT_RADIUS = 3.0
 _HEAT_T = 2.0
+_HEAT_N_DIV = 1000
+_HEAT_SEED = 2024
 
 
 class ConfigError(ValueError):
@@ -199,8 +207,12 @@ def _write_csv(path: str, header, rows, row_format: str | None = None):
 
 
 def _check_writable(path: str) -> None:
-    """Raise OSError unless the directory of ``path`` exists and is writable;
-    creates nothing."""
+    """Raise OSError unless ``path`` is not empty, names no directory, and
+    its directory exists and is writable; creates nothing."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     folder = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(folder):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), folder)
@@ -218,6 +230,12 @@ SUMMARY_HEADER = ("metric", "mean", "stderr", "n_path", "n_div", "T", "integrato
 
 def _summary_row(metric, mean, stderr, n_path, n_div, T, integrator, manifold):
     return (metric, f"{mean:.17g}", f"{stderr:.17g}", n_path, n_div, f"{T:g}", integrator, manifold)
+
+
+def _grid_rows(metric: str, table, T: float, manifold: str) -> list:
+    """One summary row per cell of a ``compare_methods`` grid, in run order."""
+    return [_summary_row(metric, s.mean, s.stderr, s.n_path, n_div, T, integrator, manifold)
+            for (integrator, n_div), s in table.cells.items()]
 
 
 def _sim_config(config: RunConfig, **defaults) -> SimulationConfig:
@@ -292,15 +310,10 @@ def _cmd_compare(config: RunConfig) -> int:
     sim = _sim_config(config, n_div=max(n_divs), integrator="ito-em")
     table = compare_methods(sim, handle, cost, n_divs=n_divs)
 
-    rows = [
-        _summary_row(cost.name, c.mean, c.stderr, c.n_path, c.n_div, sim.T,
-                     c.integrator, handle.name)
-        for c in table.cells
-    ]
-    _write_csv(config.get("out"), SUMMARY_HEADER, rows)
-    for c in table.cells:
-        print(f"  {c.integrator:>13} n_div={c.n_div:>4}: "
-              f"mean={c.mean:.6g} stderr={c.stderr:.3g}")
+    _write_csv(config.get("out"), SUMMARY_HEADER, _grid_rows(cost.name, table, sim.T, handle.name))
+    for (integrator, n_div), s in table.cells.items():
+        print(f"  {integrator:>13} n_div={n_div:>4}: "
+              f"mean={s.mean:.6g} stderr={s.stderr:.3g}")
     if table.consistent:
         print("consistent: all pairs within 3 combined stderrs")
     else:
@@ -339,18 +352,27 @@ def _cmd_heat_kernel(config: RunConfig) -> int:
             f"heat-kernel supports costs {', '.join(sorted(ANGLE_COSTS))}, "
             f"got {cost_id!r}"
         )
-    cost = ANGLE_COSTS[cost_id]
+    handle = make_manifold("sphere", n=config.get("n"), radius=_HEAT_RADIUS)
     T = config.get("T", _HEAT_T)
     series = heat_expectation_s2 if config.get("n") == 3 else heat_expectation_s3
-    value = series(cost, T=T, diffusion=_HEAT_DIFFUSION, radius=_HEAT_RADIUS)
+    value = series(ANGLE_COSTS[cost_id], T=T, diffusion=_HEAT_DIFFUSION, radius=_HEAT_RADIUS)
     tag = "S2" if config.get("n") == 3 else "S3"
     print(f"{tag} heat-kernel expectation of {cost_id} at T={T:g} "
           f"(diffusion {_HEAT_DIFFUSION}, radius {_HEAT_RADIUS}): {value:.3f}")
     print(f"  full precision: {value:.12g}")
+    rows = [_summary_row(cost_id, value, 0.0, 0, 0, T, "spectral-series", handle.name)]
+    if "n_path" in config.values:
+        sim = _sim_config(config, T=_HEAT_T, n_div=_HEAT_N_DIV, seed=_HEAT_SEED,
+                          diffusion=_HEAT_DIFFUSION)
+        table = compare_methods(sim, handle, make_cost(cost_id, handle), n_divs=(sim.n_div,))
+        rows += _grid_rows(cost_id, table, sim.T, handle.name)
+        for (integrator, n_div), s in table.cells.items():
+            agree = _agreement(s.mean, s.stderr, value, 0.0)[2]
+            verdict = "agrees with" if agree else "DISAGREES with"
+            print(f"  {integrator:>13} n_div={n_div:>4}: mean={s.mean:.6g} "
+                  f"stderr={s.stderr:.3g} {verdict} the series")
     if config.get("out"):
-        row = _summary_row(cost_id, value, 0.0, 0, 0, T, "spectral-series",
-                           f"sphere({config.get('n')})")
-        _write_csv(config.get("out"), SUMMARY_HEADER, [row])
+        _write_csv(config.get("out"), SUMMARY_HEADER, rows)
     return EXIT_OK
 
 
@@ -367,10 +389,13 @@ COMMANDS = {
 
 def run(config: RunConfig) -> int:
     """Execute a parsed config; returns the process exit code."""
-    required, body = COMMANDS[config.command]
+    body = COMMANDS[config.command][1]
+    out = config.get("out")
     try:
-        if "out" in required:  # the commands that simulate fail before the run
-            _check_writable(config.get("out"))
+        if out is not None:  # a bad output fails before any run
+            _check_writable(out)
+            if config.command == "simulate":
+                _check_writable(_summary_path(out))
         return body(config)
     except (ConfigError, ValueError) as exc:
         # invalid ids, impossible parameter combinations, bad manifold sizes

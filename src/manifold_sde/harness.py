@@ -33,6 +33,7 @@ terminal f(X_T, T).  Costs act on the functional representation of the state
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 import os
@@ -456,35 +457,25 @@ def simulate(config: SimulationConfig, handle: ManifoldHandle,
 
 
 @dataclass(frozen=True)
-class ComparisonCell:
-    integrator: str
-    n_div: int
-    mean: float
-    stderr: float
-    n_path: int
-
-
-@dataclass(frozen=True)
 class ComparisonTable:
-    """Per-cell estimates plus the worst pairwise discrepancy.
+    """Each cell's samples plus the worst pairwise discrepancy.
 
-    ``consistent`` is True when every pair of cells differs by at most three
-    combined standard errors, hypot(stderr_a, stderr_b).  The cells share
-    their random numbers, so that allowance overstates the noise in a
-    difference and can miss a real bias; see :func:`compare_methods`.
+    ``cells`` maps (integrator, n_div) to the ``SampleSet`` that
+    ``simulate`` returned for that cell, in run order.  ``consistent`` is
+    True when every pair of cells differs by at most three combined standard
+    errors, hypot(stderr_a, stderr_b).  The cells share their random
+    numbers, so that allowance overstates the noise in a difference and can
+    miss a real bias; see :func:`compare_methods`.
     """
 
-    cells: tuple
+    cells: dict
     worst_gap: float
     worst_allowance: float
     worst_pair: tuple
     consistent: bool
 
-    def cell(self, integrator: str, n_div: int) -> ComparisonCell:
-        for c in self.cells:
-            if c.integrator == integrator and c.n_div == n_div:
-                return c
-        raise KeyError(f"no cell ({integrator}, {n_div})")
+    def cell(self, integrator: str, n_div: int) -> SampleSet:
+        return self.cells[(integrator, n_div)]
 
 
 def _agreement(mean_a: float, stderr_a: float, mean_b: float, stderr_b: float) -> tuple:
@@ -495,20 +486,17 @@ def _agreement(mean_a: float, stderr_a: float, mean_b: float, stderr_b: float) -
     return gap, allowance, bool(gap <= allowance)
 
 
-def _pairwise_consistency(cells: Sequence[ComparisonCell]):
+def _pairwise_consistency(cells: dict):
     worst_ratio = -1.0
     worst = (0.0, float("inf"), ("", ""))
     consistent = True
-    for i in range(len(cells)):
-        for k in range(i + 1, len(cells)):
-            a, b = cells[i], cells[k]
-            gap, allowance, agree = _agreement(a.mean, a.stderr, b.mean, b.stderr)
-            consistent = consistent and agree
-            ratio = gap / allowance if allowance > 0 else np.inf
-            if ratio > worst_ratio:
-                worst_ratio = ratio
-                worst = (gap, allowance,
-                         (f"{a.integrator}@{a.n_div}", f"{b.integrator}@{b.n_div}"))
+    for ((integ_a, nd_a), a), ((integ_b, nd_b), b) in itertools.combinations(cells.items(), 2):
+        gap, allowance, agree = _agreement(a.mean, a.stderr, b.mean, b.stderr)
+        consistent = consistent and agree
+        ratio = gap / allowance if allowance > 0 else np.inf
+        if ratio > worst_ratio:
+            worst_ratio = ratio
+            worst = (gap, allowance, (f"{integ_a}@{nd_a}", f"{integ_b}@{nd_b}"))
     return worst[0], worst[1], worst[2], consistent
 
 
@@ -528,21 +516,22 @@ def compare_methods(config: SimulationConfig, handle: ManifoldHandle,
     under that correlation the allowance is loose, not conservative, and a
     real O(h) bias between schemes can pass it.  Paired-difference
     statistics are the open fix (ROADMAP item 6, coupled grids).
-    ``n_divs`` must not be empty, and each entry goes to ``SimulationConfig``
-    as given, so it must be an integer.
+    The cells keep their samples, so a paired difference of two cells is
+    ``SampleSet(a.samples - b.samples)``.  ``n_divs`` must not be empty or
+    repeat an entry, and each entry goes to ``SimulationConfig`` as given,
+    so it must be an integer.
     """
     if len(n_divs) == 0:
         raise ValueError("n_divs must hold at least one n_div")
     # every cell's config is built, and so checked, before the first run
     configs = [replace(config, integrator=integ, n_div=nd)
                for integ in _COMPARED_INTEGRATORS for nd in n_divs]
-    cells = []
-    for cfg in configs:
-        out = simulate(cfg, handle, cost=cost)
-        cells.append(ComparisonCell(integrator=cfg.integrator, n_div=int(cfg.n_div),
-                                    mean=out.mean, stderr=out.stderr, n_path=out.n_path))
+    if len(set(n_divs)) < len(n_divs):
+        raise ValueError(f"n_divs must not repeat an n_div, got {tuple(n_divs)}")
+    cells = {(cfg.integrator, int(cfg.n_div)): simulate(cfg, handle, cost=cost)
+             for cfg in configs}
     gap, allowance, pair, consistent = _pairwise_consistency(cells)
-    return ComparisonTable(cells=tuple(cells), worst_gap=gap,
+    return ComparisonTable(cells=cells, worst_gap=gap,
                            worst_allowance=allowance, worst_pair=pair,
                            consistent=consistent)
 
@@ -578,12 +567,15 @@ def uniform_limit_run(config: SimulationConfig, handle: ManifoldHandle,
     direct sampler have a reference; for each cost the direct samples of
     ``cost.terminal(points, config.T)`` come first, from the independent
     samplers in oracles seeded from ``config.seed``, and then the cost is
-    simulated with ``config``.  ``n_direct``, the direct sample count per
-    cost, must be a positive integer.
+    simulated with ``config``.  ``costs`` must not be empty, and
+    ``n_direct``, the direct sample count per cost, must be a positive
+    integer.
     """
     from .oracles import uniform_cost_estimate
 
     require_integer("n_direct", n_direct, positive=True)
+    if len(costs) == 0:
+        raise ValueError("costs must hold at least one cost")
     if not handle.compact:
         raise ValueError(f"{handle.name} is not compact; no uniform limit")
     for cost in costs:

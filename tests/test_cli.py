@@ -2,11 +2,21 @@ import csv
 import dataclasses
 import hashlib
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from manifold_sde import SimulationConfig, StepFailureError, cli, harness, make_manifold, simulate
+from manifold_sde import (
+    SimulationConfig,
+    StepFailureError,
+    cli,
+    harness,
+    make_cost,
+    make_manifold,
+    simulate,
+)
 from manifold_sde.cli import ConfigError, main, parse_config
 from manifold_sde.harness import THREADS_ENV
 from manifold_sde.manifolds import MANIFOLD_NAMES
@@ -236,6 +246,33 @@ def test_heat_kernel_prints_reference_value(tmp_path, capsys):
     assert "0.299" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n,cost,series", [(3, "phi_5_2", "0.299414"),
+                                           (4, "phi_32_52", "1.023917")])
+def test_heat_kernel_runs_the_grid_next_to_the_series(tmp_path, capsys, n, cost, series):
+    out = tmp_path / "hk.csv"
+    text = (f"command=heat-kernel\nmanifold=sphere\nn={n}\ncost={cost}\n"
+            f"n_path=8\nn_div=20\nout={out}\n")
+    assert main([write(tmp_path, "hk.cfg", text)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.count("with the series") == 4
+    with open(out, newline="") as fh:
+        header, reference, *cells = list(csv.reader(fh))
+    assert header == list(cli.SUMMARY_HEADER)
+    assert f"{float(reference[1]):.6f}" == series
+    assert reference[6] == "spectral-series"
+    sphere = make_manifold("sphere", n=n, radius=3.0)
+    assert sphere.name == f"sphere({n},r=3)"
+    assert [row[6] for row in cells] == ["ito-em", "strat-heun", "geodesic-walk", "retractive-em"]
+    for row in [reference, *cells]:
+        assert row[0] == cost and row[5] == "2" and row[7] == sphere.name
+    for row in cells:
+        assert row[3:5] == ["8", "20"]
+        cfg = SimulationConfig(T=2.0, n_div=20, n_path=8, seed=2024, integrator=row[6],
+                               diffusion=0.4)
+        mean = simulate(cfg, sphere, cost=make_cost(cost, sphere)).mean
+        assert float(row[1]).hex() == mean.hex(), row[6]
+
+
 def test_heat_kernel_rejects_other_manifolds(tmp_path, capsys):
     path = write(tmp_path, "hk2.cfg", "command=heat-kernel\nmanifold=so\nN=3\ncost=phi_5_2\n")
     assert main([path]) == 3
@@ -341,6 +378,31 @@ def test_unwritable_output_is_config_error(tmp_path, capsys, monkeypatch):
     assert "missing" in err
 
 
+@pytest.mark.parametrize("command,out", [
+    ("simulate", ""),
+    ("simulate", "{dir}"),
+    ("simulate", "{dir}/run"),  # the summary path run.summary is a directory
+    ("heat-kernel", "{dir}"),
+    ("validate", ""),
+], ids=["simulate-empty", "simulate-directory", "simulate-summary-directory",
+        "heat-kernel-directory", "validate-empty"])
+def test_bad_output_path_fails_before_any_run(tmp_path, capsys, monkeypatch, command, out):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return harness.SampleSet(np.zeros(16))
+
+    monkeypatch.setattr(cli, "simulate", counted)
+    monkeypatch.setattr(harness, "simulate", counted)
+    (tmp_path / "run.summary").mkdir()
+    out = out.format(dir=tmp_path)
+    text = SMALL_SIM.format(out=out).replace("simulate", command)
+    assert main([write(tmp_path, "bad.cfg", text)]) == 3
+    assert capsys.readouterr().err.startswith("config error: cannot write output:")
+    assert calls == []
+
+
 def test_set_override_changes_the_run(tmp_path, capsys):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
@@ -417,3 +479,12 @@ def test_uniform_command_honours_truncation_parameter(tmp_path, capsys):
         assert main([write(tmp_path, f"u{r}.cfg", text)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] != outs[1]
+
+
+def test_readme_configs_parse():
+    # every README block that starts with "command =" is a config the CLI accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```\n(command = .*?)^```", readme, flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        assert parse_config(block).command in cli.COMMANDS

@@ -589,9 +589,11 @@ def test_compare_methods_grid_and_lookup(so3):
     cfg = SimulationConfig(T=0.5, n_div=40, n_path=64, seed=5)
     table = compare_methods(cfg, so3, cost, n_divs=(20, 40))
     assert len(table.cells) == 4 * 2
+    assert list(table.cells)[:2] == [("ito-em", 20), ("ito-em", 40)]  # run order
     cell = table.cell("geodesic-walk", 20)
-    assert cell.integrator == "geodesic-walk" and cell.n_div == 20
-    assert cell.n_path == 64
+    assert cell is table.cells[("geodesic-walk", 20)]
+    assert cell.n_path == 64 and cell.samples.shape == (64,)
+    assert cell.mean == float(np.mean(cell.samples)) and cell.stderr > 0.0
     with pytest.raises(KeyError):
         table.cell("ito-em", 999)
     assert isinstance(table.consistent, bool)
@@ -600,13 +602,23 @@ def test_compare_methods_grid_and_lookup(so3):
         assert table.worst_gap <= table.worst_allowance
 
 
+def test_compare_methods_cells_are_the_simulate_samples(so3):
+    cost = make_cost("sum_abs", so3)
+    cfg = SimulationConfig(T=0.5, n_div=40, n_path=24, seed=5)
+    table = compare_methods(cfg, so3, cost, n_divs=(10, 20))
+    for (integrator, n_div), cell in table.cells.items():
+        own = simulate(dataclasses.replace(cfg, integrator=integrator, n_div=n_div), so3, cost=cost)
+        assert cell.samples.tobytes() == own.samples.tobytes(), (integrator, n_div)
+
+
 @pytest.mark.parametrize("n_divs,message", [
     ((), "n_divs must hold at least one n_div"),
     ((10.7,), "n_div must be an integer"),
     ((20, 10.7), "n_div must be an integer"),
     ((20, True), "n_div must be an integer"),
     ((200, 1), r"step size in \(0, 1\), got h=2\.0"),
-], ids=["empty", "float", "float-after-int", "bool", "h-at-least-1"])
+    ((20, 20), r"n_divs must not repeat an n_div, got \(20, 20\)"),
+], ids=["empty", "float", "float-after-int", "bool", "h-at-least-1", "repeated"])
 def test_compare_methods_checks_its_grid_before_running(so3, n_divs, message, monkeypatch):
     calls = []
     monkeypatch.setattr(harness, "simulate", lambda *args, **kw: calls.append(args))
@@ -622,7 +634,7 @@ def test_compare_methods_with_nan_stderrs_is_not_consistent():
     sphere = make_manifold("sphere", n=3)
     cfg = SimulationConfig(T=0.5, n_div=20, n_path=1, seed=1)
     table = compare_methods(cfg, sphere, make_cost("phi_5_2", sphere), n_divs=(20,))
-    assert all(math.isnan(c.stderr) for c in table.cells)
+    assert all(math.isnan(c.stderr) for c in table.cells.values())
     assert table.consistent is False
 
 
@@ -678,6 +690,16 @@ def test_uniform_limit_takes_terminal_costs_only(so3, cost, message, monkeypatch
     cfg = SimulationConfig(T=1.0, n_div=4, n_path=4, seed=0)
     with pytest.raises(ValueError, match=message):
         uniform_limit_run(cfg, so3, [make_cost("sum_abs", so3), cost], n_direct=8)
+    assert calls == []
+
+
+def test_uniform_limit_needs_a_cost(so3, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "simulate", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(oracles, "sample_uniform", lambda *args: calls.append(args))
+    cfg = SimulationConfig(T=1.0, n_div=4, n_path=4, seed=0)
+    with pytest.raises(ValueError, match="costs must hold at least one cost"):
+        uniform_limit_run(cfg, so3, [], n_direct=8)
     assert calls == []
 
 
