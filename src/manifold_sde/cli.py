@@ -6,7 +6,8 @@ Config files are UTF-8 ``key=value`` lines; ``#`` starts a comment.  The
 recognized keys are command, manifold, n, p, N, alpha0, alpha1, metric_seed,
 integrator, T, n_div, n_path, seed, r, cost and out; anything else is
 rejected with its line number.  ``--set`` overrides are applied after the
-file is parsed.
+file is parsed.  Each command reads ``manifold``, the family's parameters
+and its own keys (see ``COMMANDS``); a key it does not read is rejected.
 
 Commands:
 
@@ -155,9 +156,13 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         raise ConfigError(
             f"unknown command {command!r}; valid commands: {', '.join(COMMANDS)}"
         )
-    for key in COMMANDS[command][0]:
+    required, optional, _ = COMMANDS[command]
+    for key in required:
         if key not in values:
             raise ConfigError(f"missing required key {key!r} for command {command!r}")
+    unread = sorted(values.keys() - _FAMILY_PARAMS - set(required) - set(optional))
+    if unread:
+        raise ConfigError(f"key(s) {', '.join(unread)} do not apply to command {command!r}")
 
     if "integrator" in values and values["integrator"] not in INTEGRATOR_IDS:
         raise ConfigError(
@@ -376,20 +381,24 @@ def _cmd_heat_kernel(config: RunConfig) -> int:
     return EXIT_OK
 
 
-# each command's required keys and its body
+# each command's required keys, the other keys its body reads besides the
+# family's parameters, and its body
 COMMANDS = {
-    "validate": (("manifold",), _cmd_validate),
+    "validate": (("manifold",), ("seed",), _cmd_validate),
     "simulate": (("manifold", "integrator", "T", "n_div", "n_path", "seed", "cost", "out"),
-                 _cmd_simulate),
-    "compare": (("manifold", "T", "n_path", "seed", "cost", "out"), _cmd_compare),
-    "uniform": (("manifold", "cost", "out"), _cmd_uniform),
-    "heat-kernel": (("manifold", "n", "cost"), _cmd_heat_kernel),
+                 ("r",), _cmd_simulate),
+    "compare": (("manifold", "T", "n_path", "seed", "cost", "out"), ("n_div", "r"),
+                _cmd_compare),
+    "uniform": (("manifold", "cost", "out"), ("integrator", "T", "n_div", "n_path", "seed", "r"),
+                _cmd_uniform),
+    "heat-kernel": (("manifold", "n", "cost"), ("T", "n_div", "n_path", "seed", "r", "out"),
+                    _cmd_heat_kernel),
 }
 
 
 def run(config: RunConfig) -> int:
     """Execute a parsed config; returns the process exit code."""
-    body = COMMANDS[config.command][1]
+    _, _, body = COMMANDS[config.command]
     out = config.get("out")
     try:
         if out is not None:  # a bad output fails before any run

@@ -182,6 +182,14 @@ class ManifoldHandle:
     :class:`Constraint` blocks (se has its rotation block and its last row)
     and is empty on the open families.
 
+    ``exponential(x, v)``, where set, is the closed-form exponential map of
+    the metric at points of M and tangent v, a plain map like
+    ``christoffel``: it rejects nothing, and ``rk4-geodesic`` hands its
+    point to the tubular retraction.  so(N) without ``metric_seed`` and spd
+    set it; on every other handle it is ``None``.  It is the geodesic of
+    ``metric`` and ``christoffel``, so a copy that replaces either of them
+    must reset it to ``None``.
+
     :meth:`on_manifold` accepts a row when the tubular map's flag accepts it
     (one :meth:`TubularRetraction.retract` call against ``default_point()``;
     a non-finite row is off M there) and its constraint residual is at most
@@ -203,6 +211,7 @@ class ManifoldHandle:
     random_point: Callable[[RngStream], np.ndarray]
     default_point: Callable[[], np.ndarray]
     constraints: tuple[Constraint, ...] = ()
+    exponential: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     in_domain: Callable[[np.ndarray], np.ndarray] | None = None
     compact: bool = False
     cost_point: Callable[[np.ndarray], np.ndarray] | None = None

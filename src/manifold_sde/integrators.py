@@ -10,8 +10,10 @@ Five schemes, selected by string id:
                      adjusted by the retraction's second-order term (the
                      adjustment vanishes, and is skipped, for a Brownian SDE
                      and a second-order retraction),
-- ``rk4-geodesic``:  the geodesic walk through the exponential map, integrated
-                     by projected Runge-Kutta passes over the geodesic equation.
+- ``rk4-geodesic``:  the geodesic walk through the exponential map: the
+                     handle's closed form where it has one (so(N) without
+                     ``metric_seed``, spd), elsewhere projected Runge-Kutta
+                     passes over the geodesic equation.
 
 The projected and retractive schemes consume componentwise-truncated Gaussian
 increments, clamped at A_h = sqrt(2 r |ln h|), which keeps intermediate
@@ -20,8 +22,8 @@ geodesic schemes normalize the move length, so they use the raw increments.
 
 Steppers are pure functions of (state, increment) and broadcast over leading
 batch axes.  Every scheme reaches the manifold through one domain-checked
-call: the projected schemes and each RK4 pass through
-``TubularRetraction.retract``, the retraction schemes through
+call: the projected schemes, each RK4 pass and the closed-form exponential
+map through ``TubularRetraction.retract``, the retraction schemes through
 ``TangentRetraction.retract`` (which for the second-order retraction forms
 Gamma(x; v, v) once per step).  The Heun predictor is an ambient point that
 sigma is evaluated at, never retracted or tested.  Only the proposal's call
@@ -274,6 +276,24 @@ def rk4_exponential_retraction(handle: ManifoldHandle) -> TangentRetraction:
     return TangentRetraction(retract=retract)
 
 
+def exponential_retraction(handle: ManifoldHandle) -> TangentRetraction:
+    """The exponential map as a tangent retraction: ``handle.exponential``
+    where it is set, else :func:`rk4_exponential_retraction`.
+
+    The closed form sees a non-finite v row as zero, and the tubular
+    retraction brings that row back as x with ``ok`` False.
+    """
+    exponential = handle.exponential
+    if exponential is None:
+        return rk4_exponential_retraction(handle)
+
+    def retract(x, v):
+        ok = finite_rows(v)
+        return handle.tubular.retract(exponential(x, freeze_rows(v, 0.0, ok)), x, ok)
+
+    return TangentRetraction(retract=retract)
+
+
 # ---------------------------------------------------------------------------
 # registry
 
@@ -305,7 +325,7 @@ _SCHEMES = {
     "geodesic-walk": ("ito", True, step_geodesic_walk, _given_or_second_order),
     "retractive-em": ("ito", False, step_retractive_em, _given_or_second_order),
     "rk4-geodesic": ("ito", True, step_geodesic_walk,
-                     lambda handle, given: rk4_exponential_retraction(handle)),
+                     lambda handle, given: exponential_retraction(handle)),
 }
 
 INTEGRATOR_IDS = tuple(_SCHEMES)

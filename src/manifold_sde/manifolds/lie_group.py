@@ -32,7 +32,13 @@ steps from x^T on the rows it certifies and LAPACK on the rest; the other
 kinds call ``np.linalg.inv``.  With the bi-invariant metric on
 so(N) the Levi-Civita connection is nabla_X Y = [X, Y] / 2 (Milnor,
 Curvatures of left invariant metrics on Lie groups, Adv. Math. 21, 1976),
-so the bracket term of the Christoffel function vanishes and is not formed.
+so the bracket term of the Christoffel function vanishes and is not formed,
+and the geodesics are the one-parameter subgroups: the handle's
+``exponential`` is x exp(skew(x^T v)), which needs no inverse.  At N = 3 it
+is Rodrigues' formula x (I + a W + b W^2), a = sin t / t, b = (1 - cos t) /
+t^2, t the length of the axial vector of W; elsewhere it is
+:func:`~manifold_sde.linalg.matrix_exp`.  With ``metric_seed`` the handle
+has no closed-form exponential.
 """
 
 from __future__ import annotations
@@ -60,6 +66,10 @@ LIE_KINDS = ("gl+", "sl", "so", "se", "aff")
 # gl+, sl and aff proposals are mapped where the determinant (of the
 # invertible block) exceeds this
 _MIN_DET = 1e-12
+
+# below this t^2 Rodrigues' a and b take their Taylor series through t^4,
+# whose first omitted terms (t^6 / 5040, t^6 / 40320) are below 1e-27
+_RODRIGUES_TAYLOR = 1e-8
 
 
 def random_spd_coeff(k: int, seed: int) -> np.ndarray:
@@ -94,6 +104,20 @@ def _algebra_basis(kind: str, size: int) -> np.ndarray:
     i, j = np.triu_indices(rot, 1)
     skews = (e[i, j] - e[j, i]) * (1.0 / np.sqrt(2.0))
     return skews if kind == "so" else np.concatenate([skews, e[range(m), m]])
+
+
+def _rodrigues(w: np.ndarray) -> np.ndarray:
+    """exp(w) of skew 3 x 3 matrices: I + a w + b w^2, with a = sin t / t and
+    b = (1 - cos t) / t^2 = (sin(t/2) / (t/2))^2 / 2, t the length of the
+    axial vector (w_21, w_02, w_10); a row with t^2 < 1e-8 takes their
+    Taylor series instead."""
+    t2 = w[..., 2, 1] ** 2 + w[..., 0, 2] ** 2 + w[..., 1, 0] ** 2
+    small = t2 < _RODRIGUES_TAYLOR
+    t = np.sqrt(np.where(small, 1.0, t2))  # keeps the quotients finite on small rows
+    half = 0.5 * t
+    a = np.where(small, 1.0 - t2 / 6.0 * (1.0 - t2 / 20.0), np.sin(t) / t)
+    b = np.where(small, 0.5 - t2 / 24.0 * (1.0 - t2 / 30.0), 0.5 * (np.sin(half) / half) ** 2)
+    return np.eye(3) + a[..., None, None] * w + b[..., None, None] * (w @ w)
 
 
 def _trace(x: np.ndarray) -> np.ndarray:
@@ -263,6 +287,10 @@ def make_lie_group(kind: str, N: int, metric_seed: int | None = None) -> Manifol
         bracket = (la @ mT(b) - mT(b) @ la) + (lb @ mT(a) - mT(a) @ lb)
         return first + 0.5 * (x @ mix(algebra_project(bracket), coeff_inv))
 
+    def exponential(x, v):
+        w = skew(mT(x) @ v)
+        return x @ (_rodrigues(w) if N == 3 else matrix_exp(w))
+
     tubular, constraints = _embedding(kind, size, project)
 
     return ManifoldHandle(
@@ -280,6 +308,7 @@ def make_lie_group(kind: str, N: int, metric_seed: int | None = None) -> Manifol
         random_point=lambda rng: matrix_exp(embed(0.35 * rng.normal((k,)))),
         default_point=lambda: np.eye(size),
         constraints=constraints,
+        exponential=exponential if bi_invariant else None,
         compact=kind == "so",
         params={"kind": kind, "N": N, "metric_seed": metric_seed},
     )

@@ -8,6 +8,12 @@ through :func:`~manifold_sde.linalg.reuse_last`, which returns the last one
 again for an input with the same bits (a Stratonovich step asks for both at
 the same x).
 
+The exponential map of the metric is x^{1/2} exp(x^{-1/2} v x^{-1/2}) x^{1/2}
+(Pennec, Fillard & Ayache, IJCV 66, 2006).  ``exponential`` takes x^{1/2}
+from that factor and x^{-1/2} = x^{1/2} x^{-1} from the metric's inverse,
+both already formed at x by the walk's normalization, and one ``eigh`` of
+the symmetric middle factor.
+
 On spd(3) a row whose eigenvalues lie in [1e-100, 1e100] within a ratio
 ``_CLOSED_FORM_COND`` takes x^{1/2} and S(x) from its eigenvalues alone, with
 no eigenvectors and no LAPACK: the eigenvalues from the trigonometric form
@@ -41,7 +47,14 @@ import numpy as np
 
 from .._checks import require_integer
 from ..geometry import ManifoldHandle, TubularRetraction
-from ..linalg import SymEigDecomposition, _require_symmetric, ambient_identity, reuse_last, sym
+from ..linalg import (
+    SymEigDecomposition,
+    _require_symmetric,
+    ambient_identity,
+    mT,
+    reuse_last,
+    sym,
+)
 from ..rng import RngStream
 from ._constraints import symmetry_constraints
 
@@ -218,6 +231,14 @@ def make_spd(N: int) -> ManifoldHandle:
         s = factor(x).root
         return sym(s @ w @ s)
 
+    def exponential(x, v):
+        root = factor(x).root
+        root_inv = root @ inverse(x)
+        w = sym(root_inv @ v @ root_inv)
+        vals, vecs = np.linalg.eigh(w)
+        middle = (vecs * np.exp(vals)[..., None, :]) @ np.ascontiguousarray(mT(vecs))
+        return root @ middle @ root
+
     def mapping(q):
         s = sym(q)
         return s, _positive(s)
@@ -247,6 +268,7 @@ def make_spd(N: int) -> ManifoldHandle:
         random_point=random_point,
         default_point=lambda: np.eye(N),
         constraints=(symmetry_constraints(N),),
+        exponential=exponential,
         compact=False,
         params={"N": N},
     )

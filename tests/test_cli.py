@@ -378,15 +378,18 @@ def test_unwritable_output_is_config_error(tmp_path, capsys, monkeypatch):
     assert "missing" in err
 
 
-@pytest.mark.parametrize("command,out", [
-    ("simulate", ""),
-    ("simulate", "{dir}"),
-    ("simulate", "{dir}/run"),  # the summary path run.summary is a directory
-    ("heat-kernel", "{dir}"),
-    ("validate", ""),
+@pytest.mark.parametrize("command,out,error", [
+    ("simulate", "", "cannot write output:"),
+    ("simulate", "{dir}", "cannot write output:"),
+    # the summary path run.summary is a directory
+    ("simulate", "{dir}/run", "cannot write output:"),
+    ("heat-kernel", "{dir}", "cannot write output:"),
+    # validate writes nothing, so it rejects the key itself
+    ("validate", "", "key(s) out do not apply to command 'validate'"),
 ], ids=["simulate-empty", "simulate-directory", "simulate-summary-directory",
         "heat-kernel-directory", "validate-empty"])
-def test_bad_output_path_fails_before_any_run(tmp_path, capsys, monkeypatch, command, out):
+def test_bad_output_path_fails_before_any_run(tmp_path, capsys, monkeypatch, command, out,
+                                              error):
     calls = []
 
     def counted(*args, **kwargs):
@@ -397,9 +400,55 @@ def test_bad_output_path_fails_before_any_run(tmp_path, capsys, monkeypatch, com
     monkeypatch.setattr(harness, "simulate", counted)
     (tmp_path / "run.summary").mkdir()
     out = out.format(dir=tmp_path)
+    # only the keys the command reads
     text = SMALL_SIM.format(out=out).replace("simulate", command)
+    if command == "heat-kernel":
+        text = text.replace("integrator = ito-em\n", "")
+    if command == "validate":
+        text = f"command = validate\nmanifold = sphere\nn = 3\nout = {out}\n"
     assert main([write(tmp_path, "bad.cfg", text)]) == 3
-    assert capsys.readouterr().err.startswith("config error: cannot write output:")
+    assert capsys.readouterr().err.startswith(f"config error: {error}")
+    assert calls == []
+
+
+@pytest.mark.parametrize("command,unread", [
+    ("compare", ["integrator"]),
+    ("heat-kernel", ["integrator"]),
+    ("validate", ["T", "cost", "integrator", "n_div", "n_path", "out", "r"]),
+])
+def test_keys_a_command_does_not_read_are_rejected(command, unread):
+    text = SMALL_SIM.format(out="run.csv").replace("simulate", command) + "r = 2\n"
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    assert str(excinfo.value) == (f"key(s) {', '.join(sorted(unread))} do not apply "
+                                  f"to command {command!r}")
+    kept = "".join(line + "\n" for line in text.splitlines()
+                   if line.partition(" =")[0] not in unread)
+    assert parse_config(kept).command == command
+
+
+def test_benchmark_cli_cells_set_only_keys_that_simulate_reads(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from run import Bench
+    from workloads import WORKLOADS
+
+    commands = []
+    for workload in WORKLOADS.values():
+        bench = Bench(workload, seed=1)
+        commands += [parse_config(bench.cli_text(k, cell.n_path),
+                                  overrides=["out=cell.csv", "seed=2"]).command
+                     for k, cell in enumerate(workload.cells) if cell.via_cli]
+    assert commands and set(commands) == {"simulate"}
+
+
+def test_compare_with_an_integrator_exits_3_before_any_run(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "simulate", lambda *args, **kwargs: calls.append(args))
+    text = (SMALL_SIM.format(out=tmp_path / "cmp.csv").replace("simulate", "compare")
+            .replace("ito-em", "rk4-geodesic"))
+    assert main([write(tmp_path, "cmp.cfg", text)]) == 3
+    assert capsys.readouterr().err == ("config error: key(s) integrator do not apply "
+                                       "to command 'compare'\n")
     assert calls == []
 
 

@@ -147,16 +147,19 @@ def test_results_independent_of_chunking_and_threads(so3, monkeypatch):
 # and again when christoffel took products with the metric's x^{-1} instead
 # of solves (a rounding change only), the so ones when so(N) inverted through
 # linalg.so_inv and again when brownian_sde stopped projecting the
-# (tangent-valued) group sigma.
+# (tangent-valued) group sigma.  The so and spd rk4-geodesic ones were
+# re-recorded when that scheme took the closed-form exponential map instead
+# of 2 RK4 substeps; the largest per-path difference, 6.2e-6 (so) and 8.0e-4
+# (spd), is the RK4's own error at h = 0.05.
 PINNED_WALK_SAMPLES = [
     ("so", {"N": 3}, "geodesic-walk",
      "30abaffab6a3a1bac15989cee81fb9a10167174b5977ff07b4209687b4b77c76"),
     ("so", {"N": 3}, "rk4-geodesic",
-     "2d2e23082c88c3ba6db238d85fed635d700cbdad4a16fe54a72efe817cf776d3"),
+     "799ccf2f47044eed31f8d405892f45bfd81b7c89b9183129cca184c4f01d896d"),
     ("spd", {"N": 3}, "geodesic-walk",
      "7526d02b886a36d4815c53a1b13c1eb126f4a1eceeb3dcee4a311cbb76179047"),
     ("spd", {"N": 3}, "rk4-geodesic",
-     "386073df5d6f89fa3b884f60191fac9f4cab60ce533c37837f17861207be73f2"),
+     "a6d930af4422f6534153443a5efc97ce5898843af03ac1224ec95df9d77179e9"),
     ("hyperbolic", {"n": 3}, "geodesic-walk",
      "3e492f1caca5c72840baa44207df2998f71817f3dec6ebcea32ebbe6ae3f22e5"),
     ("hyperbolic", {"n": 3}, "rk4-geodesic",
@@ -275,13 +278,16 @@ def test_interrupt_in_the_calling_process_reaps_every_worker(so3, monkeypatch):
     _assert_no_child_left()
 
 
-def test_rk4_blowup_in_simulate_is_a_step_failure(so3):
+def test_rk4_blowup_in_simulate_is_a_step_failure():
     # a non-finite geodesic field is flagged like a domain exit and retried,
-    # and a row still flagged after max_retries is a StepFailureError
+    # and a row still flagged after max_retries is a StepFailureError; with
+    # a metric_seed so(3) has no closed-form exponential, so the RK4 runs
     def christoffel(x, u, v):
         return np.full(np.broadcast(x, u, v).shape, np.nan)
 
-    broken = dataclasses.replace(so3, christoffel=christoffel)
+    handle = make_manifold("so", N=3, metric_seed=4)
+    assert handle.exponential is None
+    broken = dataclasses.replace(handle, christoffel=christoffel)
     cfg = SimulationConfig(T=0.5, n_div=2, n_path=8, seed=0, integrator="rk4-geodesic",
                            max_retries=2)
     with pytest.raises(StepFailureError, match=r"path 0 failed step 0 .* after 2 retries"):

@@ -22,6 +22,7 @@ from manifold_sde import (
 from manifold_sde.geometry import SdeSpec
 from manifold_sde.integrators import WienerIncrement
 from manifold_sde.linalg import frobenius_norm, mT, matrix_exp, polar_orth, skew, sym
+from manifold_sde.manifolds import lie_group
 from manifold_sde.manifolds.hypersurface import make_hypersurface, rescale_tangent_retraction
 from manifold_sde.rng import RngStream
 
@@ -237,10 +238,122 @@ def test_rk4_walk_step_matches_standalone_exponential_map(name, build):
     np.testing.assert_array_equal(out.ok, [True, True, True, True, False, True])
     sde = brownian_sde(handle, form="ito")
     v = integrators._normalized_move(handle, sde, x, raw, 0.0, 2.0 * 0.5 * h * handle.dim)
-    point, _, ok = integrators._rk4_geodesic_masked(handle, x[out.ok], v[out.ok], 1.0,
-                                                    integrators.RK4_SUBSTEPS)
+    x, v = x[out.ok], v[out.ok]
+    if handle.exponential is None:
+        point, _, ok = integrators._rk4_geodesic_masked(handle, x, v, 1.0,
+                                                        integrators.RK4_SUBSTEPS)
+    else:
+        point, ok = handle.tubular.retract(handle.exponential(x, v), x)
     assert ok.all()
     np.testing.assert_array_equal(out.state[out.ok], point)
+
+
+# ---------------------------------------------------------------------------
+# closed-form exponential maps
+
+CLOSED_FORM = [("so", {"N": 2}), ("so", {"N": 3}), ("so", {"N": 8}),
+               ("spd", {"N": 2}), ("spd", {"N": 3})]
+CLOSED_FORM_IDS = ["so-2", "so-3", "so-8", "spd-2", "spd-3"]
+
+
+def _walk_moves(handle, seed, batch=16, h=0.01):
+    """Random points and the geodesic walk's moves from them at step h."""
+    rng = RngStream(seed, 0)
+    x = np.stack([handle.random_point(rng) for _ in range(batch)])
+    raw = rng.normal((batch,) + handle.shape)
+    sde = brownian_sde(handle, form="ito")
+    return x, integrators._normalized_move(handle, sde, x, raw, 0.0, h * handle.dim)
+
+
+@pytest.mark.parametrize("family,params", CLOSED_FORM, ids=CLOSED_FORM_IDS)
+def test_exponential_matches_a_fine_rk4(family, params):
+    handle = make_manifold(family, **params)
+    x, v = _walk_moves(handle, 60)
+    point, _, ok = integrators._rk4_geodesic_masked(handle, x, v, 1.0, 200)
+    assert ok.all()
+    assert np.max(np.abs(handle.exponential(x, v) - point)) <= 1e-12
+
+
+@pytest.mark.parametrize("family,params", CLOSED_FORM, ids=CLOSED_FORM_IDS)
+def test_exponential_row_alone_has_its_batch_bits(family, params):
+    handle = make_manifold(family, **params)
+    x, v = _walk_moves(handle, 61, h=0.2)
+    batch = handle.exponential(x, v)
+    for k in range(len(x)):
+        np.testing.assert_array_equal(handle.exponential(x[k:k + 1], v[k:k + 1]),
+                                      batch[k:k + 1])
+        np.testing.assert_array_equal(handle.exponential(x[k], v[k]), batch[k])
+
+
+@pytest.mark.parametrize("family,params", CLOSED_FORM, ids=CLOSED_FORM_IDS)
+def test_exponential_retraction_rejects_a_nan_move_as_its_start(family, params):
+    handle = make_manifold(family, **params)
+    x, v = _walk_moves(handle, 62)
+    retraction = integrators.exponential_retraction(handle)
+    clean, clean_ok = retraction.retract(x, v)
+    v[3, 0, -1] = np.nan
+    v[5] = np.nan
+    point, ok = retraction.retract(x, v)
+    assert clean_ok.all()
+    np.testing.assert_array_equal(np.flatnonzero(~ok), [3, 5])
+    assert point[[3, 5]].tobytes() == x[[3, 5]].tobytes()
+    np.testing.assert_array_equal(point[ok], clean[ok])
+
+
+@pytest.mark.parametrize("t2", [1e-12, 1e-9, 9.999999e-9, np.nextafter(1e-8, 0.0), 1e-8,
+                                1.0000001e-8, 1e-7, 1e-4, 0.25])
+def test_rodrigues_matches_matrix_exp_across_the_taylor_switch(t2):
+    axes = RngStream(63, 0).normal((8, 3))
+    axes *= np.sqrt(t2 / np.sum(axes * axes, axis=1))[:, None]
+    w = np.zeros((8, 3, 3))
+    w[:, 2, 1], w[:, 0, 2], w[:, 1, 0] = axes.T
+    w = w - mT(w)
+    assert np.max(np.abs(lie_group._rodrigues(w) - matrix_exp(w))) <= 1e-15
+
+
+@pytest.mark.parametrize("family,params", CLOSED_FORM, ids=CLOSED_FORM_IDS)
+def test_closed_form_walk_stays_on_the_manifold(family, params):
+    # the steps are not re-drawn: a flagged row stays where it was.  On spd
+    # the eigenvalues spread apart, and past cond 1e10 the walk's metric
+    # length of a move can round to a non-positive number, which is flagged
+    # (as on geodesic-walk); no better-conditioned row is flagged
+    handle = make_manifold(family, **params)
+    stepper = make_stepper(handle, "rk4-geodesic")
+    rng = RngStream(64, 0)
+    x = np.stack([handle.random_point(rng) for _ in range(4)])
+    for _ in range(2000):
+        raw = rng.normal((4,) + stepper.noise_shape)
+        out = stepper.step(x, 0.0, 0.01, WienerIncrement(raw=raw, truncated=raw, h=0.01, r=1.0))
+        if not out.ok.all():
+            assert np.all(np.linalg.cond(x[~out.ok]) > 1e10)
+        x = out.state
+    assert np.max(handle.constraint_residual(x)) <= 1e-12
+    assert handle.on_manifold(x).all()
+
+
+@pytest.mark.parametrize("family,params", CLOSED_FORM, ids=CLOSED_FORM_IDS)
+def test_closed_form_rk4_step_forms_no_christoffel(family, params):
+    # the closed form reads no connection, and its point is accepted by the
+    # one tubular call of the step
+    handle, calls = counted_tubular(make_manifold(family, **params))
+    christoffel = []
+
+    def counted(x, u, v):
+        christoffel.append(1)
+        return handle.christoffel(x, u, v)
+
+    stepper = make_stepper(dataclasses.replace(handle, christoffel=counted), "rk4-geodesic")
+    assert _one_step(stepper, handle, 65).ok.all()
+    assert christoffel == [] and calls["mapping"] == 1
+
+
+@pytest.mark.parametrize("family,params", [
+    ("so", {"N": 3, "metric_seed": 4}), ("gl+", {"N": 2}), ("sl", {"N": 3}),
+    ("se", {"N": 3}), ("aff", {"N": 3}), ("stiefel", {"n": 5, "p": 3}),
+    ("grassmann", {"n": 5, "p": 2}), ("hyperbolic", {"n": 3}), ("sphere", {"n": 3}),
+], ids=lambda p: p if isinstance(p, str) else "-".join(map(str, p.values())))
+def test_no_closed_form_exponential_elsewhere(family, params):
+    assert make_manifold(family, **params).exponential is None
 
 
 # ---------------------------------------------------------------------------
@@ -568,13 +681,12 @@ def test_spd_step_factors_each_point_once(monkeypatch, integrator):
 
 
 # x^{-1} per step on so(N): metric, christoffel and the retraction's
-# differential share the inverse of x; each RK4 stage point is a new matrix.
-# A following step starts from the point rk4-geodesic last projected at.
-# sigma is tangent without a projection, so the projected Euler and Heun
-# steps invert nothing.
+# differential share the inverse of x, and rk4-geodesic's closed-form
+# exponential needs none beyond the metric's.  sigma is tangent without a
+# projection, so the projected Euler and Heun steps invert nothing.
 @pytest.mark.parametrize("integrator_id,first,then", [
     ("ito-em", 0, 0), ("strat-heun", 0, 0), ("geodesic-walk", 1, 1),
-    ("retractive-em", 1, 1), ("rk4-geodesic", 9, 8),
+    ("retractive-em", 1, 1), ("rk4-geodesic", 1, 1),
 ])
 @pytest.mark.parametrize("N", [3, 8])
 def test_group_step_inverts_each_point_once(monkeypatch, N, integrator_id, first, then):
@@ -592,19 +704,14 @@ def test_group_step_inverts_each_point_once(monkeypatch, N, integrator_id, first
     out = stepper.step(out.state, 0.01, 0.01, incs[1])
     assert out.ok.all()
     assert calls["so_inv"] == first + then
-    # every so(3) row and every accepted so(8) point is certified; LAPACK
-    # sees only so(8) RK4 stage points, well off the group, whose gap
-    # ||I - x x^T||_F exceeds the Schulz certificate
-    if N == 3 or integrator_id != "rk4-geodesic":
-        assert lapack == []
-    for rows in lapack:
-        assert np.all(frobenius_norm(np.eye(N) - rows @ mT(rows)) > 1e-2)
+    # every so(3) row and every accepted so(8) point is certified
+    assert lapack == []
 
 
-# x^{-1} per step on spd: metric and christoffel share the inverse of x, and
-# each RK4 stage point is a new matrix; nothing solves
+# x^{-1} per step on spd: metric, christoffel and the closed-form exponential
+# share the inverse of x; nothing solves
 @pytest.mark.parametrize("integrator_id,per_step", [
-    ("geodesic-walk", 1), ("retractive-em", 1), ("rk4-geodesic", 8),
+    ("geodesic-walk", 1), ("retractive-em", 1), ("rk4-geodesic", 1),
 ])
 def test_spd_step_inverts_each_point_once(monkeypatch, integrator_id, per_step):
     handle = make_manifold("spd", N=3)
