@@ -357,6 +357,35 @@ def test_retry_heavy_path_csv_bytes_are_pinned(tmp_path, capsys, monkeypatch):
             == "5a76f92901cb2a7a432f885c03d75fd320cb44d57ff1d2225727ebb66a6871db")
 
 
+# sha256 of the summary CSV and of stdout of one run of each study command:
+# compare on so(3) over the default ladder, uniform on so(3), and heat-kernel
+# on the radius-3 2-sphere with its integrator grid.  They pin every row,
+# number and verdict the three commands print.
+PINNED_STUDY_OUTPUTS = [
+    ("compare", "manifold=so\nN=3\nT=0.5\nn_path=64\nseed=5\ncost=sum_abs\n",
+     "af05cd46664364c6ea64d60da3dcf6a14a5f7185515c700e8f1f7b25d1531783",
+     "900c51fc040a8d8f97ab5c75cb5c66dc9c8ab6fa202fe20f9a90fb2e427b00a0"),
+    ("uniform", "manifold=so\nN=3\nn_path=64\nn_div=50\nT=2\nseed=1\ncost=sum_abs\n",
+     "422e2adc19549e9b7b0d5693d5b4ca291e8c35c9cf06114955385f5bc36df707",
+     "48b1036b0d24ba184fe59226687eb0631e2fe8ee656155f1858f3e535d38dfb1"),
+    ("heat-kernel", "manifold=sphere\nn=3\ncost=phi_5_2\nn_path=200\nn_div=100\nseed=2024\n",
+     "ebad20c0a0c6f60102951178f027442d76ce0070d77e8a5315a0518c2ae14cb4",
+     "195bab0d8d50edc1c949e47d95921362d67c5b88757d73d26cb03601770fb491"),
+]
+
+
+@pytest.mark.parametrize("command,body,csv_digest,stdout_digest", PINNED_STUDY_OUTPUTS,
+                         ids=[row[0] for row in PINNED_STUDY_OUTPUTS])
+def test_study_outputs_are_pinned(tmp_path, capsys, monkeypatch, command, body, csv_digest,
+                                  stdout_digest):
+    monkeypatch.setenv(THREADS_ENV, "1")
+    out = tmp_path / "study.csv"
+    text = f"command={command}\n{body}out={out}\n"
+    assert main([write(tmp_path, "study.cfg", text)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
+
+
 def test_summary_sits_next_to_an_output_in_a_dotted_directory(tmp_path, capsys):
     folder = tmp_path / "runs.v2"
     folder.mkdir()
