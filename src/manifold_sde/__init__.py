@@ -30,9 +30,9 @@ from .harness import (
     CostFunctional,
     SampleSet,
     SimulationConfig,
-    UniformLimitRow,
     WorkerProcessError,
     compare_methods,
+    run_study,
     simulate,
     uniform_limit_run,
 )
@@ -72,7 +72,6 @@ __all__ = [
     "SimulationConfig",
     "StepFailureError",
     "TangentRetraction",
-    "UniformLimitRow",
     "WorkerProcessError",
     "brownian_sde",
     "brownian_soo",
@@ -91,6 +90,7 @@ __all__ = [
     "make_manifold",
     "make_stepper",
     "mu_retraction_adjusted",
+    "run_study",
     "sample_uniform",
     "second_order_retraction",
     "simulate",

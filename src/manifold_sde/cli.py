@@ -59,9 +59,9 @@ from .geometry import (
     soo_residual,
 )
 from .harness import (
+    SampleSet,
     SimulationConfig,
     WorkerProcessError,
-    _agreement,
     compare_methods,
     simulate,
     uniform_limit_run,
@@ -233,14 +233,32 @@ def _summary_path(out: str) -> str:
 SUMMARY_HEADER = ("metric", "mean", "stderr", "n_path", "n_div", "T", "integrator", "manifold")
 
 
-def _summary_row(metric, mean, stderr, n_path, n_div, T, integrator, manifold):
-    return (metric, f"{mean:.17g}", f"{stderr:.17g}", n_path, n_div, f"{T:g}", integrator, manifold)
+def _write_summary(out: str, T: float, manifold: str, entries) -> None:
+    """One summary row per (metric, estimate, integrator, n_div); an exact
+    float estimate has stderr 0 and path count 0."""
+    rows = []
+    for metric, est, integrator, n_div in entries:
+        mean, stderr, n = ((est.mean, est.stderr, est.n_path) if isinstance(est, SampleSet)
+                           else (est, 0.0, 0))
+        rows.append((metric, f"{mean:.17g}", f"{stderr:.17g}", n, n_div, f"{T:g}", integrator,
+                     manifold))
+    _write_csv(out, SUMMARY_HEADER, rows)
 
 
-def _grid_rows(metric: str, table, T: float, manifold: str) -> list:
-    """One summary row per cell of a ``compare_methods`` grid, in run order."""
-    return [_summary_row(metric, s.mean, s.stderr, s.n_path, n_div, T, integrator, manifold)
-            for (integrator, n_div), s in table.cells.items()]
+def _verdict(row) -> str:
+    return "agrees with" if row.agree else "DISAGREES with"
+
+
+def _grid(sim, handle, cost, n_divs, reference=None, against="") -> tuple:
+    """Run and print the ``compare`` grid, each cell with its verdict on ``against``
+    if there is a ``reference``; returns the table and the cells' summary entries."""
+    table = compare_methods(sim, handle, cost, n_divs=n_divs, reference=reference)
+    for row in table.rows:
+        integrator, n_div = row.label
+        verdict = "" if reference is None else f" {_verdict(row)} {against}"
+        print(f"  {integrator:>13} n_div={n_div:>4}: mean={row.samples.mean:.6g} "
+              f"stderr={row.samples.stderr:.3g}{verdict}")
+    return table, [(cost.name, row.samples, *row.label) for row in table.rows]
 
 
 def _sim_config(config: RunConfig, **defaults) -> SimulationConfig:
@@ -299,9 +317,8 @@ def _cmd_simulate(config: RunConfig) -> int:
 
     _write_csv(config.get("out"), ("path_index", "value"),
                enumerate(out.samples.tolist()), "%d,%.17g\n")
-    summary = _summary_row(cost.name, out.mean, out.stderr, out.n_path,
-                           sim.n_div, sim.T, sim.integrator, handle.name)
-    _write_csv(_summary_path(config.get("out")), SUMMARY_HEADER, [summary])
+    _write_summary(_summary_path(config.get("out")), sim.T, handle.name,
+                   [(cost.name, out, sim.integrator, sim.n_div)])
 
     print(f"{handle.name} {sim.integrator} T={sim.T:g} n_div={sim.n_div} "
           f"n_path={sim.n_path}: mean={out.mean:.6g} stderr={out.stderr:.3g}")
@@ -313,12 +330,8 @@ def _cmd_compare(config: RunConfig) -> int:
     cost = make_cost(config.get("cost"), handle)
     n_divs = (config.values["n_div"],) if "n_div" in config.values else (200, 500, 700)
     sim = _sim_config(config, n_div=max(n_divs), integrator="ito-em")
-    table = compare_methods(sim, handle, cost, n_divs=n_divs)
-
-    _write_csv(config.get("out"), SUMMARY_HEADER, _grid_rows(cost.name, table, sim.T, handle.name))
-    for (integrator, n_div), s in table.cells.items():
-        print(f"  {integrator:>13} n_div={n_div:>4}: "
-              f"mean={s.mean:.6g} stderr={s.stderr:.3g}")
+    table, entries = _grid(sim, handle, cost, n_divs)
+    _write_summary(config.get("out"), sim.T, handle.name, entries)
     if table.consistent:
         print("consistent: all pairs within 3 combined stderrs")
     else:
@@ -331,20 +344,13 @@ def _cmd_uniform(config: RunConfig) -> int:
     handle = _build_handle(config)
     cost = make_cost(config.get("cost"), handle)
     sim = _sim_config(config, T=40.0, n_div=700, n_path=1000, seed=0, integrator="ito-em")
-    rows = uniform_limit_run(sim, handle, [cost])
-    out_rows = []
-    for row in rows:
-        out_rows.append(_summary_row(row.cost_name, row.brownian.mean, row.brownian.stderr,
-                                     row.brownian.n_path, sim.n_div, sim.T, sim.integrator,
-                                     handle.name))
-        out_rows.append(_summary_row(row.cost_name + "_uniform", row.direct.mean,
-                                     row.direct.stderr, row.direct.n_path, 0, sim.T,
-                                     "direct-sampler", handle.name))
-        verdict = "agrees with" if row.consistent else "DISAGREES with"
-        print(f"{handle.name} {row.cost_name}: brownian {row.brownian.mean:.6g} "
-              f"({row.brownian.stderr:.3g}) {verdict} uniform {row.direct.mean:.6g} "
-              f"({row.direct.stderr:.3g})")
-    _write_csv(config.get("out"), SUMMARY_HEADER, out_rows)
+    (row,) = uniform_limit_run(sim, handle, [cost])
+    brownian, direct = row.samples, row.reference
+    print(f"{handle.name} {cost.name}: brownian {brownian.mean:.6g} ({brownian.stderr:.3g}) "
+          f"{_verdict(row)} uniform {direct.mean:.6g} ({direct.stderr:.3g})")
+    _write_summary(config.get("out"), sim.T, handle.name,
+                   [(cost.name, brownian, sim.integrator, sim.n_div),
+                    (cost.name + "_uniform", direct, "direct-sampler", 0)])
     return EXIT_OK
 
 
@@ -365,19 +371,14 @@ def _cmd_heat_kernel(config: RunConfig) -> int:
     print(f"{tag} heat-kernel expectation of {cost_id} at T={T:g} "
           f"(diffusion {_HEAT_DIFFUSION}, radius {_HEAT_RADIUS}): {value:.3f}")
     print(f"  full precision: {value:.12g}")
-    rows = [_summary_row(cost_id, value, 0.0, 0, 0, T, "spectral-series", handle.name)]
+    entries = [(cost_id, value, "spectral-series", 0)]
     if "n_path" in config.values:
         sim = _sim_config(config, T=_HEAT_T, n_div=_HEAT_N_DIV, seed=_HEAT_SEED,
                           diffusion=_HEAT_DIFFUSION)
-        table = compare_methods(sim, handle, make_cost(cost_id, handle), n_divs=(sim.n_div,))
-        rows += _grid_rows(cost_id, table, sim.T, handle.name)
-        for (integrator, n_div), s in table.cells.items():
-            agree = _agreement(s.mean, s.stderr, value, 0.0)[2]
-            verdict = "agrees with" if agree else "DISAGREES with"
-            print(f"  {integrator:>13} n_div={n_div:>4}: mean={s.mean:.6g} "
-                  f"stderr={s.stderr:.3g} {verdict} the series")
+        entries += _grid(sim, handle, make_cost(cost_id, handle), (sim.n_div,),
+                         reference=value, against="the series")[1]
     if config.get("out"):
-        _write_csv(config.get("out"), SUMMARY_HEADER, rows)
+        _write_summary(config.get("out"), T, handle.name, entries)
     return EXIT_OK
 
 

@@ -40,7 +40,7 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -453,60 +453,76 @@ def simulate(config: SimulationConfig, handle: ManifoldHandle,
 
 
 # ---------------------------------------------------------------------------
-# cross-scheme comparison grids
+# studies: simulated cells judged against references
+
+
+class StudyRow(NamedTuple):
+    """One simulated cell of a study and its ``_agreement`` with its reference."""
+
+    label: object
+    samples: SampleSet
+    reference: object
+    gap: float
+    allowance: float
+    agree: bool
+
+
+def _agreement(samples: SampleSet, reference) -> tuple:
+    """(gap, allowance, agree): the gap between the means against 3 hypot of
+    the stderrs, an exact float reference counting with stderr 0.  A NaN gap
+    or allowance (a None reference among them) is no evidence, so it does
+    not agree."""
+    ref_mean, ref_stderr = ((reference.mean, reference.stderr) if isinstance(reference, SampleSet)
+                            else (math.nan if reference is None else reference, 0.0))
+    gap = abs(samples.mean - ref_mean)
+    allowance = 3.0 * float(np.hypot(samples.stderr, ref_stderr))
+    return gap, allowance, bool(gap <= allowance)
+
+
+def run_study(handle: ManifoldHandle, cells: Sequence[tuple]) -> tuple:
+    """Simulate each cell (label, config, cost, reference) in order; returns
+    one ``StudyRow`` per cell.  A reference is an exact float, a
+    ``SampleSet`` or None (no verdict)."""
+    rows = []
+    for label, config, cost, reference in cells:
+        samples = simulate(config, handle, cost=cost)
+        rows.append(StudyRow(label, samples, reference, *_agreement(samples, reference)))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
 class ComparisonTable:
-    """Each cell's samples plus the worst pairwise discrepancy.
+    """Each cell's study row plus the worst pairwise discrepancy.
 
-    ``cells`` maps (integrator, n_div) to the ``SampleSet`` that
-    ``simulate`` returned for that cell, in run order.  ``consistent`` is
-    True when every pair of cells differs by at most three combined standard
-    errors, hypot(stderr_a, stderr_b).  The cells share their random
-    numbers, so that allowance overstates the noise in a difference and can
-    miss a real bias; see :func:`compare_methods`.
+    ``rows`` holds one ``StudyRow`` per cell, labelled (integrator, n_div),
+    in run order; ``cells`` maps each label to the row's ``SampleSet``.
+    ``consistent`` is True when every pair of cells differs by at most three
+    combined standard errors, an allowance that can miss a real bias (see
+    :func:`compare_methods`).
     """
 
-    cells: dict
+    rows: tuple
     worst_gap: float
     worst_allowance: float
     worst_pair: tuple
     consistent: bool
 
+    @property
+    def cells(self) -> dict:
+        return {row.label: row.samples for row in self.rows}
+
     def cell(self, integrator: str, n_div: int) -> SampleSet:
         return self.cells[(integrator, n_div)]
-
-
-def _agreement(mean_a: float, stderr_a: float, mean_b: float, stderr_b: float) -> tuple:
-    """(gap, allowance, agree): |mean_a - mean_b| against 3 hypot(stderr_a,
-    stderr_b); a NaN gap or allowance is no evidence, so it does not agree."""
-    gap = abs(mean_a - mean_b)
-    allowance = 3.0 * float(np.hypot(stderr_a, stderr_b))
-    return gap, allowance, bool(gap <= allowance)
-
-
-def _pairwise_consistency(cells: dict):
-    worst_ratio = -1.0
-    worst = (0.0, float("inf"), ("", ""))
-    consistent = True
-    for ((integ_a, nd_a), a), ((integ_b, nd_b), b) in itertools.combinations(cells.items(), 2):
-        gap, allowance, agree = _agreement(a.mean, a.stderr, b.mean, b.stderr)
-        consistent = consistent and agree
-        ratio = gap / allowance if allowance > 0 else np.inf
-        if ratio > worst_ratio:
-            worst_ratio = ratio
-            worst = (gap, allowance, (f"{integ_a}@{nd_a}", f"{integ_b}@{nd_b}"))
-    return worst[0], worst[1], worst[2], consistent
 
 
 _COMPARED_INTEGRATORS = ("ito-em", "strat-heun", "geodesic-walk", "retractive-em")
 
 
 def compare_methods(config: SimulationConfig, handle: ManifoldHandle,
-                    cost: CostFunctional,
-                    n_divs: Sequence[int] = (200, 500, 700)) -> ComparisonTable:
-    """Estimate the same functional over an integrator x n_div grid.
+                    cost: CostFunctional, n_divs: Sequence[int] = (200, 500, 700),
+                    reference=None) -> ComparisonTable:
+    """Estimate the same functional over an integrator x n_div grid, each
+    cell judged against ``reference`` (see :func:`run_study`).
 
     Every cell reuses the config's seed, so path i draws the same normals at
     step j in every cell, whatever its n_div (each (path block, time block)
@@ -528,48 +544,31 @@ def compare_methods(config: SimulationConfig, handle: ManifoldHandle,
                for integ in _COMPARED_INTEGRATORS for nd in n_divs]
     if len(set(n_divs)) < len(n_divs):
         raise ValueError(f"n_divs must not repeat an n_div, got {tuple(n_divs)}")
-    cells = {(cfg.integrator, int(cfg.n_div)): simulate(cfg, handle, cost=cost)
-             for cfg in configs}
-    gap, allowance, pair, consistent = _pairwise_consistency(cells)
-    return ComparisonTable(cells=cells, worst_gap=gap,
-                           worst_allowance=allowance, worst_pair=pair,
-                           consistent=consistent)
-
-
-# ---------------------------------------------------------------------------
-# long-time uniform limit
-
-
-@dataclass(frozen=True)
-class UniformLimitRow:
-    """One cost's long-run Brownian samples and its direct uniform samples."""
-
-    cost_name: str
-    brownian: SampleSet
-    direct: SampleSet
-
-    @property
-    def _agreement(self) -> tuple:
-        return _agreement(self.brownian.mean, self.brownian.stderr,
-                          self.direct.mean, self.direct.stderr)
-
-    gap = property(lambda self: self._agreement[0])
-    allowance = property(lambda self: self._agreement[1])
-    consistent = property(lambda self: self._agreement[2])
+    rows = run_study(handle, [((cfg.integrator, int(cfg.n_div)), cfg, cost, reference)
+                              for cfg in configs])
+    # the worst pair has the largest gap / allowance; the first one wins
+    worst, consistent = (-1.0, 0.0, math.inf, ("", "")), True
+    for a, b in itertools.combinations(rows, 2):
+        gap, allowance, agree = _agreement(a.samples, b.samples)
+        consistent = consistent and agree
+        ratio = gap / allowance if allowance > 0 else math.inf
+        if ratio > worst[0]:
+            worst = (ratio, gap, allowance, tuple("{}@{}".format(*r.label) for r in (a, b)))
+    return ComparisonTable(rows, *worst[1:], consistent)
 
 
 def uniform_limit_run(config: SimulationConfig, handle: ManifoldHandle,
                       costs: Sequence[CostFunctional], n_direct: int = 100_000) -> tuple:
-    """Long-run Brownian estimates vs direct uniform sampling, per cost.
+    """Long-run Brownian estimates vs direct uniform sampling, one
+    ``StudyRow`` per cost, labelled with its name.
 
     Each cost must be terminal only: the uniform law is a law of X_T, so a
     running part has nothing to compare with.  Only compact families with a
-    direct sampler have a reference; for each cost the direct samples of
+    direct sampler have a reference: every cost's direct samples of
     ``cost.terminal(points, config.T)`` come first, from the independent
-    samplers in oracles seeded from ``config.seed``, and then the cost is
+    samplers in oracles seeded from ``config.seed``, and then each cost is
     simulated with ``config``.  ``costs`` must not be empty, and
-    ``n_direct``, the direct sample count per cost, must be a positive
-    integer.
+    ``n_direct``, the direct sample count per cost, must be a positive integer.
     """
     from .oracles import uniform_cost_estimate
 
@@ -585,12 +584,9 @@ def uniform_limit_run(config: SimulationConfig, handle: ManifoldHandle,
         if cost.running is not None:
             raise ValueError(f"cost {cost.name!r} has a running part; "
                              "the uniform comparison takes terminal costs only")
-    rows = []
-    for k, cost in enumerate(costs):
-        direct = uniform_cost_estimate(handle, lambda x: cost.terminal(x, config.T),
-                                       RngStream(seed=config.seed, stream_id=2**32 + k),
-                                       n_sample=n_direct)
-        rows.append(UniformLimitRow(cost_name=cost.name,
-                                    brownian=simulate(config, handle, cost=cost),
-                                    direct=direct))
-    return tuple(rows)
+    return run_study(handle, [
+        (cost.name, config, cost,
+         uniform_cost_estimate(handle, lambda x, cost=cost: cost.terminal(x, config.T),
+                               RngStream(seed=config.seed, stream_id=2**32 + k),
+                               n_sample=n_direct))
+        for k, cost in enumerate(costs)])

@@ -650,8 +650,8 @@ def test_one_path_uniform_limit_row_is_not_consistent(so3):
     costs = [make_cost("sum_abs", so3)]
     (row,) = uniform_limit_run(SimulationConfig(T=1.0, n_div=4, n_path=1, seed=0), so3, costs,
                                n_direct=8)
-    assert math.isnan(row.brownian.stderr) and math.isnan(row.allowance)
-    assert row.consistent is False
+    assert math.isnan(row.samples.stderr) and math.isnan(row.allowance)
+    assert row.agree is False
 
 
 def test_invariant_measure_independent_of_metric_choice():
@@ -680,9 +680,10 @@ def test_uniform_limit_rows_hold_both_sample_sets(so3):
     cfg = SimulationConfig(T=1.0, n_div=4, n_path=16, seed=3)
     cost = make_cost("sum_abs", so3)
     (row,) = uniform_limit_run(cfg, so3, [cost], n_direct=50)
-    np.testing.assert_array_equal(row.brownian.samples, simulate(cfg, so3, cost=cost).samples)
-    assert row.direct.n_path == 50
-    assert row.gap == abs(row.brownian.mean - row.direct.mean)
+    assert row.label == "sum_abs"
+    np.testing.assert_array_equal(row.samples.samples, simulate(cfg, so3, cost=cost).samples)
+    assert row.reference.n_path == 50
+    assert row.gap == abs(row.samples.mean - row.reference.mean)
 
 
 @pytest.mark.parametrize("cost,message", [
