@@ -19,6 +19,8 @@ Commands:
                    ``<stem>.summary<ext>`` (``run.csv`` -> ``run.summary.csv``).
 - ``compare``:     the same functional across integrators and step ladders;
                    summary CSV, inconsistent grids are flagged, not fatal.
+                   A cost with an exact law (``oracles.exact_mean``) gets
+                   an ``exact-law`` row first and each cell's verdict on it.
 - ``uniform``:     long-run Brownian estimate vs. direct uniform sampling
                    (compact manifolds and terminal costs only).
 - ``heat-kernel``: spectral-series expectation for the sphere reference
@@ -27,6 +29,10 @@ Commands:
                    at that configuration (n_div 1000 and seed 2024 unless
                    set) and prints each cell next to the series; the
                    series row and one row per cell go to ``out`` if set.
+
+The three study commands build cells for ``harness.run_study`` (the grids
+through ``compare_methods``), and every verdict they print is a row's;
+``_write_summary`` writes their CSVs and ``_grid`` prints the grid cells.
 
 Exit codes: 0 success, 2 step/validation failure, 3 config error (an
 output file that cannot be written is one too: whenever ``out`` is set,
@@ -69,7 +75,7 @@ from .harness import (
 from .integrators import INTEGRATOR_IDS, StepFailureError
 from .linalg import frobenius_norm
 from .manifolds import MANIFOLD_NAMES, family_keys, make_manifold
-from .oracles import heat_expectation_s2, heat_expectation_s3
+from .oracles import exact_mean, heat_expectation_s2, heat_expectation_s3
 from .rng import RngStream
 
 EXIT_OK = 0
@@ -330,8 +336,14 @@ def _cmd_compare(config: RunConfig) -> int:
     cost = make_cost(config.get("cost"), handle)
     n_divs = (config.values["n_div"],) if "n_div" in config.values else (200, 500, 700)
     sim = _sim_config(config, n_div=max(n_divs), integrator="ito-em")
-    table, entries = _grid(sim, handle, cost, n_divs)
-    _write_summary(config.get("out"), sim.T, handle.name, entries)
+    exact = exact_mean(handle, cost.name, sim.T, sim.diffusion)
+    entries = []
+    if exact is not None:
+        print(f"exact law of {cost.name} on {handle.name} at T={sim.T:g} "
+              f"(diffusion {sim.diffusion}): {exact:.6g}")
+        entries.append((cost.name, exact, "exact-law", 0))
+    table, cells = _grid(sim, handle, cost, n_divs, exact, "the exact law")
+    _write_summary(config.get("out"), sim.T, handle.name, entries + cells)
     if table.consistent:
         print("consistent: all pairs within 3 combined stderrs")
     else:

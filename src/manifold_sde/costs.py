@@ -2,9 +2,11 @@
 
 The ids are the keys of ``ANGLE_COSTS`` (sphere families, functions of the
 great-circle angle phi from the start point) followed by those of
-``_MATRIX_COSTS``; each entry says what its cost is.  All costs act on the
-functional representation supplied by the harness (identity except
-Grassmann, whose points arrive as projectors Y Y^T).
+``_MATRIX_COSTS``; each entry says what its cost is.  A cost listed in
+``_FAMILIES`` is defined on those families only, and ``make_cost`` rejects
+it on any other.  All costs act on the functional representation supplied
+by the harness (identity except Grassmann, whose points arrive as
+projectors Y Y^T).
 """
 
 from __future__ import annotations
@@ -40,6 +42,17 @@ _MATRIX_COSTS = {
     # (not time-averaged)
     "spd_running": (lambda x, t: np.maximum(x[..., 0, 0], 0.0),
                     lambda x, t: np.abs(x[..., 0, 0])),
+    # terminal (log det X)^2, exact in oracles.exact_mean
+    "log_det_sq": (None, lambda x, t: np.linalg.slogdet(x)[1] ** 2),
+    # terminal (log x_n)^2 of the height x_n, exact in oracles.exact_mean
+    "log_height_sq": (None, lambda x, t: np.log(x[..., -1, 0]) ** 2),
+}
+
+# the families a cost is defined on, for costs not defined on every family
+_FAMILIES = {
+    **{cost_id: ("sphere",) for cost_id in ANGLE_COSTS},
+    "log_det_sq": ("spd", "gl+"),
+    "log_height_sq": ("hyperbolic",),
 }
 
 COST_IDS = tuple(ANGLE_COSTS) + tuple(_MATRIX_COSTS)
@@ -59,9 +72,11 @@ def sphere_angle(handle: ManifoldHandle, x0: np.ndarray):
 
 def make_cost(cost_id: str, handle: ManifoldHandle) -> CostFunctional:
     """Build a registered cost functional bound to one manifold handle."""
+    families = _FAMILIES.get(cost_id)
+    if families is not None and handle.name.split("(")[0] not in families:
+        raise ValueError(f"cost {cost_id!r} is defined on {', '.join(families)} only; "
+                         f"got {handle.name}")
     if cost_id in ANGLE_COSTS:
-        if handle.name.split("(")[0] != "sphere":
-            raise ValueError(f"cost {cost_id!r} measures a sphere angle; got {handle.name}")
         phi = sphere_angle(handle, handle.default_point())
         of_angle = ANGLE_COSTS[cost_id]
         return CostFunctional(terminal=lambda x, t: of_angle(phi(x)), name=cost_id)

@@ -29,6 +29,11 @@ The running cost is accumulated as sum_j g(X_{j+1}, j h) * h (the post-step
 point with the pre-step time, matching the reference loop order), plus the
 terminal f(X_T, T).  Costs act on the functional representation of the state
 (identity except for Grassmann, where points are presented as projectors).
+
+Studies run through ``run_study``: each cell (label, config, cost,
+reference) is simulated and judged against its reference, an exact float or
+a ``SampleSet``, by one 3-stderr rule (``_agreement``).  ``compare_methods``
+and ``uniform_limit_run`` build their cells for it.
 """
 
 from __future__ import annotations

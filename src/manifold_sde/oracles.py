@@ -1,10 +1,12 @@
 """Independent ground truth for validating the simulation pipeline.
 
-Three ingredients, each computed by a different route than the main code:
+Four ingredients, each computed by a different route than the main code:
 
 - heat-kernel expectations on the 2- and 3-sphere via spectral series
   (Legendre / Gegenbauer sums), integrated by composite Gauss-Legendre
   quadrature with a refinement check;
+- exact means of the costs whose function has a normal law at every T
+  (``exact_mean``: log det on spd and gl+, log height on hyperbolic space);
 - direct uniform samplers for the compact families (normalized Gaussians,
   polar factors, a determinant fold onto the rotation group);
 - a frame-based Laplacian evaluation that never touches the ambient-basis
@@ -135,7 +137,9 @@ def heat_kernel_values(tag: str, phis, T: float, diffusion: float = 0.5,
                        radius: float = 1.0):
     """Pointwise kernel density (per unit-sphere surface measure).
 
-    Mainly a positivity/diagnostic hook; ``tag`` is 's2' or 's3'.
+    Mainly a positivity/diagnostic hook; ``tag`` is 's2' or 's3'.  At the
+    S^3 poles, where sin(phi) vanishes, sin((l+1) phi)/sin(phi) takes its
+    limits l+1 (phi = 0) and (l+1)(-1)^l (phi = pi).
     """
     tau = _tau(T, diffusion, radius)
     order = _series_order(tau)
@@ -146,16 +150,49 @@ def heat_kernel_values(tag: str, phis, T: float, diffusion: float = 0.5,
         return legval(np.cos(phis), coeff)
     if tag == "s3":
         weights = (ls + 1.0) / (2.0 * np.pi**2) * np.exp(-ls * (ls + 2.0) * tau)
-        sphi = np.where(np.abs(np.sin(phis)) < 1e-14, 1e-14, np.sin(phis))
-        if tau >= _S3_FLOAT64_TAU:
-            return (np.sin(np.outer(phis, ls + 1.0)) @ weights) / sphi
+        pole = np.abs(np.sin(phis)) < 1e-14
+        sphi = np.where(pole, 1e-14, np.sin(phis))
         # at small tau the series cancels catastrophically in float64 (terms
         # of size ~1/tau summing to ~0 away from phi=0, and the sine argument
         # (l+1) phi itself rounds at 1e-14), so evaluate the sum wide
-        args = np.outer(phis.astype(np.longdouble), (ls + 1.0).astype(np.longdouble))
-        s = np.sin(args) @ weights.astype(np.longdouble)
-        return np.asarray(s, dtype=float) / sphi
+        wide = np.longdouble if tau < _S3_FLOAT64_TAU else float
+        order_plus_one, weights = (ls + 1.0).astype(wide), weights.astype(wide)
+        sums = np.sin(np.outer(phis.astype(wide), order_plus_one)) @ weights
+        values = np.asarray(sums, dtype=float) / sphi
+        # sin((l+1) phi) / sin(phi) tends to l+1 at phi = 0 and to (l+1)(-1)^l at pi
+        at_poles = [float(order_plus_one * sign @ weights) for sign in (1.0, (-1.0) ** ls)]
+        return np.where(pole, np.where(np.cos(phis) > 0.0, *at_poles), values)
     raise HeatKernelParameterError(f"unknown sphere tag {tag!r}; use 's2' or 's3'")
+
+
+# ---------------------------------------------------------------------------
+# exact laws on the non-compact families
+
+
+def exact_mean(handle: ManifoldHandle, cost_id: str, T: float, diffusion: float):
+    """E[cost(X_T)] in closed form for the Brownian motion with generator
+    diffusion * Laplace-Beltrami started at the handle's canonical point, or
+    None where no closed form is known.
+
+    - ``log_det_sq`` on spd(N) and gl+(N) (any ``metric_seed``): log det is
+      linear along every affine-invariant geodesic of spd and a
+      homomorphism on the unimodular gl+, so its Laplacian is 0 and
+      |grad log det|^2 is the constant k = <I, Pi g^{-1} I> at x0 = I (N on
+      spd).  log det X_T is then normal with mean 0 and variance 2 c k T.
+    - ``log_height_sq`` on hyperbolic(n): log x_n has Laplacian -(n - 1) and
+      |grad|^2 = 1, so log x_n(X_T) is normal with mean -(n - 1) c T and
+      variance 2 c T.
+    """
+    family = _family(handle)
+    c = diffusion
+    if cost_id == "log_det_sq" and family in ("spd", "gl+"):
+        eye = handle.default_point()
+        k = float(np.sum(eye * handle.project(eye, handle.metric_inv(eye, eye))))
+        return 2.0 * c * k * T
+    if cost_id == "log_height_sq" and family == "hyperbolic":
+        n = handle.shape[0]
+        return ((n - 1) * c * T) ** 2 + 2.0 * c * T
+    return None
 
 
 # ---------------------------------------------------------------------------

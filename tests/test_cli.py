@@ -15,6 +15,7 @@ from manifold_sde import (
     harness,
     make_cost,
     make_manifold,
+    oracles,
     simulate,
 )
 from manifold_sde.cli import ConfigError, main, parse_config
@@ -514,6 +515,44 @@ def test_compare_command_flags_nan_stderrs(tmp_path, capsys):
     assert main([write(tmp_path, "cmp1.cfg", text)]) == 0
     printed = capsys.readouterr().out
     assert "UNSTABLE" in printed and "consistent" not in printed
+
+
+def test_compare_command_checks_a_cost_with_an_exact_law(tmp_path, capsys):
+    out = tmp_path / "cmp.csv"
+    text = (f"command=compare\nmanifold=spd\nN=3\nT=0.5\nn_div=20\n"
+            f"n_path=64\nseed=5\ncost=log_det_sq\nout={out}\n")
+    assert main([write(tmp_path, "cmp.cfg", text)]) == 0
+    first, *cells, last = capsys.readouterr().out.splitlines()
+    # E[(log det X_T)^2] = 2 c N T = 2 * 0.5 * 3 * 0.5
+    assert first == "exact law of log_det_sq on spd(3) at T=0.5 (diffusion 0.5): 1.5"
+    assert len(cells) == 4 and all(line.endswith("with the exact law") for line in cells)
+    assert last.startswith(("consistent", "UNSTABLE"))
+    with open(out, newline="") as fh:
+        header, exact, *rows = list(csv.reader(fh))
+    assert exact == ["log_det_sq", "1.5", "0", "0", "0", "0.5", "exact-law", "spd(3)"]
+    assert [row[6] for row in rows] == ["ito-em", "strat-heun", "geodesic-walk", "retractive-em"]
+
+
+def test_heat_kernel_flags_a_wrong_series(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "heat_expectation_s2", lambda *args, **kwargs: 5.0)
+    text = "command=heat-kernel\nmanifold=sphere\nn=3\ncost=phi_5_2\nn_path=64\nn_div=20\n"
+    assert main([write(tmp_path, "hk.cfg", text)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.count("DISAGREES with the series") == 4
+    assert "agrees with" not in printed
+
+
+def test_uniform_command_flags_a_wrong_direct_sampler(tmp_path, capsys, monkeypatch):
+    # every direct sample is the identity, whose sum_abs is 3, not the uniform 4.5
+    monkeypatch.setattr(oracles, "sample_uniform",
+                        lambda handle, rng, size=1: np.broadcast_to(np.eye(3), (size, 3, 3)))
+    out = tmp_path / "u.csv"
+    text = (f"command=uniform\nmanifold=so\nN=3\nn_path=64\nn_div=10\nT=2\n"
+            f"seed=1\ncost=sum_abs\nout={out}\n")
+    assert main([write(tmp_path, "u.cfg", text)]) == 0
+    printed = capsys.readouterr().out
+    assert " DISAGREES with uniform 3 (0)\n" in printed and "agrees with" not in printed
+    assert out.read_text().splitlines()[2].startswith("sum_abs_uniform,3,0,100000,0,")
 
 
 def test_uniform_command_requires_compact_manifold(tmp_path, capsys):

@@ -11,9 +11,12 @@ def sphere3():
 
 
 def test_registry_lists_every_id(sphere3):
-    assert len(COST_IDS) == 7
+    # every id builds on the 2-sphere but the two defined off spheres only
+    where = {"log_det_sq": make_manifold("spd", N=3),
+             "log_height_sq": make_manifold("hyperbolic", n=3)}
+    assert len(COST_IDS) == 9
     for cost_id in COST_IDS:
-        cost = make_cost(cost_id, sphere3)
+        cost = make_cost(cost_id, where.get(cost_id, sphere3))
         assert cost.name == cost_id
 
 
@@ -28,6 +31,27 @@ def test_angle_costs_are_sphere_only():
         make_cost("phi_5_2", so3)
     with pytest.raises(ValueError, match="sphere"):
         make_cost("phi_32_52", so3)
+
+
+@pytest.mark.parametrize("cost_id,family,params", [
+    ("log_det_sq", "so", dict(N=3)),
+    ("log_det_sq", "sl", dict(N=3)),
+    ("log_det_sq", "hyperbolic", dict(n=3)),
+    ("log_height_sq", "spd", dict(N=3)),
+    ("log_height_sq", "sphere", dict(n=3)),
+])
+def test_exact_law_costs_are_rejected_off_their_families(cost_id, family, params):
+    with pytest.raises(ValueError, match=f"cost '{cost_id}' is defined on .* only"):
+        make_cost(cost_id, make_manifold(family, **params))
+
+
+def test_exact_law_cost_values():
+    x = np.diag([np.e, np.e, 1.0])[None]
+    for family in ("spd", "gl+"):
+        cost = make_cost("log_det_sq", make_manifold(family, N=3))
+        assert cost.running is None and cost.terminal(x, 0.0)[0] == pytest.approx(4.0)
+    height = make_cost("log_height_sq", make_manifold("hyperbolic", n=3))
+    assert height.terminal(np.array([[[5.0], [-2.0], [np.exp(-3.0)]]]), 0.0)[0] == pytest.approx(9.0)
 
 
 def test_sphere_angle_handles_radius(sphere3):

@@ -104,6 +104,20 @@ def test_s3_expectation_matches_the_long_double_sum(T, diffusion, radius):
         assert abs(heat_expectation_s3(cost, T, diffusion, radius) - want) <= 1e-15
 
 
+@pytest.mark.parametrize("T,diffusion,radius", [(2.0, 0.4, 3.0), (2e-3, 0.5, 1.0)],
+                         ids=["reference-config", "tau-1e-3"])
+def test_s3_kernel_takes_its_limits_at_the_poles(T, diffusion, radius):
+    # sin((l+1) phi)/sin(phi) tends to l+1 at phi = 0 and (l+1)(-1)^l at pi
+    tau = diffusion * T / radius**2
+    ls = np.arange(oracles._series_order(tau) + 1, dtype=float)
+    weights = (ls + 1.0) / (2.0 * np.pi**2) * np.exp(-ls * (ls + 2.0) * tau)
+    at_zero, near_zero, near_pi, at_pi = heat_kernel_values(
+        "s3", [0.0, 1e-9, np.pi - 1e-9, np.pi], T, diffusion, radius)
+    assert at_zero == pytest.approx(float((ls + 1.0) @ weights), rel=1e-12)
+    assert at_zero == pytest.approx(near_zero, rel=1e-12)
+    assert abs(at_pi - near_pi) <= 1e-15
+
+
 def test_heat_kernel_values_unknown_tag():
     with pytest.raises(HeatKernelParameterError):
         heat_kernel_values("s4", [0.5], T=1.0)
