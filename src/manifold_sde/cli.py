@@ -255,7 +255,7 @@ def _verdict(row) -> str:
     return "agrees with" if row.agree else "DISAGREES with"
 
 
-def _grid(sim, handle, cost, n_divs, reference=None, against="") -> tuple:
+def _grid(sim, handle, cost, n_divs, reference, against: str) -> tuple:
     """Run and print the ``compare`` grid, each cell with its verdict on ``against``
     if there is a ``reference``; returns the table and the cells' summary entries."""
     table = compare_methods(sim, handle, cost, n_divs=n_divs, reference=reference)
