@@ -238,13 +238,23 @@ def _noise_block(seed: int, lo: int, hi: int, tau: int, steps: int, noise: tuple
     Path block b holds paths 64 b ... 64 b + 63; its increments over time
     block tau are one C-ordered ``(steps, 64) + noise`` draw from the stream
     ``(seed, b, (0, tau, 0, 0))``.  A shorter last time block draws a prefix
-    of that layout, so step j's normals do not depend on ``n_div``.
+    of that layout, so step j's normals do not depend on ``n_div``.  The
+    path blocks are drawn one at a time into one array, so the call holds
+    that array and one block's draw at most.
     """
     first, last = lo // BLOCK_PATHS, (hi - 1) // BLOCK_PATHS
     shape = (steps, BLOCK_PATHS) + noise
-    parts = [RngStream(seed, stream_id=b, counter=(0, tau, 0, 0)).normal(shape)
-             for b in range(first, last + 1)]
-    block = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+    def draw(b):
+        return RngStream(seed, stream_id=b, counter=(0, tau, 0, 0)).normal(shape)
+
+    if first == last:
+        block = draw(first)
+    else:
+        block = np.empty((steps, (last + 1 - first) * BLOCK_PATHS) + noise)
+        for b in range(first, last + 1):
+            start = (b - first) * BLOCK_PATHS
+            block[:, start:start + BLOCK_PATHS] = draw(b)
     offset = first * BLOCK_PATHS
     return block[:, lo - offset:hi - offset]
 

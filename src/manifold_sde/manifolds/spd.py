@@ -3,45 +3,62 @@
 g(x) w = x^{-1} w x^{-1}; the diffusion factor is sigma(x) w = sym(x^{1/2} w x^{1/2}),
 which is x^{1/2} w x^{1/2} on symmetric noise.
 The Stratonovich drift is S(x) + (N + 1) x / 4, S a spectral function of x
-(see ``_strat_correction``).  sigma and the drift read one factor of x
-through :func:`~manifold_sde.linalg.reuse_last`, which returns the last one
-again for an input with the same bits (a Stratonovich step asks for both at
-the same x).
+(see ``_strat_correction``).  One factor of x, ``_sqrt_factor``, serves
+every callable that reads x: sigma, the drift, the metric, the Christoffel
+symbol and the exponential map take it through
+:func:`~manifold_sde.linalg.reuse_last`, which returns the last one again
+for an input with the same bits (a step asks for it several times at the
+same x).  The factor holds x^{1/2}; x^{-1/2}, x^{-1} = x^{-1/2} x^{-1/2} and
+S(x) are formed from it when first asked for, so nothing calls
+``np.linalg.inv``.
 
 The exponential map of the metric is x^{1/2} exp(x^{-1/2} v x^{-1/2}) x^{1/2}
-(Pennec, Fillard & Ayache, IJCV 66, 2006).  ``exponential`` takes x^{1/2}
-from that factor and x^{-1/2} = x^{1/2} x^{-1} from the metric's inverse,
-both already formed at x by the walk's normalization, and one ``eigh`` of
-the symmetric middle factor.
+(Pennec, Fillard & Ayache, IJCV 66, 2006).
 
 On spd(3) a row whose eigenvalues lie in [1e-100, 1e100] within a ratio
-``_CLOSED_FORM_COND`` takes x^{1/2} and S(x) from its eigenvalues alone, with
-no eigenvectors and no LAPACK: the eigenvalues from the trigonometric form
-(Smith, Comm. ACM 4, 1961), then, with b = sqrt(lambda) and I_1, I_2, I_3 the
-elementary symmetric polynomials of b and D = I_1 I_2 - I_3 > 0,
-Cayley-Hamilton on U = x^{1/2} gives
+``_CLOSED_FORM_COND`` takes x^{1/2}, x^{-1/2} and S(x) from its eigenvalues
+alone, with no eigenvectors and no LAPACK: the eigenvalues from the
+trigonometric form (Smith, Comm. ACM 4, 1961), then, with b = sqrt(lambda)
+and I_1, I_2, I_3 the elementary symmetric polynomials of b and
+D = I_1 I_2 - I_3 > 0, Cayley-Hamilton on U = x^{1/2} gives
 
     U = (-x^2 + (I_1^2 - I_2) x + I_1 I_3 I) / D,
+    U^{-1} = (x - I_1 U + I_2 I) / I_3,
     S = -(x / 2 + ((I_1 I_3 + I_2^2) U - I_3 x - I_2 I_3 I) / (2 D)).
 
 Every other row (non-finite, indefinite, worse conditioned or out of that
 range), and every row of spd(N) for N != 3, takes ``eigh`` on those rows
 alone, so it keeps the bits of the eigendecomposition route.
 
+The middle factor exp(w), w = sym(x^{-1/2} v x^{-1/2}), is on spd(3) the
+Newton interpolant of exp at the eigenvalues mu_0 <= mu_1 <= mu_2 of w
+(Higham, Functions of Matrices, 2008, ch. 1):
+
+    exp(w) = e^{mu_0} I + f[mu_0, mu_1] (w - mu_0 I)
+             + f[mu_0, mu_1, mu_2] (w - mu_0 I)(w - mu_1 I),
+
+with f[a, b] = e^a expm1(b - a) / (b - a), free of cancellation, and the
+second difference divided by the whole spread mu_2 - mu_0.  A row takes it
+when that spread lies in ``_EXP_SPREAD``: below it the second difference
+would cancel, above it the eigenvalue error of the trigonometric form,
+amplified by the spread, would show.  Every other row, and every row of
+spd(N) for N != 3, takes ``eigh`` on those rows alone.
+
 The domain is lambda_min(sym q) > 1e-10.  A row is accepted outright when an
 LDL^T elimination of s - (1e-10 + m) I, m = 1e-12 max(1, max|s|), has only
-positive pivots.  A completed elimination is exact for a matrix within about
-n^2 eps max|s| of the one factored (the Cholesky backward-error bound;
-Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 10), so
-lambda_min(s) exceeds 1e-10 + m less that amount; ``eigvalsh`` is backward
-stable to the same order, so with m far above both it accepts the row too.
-The rows the elimination does not certify go to ``eigvalsh``, so every
-decision is the one ``eigvalsh`` makes.
+positive pivots (on spd(3) written out in closed form).  A completed
+elimination is exact for a matrix within about n^2 eps max|s| of the one
+factored (the Cholesky backward-error bound; Higham, Accuracy and Stability
+of Numerical Algorithms, 2002, ch. 10), so lambda_min(s) exceeds 1e-10 + m
+less that amount; ``eigvalsh`` is backward stable to the same order, so with
+m far above both it accepts the row too.  The rows the elimination does not
+certify go to ``eigvalsh``, so every decision is the one ``eigvalsh`` makes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +85,11 @@ _MARGIN = 1e-12
 _CLOSED_FORM_COND = 64.0
 # keeps x^2 and the powers of b normal numbers (1e-160 I would lose digits)
 _CLOSED_FORM_RANGE = (1e-100, 1e100)
+# the eigenvalue spreads mu_2 - mu_0 of w whose exp(w) takes the closed form
+_EXP_SPREAD = (1e-3, 16.0)
+# flat indices of the entries of a 3 x 3 row: its lower triangle x00, x11,
+# x22, x10, x20, x21 (all that eigh reads), then x01, x02, x12
+_ENTRIES3 = np.array([0, 4, 8, 3, 6, 7, 1, 2, 5])
 
 
 def _strat_correction(eig: SymEigDecomposition) -> np.ndarray:
@@ -80,25 +102,33 @@ def _strat_correction(eig: SymEigDecomposition) -> np.ndarray:
     return -eig.apply(coeff)
 
 
+def _entries3(rows: np.ndarray) -> np.ndarray:
+    """The entries ``_ENTRIES3`` of 3x3 rows, as a (9, rows) array."""
+    return rows.reshape(-1, 9).T[_ENTRIES3]
+
+
 # phi + these angles gives lambda_0 <= lambda_1 <= lambda_2 in _eigenvalues3
 _THIRDS = np.array([[2.0], [4.0], [0.0]]) * np.pi / 3.0
 
 
-def _eigenvalues3(rows: np.ndarray) -> np.ndarray:
-    """Eigenvalues of symmetric 3x3 rows, ascending along the first axis of
-    the (3, rows) result, by the trigonometric form
-    lambda_k = q + 2 p cos(phi + 2 pi k / 3); reads the lower triangle, as
-    ``eigh`` does."""
-    a00, a11, a22 = rows[:, 0, 0], rows[:, 1, 1], rows[:, 2, 2]
-    a10, a20, a21 = rows[:, 1, 0], rows[:, 2, 0], rows[:, 2, 1]
+def _eigenvalues3(entries: np.ndarray) -> np.ndarray:
+    """Eigenvalues of symmetric 3x3 rows given by their ``_entries3``,
+    ascending along the first axis of the (3, rows) result, by the
+    trigonometric form lambda_k = q + 2 p cos(phi + 2 pi k / 3); reads the
+    lower triangle, as ``eigh`` does.  A row with a non-finite entry there
+    has a NaN or infinite eigenvalue."""
+    a00, a11, a22, a10, a20, a21 = entries[:6]
     q = (a00 + a11 + a22) / 3.0
-    d0, d1, d2 = a00 - q, a11 - q, a22 - q
-    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (a10 * a10 + a20 * a20 + a21 * a21)) / 6.0)
-    # det(x - q I) / (2 p^3) is cos(3 phi); p = 0 is x = q I
-    det = d0 * (d1 * d2 - a21 * a21) - a10 * (a10 * d2 - a21 * a20) + a20 * (a10 * a21 - d1 * a20)
-    r = np.where(p > 0.0, det / (2.0 * p * p * p), 0.0)
-    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
-    return q + (2.0 * p) * np.cos(phi + _THIRDS)
+    d0, d1, d2 = d = entries[:3] - q
+    dd0, dd1, dd2 = d * d
+    o10, o20, o21 = entries[3:6] * entries[3:6]
+    p = np.sqrt((dd0 + dd1 + dd2 + 2.0 * (o10 + o20 + o21)) / 6.0)
+    # det(x - q I) / (2 p^3) is cos(3 phi); p = 0 is x = q I, whose NaN
+    # quotient fmin turns into 1, and any phi gives lambda = q there
+    det = d0 * (d1 * d2 - o21) - a10 * (a10 * d2 - a21 * a20) + a20 * (a10 * a21 - d1 * a20)
+    two_p = 2.0 * p
+    phi = np.arccos(np.fmax(np.fmin(det / (two_p * p * p), 1.0), -1.0)) / 3.0
+    return q + two_p * np.cos(phi + _THIRDS)
 
 
 def _add_to_diagonal(a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -110,28 +140,51 @@ def _add_to_diagonal(a: np.ndarray, c: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _SqrtFactor:
     """x^{1/2} for a stack of points (``root``, in the shape of x), and what
-    S(x) reads: on the rows that took the closed form, the weights
-    (I_1 I_3 + I_2^2, I_3, I_2 I_3) / (2 D); on the ``rest``, their ``eig``."""
+    x^{-1/2}, x^{-1} and S(x) read: on the rows that took the closed form,
+    the invariants (I_1, I_2, I_3, D) of sqrt(lambda); on the ``rest``, their
+    ``eig``.  Those three are formed on first use."""
 
     rows: np.ndarray
     root: np.ndarray
-    weights: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    invariants: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
     rest: np.ndarray
     eig: SymEigDecomposition | None
 
+    def _assemble(self, closed, spectral) -> np.ndarray:
+        """``closed(*invariants)`` on the closed-form rows and
+        ``spectral(eig)`` on the rest, in the shape of x."""
+        with np.errstate(all="ignore"):  # as in _sqrt_factor
+            out = np.empty_like(self.rows) if self.invariants is None else closed(*self.invariants)
+            if self.eig is not None:
+                out[self.rest] = spectral(self.eig)
+        return out.reshape(self.root.shape)
+
+    @cached_property
+    def root_inv(self) -> np.ndarray:
+        """x^{-1/2}, in the shape of x."""
+        def closed(i1, i2, i3, d):
+            u_inv = self.rows - i1[:, None, None] * self.root.reshape(self.rows.shape)
+            u_inv = _add_to_diagonal(u_inv, i2)
+            u_inv /= i3[:, None, None]
+            return u_inv
+
+        return self._assemble(closed, lambda eig: eig.apply(lambda lam: 1.0 / np.sqrt(lam)))
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """x^{-1} = x^{-1/2} x^{-1/2}, in the shape of x."""
+        return self.root_inv @ self.root_inv
+
     def correction(self) -> np.ndarray:
         """S(x), in the shape of x."""
-        with np.errstate(all="ignore"):  # as in _sqrt_factor
-            if self.weights is None:
-                s = np.empty_like(self.rows)
-            else:
-                w_root, w_x, w_eye = self.weights
-                s = ((w_x - 0.5)[:, None, None] * self.rows
-                     - w_root[:, None, None] * self.root.reshape(self.rows.shape))
-                _add_to_diagonal(s, w_eye)
-            if self.eig is not None:
-                s[self.rest] = _strat_correction(self.eig)
-        return s.reshape(self.root.shape)
+        def closed(i1, i2, i3, d):
+            half = 0.5 / d
+            w_root, w_x, w_eye = (i1 * i3 + i2 * i2) * half, i3 * half, i2 * i3 * half
+            s = ((w_x - 0.5)[:, None, None] * self.rows
+                 - w_root[:, None, None] * self.root.reshape(self.rows.shape))
+            return _add_to_diagonal(s, w_eye)
+
+        return self._assemble(closed, _strat_correction)
 
 
 def _sqrt_factor(x: np.ndarray) -> _SqrtFactor:
@@ -140,46 +193,98 @@ def _sqrt_factor(x: np.ndarray) -> _SqrtFactor:
     others (see the module docstring).  An indefinite row gets NaN entries,
     without a warning.  A non-finite row goes to ``eigh``, which raises
     ``LinAlgError`` on an all-NaN row, so callers pass finite rows only."""
-    weights = None
+    invariants = None
     with np.errstate(all="ignore"):  # the closed form's uncertified rows are replaced
-        x = _require_symmetric(x, "sym_eig")
-        rows = x.reshape((-1,) + x.shape[-2:])
-        if x.shape[-1] == 3:
-            lam = _eigenvalues3(rows)
-            square = rows @ rows
+        x = np.asarray(x, dtype=float)
+        if x.shape[-2:] == (3, 3):
+            rows = x.reshape(-1, 3, 3)
+            entries = _entries3(rows)
+            # an exactly symmetric x needs no tolerance check, and its
+            # non-finite rows have a non-finite eigenvalue
+            exact = (entries[3:6] == entries[6:]).all()
+            if not exact:
+                _require_symmetric(x, "sym_eig")
+            lam = _eigenvalues3(entries)
             low, high = _CLOSED_FORM_RANGE
-            # tr(x^2) = sum_ij x_ij x_ji is finite only if every entry is
-            rest = ~(np.isfinite(np.einsum("nii->n", square)) & (lam[0] >= low)
-                     & (lam[2] <= np.minimum(_CLOSED_FORM_COND * lam[0], high)))
+            rest = ~((lam[0] >= low) & (lam[2] <= np.minimum(_CLOSED_FORM_COND * lam[0], high)))
+            if not exact:
+                rest |= ~np.isfinite(entries).all(axis=0)
+            square = rows @ rows
             b0, b1, b2 = np.sqrt(lam)
             i1 = b0 + b1 + b2
             i2 = b0 * b1 + (b0 + b1) * b2
             i3 = b0 * b1 * b2
-            i13 = i1 * i3
             d = i1 * i2 - i3
-            root = _add_to_diagonal((i1 * i1 - i2)[:, None, None] * rows - square, i13)
+            root = _add_to_diagonal((i1 * i1 - i2)[:, None, None] * rows - square, i1 * i3)
             root /= d[:, None, None]
-            half = 0.5 / d
-            weights = ((i13 + i2 * i2) * half, i3 * half, i2 * i3 * half)
+            invariants = (i1, i2, i3, d)
         else:
+            x = _require_symmetric(x, "sym_eig")
+            rows = x.reshape((-1,) + x.shape[-2:])
             rest = np.ones(rows.shape[0], dtype=bool)
             root = np.empty_like(rows)
         eig = None
         if rest.any():
             eig = SymEigDecomposition(*np.linalg.eigh(rows[rest]))
             root[rest] = eig.apply(np.sqrt)
-    return _SqrtFactor(rows, root.reshape(x.shape), weights, rest, eig)
+    return _SqrtFactor(rows, root.reshape(x.shape), invariants, rest, eig)
+
+
+def _exp3(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp of symmetric 3x3 rows by the Newton form of the module docstring,
+    and the rows whose spread lies outside ``_EXP_SPREAD`` (their exp is not
+    set)."""
+    with np.errstate(all="ignore"):  # the rows outside the spread are replaced
+        mu = _eigenvalues3(_entries3(rows))
+        spread = mu[2] - mu[0]
+        low, high = _EXP_SPREAD
+        rest = ~((spread >= low) & (spread <= high))
+        gaps = mu[1:] - mu[:2]
+        e = np.exp(mu[:2])
+        # f[mu_0, mu_1] and f[mu_1, mu_2]; a zero gap is the derivative e^a
+        first = e * np.where(gaps > 0.0, np.expm1(gaps) / gaps, 1.0)
+        second = (first[1] - first[0]) / spread
+        # e^{mu_0} I + (f[mu_0, mu_1] - f[mu_0, mu_1, mu_2] gap_0) z
+        # + f[mu_0, mu_1, mu_2] z^2, z = w - mu_0 I
+        z = _add_to_diagonal(rows.copy(), -mu[0])
+        out = (first[0] - second * gaps[0])[:, None, None] * z
+        out += second[:, None, None] * (z @ z)
+        return _add_to_diagonal(out, e[0]), rest
+
+
+def _expm_sym(w: np.ndarray) -> np.ndarray:
+    """exp(w) of exactly symmetric w, in closed form on the 3x3 rows whose
+    spread allows it and from ``eigh`` on the others."""
+    rows = w.reshape((-1,) + w.shape[-2:])
+    if w.shape[-1] == 3:
+        out, rest = _exp3(rows)
+    else:
+        out, rest = np.empty_like(rows), np.ones(rows.shape[0], dtype=bool)
+    if rest.any():
+        vals, vecs = np.linalg.eigh(rows[rest])
+        out[rest] = (vecs * np.exp(vals)[..., None, :]) @ np.ascontiguousarray(mT(vecs))
+    return out.reshape(w.shape)
 
 
 def _certified_positive(s: np.ndarray) -> np.ndarray:
     """Rows (n x n matrices along one batch axis) whose LDL^T elimination of
     s - (1e-10 + m) I has only positive pivots; see the module docstring."""
     n = s.shape[-1]
-    level = _MIN_EIGENVALUE + _MARGIN * np.maximum(1.0, np.abs(s).max(axis=(1, 2)))
-    a = s - level[:, None, None] * np.eye(n)
     # a non-finite row gives a NaN or -inf pivot, which is not positive; a
     # row with a non-positive pivot is already decided, whatever follows it
     with np.errstate(all="ignore"):
+        if n == 3:
+            entries = _entries3(s)[:6]
+            level = _MIN_EIGENVALUE + _MARGIN * np.maximum(1.0, np.abs(entries).max(axis=0))
+            (p0, a11, a22), (a10, a20, a21) = entries[:3] - level, entries[3:]
+            l10, l20 = entries[3:5] / p0
+            p1 = a11 - l10 * a10
+            a21 = a21 - l20 * a10
+            p2 = (a22 - l20 * a20) - (a21 / p1) * a21
+            # np.minimum keeps a NaN pivot
+            return np.minimum(np.minimum(p0, p1), p2) > 0.0
+        level = _MIN_EIGENVALUE + _MARGIN * np.maximum(1.0, np.abs(s).max(axis=(1, 2)))
+        a = s - level[:, None, None] * np.eye(n)
         ok = a[:, 0, 0] > 0.0
         for k in range(n - 1):
             col = a[:, k + 1:, k] / a[:, k, k, None]
@@ -203,12 +308,9 @@ def make_spd(N: int) -> ManifoldHandle:
         raise ValueError(f"spd needs N >= 1, got {N}")
 
     factor = reuse_last(_sqrt_factor)
-    # x^{-1} once per point for metric and christoffel; np.linalg.inv is
-    # looked up per call, so a wrapped routine sees every inversion
-    inverse = reuse_last(lambda x: np.linalg.inv(x))
 
     def metric(x, w):
-        xinv = inverse(x)
+        xinv = factor(x).inverse
         return xinv @ w @ xinv
 
     def metric_inv(x, w):
@@ -221,7 +323,7 @@ def make_spd(N: int) -> ManifoldHandle:
         # -sym(u x^{-1} v), symmetrized in (u, v) so the bilinear extension
         # off the symmetric subspace is symmetric too; Gamma(x; v, v) forms
         # one product, since s + s = 2 s exactly
-        xinv = inverse(x)
+        xinv = factor(x).inverse
         a = xinv @ u
         if v is u:
             return -sym(u @ a)
@@ -232,12 +334,9 @@ def make_spd(N: int) -> ManifoldHandle:
         return sym(s @ w @ s)
 
     def exponential(x, v):
-        root = factor(x).root
-        root_inv = root @ inverse(x)
-        w = sym(root_inv @ v @ root_inv)
-        vals, vecs = np.linalg.eigh(w)
-        middle = (vecs * np.exp(vals)[..., None, :]) @ np.ascontiguousarray(mT(vecs))
-        return root @ middle @ root
+        f = factor(x)
+        w = sym(f.root_inv @ v @ f.root_inv)
+        return f.root @ _expm_sym(w) @ f.root
 
     def mapping(q):
         s = sym(q)

@@ -15,6 +15,8 @@ Four ingredients, each computed by a different route than the main code:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legval
 
@@ -50,8 +52,10 @@ class QuadratureError(RuntimeError):
 # quadrature
 
 
+@functools.lru_cache(maxsize=None)
 def _composite_gauss(n_total: int, panels: int = 16):
-    """Composite Gauss-Legendre nodes/weights on [0, pi]."""
+    """Composite Gauss-Legendre nodes/weights on [0, pi], computed once per
+    process for each ``(n_total, panels)`` and returned read-only."""
     per = max(n_total // panels, 4)
     z, w = leggauss(per)
     edges = np.linspace(0.0, np.pi, panels + 1)
@@ -59,6 +63,7 @@ def _composite_gauss(n_total: int, panels: int = 16):
     mid = 0.5 * (edges[:-1] + edges[1:])
     phi = (mid[:, None] + half[:, None] * z[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
+    phi.flags.writeable = weights.flags.writeable = False
     return phi, weights
 
 
@@ -135,7 +140,8 @@ def heat_expectation_s3(cost, T: float, diffusion: float = 0.5, radius: float = 
 
 def heat_kernel_values(tag: str, phis, T: float, diffusion: float = 0.5,
                        radius: float = 1.0):
-    """Pointwise kernel density (per unit-sphere surface measure).
+    """Pointwise kernel density (per unit-sphere surface measure), in the
+    shape of ``phis``.
 
     Mainly a positivity/diagnostic hook; ``tag`` is 's2' or 's3'.  At the
     S^3 poles, where sin(phi) vanishes, sin((l+1) phi)/sin(phi) takes its
@@ -157,7 +163,7 @@ def heat_kernel_values(tag: str, phis, T: float, diffusion: float = 0.5,
         # (l+1) phi itself rounds at 1e-14), so evaluate the sum wide
         wide = np.longdouble if tau < _S3_FLOAT64_TAU else float
         order_plus_one, weights = (ls + 1.0).astype(wide), weights.astype(wide)
-        sums = np.sin(np.outer(phis.astype(wide), order_plus_one)) @ weights
+        sums = np.sin(phis.astype(wide)[..., None] * order_plus_one) @ weights
         values = np.asarray(sums, dtype=float) / sphi
         # sin((l+1) phi) / sin(phi) tends to l+1 at phi = 0 and to (l+1)(-1)^l at pi
         at_poles = [float(order_plus_one * sign @ weights) for sign in (1.0, (-1.0) ** ls)]

@@ -3,6 +3,7 @@ import hashlib
 import math
 import os
 import pickle
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -150,16 +151,20 @@ def test_results_independent_of_chunking_and_threads(so3, monkeypatch):
 # (tangent-valued) group sigma.  The so and spd rk4-geodesic ones were
 # re-recorded when that scheme took the closed-form exponential map instead
 # of 2 RK4 substeps; the largest per-path difference, 6.2e-6 (so) and 8.0e-4
-# (spd), is the RK4's own error at h = 0.05.
+# (spd), is the RK4's own error at h = 0.05.  The spd ones were re-recorded
+# again when x^{-1} and x^{-1/2} came from the sigma factor instead of
+# np.linalg.inv and the exponential's middle factor from its closed form
+# (a rounding change only: at most 5.2e-14 (geodesic-walk) and 9.2e-14
+# (rk4-geodesic) per path, with no flag changed).
 PINNED_WALK_SAMPLES = [
     ("so", {"N": 3}, "geodesic-walk",
      "30abaffab6a3a1bac15989cee81fb9a10167174b5977ff07b4209687b4b77c76"),
     ("so", {"N": 3}, "rk4-geodesic",
      "799ccf2f47044eed31f8d405892f45bfd81b7c89b9183129cca184c4f01d896d"),
     ("spd", {"N": 3}, "geodesic-walk",
-     "7526d02b886a36d4815c53a1b13c1eb126f4a1eceeb3dcee4a311cbb76179047"),
+     "28405a4eeca6d4025e8975d71b042e628815ac727f472d38a5d43fcb3badaf3e"),
     ("spd", {"N": 3}, "rk4-geodesic",
-     "a6d930af4422f6534153443a5efc97ce5898843af03ac1224ec95df9d77179e9"),
+     "f71839ed91c7b4d7f6ea82b6e12f9d90877f334ea107dff1cd86c0c89fd4ba1f"),
     ("hyperbolic", {"n": 3}, "geodesic-walk",
      "3e492f1caca5c72840baa44207df2998f71817f3dec6ebcea32ebbe6ae3f22e5"),
     ("hyperbolic", {"n": 3}, "rk4-geodesic",
@@ -556,6 +561,29 @@ def test_first_retry_is_uncorrelated_with_the_main_draw():
     main = _noise_block(13, 0, n, 0, BLOCK_STEPS, (3,))[j]
     retry = [RngStream(13, i, counter=(0, j, 1, 0)).normal((3,)) for i in range(n)]
     _assert_uncorrelated(main, retry)
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 12_500), (100, 12_600), (70, 120)],
+                         ids=["aligned", "offset", "one-block"])
+def test_noise_block_holds_its_output_and_one_draw(lo, hi):
+    # sphere(3)'s (3, 1) increments over one 16-step time block; the traced
+    # peak is the array of whole path blocks plus one block's draw, and its
+    # bits are those of the per-block draws
+    noise = (3, 1)
+    tracemalloc.start()
+    try:
+        block = _noise_block(21, lo, hi, 2, BLOCK_STEPS, noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (BLOCK_STEPS, hi - lo) + noise
+    first, last = lo // BLOCK_PATHS, (hi - 1) // BLOCK_PATHS
+    one_draw = BLOCK_STEPS * BLOCK_PATHS * 3 * 8
+    assert peak <= (last + 1 - first) * one_draw + one_draw + 65_536
+    draws = np.concatenate([RngStream(21, b, counter=(0, 2, 0, 0)).normal(
+        (BLOCK_STEPS, BLOCK_PATHS) + noise) for b in range(first, last + 1)], axis=1)
+    offset = first * BLOCK_PATHS
+    assert block.tobytes() == draws[:, lo - offset:hi - offset].tobytes()
 
 
 def test_non_finite_cost_value_shows_in_the_estimate(so3):

@@ -22,7 +22,7 @@ from manifold_sde import (
 from manifold_sde.geometry import SdeSpec
 from manifold_sde.integrators import WienerIncrement
 from manifold_sde.linalg import frobenius_norm, mT, matrix_exp, polar_orth, skew, sym
-from manifold_sde.manifolds import lie_group
+from manifold_sde.manifolds import lie_group, spd
 from manifold_sde.manifolds.hypersurface import make_hypersurface, rescale_tangent_retraction
 from manifold_sde.rng import RngStream
 
@@ -708,28 +708,78 @@ def test_group_step_inverts_each_point_once(monkeypatch, N, integrator_id, first
     assert lapack == []
 
 
-# x^{-1} per step on spd: metric, christoffel and the closed-form exponential
-# share the inverse of x; nothing solves
+# one factor per point per step on spd: sigma, metric, christoffel and the
+# closed-form exponential share it, and x^{-1} comes from it; nothing
+# inverts or solves
 @pytest.mark.parametrize("integrator_id,per_step", [
     ("geodesic-walk", 1), ("retractive-em", 1), ("rk4-geodesic", 1),
 ])
 def test_spd_step_inverts_each_point_once(monkeypatch, integrator_id, per_step):
+    seen = []
+    real = spd._sqrt_factor
+
+    def recording(x):
+        seen.append(np.array(x, copy=True))
+        return real(x)
+
+    # patched before the handle is built, which wraps it in reuse_last
+    monkeypatch.setattr(spd, "_sqrt_factor", recording)
     handle = make_manifold("spd", N=3)
     stepper = make_stepper(handle, integrator_id)
     rng = RngStream(52, 0)
     x = np.stack([handle.random_point(rng) for _ in range(16)])
     incs = [truncated_increment(rng, (16,) + stepper.noise_shape, 0.01) for _ in range(2)]
-    # patched after the handle is built
     calls = count_linalg(monkeypatch, "inv", "solve")
-    seen = record_inv(monkeypatch)
     out = stepper.step(x, 0.0, 0.01, incs[0])
     assert out.ok.all()
-    assert calls == {"inv": per_step, "solve": 0}
+    assert len(seen) == per_step
     out = stepper.step(out.state, 0.01, 0.01, incs[1])
     assert out.ok.all()
-    assert calls == {"inv": 2 * per_step, "solve": 0}
-    # no point is inverted twice
+    assert len(seen) == 2 * per_step
+    assert calls == {"inv": 0, "solve": 0}
+    # no point is factored twice
     assert len({a.tobytes() for a in seen}) == len(seen)
+
+
+def _recording_lapack(monkeypatch):
+    """Patch the LAPACK routines an spd step could reach to record the
+    shape of each argument; returns the live list of (name, shape)."""
+    seen = []
+    for name in ("inv", "solve", "eigh", "eigvalsh"):
+        def recording(a, *args, real=getattr(np.linalg, name), name=name, **kwargs):
+            seen.append((name, np.shape(a)))
+            return real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recording)
+    return seen
+
+
+@pytest.mark.parametrize("integrator_id", INTEGRATOR_IDS)
+def test_spd3_step_reaches_lapack_only_on_an_uncertified_row(monkeypatch, integrator_id):
+    # certified points (cond < 4) and walk moves of spread inside the
+    # exponential's margin: sigma, the drifts, x^{-1}, exp and the domain
+    # test all take their closed forms.  One point of cond 100 takes eigh
+    # for its factor (and its Heun predictor's) alone.
+    handle = make_manifold("spd", N=3)
+    stepper = make_stepper(handle, integrator_id)
+    rng = RngStream(55, 0)
+
+    def certified():
+        q, _ = np.linalg.qr(rng.normal((3, 3)))
+        return sym(q @ np.diag(4.0 ** rng.uniform(3)) @ q.T)
+
+    x = np.stack([certified() for _ in range(16)])
+    inc = truncated_increment(rng, (16,) + stepper.noise_shape, 0.01)
+    seen = _recording_lapack(monkeypatch)
+    out = stepper.step(x, 0.0, 0.01, inc)
+    assert out.ok.all()
+    assert seen == []
+    q, _ = np.linalg.qr(rng.normal((3, 3)))
+    x[9] = sym(q @ np.diag([1.0, 3.0, 100.0]) @ q.T)
+    mixed = stepper.step(x, 0.0, 0.01, inc)
+    assert mixed.ok.all()
+    assert seen and all(name == "eigh" and shape == (1, 3, 3) for name, shape in seen)
+    np.testing.assert_array_equal(np.delete(mixed.state, 9, axis=0),
+                                  np.delete(out.state, 9, axis=0))
 
 
 @pytest.mark.parametrize("integrator_id", ["ito-em", "strat-heun"])

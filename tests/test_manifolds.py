@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from batteries import GEOMETRY_BATTERY, IDS, counted_tubular
+from batteries import GEOMETRY_BATTERY, IDS, count_linalg, counted_tubular
 from manifold_sde import (
     MANIFOLD_NAMES,
     check_metric_compatibility,
@@ -29,6 +29,7 @@ from manifold_sde.linalg import (
 )
 from manifold_sde.manifolds.hypersurface import make_hypersurface
 from manifold_sde.manifolds.lie_group import LIE_KINDS, random_spd_coeff
+from manifold_sde.manifolds import spd
 from manifold_sde.manifolds.spd import _sqrt_factor, _strat_correction
 from manifold_sde.rng import RngStream
 
@@ -818,6 +819,119 @@ def test_spd_strat_coefficient_reduces_to_the_closed_form_polynomial():
     poly = b**2 / 2 + (((i1 * i3 + i2**2) / (2 * d))[:, None] * b
                        - (i3 / (2 * d))[:, None] * b**2 - (i2 * i3 / (2 * d))[:, None])
     np.testing.assert_allclose(poly, g, rtol=1e-13)
+
+
+def _eigh_inverse_routes(x):
+    """x^{-1/2} from ``sym_eig`` and x^{-1} from ``np.linalg.inv``, the routes
+    the factor's closed forms replace."""
+    return sym_eig(x).apply(lambda lam: 1.0 / np.sqrt(lam)), np.linalg.inv(x)
+
+
+@pytest.mark.parametrize("cond,bound", [(4.0, 64), (64.0, 1024)])
+def test_spd_inverse_from_the_factor_is_within_bound_ulps_of_inv(cond, bound):
+    # x^{-1/2} = (x - I_1 x^{1/2} + I_2 I) / I_3 and x^{-1} its square, on
+    # rows of condition number below ``cond``, among them near-double
+    # eigenvalues at either end; the bound is about twice the worst of 4200
+    # such rows (14 and 20 ulps below cond 4, 313 and 542 below cond 64:
+    # the trigonometric eigenvalues' error grows with cond)
+    rng = RngStream(125, 0)
+    top = 0.999 * cond
+    spectra = [(1.0, 1.0, top), (1.0, top, top), (1.0, 1.0 + 1e-9, top), (1.0, top - 1e-7, top)]
+    spectra += [tuple(np.exp(10.0 * rng.uniform() - 5.0) * cond ** rng.uniform(3))
+                for _ in range(60)]
+    x = np.stack([_rotated_spd(rng, s) for s in spectra])
+    factor = _sqrt_factor(x)
+    assert not factor.rest.any()
+    root_inv, inverse = _eigh_inverse_routes(x)
+    assert _ulps(factor.root_inv, root_inv).max() <= bound
+    assert _ulps(factor.inverse, inverse).max() <= bound
+    np.testing.assert_array_equal(factor.inverse, factor.root_inv @ factor.root_inv)
+
+
+def test_spd_uncertified_rows_take_their_inverse_from_eigh():
+    rng = RngStream(126, 0)
+    x = np.stack(_uncertified_spd3_rows(rng)[:3])  # cond 64.5, 64.01 and 1e4
+    factor = _sqrt_factor(x)
+    assert factor.rest.all()
+    root_inv = sym_eig(x).apply(lambda lam: 1.0 / np.sqrt(lam))
+    assert factor.root_inv.tobytes() == root_inv.tobytes()
+    assert factor.inverse.tobytes() == (root_inv @ root_inv).tobytes()
+
+
+def _spread_rows(rng, spreads):
+    """Symmetric 3x3 rows with eigenvalues m, m + t s, m + s for each spread
+    s, a random m in [-3, 3] and t in {0, 1e-9, 1/2, 1 - 1e-9, 1}."""
+    rows = []
+    for s in spreads:
+        for t in (0.0, 1e-9, 0.5, 1.0 - 1e-9, 1.0):
+            m = 6.0 * rng.uniform() - 3.0
+            rows.append(_rotated_spd(rng, (m, m + t * s, m + s)))
+    return np.stack(rows)
+
+
+def _eigh_exp(w):
+    vals, vecs = np.linalg.eigh(w)
+    return (vecs * np.exp(vals)[..., None, :]) @ mT(vecs)
+
+
+def test_spd_closed_form_exp_matches_eigh_inside_its_spread():
+    # the closed form is within 128 ulps of max|exp(w)| of the eigh route on
+    # spreads in [1e-3, 16] (worst of 3500 rows: 68, at spread 16); outside,
+    # eigh runs on those rows alone and gives its own bits
+    low, high = spd._EXP_SPREAD
+    rng = RngStream(127, 0)
+    inside = [low * 1.001, 0.01, 0.3, 1.0, 4.0, 8.0, high * 0.999]
+    outside = [0.0, 1e-9, low * 0.99, high * 1.01, 40.0]
+    w = _spread_rows(rng, inside + outside)
+    spread = np.ptp(np.linalg.eigvalsh(w), axis=-1)
+    closed = (spread > low * 1.0005) & (spread < high * 0.9995)
+    assert closed.sum() == 5 * len(inside)
+    _, rest = spd._exp3(w)
+    np.testing.assert_array_equal(rest, ~closed)
+    got = spd._expm_sym(w)
+    assert _ulps(got[closed], _eigh_exp(w[closed])).max() <= 128
+    assert got[~closed].tobytes() == _eigh_exp(w[~closed]).tobytes()
+
+
+def test_spd_inverse_and_exponential_rows_do_not_depend_on_their_batch():
+    rng = RngStream(128, 0)
+    rows = _uncertified_spd3_rows(rng)[:3] + [_rotated_spd(rng, 60.0 ** rng.uniform(3))
+                                                for _ in range(13)]
+    order = np.argsort(rng.uniform(len(rows)))
+    x = np.stack([rows[i] for i in order])
+    w = _spread_rows(rng, [spd._EXP_SPREAD[0] * 0.5, 0.5, 2.0, 40.0])[:16]
+    v = sym(mT(_sqrt_factor(x).root) @ w @ _sqrt_factor(x).root)
+    factor = _sqrt_factor(x)
+    assert factor.rest.any() and not factor.rest.all()
+    handle = make_manifold("spd", N=3)
+    moved = handle.exponential(x, v)
+    exp_w = spd._expm_sym(w)
+    assert spd._exp3(w)[1].any() and not spd._exp3(w)[1].all()
+    for i in range(len(x)):
+        for alone in (x[i], x[i:i + 1]):
+            single = _sqrt_factor(alone)
+            assert single.root_inv.shape == single.inverse.shape == alone.shape
+            assert single.root_inv.tobytes() == factor.root_inv[i].tobytes()
+            assert single.inverse.tobytes() == factor.inverse[i].tobytes()
+        assert spd._expm_sym(w[i]).tobytes() == exp_w[i].tobytes()
+        assert handle.exponential(x[i], v[i]).tobytes() == moved[i].tobytes()
+        assert handle.exponential(x[i:i + 1], v[i:i + 1]).tobytes() == moved[i:i + 1].tobytes()
+
+
+def test_spd_never_calls_inv(monkeypatch):
+    # metric, christoffel and the exponential map read x^{-1} and x^{-1/2}
+    # from the factor, on spd(2) and spd(4) (eigh rows) as on spd(3)
+    calls = count_linalg(monkeypatch, "inv", "solve")
+    rng = RngStream(129, 0)
+    for n in (2, 3, 4):
+        handle = make_manifold("spd", N=n)
+        x = np.stack([handle.random_point(rng) for _ in range(8)])
+        v = sym(rng.normal((8, n, n)))
+        xinv = _eigh_inverse_routes(x)[1]
+        np.testing.assert_allclose(handle.metric(x, v), xinv @ v @ xinv, rtol=1e-11, atol=1e-11)
+        handle.christoffel(x, v, v)
+        handle.exponential(x, 0.1 * v)
+    assert calls == {"inv": 3, "solve": 0}  # the three reference inverses
 
 
 def test_spd_sigma_sends_only_the_uncertified_row_to_eigh(monkeypatch):

@@ -222,3 +222,34 @@ def test_frame_oracle_matches_trace_laplacian(name, build):
     main = laplace_beltrami(handle, x, egrad_at(x), ehess)
     frame = laplacian_frame_oracle(handle, x, egrad_at(x), ehess)
     assert abs(main - frame) < 1e-6 * max(1.0, abs(main))
+
+
+def test_quadrature_nodes_are_computed_once_and_read_only(monkeypatch):
+    first = oracles._composite_gauss(oracles._NODES, panels=16)
+    again = oracles._composite_gauss(oracles._NODES, panels=16)
+    assert again[0] is first[0] and again[1] is first[1]
+    for array in first:
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    cached = [heat_expectation_s2(phi_52, 0.3), heat_expectation_s3(phi_32_52, 2.0, 0.4, 3.0),
+              heat_expectation_s3(phi_52, 2e-3)]
+    # the uncached route: every call solves leggauss's eigenproblem again
+    monkeypatch.setattr(oracles, "_composite_gauss", oracles._composite_gauss.__wrapped__)
+    uncached = [heat_expectation_s2(phi_52, 0.3), heat_expectation_s3(phi_32_52, 2.0, 0.4, 3.0),
+                heat_expectation_s3(phi_52, 2e-3)]
+    assert cached == uncached
+
+
+@pytest.mark.parametrize("tag", ["s2", "s3"])
+def test_heat_kernel_values_keep_the_shape_of_phi(tag):
+    grid = np.linspace(0.0, np.pi, 6)
+    flat = heat_kernel_values(tag, grid, T=1.0)
+    assert flat.shape == (6,)
+    square = heat_kernel_values(tag, grid.reshape(2, 3), T=1.0)
+    assert square.shape == (2, 3)
+    # the S^3 sums are a matrix product, whose rounding may depend on its shape
+    np.testing.assert_allclose(square.ravel(), flat, rtol=1e-13)
+    for k, phi in enumerate(grid):
+        value = heat_kernel_values(tag, phi, T=1.0)
+        assert np.shape(value) == ()
+        assert value == pytest.approx(flat[k], rel=1e-13)
