@@ -52,7 +52,7 @@ class QuadratureError(RuntimeError):
 # quadrature
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8)
 def _composite_gauss(n_total: int, panels: int = 16):
     """Composite Gauss-Legendre nodes/weights on [0, pi], computed once per
     process for each ``(n_total, panels)`` and returned read-only."""
