@@ -9,7 +9,7 @@ symbol and the exponential map take it through
 :func:`~manifold_sde.linalg.reuse_last`, which returns the last one again
 for an input with the same bits (a step asks for it several times at the
 same x).  The factor holds x^{1/2}; x^{-1/2}, x^{-1} = x^{-1/2} x^{-1/2} and
-S(x) are formed from it when first asked for, so nothing calls
+S(x) are formed from it when first asked for, so spd never calls
 ``np.linalg.inv``.
 
 The exponential map of the metric is x^{1/2} exp(x^{-1/2} v x^{-1/2}) x^{1/2}
@@ -232,8 +232,8 @@ def _sqrt_factor(x: np.ndarray) -> _SqrtFactor:
 
 def _exp3(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp of symmetric 3x3 rows by the Newton form of the module docstring,
-    and the rows whose spread lies outside ``_EXP_SPREAD`` (their exp is not
-    set)."""
+    and the rows whose spread lies outside ``_EXP_SPREAD``, whose entries in
+    the result are not their exp."""
     with np.errstate(all="ignore"):  # the rows outside the spread are replaced
         mu = _eigenvalues3(_entries3(rows))
         spread = mu[2] - mu[0]
