@@ -3,6 +3,7 @@ real parameters.  A bool is neither an integer nor a real number here."""
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -24,3 +25,11 @@ def require_real(name: str, value) -> None:
     other than a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def require_positive_finite(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a real number
+    other than a bool, finite and above 0."""
+    require_real(name, value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")

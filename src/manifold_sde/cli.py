@@ -22,7 +22,10 @@ Commands:
                    A cost with an exact law (``oracles.exact_mean``) gets
                    an ``exact-law`` row first and each cell's verdict on it.
 - ``uniform``:     long-run Brownian estimate vs. direct uniform sampling
-                   (compact manifolds and terminal costs only).
+                   (compact manifolds and terminal costs only).  ``cost``
+                   may list ids (``cost = sum_abs,abs11``): one run and one
+                   direct draw serve them all, and each prints its line and
+                   writes its two summary rows, in the listed order.
 - ``heat-kernel``: spectral-series expectation for the sphere reference
                    configuration (diffusion 0.4, radius 3, T = 2 unless
                    set).  With ``n_path`` it also runs the ``compare`` grid
@@ -175,10 +178,16 @@ def parse_config(text: str, overrides=()) -> RunConfig:
             f"unknown integrator {values['integrator']!r}; valid ids: "
             f"{', '.join(INTEGRATOR_IDS)}"
         )
-    if "cost" in values and values["cost"] not in COST_IDS:
-        raise ConfigError(
-            f"unknown cost {values['cost']!r}; valid ids: {', '.join(COST_IDS)}"
-        )
+    if "cost" in values:
+        cost_ids = _cost_ids(values["cost"])
+        for cost_id in cost_ids:
+            if cost_id not in COST_IDS:
+                raise ConfigError(
+                    f"unknown cost {cost_id!r}; valid ids: {', '.join(COST_IDS)}"
+                )
+        if len(cost_ids) > 1 and command != "uniform":
+            raise ConfigError(f"key 'cost' takes one id for command {command!r}, "
+                              f"got the list {values['cost']!r}")
     if "manifold" in values:
         family = values["manifold"]
         if family not in MANIFOLD_NAMES:
@@ -194,6 +203,11 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         if extra:
             raise ConfigError(f"key(s) {', '.join(extra)} do not apply to manifold {family!r}")
     return RunConfig(command=command, values=values)
+
+
+def _cost_ids(raw: str) -> list:
+    """The ids of a ``cost`` value: one id, or a comma-separated list (``uniform`` only)."""
+    return [cost_id.strip() for cost_id in raw.split(",")]
 
 
 def _build_handle(config: RunConfig) -> ManifoldHandle:
@@ -354,15 +368,16 @@ def _cmd_compare(config: RunConfig) -> int:
 
 def _cmd_uniform(config: RunConfig) -> int:
     handle = _build_handle(config)
-    cost = make_cost(config.get("cost"), handle)
+    costs = [make_cost(cost_id, handle) for cost_id in _cost_ids(config.get("cost"))]
     sim = _sim_config(config, T=40.0, n_div=700, n_path=1000, seed=0, integrator="ito-em")
-    (row,) = uniform_limit_run(sim, handle, [cost])
-    brownian, direct = row.samples, row.reference
-    print(f"{handle.name} {cost.name}: brownian {brownian.mean:.6g} ({brownian.stderr:.3g}) "
-          f"{_verdict(row)} uniform {direct.mean:.6g} ({direct.stderr:.3g})")
-    _write_summary(config.get("out"), sim.T, handle.name,
-                   [(cost.name, brownian, sim.integrator, sim.n_div),
-                    (cost.name + "_uniform", direct, "direct-sampler", 0)])
+    entries = []
+    for row in uniform_limit_run(sim, handle, costs):
+        brownian, direct = row.samples, row.reference
+        print(f"{handle.name} {row.label}: brownian {brownian.mean:.6g} ({brownian.stderr:.3g}) "
+              f"{_verdict(row)} uniform {direct.mean:.6g} ({direct.stderr:.3g})")
+        entries += [(row.label, brownian, sim.integrator, sim.n_div),
+                    (row.label + "_uniform", direct, "direct-sampler", 0)]
+    _write_summary(config.get("out"), sim.T, handle.name, entries)
     return EXIT_OK
 
 

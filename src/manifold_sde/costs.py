@@ -73,7 +73,7 @@ def sphere_angle(handle: ManifoldHandle, x0: np.ndarray):
 def make_cost(cost_id: str, handle: ManifoldHandle) -> CostFunctional:
     """Build a registered cost functional bound to one manifold handle."""
     families = _FAMILIES.get(cost_id)
-    if families is not None and handle.name.split("(")[0] not in families:
+    if families is not None and handle.family not in families:
         raise ValueError(f"cost {cost_id!r} is defined on {', '.join(families)} only; "
                          f"got {handle.name}")
     if cost_id in ANGLE_COSTS:

@@ -22,6 +22,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
+from ._checks import require_positive_finite
 from .linalg import frobenius_inner, frobenius_norm
 from .rng import RngStream
 
@@ -235,6 +236,12 @@ class ManifoldHandle:
 
     def random_tangent(self, rng: RngStream, x: np.ndarray) -> np.ndarray:
         return self.project(x, rng.normal(np.shape(x)))
+
+    @property
+    def family(self) -> str:
+        """The family of the handle: its name up to the first parenthesis
+        (``so`` for ``so(3)``), as ``make_manifold`` spells it."""
+        return self.name.split("(")[0]
 
     def functional_point(self, x: np.ndarray) -> np.ndarray:
         """Representation cost functionals act on (identity unless overridden)."""
@@ -538,8 +545,7 @@ def brownian_sde(
     sqrt(2c).  The noise has the ambient shape; ``handle.sigma`` is already
     tangent-valued, so it is only scaled.
     """
-    if diffusion <= 0.0:
-        raise ValueError(f"diffusion must be positive, got {diffusion}")
+    require_positive_finite("diffusion", diffusion)
     c2 = 2.0 * diffusion
     root = float(np.sqrt(c2))
 

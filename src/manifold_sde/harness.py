@@ -29,11 +29,15 @@ The running cost is accumulated as sum_j g(X_{j+1}, j h) * h (the post-step
 point with the pre-step time, matching the reference loop order), plus the
 terminal f(X_T, T).  Costs act on the functional representation of the state
 (identity except for Grassmann, where points are presented as projectors).
+``simulate`` takes one cost or a tuple of costs; a tuple is read off one set
+of paths (common random numbers), one sample column per cost, and column j
+is bit-identical to the run with cost j alone.
 
-Studies run through ``run_study``: each cell (label, config, cost,
-reference) is simulated and judged against its reference, an exact float or
-a ``SampleSet``, by one 3-stderr rule (``_agreement``).  ``compare_methods``
-and ``uniform_limit_run`` build their cells for it.
+Studies judge samples against a reference, an exact float or a
+``SampleSet``, by one 3-stderr rule (``_agreement``).  ``run_study``
+simulates cells (label, config, cost, reference), and ``compare_methods``
+builds its grid of cells for it; ``uniform_limit_run`` reads all its costs
+off one ``simulate`` run and one direct uniform draw.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._checks import require_integer, require_real
+from ._checks import require_integer, require_positive_finite, require_real
 from .geometry import ManifoldHandle, require_on_manifold
 from .integrators import (
     INTEGRATOR_IDS,
@@ -107,10 +111,9 @@ class SimulationConfig:
     def __post_init__(self):
         for name in ("n_div", "n_path", "seed", "max_retries", "path_chunk"):
             require_integer(name, getattr(self, name))
-        for name in ("T", "r", "diffusion"):
-            require_real(name, getattr(self, name))
-        if not (math.isfinite(self.T) and self.T > 0.0):
-            raise ValueError(f"T must be positive and finite, got {self.T}")
+        require_positive_finite("T", self.T)
+        require_real("r", self.r)
+        require_positive_finite("diffusion", self.diffusion)
         if self.n_div < 1 or self.n_path < 1:
             raise ValueError("n_div and n_path must be at least 1")
         if self.integrator not in INTEGRATOR_IDS:
@@ -122,8 +125,6 @@ class SimulationConfig:
             raise ValueError(f"truncation parameter r must be finite and >= 1, got {self.r}")
         if self.integrator in TRUNCATED_IDS:
             truncation_bound(self.h, self.r)  # raises a ValueError naming h unless 0 < h < 1
-        if not (math.isfinite(self.diffusion) and self.diffusion > 0.0):
-            raise ValueError(f"diffusion must be positive and finite, got {self.diffusion}")
         if self.max_retries < 0 or self.path_chunk < 1:
             raise ValueError("max_retries must be >= 0 and path_chunk >= 1")
 
@@ -260,8 +261,9 @@ def _noise_block(seed: int, lo: int, hi: int, tau: int, steps: int, noise: tuple
 
 
 def _run_chunk(handle: ManifoldHandle, stepper: Stepper, config: SimulationConfig,
-               cost: CostFunctional, lo: int, hi: int) -> np.ndarray:
-    """Advance paths [lo, hi) as whole arrays; returns their samples.
+               costs: tuple, lo: int, hi: int) -> np.ndarray:
+    """Advance paths [lo, hi) as whole arrays; returns their samples, one
+    column per cost in ``costs``, shaped (hi - lo, len(costs)).
 
     Each step moves the whole chunk at once.  The chunk holds the noise of
     one time block at a time (``_noise_block``).  A stepper's rows are final
@@ -269,7 +271,8 @@ def _run_chunk(handle: ManifoldHandle, stepper: Stepper, config: SimulationConfi
     them whole.  A row the stepper flags is resampled, attempt a of path i at
     step j drawing from the stream ``(seed, i, (0, j, a, 0))``; a row still
     flagged after ``max_retries`` draws raises StepFailureError, the one way
-    a run fails.
+    a run fails.  The running parts read one functional point per step and
+    the terminal parts one at T; each column sums as it would alone.
     """
     size = hi - lo
     h = config.h
@@ -281,10 +284,12 @@ def _run_chunk(handle: ManifoldHandle, stepper: Stepper, config: SimulationConfi
         zeta = np.clip(raw, -bound, bound) if bound is not None else raw
         return WienerIncrement(raw=raw, truncated=zeta, h=h, r=config.r)
 
+    running = [(k, c.running) for k, c in enumerate(costs) if c.running is not None]
+    terminal = [(k, c.terminal) for k, c in enumerate(costs) if c.terminal is not None]
     # astype keeps the broadcast view's axis order; the copy makes the state
     # C-ordered, and the steppers' rounding depends on that layout
     state = np.broadcast_to(handle.default_point(), (size,) + handle.shape).astype(float).copy()
-    acc = np.zeros(size)
+    acc = np.zeros((size, len(costs)))
 
     for j in range(config.n_div):
         t = j * h
@@ -314,13 +319,15 @@ def _run_chunk(handle: ManifoldHandle, stepper: Stepper, config: SimulationConfi
             state[pending] = out.state
             pending = pending[~np.asarray(out.ok)]
 
-        if cost.running is not None:
+        if running:
             pts = handle.functional_point(state)
-            acc += h * np.asarray(cost.running(pts, t), dtype=float)
+            for k, g in running:
+                acc[:, k] += h * np.asarray(g(pts, t), dtype=float)
 
-    if cost.terminal is not None:
+    if terminal:
         pts = handle.functional_point(state)
-        acc += np.asarray(cost.terminal(pts, config.T), dtype=float)
+        for k, f in terminal:
+            acc[:, k] += np.asarray(f(pts, config.T), dtype=float)
     return acc
 
 
@@ -396,10 +403,10 @@ def _write_all(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view):]
 
 
-def _run_forked(run, chunks, n_path: int, workers: int) -> np.ndarray:
+def _run_forked(run, chunks, n_path: int, n_cost: int, workers: int) -> np.ndarray:
     """Run ``chunks`` on this process (worker 0) and ``workers - 1`` forked
-    children (none for one worker); returns the samples or raises the least
-    failure (``_failure_order``).
+    children (none for one worker); returns the (n_path, n_cost) samples or
+    raises the least failure (``_failure_order``).
 
     The children write samples into one shared anonymous mmap and a report
     into a pipe each.  A child never returns into the caller: it leaves by
@@ -407,7 +414,8 @@ def _run_forked(run, chunks, n_path: int, workers: int) -> np.ndarray:
     child is reaped on every path; if this process raises, the children are
     killed first.
     """
-    shared = np.frombuffer(mmap.mmap(-1, 8 * n_path), dtype=float)
+    shared = np.frombuffer(mmap.mmap(-1, 8 * n_path * n_cost), dtype=float)
+    shared = shared.reshape(n_path, n_cost)
     children = []  # (pid, read end of its report pipe)
     reports, statuses = {}, {}
     try:
@@ -448,23 +456,32 @@ def _run_forked(run, chunks, n_path: int, workers: int) -> np.ndarray:
 
 
 def simulate(config: SimulationConfig, handle: ManifoldHandle,
-             cost: CostFunctional | None = None) -> SampleSet:
+             cost: CostFunctional | tuple | None = None) -> SampleSet | tuple:
     """Run n_path independent paths from the handle's canonical point and
     accumulate the cost functional.
 
     The paths follow the Brownian motion with generator scale
-    config.diffusion, in the form the chosen integrator consumes.
+    config.diffusion, in the form the chosen integrator consumes.  ``cost``
+    is one ``CostFunctional`` (None is the zero cost), which gives one
+    ``SampleSet``, or a non-empty tuple of them, which gives a tuple of
+    ``SampleSet``s read off the same paths, the j-th bit-identical to a run
+    with ``cost[j]`` alone.
     """
-    cost = cost if cost is not None else CostFunctional()
+    costs = cost if isinstance(cost, tuple) else (cost if cost is not None else CostFunctional(),)
+    if not costs:
+        raise ValueError("cost must hold at least one CostFunctional")
     stepper = make_stepper(handle, config.integrator, diffusion=config.diffusion)
     require_on_manifold(handle, handle.default_point(), tol=1e-8)
 
     def run(lo, hi):
-        return _run_chunk(handle, stepper, config, cost, lo, hi)
+        return _run_chunk(handle, stepper, config, costs, lo, hi)
 
     workers = _worker_count(config)
     chunks = _plan_chunks(config.n_path, config.path_chunk, workers)
-    return SampleSet(samples=_run_forked(run, chunks, config.n_path, workers))
+    samples = _run_forked(run, chunks, config.n_path, len(costs), workers)
+    sets = tuple(SampleSet(samples=np.ascontiguousarray(samples[:, k]))
+                 for k in range(len(costs)))
+    return sets if isinstance(cost, tuple) else sets[0]
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +515,12 @@ def run_study(handle: ManifoldHandle, cells: Sequence[tuple]) -> tuple:
     """Simulate each cell (label, config, cost, reference) in order; returns
     one ``StudyRow`` per cell.  A reference is an exact float, a
     ``SampleSet`` or None (no verdict)."""
-    rows = []
-    for label, config, cost, reference in cells:
-        samples = simulate(config, handle, cost=cost)
-        rows.append(StudyRow(label, samples, reference, *_agreement(samples, reference)))
-    return tuple(rows)
+    return tuple(_row(label, simulate(config, handle, cost=cost), reference)
+                 for label, config, cost, reference in cells)
+
+
+def _row(label, samples: SampleSet, reference) -> StudyRow:
+    return StudyRow(label, samples, reference, *_agreement(samples, reference))
 
 
 @dataclass(frozen=True)
@@ -579,11 +597,13 @@ def uniform_limit_run(config: SimulationConfig, handle: ManifoldHandle,
 
     Each cost must be terminal only: the uniform law is a law of X_T, so a
     running part has nothing to compare with.  Only compact families with a
-    direct sampler have a reference: every cost's direct samples of
-    ``cost.terminal(points, config.T)`` come first, from the independent
-    samplers in oracles seeded from ``config.seed``, and then each cost is
-    simulated with ``config``.  ``costs`` must not be empty, and
-    ``n_direct``, the direct sample count per cost, must be a positive integer.
+    direct sampler have a reference.  Every cost reads the same two sets of
+    points: first ``n_direct`` direct uniform samples, drawn once from the
+    independent samplers in oracles on the stream ``(config.seed, 2**32)``,
+    then one ``simulate`` run with ``config``, each cost's terminal part
+    evaluated at ``config.T``.  Row j is therefore bit-identical to the run
+    with ``costs[j]`` alone.  ``costs`` must not be empty, and ``n_direct``
+    must be a positive integer.
     """
     from .oracles import uniform_cost_estimate
 
@@ -599,9 +619,10 @@ def uniform_limit_run(config: SimulationConfig, handle: ManifoldHandle,
         if cost.running is not None:
             raise ValueError(f"cost {cost.name!r} has a running part; "
                              "the uniform comparison takes terminal costs only")
-    return run_study(handle, [
-        (cost.name, config, cost,
-         uniform_cost_estimate(handle, lambda x, cost=cost: cost.terminal(x, config.T),
-                               RngStream(seed=config.seed, stream_id=2**32 + k),
-                               n_sample=n_direct))
-        for k, cost in enumerate(costs)])
+    costs = tuple(costs)
+    direct = uniform_cost_estimate(
+        handle, tuple(lambda x, f=cost.terminal: f(x, config.T) for cost in costs),
+        RngStream(seed=config.seed, stream_id=2**32), n_sample=n_direct)
+    brownian = simulate(config, handle, cost=costs)
+    return tuple(_row(cost.name, samples, reference)
+                 for cost, samples, reference in zip(costs, brownian, direct))

@@ -310,8 +310,11 @@ def make_spd(N: int) -> ManifoldHandle:
     factor = reuse_last(_sqrt_factor)
 
     def metric(x, w):
-        xinv = factor(x).inverse
-        return xinv @ w @ xinv
+        # x^{-1/2} (x^{-1/2} w x^{-1/2}) x^{-1/2}: the walk's length <u, g u>
+        # then loses digits like cond(x), where x^{-1} w x^{-1} loses them
+        # like cond(x)^2 (non-positive past cond 1e10)
+        root_inv = factor(x).root_inv
+        return root_inv @ (root_inv @ w @ root_inv) @ root_inv
 
     def metric_inv(x, w):
         return x @ w @ x

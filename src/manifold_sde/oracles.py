@@ -189,7 +189,7 @@ def exact_mean(handle: ManifoldHandle, cost_id: str, T: float, diffusion: float)
       |grad|^2 = 1, so log x_n(X_T) is normal with mean -(n - 1) c T and
       variance 2 c T.
     """
-    family = _family(handle)
+    family = handle.family
     c = diffusion
     if cost_id == "log_det_sq" and family in ("spd", "gl+"):
         eye = handle.default_point()
@@ -205,11 +205,6 @@ def exact_mean(handle: ManifoldHandle, cost_id: str, T: float, diffusion: float)
 # direct uniform sampling
 
 
-def _family(handle: ManifoldHandle) -> str:
-    kind = handle.params.get("kind")
-    return kind if kind is not None else handle.name.split("(")[0]
-
-
 def sample_uniform(handle: ManifoldHandle, rng: RngStream, size: int = 1) -> np.ndarray:
     """Direct uniform samples for sphere / SO / Stiefel / Grassmann handles.
 
@@ -218,7 +213,7 @@ def sample_uniform(handle: ManifoldHandle, rng: RngStream, size: int = 1) -> np.
     by flipping the last column when the determinant is negative (a
     measure-preserving involution on the reflection component).
     """
-    family = _family(handle)
+    family = handle.family
     n, m = handle.shape
     if family == "sphere":
         g = rng.normal((size, n))
@@ -236,20 +231,26 @@ def sample_uniform(handle: ManifoldHandle, rng: RngStream, size: int = 1) -> np.
 
 
 def uniform_cost_estimate(handle: ManifoldHandle, cost, rng: RngStream,
-                          n_sample: int = 100_000) -> SampleSet:
+                          n_sample: int = 100_000):
     """``cost`` at ``n_sample`` uniform points, as a ``SampleSet``.
 
     ``cost`` receives the functional representation of the points (identity
-    except for Grassmann, where it is the projector Y Y^T).  The points are
-    drawn from ``rng`` in batches of ``_UNIFORM_BATCH``; ``n_sample`` must be
-    a positive integer.
+    except for Grassmann, where it is the projector Y Y^T).  A tuple of
+    costs reads the same points and gives a tuple of ``SampleSet``s, the
+    j-th bit-identical to the estimate of ``cost[j]`` alone from the same
+    ``rng`` state.  The points are drawn from ``rng`` in batches of
+    ``_UNIFORM_BATCH``; ``n_sample`` must be a positive integer.
     """
     require_integer("n_sample", n_sample, positive=True)
-    vals = []
+    costs = cost if isinstance(cost, tuple) else (cost,)
+    vals = [[] for _ in costs]
     for done in range(0, n_sample, _UNIFORM_BATCH):
-        pts = sample_uniform(handle, rng, min(_UNIFORM_BATCH, n_sample - done))
-        vals.append(np.asarray(cost(handle.functional_point(pts)), dtype=float))
-    return SampleSet(samples=np.concatenate(vals))
+        pts = handle.functional_point(
+            sample_uniform(handle, rng, min(_UNIFORM_BATCH, n_sample - done)))
+        for values, c in zip(vals, costs):
+            values.append(np.asarray(c(pts), dtype=float))
+    sets = tuple(SampleSet(samples=np.concatenate(values)) for values in vals)
+    return sets if isinstance(cost, tuple) else sets[0]
 
 
 # ---------------------------------------------------------------------------

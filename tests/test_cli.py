@@ -598,6 +598,40 @@ def test_uniform_command_honours_truncation_parameter(tmp_path, capsys):
     assert outs[0] != outs[1]
 
 
+def test_uniform_command_with_a_cost_list_is_the_one_cost_runs(tmp_path, capsys, monkeypatch):
+    # one run for both costs; each prints and writes, in order, the bytes of
+    # its own one-cost run
+    monkeypatch.setenv(THREADS_ENV, "1")
+    body = "command=uniform\nmanifold=so\nN=3\nn_path=32\nn_div=20\nT=2\nseed=1\n"
+    printed, summaries = [], []
+    for cost in ("sum_abs", "abs11", "sum_abs,abs11"):
+        out = tmp_path / f"u-{cost}.csv"
+        cfg = write(tmp_path, "u.cfg", f"{body}cost={cost}\nout={out}\n")
+        assert main([cfg]) == 0
+        printed.append(capsys.readouterr().out)
+        summaries.append(out.read_bytes().splitlines(keepends=True))
+    assert printed[2] == printed[0] + printed[1]
+    assert summaries[2] == summaries[0] + summaries[1][1:]
+
+
+@pytest.mark.parametrize("command,body", [
+    ("uniform", "manifold=so\nN=3\ncost=sum_abs,nope\n"),
+    ("simulate", "manifold=so\nN=3\nintegrator=ito-em\nT=1\nn_div=4\nn_path=4\nseed=0\n"
+                 "cost=sum_abs,abs11\n"),
+    ("compare", "manifold=so\nN=3\nT=0.5\nn_path=4\nseed=0\ncost=sum_abs,abs11\n"),
+    ("heat-kernel", "manifold=sphere\nn=3\ncost=phi_5_2,phi_32_52\n"),
+], ids=["unknown-in-list", "simulate", "compare", "heat-kernel"])
+def test_cost_lists_are_checked_before_any_run(tmp_path, capsys, command, body):
+    out = tmp_path / "x.csv"
+    assert main([write(tmp_path, "list.cfg", f"command={command}\n{body}out={out}\n")]) == 3
+    err = capsys.readouterr().err
+    if command == "uniform":
+        assert "unknown cost 'nope'" in err
+    else:
+        assert f"key 'cost' takes one id for command {command!r}" in err
+    assert not out.exists()
+
+
 def test_readme_configs_parse():
     # every README block that starts with "command =" is a config the CLI accepts
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

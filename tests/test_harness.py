@@ -127,6 +127,29 @@ def test_config_counts_take_numpy_integers(so3):
                                   simulate(plain, so3, cost=cost).samples)
 
 
+@pytest.mark.parametrize("family,params", [("spd", {"N": 3}), ("so", {"N": 3})])
+def test_each_cost_of_a_tuple_is_its_own_run(family, params, monkeypatch):
+    # one set of paths serves every cost (a running one among them), and
+    # column j is the one-cost run of cost j, whatever the chunks and workers
+    handle = make_manifold(family, **params)
+    costs = tuple(make_cost(c, handle) for c in ("sum_abs", "spd_running", "abs11"))
+    base = dict(T=1.0, n_div=20, n_path=300, seed=13)
+    monkeypatch.setenv(THREADS_ENV, "1")
+    alone = [simulate(SimulationConfig(**base), handle, cost=c).samples for c in costs]
+    for chunk in (7, 256):
+        for threads in ("1", "2"):
+            monkeypatch.setenv(THREADS_ENV, threads)
+            sets = simulate(SimulationConfig(path_chunk=chunk, **base), handle, cost=costs)
+            assert isinstance(sets, tuple) and len(sets) == 3
+            for out, want in zip(sets, alone):
+                assert out.samples.tobytes() == want.tobytes(), (chunk, threads)
+
+
+def test_simulate_needs_a_cost_in_a_tuple(so3):
+    with pytest.raises(ValueError, match="cost must hold at least one CostFunctional"):
+        simulate(SimulationConfig(T=1.0, n_div=4, n_path=4, seed=0), so3, cost=())
+
+
 def test_results_independent_of_chunking_and_threads(so3, monkeypatch):
     cost = make_cost("sum_abs", so3)
     base = dict(T=1.0, n_div=50, n_path=200, seed=11)
@@ -155,16 +178,18 @@ def test_results_independent_of_chunking_and_threads(so3, monkeypatch):
 # again when x^{-1} and x^{-1/2} came from the sigma factor instead of
 # np.linalg.inv and the exponential's middle factor from its closed form
 # (a rounding change only: at most 5.2e-14 (geodesic-walk) and 9.2e-14
-# (rk4-geodesic) per path, with no flag changed).
+# (rk4-geodesic) per path, with no flag changed), and again when the metric
+# took x^{-1/2} (x^{-1/2} w x^{-1/2}) x^{-1/2} in place of x^{-1} w x^{-1}
+# (a rounding change only: at most 6.2e-14 and 1.4e-13 per path).
 PINNED_WALK_SAMPLES = [
     ("so", {"N": 3}, "geodesic-walk",
      "30abaffab6a3a1bac15989cee81fb9a10167174b5977ff07b4209687b4b77c76"),
     ("so", {"N": 3}, "rk4-geodesic",
      "799ccf2f47044eed31f8d405892f45bfd81b7c89b9183129cca184c4f01d896d"),
     ("spd", {"N": 3}, "geodesic-walk",
-     "28405a4eeca6d4025e8975d71b042e628815ac727f472d38a5d43fcb3badaf3e"),
+     "e26e79ad01e4d829ec2e267a140a31796c6e07354694bc99bd35251d720ea1fc"),
     ("spd", {"N": 3}, "rk4-geodesic",
-     "f71839ed91c7b4d7f6ea82b6e12f9d90877f334ea107dff1cd86c0c89fd4ba1f"),
+     "7795b692e0f4be37d3a08ead035e322a1d0fd83f37d843b3b72e68b9186e0842"),
     ("hyperbolic", {"n": 3}, "geodesic-walk",
      "3e492f1caca5c72840baa44207df2998f71817f3dec6ebcea32ebbe6ae3f22e5"),
     ("hyperbolic", {"n": 3}, "rk4-geodesic",
@@ -218,9 +243,9 @@ def test_step_failure_in_a_worker_process_is_raised_as_in_process(monkeypatch, w
     cfg = SimulationConfig(T=2.0, n_div=4, n_path=32, seed=50, integrator="ito-em",
                            max_retries=0, path_chunk=8)
     stepper = make_stepper(spd, "ito-em", diffusion=cfg.diffusion)
-    _run_chunk(spd, stepper, cfg, CostFunctional(), 0, 8)
+    _run_chunk(spd, stepper, cfg, (CostFunctional(),), 0, 8)
     with pytest.raises(StepFailureError, match=r"path 17 failed step 1 "):
-        _run_chunk(spd, stepper, cfg, CostFunctional(), 16, 24)
+        _run_chunk(spd, stepper, cfg, (CostFunctional(),), 16, 24)
     monkeypatch.setenv(THREADS_ENV, workers)
     with pytest.raises(StepFailureError) as excinfo:
         simulate(cfg, spd)
@@ -396,7 +421,7 @@ def test_step_failure_is_the_earliest_step_whatever_the_layout(monkeypatch):
                            max_retries=0, path_chunk=1000)
     stepper = make_stepper(spd, "ito-em", diffusion=cfg.diffusion)
     with pytest.raises(StepFailureError, match=r"path 33 failed step 1 "):
-        _run_chunk(spd, stepper, cfg, CostFunctional(), 0, 64)
+        _run_chunk(spd, stepper, cfg, (CostFunctional(),), 0, 64)
     monkeypatch.setenv(THREADS_ENV, "1")
     with pytest.raises(StepFailureError) as single:
         simulate(cfg, spd)
@@ -712,6 +737,36 @@ def test_uniform_limit_rows_hold_both_sample_sets(so3):
     np.testing.assert_array_equal(row.samples.samples, simulate(cfg, so3, cost=cost).samples)
     assert row.reference.n_path == 50
     assert row.gap == abs(row.samples.mean - row.reference.mean)
+
+
+def test_uniform_limit_reads_every_cost_off_one_run(so3, monkeypatch):
+    # one simulate call and one direct draw serve all four costs, and row j
+    # is the one-cost run of cost j, on both sides
+    cfg = SimulationConfig(T=1.0, n_div=4, n_path=16, seed=3)
+    ids = ("sum_abs", "abs11", "exp_half_sum", "inv_sqrt_sum")
+    costs = [make_cost(c, so3) for c in ids]
+    alone = [uniform_limit_run(cfg, so3, [cost], n_direct=30_000)[0] for cost in costs]
+    calls = Counter()
+    real_simulate, real_sample = harness.simulate, oracles.sample_uniform
+
+    def counted_simulate(*args, **kw):
+        calls["simulate"] += 1
+        return real_simulate(*args, **kw)
+
+    def counted_sample(*args):
+        calls["sample_uniform"] += 1
+        return real_sample(*args)
+
+    monkeypatch.setattr(harness, "simulate", counted_simulate)
+    monkeypatch.setattr(oracles, "sample_uniform", counted_sample)
+    rows = uniform_limit_run(cfg, so3, costs, n_direct=30_000)
+    # 30 000 points are two batches of one sequence, as for one cost
+    assert calls == {"simulate": 1, "sample_uniform": 2}
+    assert [row.label for row in rows] == list(ids)
+    for row, want in zip(rows, alone):
+        assert row.samples.samples.tobytes() == want.samples.samples.tobytes()
+        assert row.reference.samples.tobytes() == want.reference.samples.tobytes()
+        assert (row.gap, row.allowance, row.agree) == (want.gap, want.allowance, want.agree)
 
 
 @pytest.mark.parametrize("cost,message", [

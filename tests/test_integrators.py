@@ -313,10 +313,10 @@ def test_rodrigues_matches_matrix_exp_across_the_taylor_switch(t2):
 
 @pytest.mark.parametrize("family,params", CLOSED_FORM, ids=CLOSED_FORM_IDS)
 def test_closed_form_walk_stays_on_the_manifold(family, params):
-    # the steps are not re-drawn: a flagged row stays where it was.  On spd
-    # the eigenvalues spread apart, and past cond 1e10 the walk's metric
-    # length of a move can round to a non-positive number, which is flagged
-    # (as on geodesic-walk); no better-conditioned row is flagged
+    # the steps are not re-drawn, and none is flagged: on spd(3) the
+    # eigenvalues spread apart to cond 8e13, where a move's metric length,
+    # read through x^{-1/2} (x^{-1/2} u x^{-1/2}) x^{-1/2}, keeps its leading
+    # digits (through x^{-1} u x^{-1} it rounded to <= 0 past cond 3e11)
     handle = make_manifold(family, **params)
     stepper = make_stepper(handle, "rk4-geodesic")
     rng = RngStream(64, 0)
@@ -324,8 +324,7 @@ def test_closed_form_walk_stays_on_the_manifold(family, params):
     for _ in range(2000):
         raw = rng.normal((4,) + stepper.noise_shape)
         out = stepper.step(x, 0.0, 0.01, WienerIncrement(raw=raw, truncated=raw, h=0.01, r=1.0))
-        if not out.ok.all():
-            assert np.all(np.linalg.cond(x[~out.ok]) > 1e10)
+        assert out.ok.all()
         x = out.state
     assert np.max(handle.constraint_residual(x)) <= 1e-12
     assert handle.on_manifold(x).all()
@@ -372,6 +371,19 @@ def test_walk_flags_degenerate_noise(sphere3):
     result = stepper.step(x, 0.0, 0.01, inc)
     np.testing.assert_array_equal(result.ok, [False, True] * 4)
     np.testing.assert_array_equal(result.state[::2], x[::2])
+
+
+@pytest.mark.parametrize("diffusion,message", [
+    (math.nan, "positive and finite"), (math.inf, "positive and finite"),
+    (0.0, "positive and finite"), (-0.5, "positive and finite"),
+    (True, "a real number"), ("0.5", "a real number"),
+], ids=["nan", "inf", "zero", "negative", "bool", "str"])
+@pytest.mark.parametrize("entry", ["brownian_sde", "make_stepper"])
+def test_diffusion_is_checked_as_the_config_checks_it(sphere3, entry, diffusion, message):
+    build = {"brownian_sde": lambda: brownian_sde(sphere3, form="ito", diffusion=diffusion),
+             "make_stepper": lambda: make_stepper(sphere3, "ito-em", diffusion=diffusion)}
+    with pytest.raises(ValueError, match=f"^diffusion must be {message}"):
+        build[entry]()
 
 
 def test_walk_moves_by_fixed_metric_length(sphere3):
