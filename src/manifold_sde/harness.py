@@ -467,7 +467,8 @@ def simulate(config: SimulationConfig, handle: ManifoldHandle,
     ``SampleSet``s read off the same paths, the j-th bit-identical to a run
     with ``cost[j]`` alone.
     """
-    costs = cost if isinstance(cost, tuple) else (cost if cost is not None else CostFunctional(),)
+    single = not isinstance(cost, tuple)
+    costs = (cost or CostFunctional(),) if single else cost
     if not costs:
         raise ValueError("cost must hold at least one CostFunctional")
     stepper = make_stepper(handle, config.integrator, diffusion=config.diffusion)
@@ -481,7 +482,7 @@ def simulate(config: SimulationConfig, handle: ManifoldHandle,
     samples = _run_forked(run, chunks, config.n_path, len(costs), workers)
     sets = tuple(SampleSet(samples=np.ascontiguousarray(samples[:, k]))
                  for k in range(len(costs)))
-    return sets if isinstance(cost, tuple) else sets[0]
+    return sets[0] if single else sets
 
 
 # ---------------------------------------------------------------------------

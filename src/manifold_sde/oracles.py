@@ -242,7 +242,8 @@ def uniform_cost_estimate(handle: ManifoldHandle, cost, rng: RngStream,
     ``_UNIFORM_BATCH``; ``n_sample`` must be a positive integer.
     """
     require_integer("n_sample", n_sample, positive=True)
-    costs = cost if isinstance(cost, tuple) else (cost,)
+    single = not isinstance(cost, tuple)
+    costs = (cost,) if single else cost
     vals = [[] for _ in costs]
     for done in range(0, n_sample, _UNIFORM_BATCH):
         pts = handle.functional_point(
@@ -250,7 +251,7 @@ def uniform_cost_estimate(handle: ManifoldHandle, cost, rng: RngStream,
         for values, c in zip(vals, costs):
             values.append(np.asarray(c(pts), dtype=float))
     sets = tuple(SampleSet(samples=np.concatenate(values)) for values in vals)
-    return sets if isinstance(cost, tuple) else sets[0]
+    return sets[0] if single else sets
 
 
 # ---------------------------------------------------------------------------
