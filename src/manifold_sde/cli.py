@@ -75,7 +75,7 @@ from .harness import (
     simulate,
     uniform_limit_run,
 )
-from .integrators import INTEGRATOR_IDS, StepFailureError
+from .integrators import IntegratorParameterError, StepFailureError, check_integrator_id
 from .linalg import frobenius_norm
 from .manifolds import MANIFOLD_NAMES, family_keys, make_manifold
 from .oracles import exact_mean, heat_expectation_s2, heat_expectation_s3
@@ -173,11 +173,11 @@ def parse_config(text: str, overrides=()) -> RunConfig:
     if unread:
         raise ConfigError(f"key(s) {', '.join(unread)} do not apply to command {command!r}")
 
-    if "integrator" in values and values["integrator"] not in INTEGRATOR_IDS:
-        raise ConfigError(
-            f"unknown integrator {values['integrator']!r}; valid ids: "
-            f"{', '.join(INTEGRATOR_IDS)}"
-        )
+    if "integrator" in values:
+        try:
+            check_integrator_id(values["integrator"])
+        except IntegratorParameterError as exc:
+            raise ConfigError(str(exc)) from None
     if "cost" in values:
         cost_ids = _cost_ids(values["cost"])
         for cost_id in cost_ids:

@@ -117,11 +117,12 @@ class TangentRetraction:
     ``ok`` False, and every row of the point is final; the retractions built
     here get that from :meth:`TubularRetraction.retract`, the one place a
     row is rejected.  ``second_derivative(x, v)`` is the quadratic term
-    r''(x)[v, v] = d^2/dt^2 r(x, tv)|_0; when absent a finite-difference
-    evaluation is used.  For a second-order retraction it equals
-    -Gamma(x; v, v), and ``second_order`` declares it, which lets the
-    retractive Euler scheme skip its (then vanishing) drift adjustment for
-    Brownian SDEs.
+    r''(x)[v, v] = d^2/dt^2 r(x, tv)|_0.  Every retraction the package builds
+    sets it in closed form; it is absent only on a retraction built
+    elsewhere, for which a finite-difference evaluation is used.  For a
+    second-order retraction it equals -Gamma(x; v, v), and ``second_order``
+    declares it, which lets the retractive Euler scheme skip its (then
+    vanishing) drift adjustment for Brownian SDEs.
     """
 
     retract: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -506,16 +507,29 @@ def second_order_retraction(handle: ManifoldHandle) -> TangentRetraction:
     return TangentRetraction(retract=retract, second_derivative=second, second_order=True)
 
 
-def first_order_retraction(tub: TubularRetraction) -> TangentRetraction:
-    """The naive tangent retraction r(x, v) = pi(x + v) with FD second derivative."""
-    return TangentRetraction(retract=lambda x, v: tub.retract(x + v, x))
+def first_order_retraction(handle: ManifoldHandle) -> TangentRetraction:
+    """The naive tangent retraction r(x, v) = pi(x + v).
+
+    Its quadratic term is pi'(x) Gamma(x; v, v) - Gamma(x; v, v).  The curve
+    c(t) = pi(x + tv) on M has c'' = pi''(x)[v, v], which pi'(x) annihilates
+    (differentiate pi(pi(q)) = pi(q) twice at q = x), while c'' + Gamma(x; v, v)
+    is tangent, where pi'(x) is the identity; so pi'(x) Gamma = c'' + Gamma.
+    """
+    tub = handle.tubular
+
+    def second(x, v):
+        gamma = handle.christoffel(x, v, v)
+        return tub.differential(x, gamma) - gamma
+
+    return TangentRetraction(retract=lambda x, v: tub.retract(x + v, x), second_derivative=second)
 
 
 def retraction_second_derivative(
     retraction: TangentRetraction, x: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
-    """r''(x)[v, v]: the closed form, or a symmetric second difference along
-    v/|v| with step eps^(1/4) (1 + |x|_F), each row's step from its own x."""
+    """r''(x)[v, v]: the closed form, or, on a retraction built outside the
+    package, a symmetric second difference along v/|v| with step
+    eps^(1/4) (1 + |x|_F), each row's step from its own x."""
     if retraction.second_derivative is not None:
         return retraction.second_derivative(x, v)
     v = np.asarray(v, dtype=float)

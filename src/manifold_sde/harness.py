@@ -56,11 +56,12 @@ import numpy as np
 from ._checks import require_integer, require_positive_finite, require_real
 from .geometry import ManifoldHandle, require_on_manifold
 from .integrators import (
-    INTEGRATOR_IDS,
     TRUNCATED_IDS,
     StepFailureError,
     Stepper,
     WienerIncrement,
+    check_integrator_id,
+    check_truncation_parameter,
     make_stepper,
     truncation_bound,
 )
@@ -116,13 +117,8 @@ class SimulationConfig:
         require_positive_finite("diffusion", self.diffusion)
         if self.n_div < 1 or self.n_path < 1:
             raise ValueError("n_div and n_path must be at least 1")
-        if self.integrator not in INTEGRATOR_IDS:
-            raise ValueError(
-                f"unknown integrator {self.integrator!r}; valid ids: "
-                f"{', '.join(INTEGRATOR_IDS)}"
-            )
-        if not (math.isfinite(self.r) and self.r >= 1.0):
-            raise ValueError(f"truncation parameter r must be finite and >= 1, got {self.r}")
+        check_integrator_id(self.integrator)
+        check_truncation_parameter(self.r)
         if self.integrator in TRUNCATED_IDS:
             truncation_bound(self.h, self.r)  # raises a ValueError naming h unless 0 < h < 1
         if self.max_retries < 0 or self.path_chunk < 1:

@@ -40,7 +40,7 @@ tangent retraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Callable
 
@@ -93,11 +93,16 @@ def truncation_bound(h: float, r: float = 1.0) -> float:
         raise IntegratorParameterError(
             f"truncation needs a step size in (0, 1), got h={h}"
         )
+    check_truncation_parameter(r)
+    return math.sqrt(2.0 * r * abs(math.log(h)))
+
+
+def check_truncation_parameter(r: float) -> None:
+    """Raise :class:`IntegratorParameterError` unless r is finite and >= 1."""
     if not (math.isfinite(r) and r >= 1.0):
         raise IntegratorParameterError(
             f"truncation parameter r must be finite and >= 1, got {r}"
         )
-    return math.sqrt(2.0 * r * abs(math.log(h)))
 
 
 @dataclass(frozen=True)
@@ -261,37 +266,28 @@ def _rk4_geodesic_masked(handle, x, v, T, steps):
     return x, v, ok
 
 
-def rk4_exponential_retraction(handle: ManifoldHandle) -> TangentRetraction:
-    """The exponential map as a tangent retraction, by ``RK4_SUBSTEPS``
-    projected RK4 steps over [0, 1].
-
-    A row whose pass turns non-finite, leaves the retraction domain or
-    passes the velocity cap comes back as x with ``ok`` False.
-    """
-
-    def retract(x, v):
-        point, _, ok = _rk4_geodesic_masked(handle, x, v, 1.0, RK4_SUBSTEPS)
-        return point, ok
-
-    return TangentRetraction(retract=retract)
-
-
 def exponential_retraction(handle: ManifoldHandle) -> TangentRetraction:
     """The exponential map as a tangent retraction: ``handle.exponential``
-    where it is set, else :func:`rk4_exponential_retraction`.
+    where it is set, else ``RK4_SUBSTEPS`` projected RK4 steps over [0, 1].
 
     The closed form sees a non-finite v row as zero, and the tubular
-    retraction brings that row back as x with ``ok`` False.
+    retraction brings that row back as x with ``ok`` False; an RK4 row whose
+    pass turns non-finite, leaves the retraction domain or passes the
+    velocity cap comes back as x with ``ok`` False as well.  A geodesic has
+    no acceleration, so r'' = -Gamma(x; v, v), the second-order retraction's
+    term, which this one shares.
     """
     exponential = handle.exponential
     if exponential is None:
-        return rk4_exponential_retraction(handle)
+        def retract(x, v):
+            point, _, ok = _rk4_geodesic_masked(handle, x, v, 1.0, RK4_SUBSTEPS)
+            return point, ok
+    else:
+        def retract(x, v):
+            ok = finite_rows(v)
+            return handle.tubular.retract(exponential(x, freeze_rows(v, 0.0, ok)), x, ok)
 
-    def retract(x, v):
-        ok = finite_rows(v)
-        return handle.tubular.retract(exponential(x, freeze_rows(v, 0.0, ok)), x, ok)
-
-    return TangentRetraction(retract=retract)
+    return replace(second_order_retraction(handle), retract=retract)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +329,14 @@ INTEGRATOR_IDS = tuple(_SCHEMES)
 TRUNCATED_IDS = tuple(i for i, (_, walk, _, _) in _SCHEMES.items() if not walk)
 
 
+def check_integrator_id(integrator_id: str) -> None:
+    """Raise :class:`IntegratorParameterError` unless the id names a scheme."""
+    if integrator_id not in _SCHEMES:
+        raise IntegratorParameterError(
+            f"unknown integrator {integrator_id!r}; valid ids: {', '.join(INTEGRATOR_IDS)}"
+        )
+
+
 def make_stepper(
     handle: ManifoldHandle,
     integrator_id: str,
@@ -345,10 +349,7 @@ def make_stepper(
     ``retraction`` replaces the second-order retraction of ``geodesic-walk``
     and ``retractive-em``; the other schemes ignore it.
     """
-    if integrator_id not in _SCHEMES:
-        raise IntegratorParameterError(
-            f"unknown integrator {integrator_id!r}; valid ids: {', '.join(INTEGRATOR_IDS)}"
-        )
+    check_integrator_id(integrator_id)
     form, walk, rule, bind_retraction = _SCHEMES[integrator_id]
     if sde is None:
         sde = brownian_sde(handle, form=form, diffusion=diffusion)

@@ -8,7 +8,7 @@ from functools import partial
 from ..geometry import ManifoldHandle
 from .grassmann import make_grassmann
 from .hyperbolic import make_hyperbolic
-from .hypersurface import make_hypersurface, rescale_tangent_retraction
+from .hypersurface import make_hypersurface
 from .lie_group import LIE_KINDS, make_lie_group, random_spd_coeff
 from .spd import make_spd
 from .sphere import make_sphere
@@ -64,5 +64,4 @@ __all__ = [
     "make_sphere",
     "make_stiefel",
     "random_spd_coeff",
-    "rescale_tangent_retraction",
 ]

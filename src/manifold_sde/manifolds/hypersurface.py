@@ -1,28 +1,22 @@
 """Homogeneous hypersurface sum_i d_i x_i^p = 1 in R^n (even p, d_i > 0).
 
 A compact level set with the induced Euclidean metric.  Its interest is the
-cheap *rescale* retraction q -> q / (sum d_i q_i^p)^{1/p}: exact thanks to
-homogeneity, but only first-order accurate, so it exercises the drift
-adjustment that keeps retraction-based stepping consistent.  p = 2 with
-d_i = 1/rho^2 recovers the sphere of radius rho.
+cheap *rescale* tubular map q -> q / (sum d_i q_i^p)^{1/p}: exact thanks to
+homogeneity, but a projection along the ray rather than the orthogonal one,
+so its tangent retraction ``first_order_retraction(handle)``, rescale(x + v),
+is only first-order accurate (r'' = -(c''(v, v)/p) x, not -Gamma(x; v, v))
+and exercises the drift adjustment that keeps retraction-based stepping
+consistent.  p = 2 with d_i = 1/rho^2 recovers the sphere of radius rho.
 
 Points are (n, 1) column matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .._checks import require_integer
-from ..geometry import (
-    Constraint,
-    ManifoldHandle,
-    TangentRetraction,
-    TubularRetraction,
-    first_order_retraction,
-)
+from ..geometry import Constraint, ManifoldHandle, TubularRetraction
 from ..linalg import ambient_identity, mT
 
 _MIN_LEVEL = 1e-12
@@ -116,17 +110,3 @@ def make_hypersurface(n: int, p: int = 4, d: np.ndarray | None = None) -> Manifo
         params={"n": n, "p": p, "d": tuple(float(v) for v in d)},
     )
 
-
-def rescale_tangent_retraction(handle: ManifoldHandle) -> TangentRetraction:
-    """The naive first-order retraction r(x, v) = rescale(x + v).
-
-    Its quadratic term is -(c''(v, v)/p) x rather than -Gamma(x; v, v), so
-    stepping with it requires the drift adjustment; the adjusted drift stays
-    tangent because c'' contracted with the noise frame matches the trace
-    term in the Brownian drift.
-    """
-    chess, p = handle.constraints[0].hess, handle.params["p"]
-    return replace(
-        first_order_retraction(handle.tubular),
-        second_derivative=lambda x, v: -(chess(x, v, v)[..., 0] / p)[..., None, None] * x,
-    )

@@ -44,15 +44,16 @@ would cancel, above it the eigenvalue error of the trigonometric form,
 amplified by the spread, would show.  Every other row, and every row of
 spd(N) for N != 3, takes ``eigh`` on those rows alone.
 
-The domain is lambda_min(sym q) > 1e-10.  A row is accepted outright when an
-LDL^T elimination of s - (1e-10 + m) I, m = 1e-12 max(1, max|s|), has only
-positive pivots (on spd(3) written out in closed form).  A completed
-elimination is exact for a matrix within about n^2 eps max|s| of the one
-factored (the Cholesky backward-error bound; Higham, Accuracy and Stability
-of Numerical Algorithms, 2002, ch. 10), so lambda_min(s) exceeds 1e-10 + m
-less that amount; ``eigvalsh`` is backward stable to the same order, so with
-m far above both it accepts the row too.  The rows the elimination does not
-certify go to ``eigvalsh``, so every decision is the one ``eigvalsh`` makes.
+The domain is lambda_min(sym q) > 1e-10.  On spd(3) a row is accepted
+outright when the LDL^T elimination of s - (1e-10 + m) I, m = 1e-12
+max(1, max|s|), written out in closed form, has only positive pivots.  A
+completed elimination is exact for a matrix within about n^2 eps max|s| of
+the one factored (the Cholesky backward-error bound; Higham, Accuracy and
+Stability of Numerical Algorithms, 2002, ch. 10), so lambda_min(s) exceeds
+1e-10 + m less that amount; ``eigvalsh`` is backward stable to the same
+order, so with m far above both it accepts the row too.  The rows the
+elimination does not certify, and every row of spd(N) for N != 3, go to
+``eigvalsh``, so every decision is the one ``eigvalsh`` makes.
 """
 
 from __future__ import annotations
@@ -267,36 +268,29 @@ def _expm_sym(w: np.ndarray) -> np.ndarray:
 
 
 def _certified_positive(s: np.ndarray) -> np.ndarray:
-    """Rows (n x n matrices along one batch axis) whose LDL^T elimination of
+    """Rows (3 x 3 matrices along one batch axis) whose LDL^T elimination of
     s - (1e-10 + m) I has only positive pivots; see the module docstring."""
-    n = s.shape[-1]
     # a non-finite row gives a NaN or -inf pivot, which is not positive; a
     # row with a non-positive pivot is already decided, whatever follows it
     with np.errstate(all="ignore"):
-        if n == 3:
-            entries = _entries3(s)[:6]
-            level = _MIN_EIGENVALUE + _MARGIN * np.maximum(1.0, np.abs(entries).max(axis=0))
-            (p0, a11, a22), (a10, a20, a21) = entries[:3] - level, entries[3:]
-            l10, l20 = entries[3:5] / p0
-            p1 = a11 - l10 * a10
-            a21 = a21 - l20 * a10
-            p2 = (a22 - l20 * a20) - (a21 / p1) * a21
-            # np.minimum keeps a NaN pivot
-            return np.minimum(np.minimum(p0, p1), p2) > 0.0
-        level = _MIN_EIGENVALUE + _MARGIN * np.maximum(1.0, np.abs(s).max(axis=(1, 2)))
-        a = s - level[:, None, None] * np.eye(n)
-        ok = a[:, 0, 0] > 0.0
-        for k in range(n - 1):
-            col = a[:, k + 1:, k] / a[:, k, k, None]
-            a[:, k + 1:, k + 1:] -= col[:, :, None] * a[:, k, None, k + 1:]
-            ok &= a[:, k + 1, k + 1] > 0.0
-    return ok
+        entries = _entries3(s)[:6]
+        level = _MIN_EIGENVALUE + _MARGIN * np.maximum(1.0, np.abs(entries).max(axis=0))
+        (p0, a11, a22), (a10, a20, a21) = entries[:3] - level, entries[3:]
+        l10, l20 = entries[3:5] / p0
+        p1 = a11 - l10 * a10
+        a21 = a21 - l20 * a10
+        p2 = (a22 - l20 * a20) - (a21 / p1) * a21
+        # np.minimum keeps a NaN pivot
+        return np.minimum(np.minimum(p0, p1), p2) > 0.0
 
 
 def _positive(s: np.ndarray) -> np.ndarray:
     """lambda_min(s) > 1e-10 for symmetric s, exactly as ``eigvalsh`` decides it."""
     rows = s.reshape((-1,) + s.shape[-2:])
-    ok = _certified_positive(rows)
+    if s.shape[-1] == 3:
+        ok = _certified_positive(rows)
+    else:
+        ok = np.zeros(rows.shape[0], dtype=bool)
     if not ok.all():
         ok[~ok] = np.linalg.eigvalsh(rows[~ok])[:, 0] > _MIN_EIGENVALUE
     return ok.reshape(s.shape[:-2])[()]

@@ -435,7 +435,7 @@ def test_fd_second_derivative_rows_do_not_depend_on_their_batch(so3):
     rng = RngStream(12, 0)
     x = so3.random_point(rng)
     v = so3.random_tangent(rng, x)
-    r = first_order_retraction(so3.tubular)
+    r = TangentRetraction(retract=first_order_retraction(so3).retract)
     batched = retraction_second_derivative(r, np.stack([x, 3.0 * x]), np.stack([v, v]))
     for alone in (retraction_second_derivative(r, x, v),
                   retraction_second_derivative(r, x[None], v[None])[0]):
@@ -446,7 +446,7 @@ def test_first_order_retraction_tangency(so3):
     rng = RngStream(10, 0)
     x = so3.random_point(rng)
     v = so3.random_tangent(rng, x)
-    r = first_order_retraction(so3.tubular)
+    r = first_order_retraction(so3)
     t = 1e-6
     first = (r.retract(x, t * v)[0] - r.retract(x, -t * v)[0]) / (2 * t)
     assert frobenius_norm(first - v) < 1e-7

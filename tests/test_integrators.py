@@ -19,11 +19,11 @@ from manifold_sde import (
     second_order_retraction,
     truncation_bound,
 )
-from manifold_sde.geometry import SdeSpec
+from manifold_sde.geometry import SdeSpec, TangentRetraction, retraction_second_derivative
 from manifold_sde.integrators import WienerIncrement
 from manifold_sde.linalg import frobenius_norm, mT, matrix_exp, polar_orth, skew, sym
 from manifold_sde.manifolds import lie_group, spd
-from manifold_sde.manifolds.hypersurface import make_hypersurface, rescale_tangent_retraction
+from manifold_sde.manifolds.hypersurface import make_hypersurface
 from manifold_sde.rng import RngStream
 
 
@@ -478,14 +478,20 @@ def test_adjusted_drift_vanishes_for_second_order_retraction(name, build):
     assert frobenius_norm(mu_r) < 1e-12
 
 
-@pytest.mark.parametrize("name,build", SPOT_BATTERY, ids=SPOT_IDS)
+# the battery plus a handle whose tubular map is not the orthogonal projection
+FIRST_ORDER_BATTERY = GEOMETRY_BATTERY + [
+    ("hypersurface-3-p4", lambda: make_hypersurface(n=3, p=4)),
+]
+FIRST_ORDER_IDS = [name for name, _ in FIRST_ORDER_BATTERY]
+
+
+@pytest.mark.parametrize("name,build", FIRST_ORDER_BATTERY, ids=FIRST_ORDER_IDS)
 def test_adjusted_drift_is_tangent_for_naive_retraction(name, build):
-    # finite-difference second derivative limits the achievable residual
     handle = build()
     x = handle.random_point(RngStream(33, 0))
     sde = brownian_sde(handle, form="ito")
-    mu_r = mu_retraction_adjusted(handle, sde, first_order_retraction(handle.tubular), x, 0.0)
-    assert frobenius_norm(mu_r - handle.project(x, mu_r)) < 1e-6
+    mu_r = mu_retraction_adjusted(handle, sde, first_order_retraction(handle), x, 0.0)
+    assert frobenius_norm(mu_r - handle.project(x, mu_r)) < 1e-12
 
 
 def test_sphere_rescaling_needs_no_adjustment(sphere3):
@@ -502,7 +508,7 @@ def test_hypersurface_rescale_adjustment_formula():
     handle = make_hypersurface(n=3, p=p)
     x = handle.random_point(RngStream(35, 0))
     sde = brownian_sde(handle, form="ito")
-    mu_r = mu_retraction_adjusted(handle, sde, rescale_tangent_retraction(handle), x, 0.0)
+    mu_r = mu_retraction_adjusted(handle, sde, first_order_retraction(handle), x, 0.0)
 
     basis = np.eye(3).reshape(3, 3, 1)
     fields = sde.sigma(x, basis, 0.0)
@@ -512,6 +518,33 @@ def test_hypersurface_rescale_adjustment_formula():
     assert frobenius_norm(mu_r - expected) < 1e-12
     assert frobenius_norm(mu_r - handle.project(x, mu_r)) < 1e-12
     assert frobenius_norm(mu_r) > 1e-3  # the adjustment is genuinely nonzero
+
+
+def _fd_second_derivative(retraction, x, v):
+    """r''(x)[v, v] by the central second difference of ``retract`` alone."""
+    return retraction_second_derivative(TangentRetraction(retract=retraction.retract), x, v)
+
+
+@pytest.mark.parametrize("name,build", FIRST_ORDER_BATTERY, ids=FIRST_ORDER_IDS)
+def test_first_order_second_derivative_matches_its_finite_difference(name, build):
+    # r''(x)[v, v] = pi'(x) Gamma(x; v, v) - Gamma(x; v, v) for r = pi(x + v)
+    handle = build()
+    rng = RngStream(36, 0)
+    x = handle.random_point(rng)
+    v = handle.random_tangent(rng, x)
+    r = first_order_retraction(handle)
+    assert frobenius_norm(r.second_derivative(x, v) - _fd_second_derivative(r, x, v)) < 1e-5
+
+
+@pytest.mark.parametrize("name,build", FIRST_ORDER_BATTERY, ids=FIRST_ORDER_IDS)
+def test_first_order_adjusted_drift_is_the_tubular_differential_of_the_drift(name, build):
+    # mu - 1/2 sum_j (pi' Gamma_j - Gamma_j) = pi'(x) mu, since sum_j Gamma_j = -2 mu
+    handle = build()
+    x = handle.random_point(RngStream(37, 0))
+    sde = brownian_sde(handle, form="ito", diffusion=0.4)
+    mu_r = mu_retraction_adjusted(handle, sde, first_order_retraction(handle), x, 0.0)
+    expected = handle.tubular.differential(x, sde.drift(x, 0.0))
+    assert frobenius_norm(mu_r - expected) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -547,12 +580,12 @@ def test_retractive_em_skips_vanishing_adjustment(adjust_calls, family, params):
 
 def _first_order_so3():
     handle = make_manifold("so", N=3)
-    return handle, {"retraction": first_order_retraction(handle.tubular)}
+    return handle, {"retraction": first_order_retraction(handle)}
 
 
 def _rescale_hypersurface():
     handle = make_hypersurface(n=3, p=4)
-    return handle, {"retraction": rescale_tangent_retraction(handle)}
+    return handle, {"retraction": first_order_retraction(handle)}
 
 
 def _non_brownian_so3():
@@ -567,6 +600,23 @@ def test_retractive_em_keeps_adjustment_otherwise(adjust_calls, build):
     handle, kwargs = build()
     _one_step(make_stepper(handle, "retractive-em", **kwargs), handle, 41)
     assert len(adjust_calls) >= 1
+
+
+@pytest.mark.parametrize("family,params,closed_form",
+                         [("so", {"N": 3}, True), ("sphere", {"n": 3}, False)],
+                         ids=["so-3-closed-form", "sphere-3-rk4"])
+def test_exponential_retraction_is_second_order(adjust_calls, family, params, closed_form):
+    handle = make_manifold(family, **params)
+    assert (handle.exponential is not None) == closed_form
+    rng = RngStream(38, 0)
+    x = handle.random_point(rng)
+    v = handle.random_tangent(rng, x)
+    r = integrators.exponential_retraction(handle)
+    assert r.second_order
+    np.testing.assert_array_equal(r.second_derivative(x, v), -handle.christoffel(x, v, v))
+    assert frobenius_norm(r.second_derivative(x, v) - _fd_second_derivative(r, x, v)) < 1e-5
+    _one_step(make_stepper(handle, "retractive-em", retraction=r), handle, 39)
+    assert len(adjust_calls) == 0
 
 
 @pytest.mark.parametrize("name,build", SPOT_BATTERY, ids=SPOT_IDS)
@@ -614,13 +664,13 @@ def test_polar_retraction_factors_each_proposal_once(family, params):
 
 
 def test_first_order_retractive_em_step_skips_domain_test():
-    # the step and the two finite-difference evaluations of its drift
-    # adjustment each factor their proposal once
+    # the step factors its proposal once; the drift adjustment reads the
+    # closed-form second derivative and maps nothing
     handle, calls = counted_tubular(make_manifold("so", N=3))
     stepper = make_stepper(handle, "retractive-em",
-                           retraction=first_order_retraction(handle.tubular))
+                           retraction=first_order_retraction(handle))
     _one_step(stepper, handle, 45)
-    assert calls == {"mapping": 3, "domain": 0}
+    assert calls == {"mapping": 1, "domain": 0}
 
 
 @pytest.mark.parametrize("name,build", GEOMETRY_BATTERY, ids=IDS)

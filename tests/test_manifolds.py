@@ -652,20 +652,20 @@ def test_spd_points_and_sym_tangents():
     assert frobenius_norm(xi - mT(xi)) < 1e-12
 
 
-def _spd_rows_near_the_domain_edge():
-    """65 symmetric 3x3 rows whose smallest eigenvalue sits on, just above or
-    just below the domain threshold 1e-10, or clearly inside or outside it;
-    each also scaled by 1e8, plus the zero matrix."""
+def _spd_rows_near_the_domain_edge(N=3):
+    """65 symmetric N x N rows whose smallest eigenvalue sits on, just above
+    or just below the domain threshold 1e-10, or clearly inside or outside
+    it; each also scaled by 1e8, plus the zero matrix."""
     rng = RngStream(118, 0)
     rows = []
     for lam in (1e-10 * (1 + 1e-6), 1e-10 * (1 - 1e-6), 1e-10, 0.0, -1e-3, 1e-9, 1e-11, 1.0):
-        diag = np.diag([lam, 1.0, 2.0])
+        diag = np.diag([lam, *np.arange(1.0, N)])
         rows.append(diag)
         for _ in range(3):
-            q, _ = np.linalg.qr(rng.normal((3, 3)))
+            q, _ = np.linalg.qr(rng.normal((N, N)))
             rows.append(q @ diag @ q.T)
     rows += [1e8 * r for r in rows]
-    rows.append(np.zeros((3, 3)))
+    rows.append(np.zeros((N, N)))
     return sym(np.stack(rows))
 
 
@@ -698,6 +698,21 @@ def test_spd_domain_certificate_decides_as_eigvalsh():
             np.linalg.eigvalsh(rows)
         with pytest.raises(np.linalg.LinAlgError):
             domain(rows)
+
+
+@pytest.mark.parametrize("N", [2, 4])
+def test_spd_domain_off_three_decides_as_eigvalsh(N):
+    # no certificate off N = 3: every row is eigvalsh's to decide
+    mapping = make_manifold("spd", N=N).tubular.mapping
+    s = _spd_rows_near_the_domain_edge(N)
+    expected = np.linalg.eigvalsh(s)[:, 0] > 1e-10
+    assert expected.any() and not expected.all()
+    np.testing.assert_array_equal(mapping(s)[1], expected)
+    np.testing.assert_array_equal(mapping(s[:64].reshape(8, 8, N, N))[1],
+                                  expected[:64].reshape(8, 8))
+    for row, want in zip(s, expected):  # unbatched
+        got = mapping(row)[1]
+        assert np.ndim(got) == 0 and got == want
 
 
 def test_spd_eigendecomposition_is_reused_only_for_the_same_bits():
