@@ -22,10 +22,10 @@ Commands:
                    A cost with an exact law (``oracles.exact_mean``) gets
                    an ``exact-law`` row first and each cell's verdict on it.
 - ``uniform``:     long-run Brownian estimate vs. direct uniform sampling
-                   (compact manifolds and terminal costs only).  ``cost``
-                   may list ids (``cost = sum_abs,abs11``): one run and one
-                   direct draw serve them all, and each prints its line and
-                   writes its two summary rows, in the listed order.
+                   (families with a direct sampler and terminal costs only).
+                   ``cost`` may list ids (``cost = sum_abs,abs11``): one run
+                   and one direct draw serve them all, and each prints its
+                   line and writes its two summary rows, in the listed order.
 - ``heat-kernel``: spectral-series expectation for the sphere reference
                    configuration (diffusion 0.4, radius 3, T = 2 unless
                    set).  With ``n_path`` it also runs the ``compare`` grid

@@ -215,7 +215,6 @@ class ManifoldHandle:
     constraints: tuple[Constraint, ...] = ()
     exponential: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     in_domain: Callable[[np.ndarray], np.ndarray] | None = None
-    compact: bool = False
     cost_point: Callable[[np.ndarray], np.ndarray] | None = None
     params: Mapping[str, Any] = field(default_factory=dict)
 

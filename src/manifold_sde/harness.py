@@ -593,8 +593,9 @@ def uniform_limit_run(config: SimulationConfig, handle: ManifoldHandle,
     ``StudyRow`` per cost, labelled with its name.
 
     Each cost must be terminal only: the uniform law is a law of X_T, so a
-    running part has nothing to compare with.  Only compact families with a
-    direct sampler have a reference.  Every cost reads the same two sets of
+    running part has nothing to compare with.  Only families with a direct
+    sampler have a reference: on any other family the direct draw raises
+    before a path is stepped.  Every cost reads the same two sets of
     points: first ``n_direct`` direct uniform samples, drawn once from the
     independent samplers in oracles on the stream ``(config.seed, 2**32)``,
     then one ``simulate`` run with ``config``, each cost's terminal part
@@ -607,8 +608,6 @@ def uniform_limit_run(config: SimulationConfig, handle: ManifoldHandle,
     require_integer("n_direct", n_direct, positive=True)
     if len(costs) == 0:
         raise ValueError("costs must hold at least one cost")
-    if not handle.compact:
-        raise ValueError(f"{handle.name} is not compact; no uniform limit")
     for cost in costs:
         if cost.terminal is None:
             raise ValueError(f"cost {cost.name!r} has no terminal part; "

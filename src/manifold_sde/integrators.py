@@ -177,7 +177,7 @@ def _noise_basis(sde: SdeSpec, batch_ndim: int) -> np.ndarray:
     return np.eye(size).reshape((size,) + (1,) * batch_ndim + tuple(sde.noise_shape))
 
 
-def mu_retraction_adjusted(handle, sde, retraction, x, t) -> np.ndarray:
+def mu_retraction_adjusted(sde, retraction, x, t) -> np.ndarray:
     """mu minus half the sum of r''(x; sigma w_j, sigma w_j) over noise axes.
 
     The adjustment puts the one-step mean of a retracted Euler step back on
@@ -202,7 +202,7 @@ def step_retractive_em(handle, sde, retraction, x, t, h, zeta) -> StepResult:
     x = np.asarray(x, dtype=float)
     v = math.sqrt(h) * sde.sigma(x, zeta, t)
     if not (retraction.second_order and sde.diffusion is not None):
-        v = h * mu_retraction_adjusted(handle, sde, retraction, x, t) + v
+        v = h * mu_retraction_adjusted(sde, retraction, x, t) + v
     return StepResult(*retraction.retract(x, v))
 
 
@@ -307,26 +307,21 @@ class Stepper:
     uses_truncation: bool
 
 
-def _given_or_second_order(handle, given):
-    return second_order_retraction(handle) if given is None else given
-
-
-# id -> (SDE form, normalized walk, step rule, tangent retraction from
-# (handle, the caller's ``retraction``)).  A walk fixes its move length, so it
-# reads the raw increment and needs the SDE's generator scale; the other
-# schemes read the clamped one.
+# id -> (SDE form, normalized walk, step rule, tangent retraction built from
+# the handle, whether the caller's ``retraction`` replaces it).  A walk fixes
+# its move length, so it reads the raw increment and needs the SDE's
+# generator scale; the other schemes read the clamped one.
 _SCHEMES = {
-    "ito-em": ("ito", False, step_ito_projected, None),
-    "strat-heun": ("stratonovich", False, step_stratonovich_heun_projected, None),
-    "geodesic-walk": ("ito", True, step_geodesic_walk, _given_or_second_order),
-    "retractive-em": ("ito", False, step_retractive_em, _given_or_second_order),
-    "rk4-geodesic": ("ito", True, step_geodesic_walk,
-                     lambda handle, given: exponential_retraction(handle)),
+    "ito-em": ("ito", False, step_ito_projected, None, False),
+    "strat-heun": ("stratonovich", False, step_stratonovich_heun_projected, None, False),
+    "geodesic-walk": ("ito", True, step_geodesic_walk, second_order_retraction, True),
+    "retractive-em": ("ito", False, step_retractive_em, second_order_retraction, True),
+    "rk4-geodesic": ("ito", True, step_geodesic_walk, exponential_retraction, False),
 }
 
 INTEGRATOR_IDS = tuple(_SCHEMES)
 # the schemes that read the clamped increment, whose bound needs h in (0, 1)
-TRUNCATED_IDS = tuple(i for i, (_, walk, _, _) in _SCHEMES.items() if not walk)
+TRUNCATED_IDS = tuple(i for i, (_, walk, *_) in _SCHEMES.items() if not walk)
 
 
 def check_integrator_id(integrator_id: str) -> None:
@@ -347,10 +342,14 @@ def make_stepper(
     """Bind an integrator id to a handle and (by default Brownian) SDE.
 
     ``retraction`` replaces the second-order retraction of ``geodesic-walk``
-    and ``retractive-em``; the other schemes ignore it.
+    and ``retractive-em``; any other scheme refuses it
+    (``IntegratorParameterError``), since it would not read it.
     """
     check_integrator_id(integrator_id)
-    form, walk, rule, bind_retraction = _SCHEMES[integrator_id]
+    form, walk, rule, build_retraction, replaceable = _SCHEMES[integrator_id]
+    if retraction is not None and not replaceable:
+        takers = ", ".join(i for i, (*_, takes) in _SCHEMES.items() if takes)
+        raise IntegratorParameterError(f"{integrator_id} takes no retraction; only {takers} do")
     if sde is None:
         sde = brownian_sde(handle, form=form, diffusion=diffusion)
     elif sde.form != form:
@@ -361,8 +360,8 @@ def make_stepper(
         raise IntegratorParameterError(
             f"{integrator_id} needs a Brownian SDE carrying its generator scale"
         )
-    if bind_retraction is not None:
-        retraction = bind_retraction(handle, retraction)
+    if retraction is None and build_retraction is not None:
+        retraction = build_retraction(handle)
     noise = attrgetter("raw" if walk else "truncated")
 
     def step(x, t, h, inc):

@@ -68,6 +68,5 @@ def make_hyperbolic(n: int) -> ManifoldHandle:
         random_point=random_point,
         default_point=lambda: e_last.copy(),
         constraints=(),
-        compact=False,
         params={"n": n},
     )

@@ -106,7 +106,6 @@ def make_hypersurface(n: int, p: int = 4, d: np.ndarray | None = None) -> Manifo
         random_point=random_point,
         default_point=lambda: np.eye(n, 1) * d[0] ** (-1.0 / p),
         constraints=(constraint,),
-        compact=True,
         params={"n": n, "p": p, "d": tuple(float(v) for v in d)},
     )
 

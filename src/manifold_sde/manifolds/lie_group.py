@@ -309,6 +309,5 @@ def make_lie_group(kind: str, N: int, metric_seed: int | None = None) -> Manifol
         default_point=lambda: np.eye(size),
         constraints=constraints,
         exponential=exponential if bi_invariant else None,
-        compact=kind == "so",
         params={"kind": kind, "N": N, "metric_seed": metric_seed},
     )

@@ -365,6 +365,5 @@ def make_spd(N: int) -> ManifoldHandle:
         default_point=lambda: np.eye(N),
         constraints=(symmetry_constraints(N),),
         exponential=exponential,
-        compact=False,
         params={"N": N},
     )

@@ -63,6 +63,5 @@ def make_sphere(n: int, radius: float = 1.0) -> ManifoldHandle:
         random_point=random_point,
         default_point=default_point,
         constraints=(orthogonality_constraints((n, 1), target=r2),),
-        compact=True,
         params={"n": n, "radius": radius},
     )

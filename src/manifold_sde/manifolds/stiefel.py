@@ -107,6 +107,5 @@ def make_stiefel(n: int, p: int, alpha0: float = 1.0, alpha1: float = 1.0) -> Ma
         random_point=random_point,
         default_point=lambda: np.eye(n, p),
         constraints=(orthogonality_constraints((n, p)),),
-        compact=True,
         params={"n": n, "p": p, "alpha0": a0, "alpha1": a1},
     )

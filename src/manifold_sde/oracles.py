@@ -98,8 +98,6 @@ def _series_order(tau: float) -> int:
     order = 16
     while (2.0 * order + 1.0) * np.exp(-order * order * tau) > 1e-16:
         order *= 2
-        if order > 2**20:
-            raise HeatKernelParameterError("heat-kernel series failed to converge")
     return order
 
 
@@ -227,7 +225,8 @@ def sample_uniform(handle: ManifoldHandle, rng: RngStream, size: int = 1) -> np.
         flip = np.linalg.det(q) < 0.0
         q[flip, :, -1] *= -1.0
         return q
-    raise ValueError(f"no direct uniform sampler for {handle.name}")
+    raise ValueError(f"no direct uniform sampler for {handle.name}: the uniform law needs "
+                     "a compact family with a direct sampler (sphere, so, stiefel, grassmann)")
 
 
 def uniform_cost_estimate(handle: ManifoldHandle, cost, rng: RngStream,

@@ -208,7 +208,7 @@ def test_criterion_7_retraction_suite():
         assert fd_gap < 1e-5, (name, "retraction second derivative")
 
         sde = brownian_sde(handle, form="ito")
-        mu_r = mu_retraction_adjusted(handle, sde, ret, x, 0.0)
+        mu_r = mu_retraction_adjusted(sde, ret, x, 0.0)
         if handle.constraints:
             # per component: a sum over a whole block could cancel
             tangency = max(
@@ -221,7 +221,7 @@ def test_criterion_7_retraction_suite():
     sphere = make_manifold("sphere", n=3)
     x = sphere.random_point(RngStream(1006, 0))
     sde = brownian_sde(sphere, form="ito", diffusion=0.4)
-    mu_r = mu_retraction_adjusted(sphere, sde, second_order_retraction(sphere), x, 0.0)
+    mu_r = mu_retraction_adjusted(sde, second_order_retraction(sphere), x, 0.0)
     assert frobenius_norm(mu_r) < 1e-12, "sphere rescaling adjustment"
 
 

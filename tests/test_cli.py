@@ -78,6 +78,16 @@ def test_unknown_integrator_lists_valid_ids():
     assert "ito-em" in message and "geodesic-walk" in message
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("command=simulate\n", "", "missing required key 'command'"),
+    ("command=simulate", "command=run", "unknown command 'run'; valid commands: validate,"),
+    ("manifold=sphere", "manifold=torus", "unknown manifold 'torus'; valid names: aff, gl+,"),
+], ids=["no-command", "unknown-command", "unknown-manifold"])
+def test_missing_or_unknown_names_are_config_errors(old, new, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(HAPPY.replace(old, new))
+
+
 def test_unknown_keys_reported_with_line_numbers():
     text = "command=validate\nmanifold=sphere\ncolor=red\nn=3\nflavor=salt\n"
     with pytest.raises(ConfigError) as excinfo:
@@ -245,6 +255,16 @@ def test_heat_kernel_prints_reference_value(tmp_path, capsys):
     path = write(tmp_path, "hk.cfg", "command=heat-kernel\nmanifold=sphere\nn=3\ncost=phi_5_2\n")
     assert main([path]) == 0
     assert "0.299" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("body,error", [
+    ("n=5\ncost=phi_5_2\n", "heat-kernel needs manifold=sphere with n=3 or n=4"),
+    ("n=3\ncost=sum_abs\n", "heat-kernel supports costs phi_32_52, phi_5_2, got 'sum_abs'"),
+], ids=["sphere-5", "sum-abs"])
+def test_heat_kernel_refuses_what_has_no_series(tmp_path, capsys, body, error):
+    path = write(tmp_path, "hk.cfg", f"command=heat-kernel\nmanifold=sphere\n{body}")
+    assert main([path]) == 3
+    assert capsys.readouterr().err == f"config error: {error}\n"
 
 
 @pytest.mark.parametrize("n,cost,series", [(3, "phi_5_2", "0.299414"),

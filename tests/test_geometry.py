@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from batteries import SPOT_BATTERY, SPOT_IDS, count_linalg
+from batteries import GEOMETRY_BATTERY, SPOT_BATTERY, SPOT_IDS, count_linalg
 from manifold_sde import (
     OffManifoldError,
     SdeSpec,
@@ -19,6 +19,7 @@ from manifold_sde import (
     soo_residual,
 )
 from manifold_sde.geometry import (
+    FrameConditionError,
     ManifoldHandle,
     ambient_basis,
     brownian_ito_drift,
@@ -116,6 +117,17 @@ def test_dual_frame_reconstructs_projection(so3):
     assert frobenius_norm(recon - so3.project(x, w)) < 1e-9
 
 
+@pytest.mark.parametrize("dim,message", [
+    (10, "dim 10 exceeds ambient dimension 9"),
+    (4, "frame condition"),
+    (2, "projected basis spans more than dim=2 directions"),
+])
+def test_dual_frame_refuses_a_wrong_dim(so3, dim, message):
+    handle = dataclasses.replace(so3, dim=dim)
+    with pytest.raises(FrameConditionError, match=message):
+        dual_tangent_frame(handle, so3.default_point())
+
+
 def test_sphere_laplacian_of_coordinate():
     # f = x_1 has egrad e_1, zero Hessian; Delta f = -(n-1) x_1 on the unit sphere
     handle = make_manifold("sphere", n=3)
@@ -173,6 +185,24 @@ def test_strat_drift_finite_difference_consistency(so3):
     assert frobenius_norm(so3.strat_drift(x)) < 1e-12
     assert frobenius_norm(brownian_strat_drift(so3, x) - so3.strat_drift(x)) < 1e-6
     assert frobenius_norm(so3.ito_drift(x) + 0.5 * x) < 1e-12
+
+
+STRAT_DRIFT_BATTERY = GEOMETRY_BATTERY + [
+    ("hypersurface-3-p4", lambda: make_hypersurface(3, p=4)),
+    ("so-3-seed-4", lambda: make_manifold("so", N=3, metric_seed=4)),
+    ("spd-2", lambda: make_manifold("spd", N=2)),
+    ("spd-4", lambda: make_manifold("spd", N=4)),
+]
+
+
+@pytest.mark.parametrize("name,build", STRAT_DRIFT_BATTERY,
+                         ids=[name for name, _ in STRAT_DRIFT_BATTERY])
+def test_strat_drift_matches_the_finite_difference_on_every_family(name, build):
+    handle = build()
+    rng = RngStream(66, 0)
+    for _ in range(5):
+        x = handle.random_point(rng)
+        assert frobenius_norm(brownian_strat_drift(handle, x) - handle.strat_drift(x)) < 1e-6
 
 
 def test_second_order_retraction_reduces_to_rescaling_on_sphere(sphere3):

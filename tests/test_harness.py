@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import math
 import os
@@ -273,6 +274,25 @@ def test_worker_process_that_dies_is_a_named_error(so3, monkeypatch):
     _assert_no_child_left()
 
 
+def test_a_short_report_is_a_worker_failure():
+    # a child that exited 0 after writing part of its report
+    report = pickle.dumps((3, None, "ValueError()"))
+    with pytest.raises(WorkerProcessError, match="exited with status 0"):
+        harness._decode_report(1234, 0, report[:-4])
+
+
+def test_a_fork_that_fails_is_raised_with_no_child_left(so3, monkeypatch):
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "no process ids left")
+
+    monkeypatch.setattr(harness.os, "fork", no_fork)
+    monkeypatch.setenv(THREADS_ENV, "2")
+    cfg = SimulationConfig(T=0.5, n_div=2, n_path=16, seed=0, path_chunk=8)
+    with pytest.raises(BlockingIOError, match="no process ids left"):
+        simulate(cfg, so3)
+    _assert_no_child_left()
+
+
 class _Unpicklable(Exception):
     def __reduce__(self):
         raise pickle.PicklingError("not picklable")
@@ -410,6 +430,15 @@ def test_a_tiny_run_does_not_fork(so3, monkeypatch):
     monkeypatch.delenv(THREADS_ENV, raising=False)
     out = simulate(SimulationConfig(T=0.5, n_div=1, n_path=512, seed=0, path_chunk=64), so3)
     assert out.n_path == 512
+
+
+def test_without_fork_one_worker_runs_every_chunk(so3, monkeypatch):
+    config = SimulationConfig(T=0.5, n_div=16, n_path=256, seed=4, path_chunk=64)
+    monkeypatch.setenv(THREADS_ENV, "2")
+    forked = simulate(config, so3)
+    monkeypatch.delattr(harness.os, "fork")
+    assert _worker_count(config) == 1
+    np.testing.assert_array_equal(simulate(config, so3).samples, forked.samples)
 
 
 def test_step_failure_is_the_earliest_step_whatever_the_layout(monkeypatch):
@@ -780,6 +809,17 @@ def test_uniform_limit_takes_terminal_costs_only(so3, cost, message, monkeypatch
     cfg = SimulationConfig(T=1.0, n_div=4, n_path=4, seed=0)
     with pytest.raises(ValueError, match=message):
         uniform_limit_run(cfg, so3, [make_cost("sum_abs", so3), cost], n_direct=8)
+    assert calls == []
+
+
+def test_uniform_limit_checks_its_costs_before_the_family(monkeypatch):
+    # spd has no direct sampler, but the running part is reported first
+    calls = []
+    monkeypatch.setattr(harness, "simulate", lambda *args, **kw: calls.append(args))
+    spd3 = make_manifold("spd", N=3)
+    cfg = SimulationConfig(T=1.0, n_div=4, n_path=4, seed=0)
+    with pytest.raises(ValueError, match="'spd_running' has a running part"):
+        uniform_limit_run(cfg, spd3, [make_cost("spd_running", spd3)], n_direct=8)
     assert calls == []
 
 

@@ -428,6 +428,14 @@ def test_make_stepper_rejects_form_mismatch(sphere3):
         make_stepper(sphere3, "ito-em", sde=strat)
 
 
+@pytest.mark.parametrize("integrator", ["ito-em", "strat-heun", "rk4-geodesic"])
+def test_make_stepper_refuses_a_retraction_it_would_not_read(sphere3, integrator):
+    with pytest.raises(IntegratorParameterError,
+                       match=f"{integrator} takes no retraction; only geodesic-walk, "
+                             "retractive-em do"):
+        make_stepper(sphere3, integrator, retraction=second_order_retraction(sphere3))
+
+
 def test_walk_requires_generator_scale(sphere3):
     sde = brownian_sde(sphere3, form="ito")
     anonymous = SdeSpec(
@@ -474,7 +482,7 @@ def test_adjusted_drift_vanishes_for_second_order_retraction(name, build):
     handle = build()
     x = handle.random_point(RngStream(32, 0))
     sde = brownian_sde(handle, form="ito")
-    mu_r = mu_retraction_adjusted(handle, sde, second_order_retraction(handle), x, 0.0)
+    mu_r = mu_retraction_adjusted(sde, second_order_retraction(handle), x, 0.0)
     assert frobenius_norm(mu_r) < 1e-12
 
 
@@ -490,14 +498,14 @@ def test_adjusted_drift_is_tangent_for_naive_retraction(name, build):
     handle = build()
     x = handle.random_point(RngStream(33, 0))
     sde = brownian_sde(handle, form="ito")
-    mu_r = mu_retraction_adjusted(handle, sde, first_order_retraction(handle), x, 0.0)
+    mu_r = mu_retraction_adjusted(sde, first_order_retraction(handle), x, 0.0)
     assert frobenius_norm(mu_r - handle.project(x, mu_r)) < 1e-12
 
 
 def test_sphere_rescaling_needs_no_adjustment(sphere3):
     x = sphere3.random_point(RngStream(34, 0))
     sde = brownian_sde(sphere3, form="ito", diffusion=0.4)
-    mu_r = mu_retraction_adjusted(sphere3, sde, second_order_retraction(sphere3), x, 0.0)
+    mu_r = mu_retraction_adjusted(sde, second_order_retraction(sphere3), x, 0.0)
     assert frobenius_norm(mu_r) < 1e-12
 
 
@@ -508,7 +516,7 @@ def test_hypersurface_rescale_adjustment_formula():
     handle = make_hypersurface(n=3, p=p)
     x = handle.random_point(RngStream(35, 0))
     sde = brownian_sde(handle, form="ito")
-    mu_r = mu_retraction_adjusted(handle, sde, first_order_retraction(handle), x, 0.0)
+    mu_r = mu_retraction_adjusted(sde, first_order_retraction(handle), x, 0.0)
 
     basis = np.eye(3).reshape(3, 3, 1)
     fields = sde.sigma(x, basis, 0.0)
@@ -542,7 +550,7 @@ def test_first_order_adjusted_drift_is_the_tubular_differential_of_the_drift(nam
     handle = build()
     x = handle.random_point(RngStream(37, 0))
     sde = brownian_sde(handle, form="ito", diffusion=0.4)
-    mu_r = mu_retraction_adjusted(handle, sde, first_order_retraction(handle), x, 0.0)
+    mu_r = mu_retraction_adjusted(sde, first_order_retraction(handle), x, 0.0)
     expected = handle.tubular.differential(x, sde.drift(x, 0.0))
     assert frobenius_norm(mu_r - expected) < 1e-12
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from manifold_sde.linalg import (
     frobenius_norm,
     mT,
     matrix_exp,
+    ShapeError,
     polar_fused,
     polar_orth,
     skew,
@@ -339,6 +341,15 @@ def test_so_inv_sends_nonfinite_and_singular_rows_to_lapack(n):
             np.linalg.inv(rows)
         with pytest.raises(np.linalg.LinAlgError):
             so_inv(rows)
+
+
+@pytest.mark.parametrize("routine,shape,message", [
+    (so_inv, (2, 3), "so_inv: expected square matrices, got shape (2, 3)"),
+    (polar_fused, (4, 2, 3), "polar_fused: need n >= p matrices, got shape (4, 2, 3)"),
+], ids=["so_inv-2x3", "polar_fused-n-below-p"])
+def test_shape_errors_name_the_routine(routine, shape, message):
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        routine(np.ones(shape))
 
 
 def test_matrix_exp_nilpotent_and_rotation():

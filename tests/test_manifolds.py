@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from manifold_sde.linalg import (
     sym_eig,
 )
 from manifold_sde.manifolds.hypersurface import make_hypersurface
-from manifold_sde.manifolds.lie_group import LIE_KINDS, random_spd_coeff
+from manifold_sde.manifolds.lie_group import LIE_KINDS, make_lie_group, random_spd_coeff
 from manifold_sde.manifolds import spd
 from manifold_sde.manifolds.spd import _sqrt_factor, _strat_correction
 from manifold_sde.rng import RngStream
@@ -388,17 +389,18 @@ def _feeder(digest):
     return feed
 
 
-def _feed_constraints(feed, handle, q, x, u, v):
+def _feed_constraints(feed, handle, q, x, u, v, compact):
     """Feed each constraint component in order, as the per-entry constraints
     the digests were recorded with, then the metadata with the component
-    count."""
+    count.  ``compact`` is the flag the handles carried when the digests were
+    recorded (True on so and Grassmann, False on the other groups)."""
     count = 0
     for c in handle.constraints:
         value, grad, hess = c.value(q), c.grad(x), c.hess(x, u, v)
         for k in range(value.shape[-1]):
             feed(value[..., k], grad[..., k, :, :], hess[..., k])
         count += value.shape[-1]
-    feed(np.array([handle.dim, handle.compact, count]))
+    feed(np.array([handle.dim, compact, count]))
 
 
 def _lie_group_digest(kind):
@@ -422,7 +424,7 @@ def _lie_group_digest(kind):
                  *handle.tubular.mapping(q), handle.tubular.mapping(q)[1],
                  handle.tubular.differential(x, u), handle.on_manifold(q),
                  *handle.tubular.retract(bad, np.concatenate([base, x[:1]])))
-            _feed_constraints(feed, handle, q, x, u, v)
+            _feed_constraints(feed, handle, q, x, u, v, kind == "so")
     return digest.hexdigest()
 
 
@@ -456,7 +458,7 @@ def test_grassmann_handle_is_pinned():
              handle.tubular.differential(x, u), handle.on_manifold(q),
              *handle.tubular.retract(bad, np.concatenate([x, x[:2]])),
              handle.functional_point(x), handle.default_point())
-        _feed_constraints(feed, handle, q, x, u, v)
+        _feed_constraints(feed, handle, q, x, u, v, True)
         digest.update(repr((handle.name, sorted(handle.params.items()))).encode())
     assert digest.hexdigest() == GRASSMANN_DIGEST
 
@@ -631,6 +633,22 @@ def test_manifold_registry_rejects_unknown():
 def test_family_parameters_must_be_finite(build, bad):
     with pytest.raises(ValueError, match="finite"):
         build(bad)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: make_manifold("sphere", n=1), "sphere needs ambient dimension >= 2, got n=1"),
+    (lambda: make_manifold("hyperbolic", n=1), "hyperbolic needs dimension >= 2, got n=1"),
+    (lambda: make_hypersurface(1), "need ambient dimension >= 2, got 1"),
+    (lambda: make_hypersurface(3, p=3), "exponent p must be even and >= 2, got 3"),
+    (lambda: make_manifold("stiefel", n=3, p=4), "need 1 <= p <= n, got n=3, p=4"),
+    (lambda: make_lie_group("su", 3), "unknown group kind 'su'"),
+    (lambda: make_manifold("so", N=1), "so needs N >= 2, got 1"),
+    (lambda: make_manifold("spd", N=0), "spd needs N >= 1, got 0"),
+], ids=["sphere-n-1", "hyperbolic-n-1", "hypersurface-n-1", "hypersurface-p-3",
+        "stiefel-p-above-n", "group-kind", "so-N-1", "spd-N-0"])
+def test_family_sizes_out_of_range_are_refused(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 def test_group_points_exponentials_consistent():

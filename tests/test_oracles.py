@@ -17,6 +17,7 @@ from manifold_sde import (
     uniform_cost_estimate,
 )
 from manifold_sde.linalg import frobenius_norm, mT
+from manifold_sde.oracles import QuadratureError
 from manifold_sde.rng import RngStream
 
 
@@ -145,6 +146,13 @@ def test_uniform_stiefel_samples_are_orthonormal():
     handle = make_manifold("stiefel", n=5, p=3, alpha0=1.0, alpha1=0.8)
     y = sample_uniform(handle, RngStream(52, 0), 200)
     assert float(np.max(frobenius_norm(mT(y) @ y - np.eye(3)))) < 1e-12
+
+
+def test_a_cost_the_quadrature_cannot_resolve_is_a_named_error():
+    # the step at phi = 1 moves the refined value by about 9e-6
+    with pytest.raises(QuadratureError, match="quadrature refinement moved the value"):
+        heat_expectation_s2(lambda phi: (phi > 1.0).astype(float), T=2.0, diffusion=0.4,
+                            radius=3.0)
 
 
 def test_no_direct_sampler_for_noncompact_families():
