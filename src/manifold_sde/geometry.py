@@ -297,25 +297,22 @@ def check_projection(
 ) -> ProjectionReport:
     """Check that Pi(x) is idempotent and Pi g^{-1} is self-adjoint at ``x``.
 
-    Draws ``trials`` unit-norm ambient directions; the reported numbers are
-    the worst-case residuals over the draws (NaN if any residual is NaN).
+    Draws ``trials`` pairs of unit-norm ambient directions as one
+    ``(trials, 2) + shape`` normal and evaluates them as one batch; the
+    reported numbers are the worst-case residuals over the draws (NaN if any
+    residual is NaN).
     """
     require_on_manifold(handle, x)
     rng = rng if rng is not None else RngStream(0, 0)
-    n, m = handle.shape
-    max_idem = 0.0
-    max_asym = 0.0
-    for _ in range(trials):
-        w = rng.normal((n, m))
-        w /= frobenius_norm(w)
-        pw = handle.project(x, w)
-        max_idem = float(np.maximum(max_idem, frobenius_norm(handle.project(x, pw) - pw)))
-        w2 = rng.normal((n, m))
-        w2 /= frobenius_norm(w2)
-        lhs = frobenius_inner(w2, handle.project(x, handle.metric_inv(x, w)))
-        rhs = frobenius_inner(w, handle.project(x, handle.metric_inv(x, w2)))
-        max_asym = float(np.maximum(max_asym, abs(lhs - rhs)))
-    return ProjectionReport(max_idempotency=max_idem, max_asymmetry=max_asym)
+    draws = rng.normal((trials, 2) + handle.shape)
+    draws = draws / frobenius_norm(draws)[..., None, None]
+    w, w2 = draws[:, 0], draws[:, 1]
+    pw = handle.project(x, w)
+    idem = frobenius_norm(handle.project(x, pw) - pw)
+    lhs = frobenius_inner(w2, handle.project(x, handle.metric_inv(x, w)))
+    rhs = frobenius_inner(w, handle.project(x, handle.metric_inv(x, w2)))
+    return ProjectionReport(max_idempotency=float(np.max(idem, initial=0.0)),
+                            max_asymmetry=float(np.max(np.abs(lhs - rhs), initial=0.0)))
 
 
 def check_metric_compatibility(
@@ -329,37 +326,30 @@ def check_metric_compatibility(
     For tangent fields Y(y) = Pi(y) w extended by projection and a tangent
     direction xi, compares d/dt <Y, Y>_g along x + t xi against
     2 <Y, D_xi Y + Gamma(xi, Y)>_g, by central differences with step 1e-5.
-    Returns the worst residual over draws (NaN if any residual is NaN).
+    The ``trials`` pairs (w, raw xi) are one ``(trials, 2) + shape`` normal,
+    evaluated as one batch.  Returns the worst residual over the draws whose
+    xi = Pi(x) raw xi has norm 1e-12 or more (NaN if any residual is NaN,
+    and NaN when no draw is tangent: that is no evidence).  Raises
+    OffManifoldError unless ``x`` is on M.
     """
+    require_on_manifold(handle, x)
     rng = rng if rng is not None else RngStream(0, 0)
-    n, m = handle.shape
+    draws = rng.normal((trials, 2) + handle.shape)
+    xi = handle.project(x, draws[:, 1])
+    nxi = frobenius_norm(xi)
+    keep = ~(nxi < 1e-12)  # a NaN norm is kept, so its residual reads NaN
+    if not np.any(keep):
+        return float("nan")
+    w = draws[keep, 0] / frobenius_norm(draws[keep, 0])[:, None, None]
+    xi = xi[keep] / nxi[keep][:, None, None]
     step = 1e-5
-    worst = 0.0
-    for _ in range(trials):
-        w = rng.normal((n, m))
-        w /= frobenius_norm(w)
-        xi = handle.project(x, rng.normal((n, m)))
-        nxi = float(frobenius_norm(xi))
-        if nxi < 1e-12:
-            continue
-        xi = xi / nxi
-
-        def field(y):
-            return handle.project(y, w)
-
-        def sq_norm(y):
-            fy = field(y)
-            return float(frobenius_inner(fy, handle.metric(y, fy)))
-
-        xp = x + step * xi
-        xm = x - step * xi
-        lhs = (sq_norm(xp) - sq_norm(xm)) / (2.0 * step)
-        dy = (field(xp) - field(xm)) / (2.0 * step)
-        y0 = field(x)
-        nabla = dy + handle.christoffel(x, xi, y0)
-        rhs = 2.0 * float(frobenius_inner(y0, handle.metric(x, nabla)))
-        worst = float(np.maximum(worst, abs(lhs - rhs)))
-    return worst
+    xp, xm = x + step * xi, x - step * xi
+    yp, ym, y0 = handle.project(xp, w), handle.project(xm, w), handle.project(x, w)
+    lhs = (frobenius_inner(yp, handle.metric(xp, yp))
+           - frobenius_inner(ym, handle.metric(xm, ym))) / (2.0 * step)
+    nabla = (yp - ym) / (2.0 * step) + handle.christoffel(x, xi, y0)
+    rhs = 2.0 * frobenius_inner(y0, handle.metric(x, nabla))
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 # ---------------------------------------------------------------------------

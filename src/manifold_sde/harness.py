@@ -19,11 +19,13 @@ process is worker 0 and forks ``workers - 1`` children, chunk k goes to worker
 k mod workers, and every worker runs its chunks in ascending order.  Each run
 plans its chunks for its worker count (``_plan_chunks``), so every worker runs
 as many chunks of near-equal size.  The children write their samples into one
-shared anonymous ``mmap`` and report their least failure through a pipe.  A
-failing run raises the StepFailureError of the earliest step, and of the
-lowest path at that step, which is what one chunk holding every path raises;
-any other exception comes first, from the lowest chunk that raised one.  With
-one worker, which is all there is without ``os.fork``, nothing is forked.
+shared anonymous ``mmap`` and report through a pipe.  A failed step is a
+chunk's result, two ints (step, path); only an exception (a fault) travels
+pickled.  A fault comes first, from the lowest chunk that raised one;
+otherwise ``simulate`` raises the one StepFailureError, at the earliest
+failed step and the lowest path there, which is what one chunk holding every
+path fails at.  With one worker, which is all there is without ``os.fork``,
+nothing is forked.
 
 The running cost is accumulated as sum_j g(X_{j+1}, j h) * h (the post-step
 point with the pre-step time, matching the reference loop order), plus the
@@ -257,18 +259,20 @@ def _noise_block(seed: int, lo: int, hi: int, tau: int, steps: int, noise: tuple
 
 
 def _run_chunk(handle: ManifoldHandle, stepper: Stepper, config: SimulationConfig,
-               costs: tuple, lo: int, hi: int) -> np.ndarray:
-    """Advance paths [lo, hi) as whole arrays; returns their samples, one
-    column per cost in ``costs``, shaped (hi - lo, len(costs)).
+               costs: tuple, lo: int, hi: int) -> tuple:
+    """Advance paths [lo, hi) as whole arrays; returns (samples, failed): the
+    samples one column per cost in ``costs``, shaped (hi - lo, len(costs)),
+    and the chunk's first failed (step, path), or None.
 
     Each step moves the whole chunk at once.  The chunk holds the noise of
     one time block at a time (``_noise_block``).  A stepper's rows are final
     (a flagged row is its previous state, bit for bit), so the chunk takes
     them whole.  A row the stepper flags is resampled, attempt a of path i at
     step j drawing from the stream ``(seed, i, (0, j, a, 0))``; a row still
-    flagged after ``max_retries`` draws raises StepFailureError, the one way
-    a run fails.  The running parts read one functional point per step and
-    the terminal parts one at T; each column sums as it would alone.
+    flagged after ``max_retries`` draws fails the step: the chunk stops there
+    and returns the lowest such path, and its samples mean nothing.  The
+    running parts read one functional point per step and the terminal parts
+    one at T; each column sums as it would alone.
     """
     size = hi - lo
     h = config.h
@@ -301,12 +305,7 @@ def _run_chunk(handle: ManifoldHandle, stepper: Stepper, config: SimulationConfi
         while pending.size:
             attempt += 1
             if attempt > config.max_retries:
-                path = lo + int(pending[0])
-                raise StepFailureError(
-                    f"{handle.name}: path {path} failed step {j} "
-                    f"(t={t:.6g}) after {config.max_retries} retries",
-                    step=j, path=path,
-                )
+                return acc, (j, lo + int(pending[0]))
             raw = np.stack([
                 RngStream(config.seed, stream_id=lo + i, counter=(0, j, attempt, 0)).normal(noise)
                 for i in pending.tolist()
@@ -324,56 +323,45 @@ def _run_chunk(handle: ManifoldHandle, stepper: Stepper, config: SimulationConfi
         pts = handle.functional_point(state)
         for k, f in terminal:
             acc[:, k] += np.asarray(f(pts, config.T), dtype=float)
-    return acc
+    return acc, None
 
 
-def _failure_order(failure) -> tuple:
-    """Sort key of a chunk failure (chunk index, exception): any other
-    exception before a located step failure, the lowest chunk first; step
-    failures by (step, path).  The least is what one chunk holding every path
-    raises, whatever the layout."""
-    k, exc = failure
-    if isinstance(exc, StepFailureError) and exc.step is not None:
-        return (1, exc.step, exc.path)
-    return (0, k)
-
-
-def _run_share(run, chunks, worker: int, workers: int, out: np.ndarray):
+def _run_share(run, chunks, worker: int, workers: int, out: np.ndarray) -> tuple:
     """Run chunks worker, worker + workers, ... in order into ``out``; returns
-    the least failure (``_failure_order``) as (chunk index, exception), or None.
+    the report (fault, failed): the first exception as (chunk index,
+    exception), or None, and the least failed (step, path) of the chunks
+    run, or None.
 
-    A chunk stops at its first failure.  After a step failure the share runs
-    on, since a later chunk may fail at an earlier step; any other exception
-    ends it.
+    After a failed step the share runs on, since a later chunk may fail at
+    an earlier step; an exception ends it.
     """
-    least = None
+    failed = []
     for k in range(worker, len(chunks), workers):
         lo, hi = chunks[k]
         try:
-            out[lo:hi] = run(lo, hi)
+            out[lo:hi], first = run(lo, hi)
         except Exception as exc:
-            failure = (k, exc)
-            if least is None or _failure_order(failure) < _failure_order(least):
-                least = failure
-            if _failure_order(failure)[0] == 0:
-                break
-    return least
+            return (k, exc), min(failed, default=None)
+        if first is not None:
+            failed.append(first)
+    return None, min(failed, default=None)
 
 
-def _encode_report(failure) -> bytes:
-    """A child's report: None, or (chunk index, pickled exception or None, repr)."""
-    if failure is None:
-        return pickle.dumps(None)
-    k, exc = failure
-    try:
-        payload = pickle.dumps(exc)
-    except Exception:
-        payload = None
-    return pickle.dumps((k, payload, repr(exc)))
+def _encode_report(report) -> bytes:
+    """A child's report (fault, failed), its fault None or (chunk index,
+    pickled exception or None, repr)."""
+    fault, failed = report
+    if fault is not None:
+        try:
+            payload = pickle.dumps(fault[1])
+        except Exception:
+            payload = None
+        fault = (fault[0], payload, repr(fault[1]))
+    return pickle.dumps((fault, failed))
 
 
-def _decode_report(pid: int, status: int, data: bytes):
-    """The failure a child reported, as (chunk index, exception), or None.
+def _decode_report(pid: int, status: int, data: bytes) -> tuple:
+    """The report (fault, failed) a child sent (see ``_run_share``).
 
     A child that exited nonzero or left a short report is a WorkerProcessError;
     an exception that does not unpickle comes back as a RuntimeError of its repr.
@@ -381,16 +369,16 @@ def _decode_report(pid: int, status: int, data: bytes):
     if status != 0:
         raise WorkerProcessError(pid, status)
     try:
-        report = pickle.loads(data)
+        fault, failed = pickle.loads(data)
     except Exception:
         raise WorkerProcessError(pid, status) from None
-    if report is None:
-        return None
-    k, payload, text = report
-    try:
-        return k, pickle.loads(payload)
-    except Exception:
-        return k, RuntimeError(text)
+    if fault is not None:
+        k, payload, text = fault
+        try:
+            fault = k, pickle.loads(payload)
+        except Exception:
+            fault = k, RuntimeError(text)
+    return fault, failed
 
 
 def _write_all(fd: int, data: bytes) -> None:
@@ -399,10 +387,11 @@ def _write_all(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view):]
 
 
-def _run_forked(run, chunks, n_path: int, n_cost: int, workers: int) -> np.ndarray:
+def _run_forked(run, chunks, n_path: int, n_cost: int, workers: int) -> tuple:
     """Run ``chunks`` on this process (worker 0) and ``workers - 1`` forked
-    children (none for one worker); returns the (n_path, n_cost) samples or
-    raises the least failure (``_failure_order``).
+    children (none for one worker); returns the (n_path, n_cost) samples and
+    the least failed (step, path) over all workers, or None, unless a chunk
+    raised: then it raises the exception of the lowest such chunk.
 
     The children write samples into one shared anonymous mmap and a report
     into a pipe each.  A child never returns into the caller: it leaves by
@@ -413,7 +402,7 @@ def _run_forked(run, chunks, n_path: int, n_cost: int, workers: int) -> np.ndarr
     shared = np.frombuffer(mmap.mmap(-1, 8 * n_path * n_cost), dtype=float)
     shared = shared.reshape(n_path, n_cost)
     children = []  # (pid, read end of its report pipe)
-    reports, statuses = {}, {}
+    data, statuses = {}, {}
     try:
         for w in range(1, workers):
             r, wr = os.pipe()
@@ -432,10 +421,10 @@ def _run_forked(run, chunks, n_path: int, n_cost: int, workers: int) -> np.ndarr
                     os._exit(status)
             os.close(wr)
             children.append((pid, r))
-        failures = [_run_share(run, chunks, 0, workers, shared)]
+        reports = [_run_share(run, chunks, 0, workers, shared)]
         for pid, r in children:
             with open(r, "rb", closefd=False) as fh:
-                reports[pid] = fh.read()
+                data[pid] = fh.read()
     except BaseException:
         for pid, _ in children:
             os.kill(pid, signal.SIGKILL)
@@ -444,11 +433,11 @@ def _run_forked(run, chunks, n_path: int, n_cost: int, workers: int) -> np.ndarr
         for pid, r in children:
             os.close(r)
             statuses[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    failures += [_decode_report(pid, statuses[pid], reports[pid]) for pid, _ in children]
-    failures = [f for f in failures if f is not None]
-    if failures:
-        raise min(failures, key=_failure_order)[1]
-    return shared.copy()
+    reports += [_decode_report(pid, statuses[pid], data[pid]) for pid, _ in children]
+    faults = [fault for fault, _ in reports if fault is not None]
+    if faults:
+        raise min(faults, key=lambda fault: fault[0])[1]
+    return shared.copy(), min((f for _, f in reports if f is not None), default=None)
 
 
 def simulate(config: SimulationConfig, handle: ManifoldHandle,
@@ -461,7 +450,9 @@ def simulate(config: SimulationConfig, handle: ManifoldHandle,
     is one ``CostFunctional`` (None is the zero cost), which gives one
     ``SampleSet``, or a non-empty tuple of them, which gives a tuple of
     ``SampleSet``s read off the same paths, the j-th bit-identical to a run
-    with ``cost[j]`` alone.
+    with ``cost[j]`` alone.  A row still flagged after ``max_retries``
+    retries fails the run with StepFailureError, for the earliest failed
+    step and the lowest path at it.
     """
     single = not isinstance(cost, tuple)
     costs = (cost or CostFunctional(),) if single else cost
@@ -475,7 +466,14 @@ def simulate(config: SimulationConfig, handle: ManifoldHandle,
 
     workers = _worker_count(config)
     chunks = _plan_chunks(config.n_path, config.path_chunk, workers)
-    samples = _run_forked(run, chunks, config.n_path, len(costs), workers)
+    samples, failed = _run_forked(run, chunks, config.n_path, len(costs), workers)
+    if failed is not None:
+        step, path = failed
+        raise StepFailureError(
+            f"{handle.name}: path {path} failed step {step} "
+            f"(t={step * config.h:.6g}) after {config.max_retries} retries",
+            step=step, path=path,
+        )
     sets = tuple(SampleSet(samples=np.ascontiguousarray(samples[:, k]))
                  for k in range(len(costs)))
     return sets[0] if single else sets

@@ -68,8 +68,9 @@ class IntegratorParameterError(ValueError):
 class StepFailureError(RuntimeError):
     """A path could not complete a step inside the retraction domain.
 
-    ``step`` and ``path`` locate the failure when the raiser knows them (the
-    simulation harness always sets both).
+    ``simulate`` raises it, the one place in the package that does, for the
+    earliest failed step and the lowest path at it, and sets ``step`` and
+    ``path``; other raisers may leave them None.
     """
 
     def __init__(self, message: str, step: int | None = None, path: int | None = None):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from batteries import GEOMETRY_BATTERY, SPOT_BATTERY, SPOT_IDS, count_linalg
+from batteries import GEOMETRY_BATTERY, IDS, SPOT_BATTERY, SPOT_IDS, count_linalg
 from manifold_sde import (
     OffManifoldError,
     SdeSpec,
@@ -520,3 +520,80 @@ def test_geometry_checks_report_a_nan_residual_as_nan(sphere3):
     assert np.isnan(check_projection(broken, x, trials=3).max_asymmetry)
     assert np.isnan(check_metric_compatibility(broken, x, trials=3))
     assert np.isnan(soo_residual(broken, x, brownian_soo(broken, x)))
+
+
+def _looped_checks(handle, x, trials, rng):
+    """The two checks one trial at a time, each trial drawing its two
+    normals in turn: the reference the batched checks must match bit for
+    bit."""
+    n, m = handle.shape
+    idem, asym, compat = 0.0, 0.0, 0.0
+    for _ in range(trials):
+        w = rng.normal((n, m))
+        w /= frobenius_norm(w)
+        pw = handle.project(x, w)
+        idem = float(np.maximum(idem, frobenius_norm(handle.project(x, pw) - pw)))
+        w2 = rng.normal((n, m))
+        w2 /= frobenius_norm(w2)
+        lhs = frobenius_inner(w2, handle.project(x, handle.metric_inv(x, w)))
+        rhs = frobenius_inner(w, handle.project(x, handle.metric_inv(x, w2)))
+        asym = float(np.maximum(asym, abs(lhs - rhs)))
+    for _ in range(trials):
+        w = rng.normal((n, m))
+        w /= frobenius_norm(w)
+        xi = handle.project(x, rng.normal((n, m)))
+        xi = xi / float(frobenius_norm(xi))
+
+        def sq_norm(y):
+            fy = handle.project(y, w)
+            return float(frobenius_inner(fy, handle.metric(y, fy)))
+
+        xp, xm = x + 1e-5 * xi, x - 1e-5 * xi
+        lhs = (sq_norm(xp) - sq_norm(xm)) / 2e-5
+        dy = (handle.project(xp, w) - handle.project(xm, w)) / 2e-5
+        y0 = handle.project(x, w)
+        rhs = 2.0 * float(frobenius_inner(y0, handle.metric(x, dy + handle.christoffel(x, xi, y0))))
+        compat = float(np.maximum(compat, abs(lhs - rhs)))
+    return idem, asym, compat
+
+
+@pytest.mark.parametrize("name,build", GEOMETRY_BATTERY, ids=IDS)
+def test_batched_checks_match_the_per_trial_loop_bit_for_bit(name, build):
+    # criterion 1's draws: the same residuals, and the stream left where the
+    # per-trial draws leave it
+    handle = build()
+    batched, looped = RngStream(1001, 0), RngStream(1001, 0)
+    for _ in range(3):
+        x = handle.random_point(batched)
+        assert np.array_equal(x, handle.random_point(looped))
+        report = check_projection(handle, x, trials=10, rng=batched)
+        compat = check_metric_compatibility(handle, x, trials=10, rng=batched)
+        got = (report.max_idempotency, report.max_asymmetry, compat)
+        assert got == _looped_checks(handle, x, 10, looped)
+    assert batched.normal(4).tobytes() == looped.normal(4).tobytes()
+
+
+def test_metric_compatibility_refuses_an_off_manifold_point(sphere3):
+    with pytest.raises(OffManifoldError, match="off-manifold"):
+        check_metric_compatibility(sphere3, 2.0 * sphere3.default_point())
+
+
+def test_metric_compatibility_without_a_tangent_draw_is_nan(sphere3):
+    # a projection onto nothing leaves no direction to differentiate along:
+    # no evidence, so the residual is NaN and validate fails it
+    def zero(x, w):
+        return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(w)))
+
+    broken = dataclasses.replace(sphere3, project=zero)
+    assert np.isnan(check_metric_compatibility(broken, sphere3.default_point(), trials=3))
+
+
+@pytest.mark.parametrize("name,build", GEOMETRY_BATTERY, ids=IDS)
+def test_laplace_drift_vector_of_a_batch_is_the_per_point_value(name, build):
+    handle = build()
+    rng = RngStream(15, 0)
+    xs = np.stack([handle.random_point(rng) for _ in range(4)])
+    single = np.stack([laplace_drift_vector(handle, x) for x in xs])
+    assert laplace_drift_vector(handle, xs).tobytes() == single.tobytes()
+    square = laplace_drift_vector(handle, xs.reshape((2, 2) + handle.shape))
+    assert square.tobytes() == single.tobytes()

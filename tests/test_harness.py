@@ -4,6 +4,7 @@ import hashlib
 import math
 import os
 import pickle
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -244,9 +245,8 @@ def test_step_failure_in_a_worker_process_is_raised_as_in_process(monkeypatch, w
     cfg = SimulationConfig(T=2.0, n_div=4, n_path=32, seed=50, integrator="ito-em",
                            max_retries=0, path_chunk=8)
     stepper = make_stepper(spd, "ito-em", diffusion=cfg.diffusion)
-    _run_chunk(spd, stepper, cfg, (CostFunctional(),), 0, 8)
-    with pytest.raises(StepFailureError, match=r"path 17 failed step 1 "):
-        _run_chunk(spd, stepper, cfg, (CostFunctional(),), 16, 24)
+    assert _run_chunk(spd, stepper, cfg, (CostFunctional(),), 0, 8)[1] is None
+    assert _run_chunk(spd, stepper, cfg, (CostFunctional(),), 16, 24)[1] == (1, 17)
     monkeypatch.setenv(THREADS_ENV, workers)
     with pytest.raises(StepFailureError) as excinfo:
         simulate(cfg, spd)
@@ -276,7 +276,7 @@ def test_worker_process_that_dies_is_a_named_error(so3, monkeypatch):
 
 def test_a_short_report_is_a_worker_failure():
     # a child that exited 0 after writing part of its report
-    report = pickle.dumps((3, None, "ValueError()"))
+    report = pickle.dumps(((3, None, "ValueError()"), None))
     with pytest.raises(WorkerProcessError, match="exited with status 0"):
         harness._decode_report(1234, 0, report[:-4])
 
@@ -449,8 +449,7 @@ def test_step_failure_is_the_earliest_step_whatever_the_layout(monkeypatch):
     cfg = SimulationConfig(T=2.0, n_div=4, n_path=128, seed=8, integrator="ito-em",
                            max_retries=0, path_chunk=1000)
     stepper = make_stepper(spd, "ito-em", diffusion=cfg.diffusion)
-    with pytest.raises(StepFailureError, match=r"path 33 failed step 1 "):
-        _run_chunk(spd, stepper, cfg, (CostFunctional(),), 0, 64)
+    assert _run_chunk(spd, stepper, cfg, (CostFunctional(),), 0, 64)[1] == (1, 33)
     monkeypatch.setenv(THREADS_ENV, "1")
     with pytest.raises(StepFailureError) as single:
         simulate(cfg, spd)
@@ -473,12 +472,35 @@ def test_step_failure_location_survives_pickling():
     assert StepFailureError("no location").step is None
 
 
-def test_other_exceptions_win_over_step_failures_by_lowest_chunk():
-    step = (2, StepFailureError("step", step=0, path=5))
-    low, high = (3, ValueError("low")), (1, ValueError("high"))
-    assert min([step, low, high], key=harness._failure_order) is high
-    unlocated = (0, StepFailureError("no location"))
-    assert min([step, unlocated], key=harness._failure_order) is unlocated
+def test_other_exceptions_win_over_step_failures_by_lowest_chunk(monkeypatch):
+    # at both caps: chunk 0 fails step 0 on path 5 and chunk 5 on path 33,
+    # and chunks 1-4 finish, so only they call the terminal cost; at cap 2
+    # the child runs chunks 1, 3 and 5
+    spd = make_manifold("spd", N=3)
+    cfg = SimulationConfig(T=2.0, n_div=4, n_path=40, seed=32, integrator="ito-em",
+                           max_retries=0, path_chunk=7)
+
+    def raising(sizes):
+        def terminal(pts, t):
+            if len(pts) in sizes:
+                raise ValueError(f"{len(pts)} rows")
+            return np.zeros(len(pts))
+        return CostFunctional(terminal=terminal)
+
+    for cap in ("1", "2"):
+        monkeypatch.setenv(THREADS_ENV, cap)
+        assert _plan_chunks(cfg.n_path, cfg.path_chunk, _worker_count(cfg)) == [
+            (0, 6), (6, 12), (12, 19), (19, 26), (26, 33), (33, 40)]
+        with pytest.raises(StepFailureError) as excinfo:
+            simulate(cfg, spd)
+        assert (excinfo.value.step, excinfo.value.path) == (0, 5)
+        # a fault in chunks 2-4 (7 rows) beats the step failure in chunk 0
+        with pytest.raises(ValueError, match="^7 rows$"):
+            simulate(cfg, spd, cost=raising({7}))
+        # of the faults in chunk 1 (6 rows) and chunks 2-4, chunk 1's is raised
+        with pytest.raises(ValueError, match="^6 rows$"):
+            simulate(cfg, spd, cost=raising({6, 7}))
+    _assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------
@@ -622,14 +644,22 @@ def test_first_retry_is_uncorrelated_with_the_main_draw():
 def test_noise_block_holds_its_output_and_one_draw(lo, hi):
     # sphere(3)'s (3, 1) increments over one 16-step time block; the traced
     # peak is the array of whole path blocks plus one block's draw, and its
-    # bits are those of the per-block draws
+    # bits are those of the per-block draws.  A line tracer (sys.settrace, as
+    # a coverage run uses) allocates in its callbacks, so it is suspended
+    # around the measured call, for this frame too, and then restored
     noise = (3, 1)
+    frame, tracer = sys._getframe(), sys.gettrace()
+    local = frame.f_trace
+    sys.settrace(None)
+    frame.f_trace = None
     tracemalloc.start()
     try:
         block = _noise_block(21, lo, hi, 2, BLOCK_STEPS, noise)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        sys.settrace(tracer)
+        frame.f_trace = local
     assert block.shape == (BLOCK_STEPS, hi - lo) + noise
     first, last = lo // BLOCK_PATHS, (hi - 1) // BLOCK_PATHS
     one_draw = BLOCK_STEPS * BLOCK_PATHS * 3 * 8
