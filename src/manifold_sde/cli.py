@@ -4,7 +4,7 @@ Usage: ``manifold-sde <config-path> [--set key=value ...]``
 
 Config files are UTF-8 ``key=value`` lines; ``#`` starts a comment.  The
 recognized keys are command, manifold, n, p, N, alpha0, alpha1, metric_seed,
-integrator, T, n_div, n_path, seed, r, cost and out; anything else is
+integrator, T, n_div, n_path, seed, cost and out; anything else is
 rejected with its line number.  ``--set`` overrides are applied after the
 file is parsed.  Each command reads ``manifold``, the family's parameters
 and its own keys (see ``COMMANDS``); a key it does not read is rejected.
@@ -90,7 +90,7 @@ EXIT_WORKER = 4
 _KEY_TYPES = {
     "command": str, "manifold": str, "integrator": str, "cost": str, "out": str,
     "n": int, "p": int, "N": int, "metric_seed": int, "n_div": int, "n_path": int,
-    "seed": int, "alpha0": float, "alpha1": float, "T": float, "r": float,
+    "seed": int, "alpha0": float, "alpha1": float, "T": float,
 }
 CONFIG_KEYS = frozenset(_KEY_TYPES)
 
@@ -414,12 +414,11 @@ def _cmd_heat_kernel(config: RunConfig) -> int:
 COMMANDS = {
     "validate": (("manifold",), ("seed",), _cmd_validate),
     "simulate": (("manifold", "integrator", "T", "n_div", "n_path", "seed", "cost", "out"),
-                 ("r",), _cmd_simulate),
-    "compare": (("manifold", "T", "n_path", "seed", "cost", "out"), ("n_div", "r"),
-                _cmd_compare),
-    "uniform": (("manifold", "cost", "out"), ("integrator", "T", "n_div", "n_path", "seed", "r"),
+                 (), _cmd_simulate),
+    "compare": (("manifold", "T", "n_path", "seed", "cost", "out"), ("n_div",), _cmd_compare),
+    "uniform": (("manifold", "cost", "out"), ("integrator", "T", "n_div", "n_path", "seed"),
                 _cmd_uniform),
-    "heat-kernel": (("manifold", "n", "cost"), ("T", "n_div", "n_path", "seed", "r", "out"),
+    "heat-kernel": (("manifold", "n", "cost"), ("T", "n_div", "n_path", "seed", "out"),
                     _cmd_heat_kernel),
 }
 

@@ -55,7 +55,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._checks import require_integer, require_positive_finite, require_real
+from ._checks import require_integer, require_positive_finite
 from .geometry import ManifoldHandle, require_on_manifold
 from .integrators import (
     TRUNCATED_IDS,
@@ -63,7 +63,6 @@ from .integrators import (
     Stepper,
     WienerIncrement,
     check_integrator_id,
-    check_truncation_parameter,
     make_stepper,
     truncation_bound,
 )
@@ -96,9 +95,9 @@ class SimulationConfig:
     ``path_chunk`` is an upper bound on the paths per chunk; each run plans
     its chunks for its worker count (see ``_plan_chunks``).  The counts
     ``n_div``, ``n_path``, ``seed``, ``max_retries`` and ``path_chunk`` are
-    ints or numpy integers, and ``T``, ``r`` and ``diffusion`` real numbers;
-    none of them is a bool.  The schemes that clamp their increments
-    (``TRUNCATED_IDS``) need h in (0, 1); the walks take any h.
+    ints or numpy integers, and ``T`` and ``diffusion`` real numbers; none
+    of them is a bool.  The schemes that clamp their increments at
+    sqrt(2 |ln h|) (``TRUNCATED_IDS``) need h in (0, 1); the walks take any h.
     """
 
     T: float
@@ -106,7 +105,6 @@ class SimulationConfig:
     n_path: int
     seed: int
     integrator: str = "ito-em"
-    r: float = 1.0
     diffusion: float = 0.5
     max_retries: int = 5
     path_chunk: int = 256
@@ -115,14 +113,12 @@ class SimulationConfig:
         for name in ("n_div", "n_path", "seed", "max_retries", "path_chunk"):
             require_integer(name, getattr(self, name))
         require_positive_finite("T", self.T)
-        require_real("r", self.r)
         require_positive_finite("diffusion", self.diffusion)
         if self.n_div < 1 or self.n_path < 1:
             raise ValueError("n_div and n_path must be at least 1")
         check_integrator_id(self.integrator)
-        check_truncation_parameter(self.r)
         if self.integrator in TRUNCATED_IDS:
-            truncation_bound(self.h, self.r)  # raises a ValueError naming h unless 0 < h < 1
+            truncation_bound(self.h)  # raises a ValueError naming h unless 0 < h < 1
         if self.max_retries < 0 or self.path_chunk < 1:
             raise ValueError("max_retries must be >= 0 and path_chunk >= 1")
 
@@ -278,11 +274,11 @@ def _run_chunk(handle: ManifoldHandle, stepper: Stepper, config: SimulationConfi
     h = config.h
     noise = stepper.noise_shape
     # normalized moves ignore the clamp entirely
-    bound = truncation_bound(h, config.r) if stepper.uses_truncation else None
+    bound = truncation_bound(h) if stepper.uses_truncation else None
 
     def increment(raw):
         zeta = np.clip(raw, -bound, bound) if bound is not None else raw
-        return WienerIncrement(raw=raw, truncated=zeta, h=h, r=config.r)
+        return WienerIncrement(raw=raw, truncated=zeta, h=h, r=1.0)
 
     running = [(k, c.running) for k, c in enumerate(costs) if c.running is not None]
     terminal = [(k, c.terminal) for k, c in enumerate(costs) if c.terminal is not None]

@@ -123,8 +123,8 @@ def sym_eig(a: np.ndarray) -> SymEigDecomposition:
 
 # Rows with ||I - a^T a||_F <= _GRAM_CERTIFIED pass the domain test without a
 # factorisation: every eigenvalue of the Gram matrix then lies in [1/2, 3/2],
-# so s_min^2 >= 1/2 and s_max^2 <= 3/2, far inside the threshold of
-# _well_conditioned.  Their polar factor is the limit of the Newton-Schulz
+# so s_min^2 >= 1/2 and s_max^2 <= 3/2, far inside the test
+# s_min > 1e-8 max(s_max, 1).  Their polar factor is the limit of the Newton-Schulz
 # iteration x <- x + x (I - x^T x) / 2 (Higham, Functions of Matrices, 2008,
 # ch. 8), which converges quadratically from that bound.
 _GRAM_CERTIFIED = 0.5
@@ -136,32 +136,6 @@ _GRAM_CERTIFIED = 0.5
 _NEWTON_SCHULZ_GAPS = np.array(
     [1e-16, 1.15470e-8, 1.24078e-4, 1.28348e-2, 0.128110, 0.388861, 0.652571]
 )
-
-
-def _polar_rows(a: np.ndarray, who: str) -> np.ndarray:
-    """n x p matrices (n >= p) stacked along one batch axis."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim < 2 or a.shape[-2] < a.shape[-1]:
-        raise ShapeError(f"{who}: need n >= p matrices, got shape {a.shape}")
-    return a.reshape((-1,) + a.shape[-2:])
-
-
-def _gram_defect(x: np.ndarray) -> np.ndarray:
-    """I - x^T x, batched.  x^T is copied first: ``mT(x) @ x`` (a view of
-    the same array) takes numpy's per-matrix syrk path, 2-3x slower here."""
-    return np.eye(x.shape[-1]) - np.ascontiguousarray(mT(x)) @ x
-
-
-def _gram_gap(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(I - rows^T rows, its Frobenius norm)``; a non-finite or overflowing
-    row gets a NaN or inf norm."""
-    with np.errstate(all="ignore"):
-        e = _gram_defect(rows)
-        return e, frobenius_norm(e)
-
-
-def _well_conditioned(s: np.ndarray) -> np.ndarray:
-    return s[..., -1] > 1e-8 * np.maximum(s[..., 0], 1.0)
 
 
 def _certified_iteration(x, r, residual, gap, certified, gaps):
@@ -199,21 +173,33 @@ def polar_fused(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``u @ vt`` and the test from one thin SVD.  A non-finite row fails the
     test, with a NaN point, and never reaches LAPACK.
     """
-    rows = _polar_rows(a, "polar_fused")
-    e, gap = _gram_gap(rows)
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-2] < a.shape[-1]:
+        raise ShapeError(f"polar_fused: need n >= p matrices, got shape {a.shape}")
+    rows = a.reshape((-1,) + a.shape[-2:])
+    eye = np.eye(rows.shape[-1])
+    # e = I - x^T x with x^T copied first: ``mT(x) @ x`` (a view of the same
+    # array) takes numpy's per-matrix syrk path, 2-3x slower here; a
+    # non-finite or overflowing row gets a NaN or inf gap
+    with np.errstate(all="ignore"):
+        e = eye - np.ascontiguousarray(mT(rows)) @ rows
+        gap = np.sqrt(np.sum(e * e, axis=(-2, -1)))
     # the step is x + x (e / 2), with the halving (exact) folded into the
     # Gram product: (I - x^T x) / 2 = I / 2 - (x^T / 2) x, where x^T / 2 is
     # a new array, so the product stays off the syrk path
-    half_eye = 0.5 * np.eye(rows.shape[-1])
+    half_eye = 0.5 * eye
     x, ok = _certified_iteration(rows, 0.5 * e, lambda x: half_eye - (0.5 * mT(x)) @ x,
                                  gap, _GRAM_CERTIFIED, _NEWTON_SCHULZ_GAPS)
-    point = np.where(ok[:, None, None], x, np.nan)
-    svd_rows = ~ok & np.all(np.isfinite(rows), axis=(-2, -1))
-    if np.any(svd_rows):
-        u, s, vt = np.linalg.svd(rows[svd_rows], full_matrices=False)
-        point[svd_rows] = u @ vt
-        ok[svd_rows] = _well_conditioned(s)
-    return point.reshape(np.shape(a)), ok.reshape(np.shape(a)[:-2])
+    if ok.all():
+        point = x.copy() if x is rows else x  # no step taken: never a view of a
+    else:
+        point = np.where(ok[:, None, None], x, np.nan)
+        svd_rows = ~ok & np.all(np.isfinite(rows), axis=(-2, -1))
+        if np.any(svd_rows):
+            u, s, vt = np.linalg.svd(rows[svd_rows], full_matrices=False)
+            point[svd_rows] = u @ vt
+            ok[svd_rows] = s[:, -1] > 1e-8 * np.maximum(s[:, 0], 1.0)
+    return point.reshape(a.shape), ok.reshape(a.shape[:-2])
 
 
 def polar_orth(a: np.ndarray) -> np.ndarray:

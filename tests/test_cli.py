@@ -165,8 +165,6 @@ def test_simulate_with_zero_paths_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("override,integrator", [
-    ("r=nan", "ito-em"),
-    ("r=inf", "ito-em"),
     ("T=nan", "geodesic-walk"),
     ("T=inf", "ito-em"),
 ])
@@ -175,6 +173,15 @@ def test_non_finite_parameters_are_config_errors(tmp_path, capsys, override, int
     cfg = write(tmp_path, "nonfinite.cfg", SMALL_SIM.format(out=out))
     assert main([cfg, "--set", override, "--set", f"integrator={integrator}"]) == 3
     assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
+def test_truncation_parameter_r_is_an_unknown_key(tmp_path, capsys):
+    # every clamped increment is cut at sqrt(2 |ln h|): no key sets the clamp
+    out = tmp_path / "r.csv"
+    cfg = write(tmp_path, "r.cfg", SMALL_SIM.format(out=out) + "r = 2\n")
+    assert main([cfg]) == 3
+    assert capsys.readouterr().err == "config error: line 12: unknown key 'r'\n"
     assert not out.exists()
 
 
@@ -464,10 +471,10 @@ def test_bad_output_path_fails_before_any_run(tmp_path, capsys, monkeypatch, com
 @pytest.mark.parametrize("command,unread", [
     ("compare", ["integrator"]),
     ("heat-kernel", ["integrator"]),
-    ("validate", ["T", "cost", "integrator", "n_div", "n_path", "out", "r"]),
+    ("validate", ["T", "cost", "integrator", "n_div", "n_path", "out"]),
 ])
 def test_keys_a_command_does_not_read_are_rejected(command, unread):
-    text = SMALL_SIM.format(out="run.csv").replace("simulate", command) + "r = 2\n"
+    text = SMALL_SIM.format(out="run.csv").replace("simulate", command)
     with pytest.raises(ConfigError) as excinfo:
         parse_config(text)
     assert str(excinfo.value) == (f"key(s) {', '.join(sorted(unread))} do not apply "
@@ -605,17 +612,6 @@ def test_uniform_command_rejects_a_running_cost(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "running part" in err
     assert not out.exists()
-
-
-def test_uniform_command_honours_truncation_parameter(tmp_path, capsys):
-    outs = []
-    for r in (1, 4):
-        out = tmp_path / f"u{r}.csv"
-        text = (f"command=uniform\nmanifold=so\nN=3\nn_path=64\nn_div=10\nT=2\n"
-                f"seed=1\nr={r}\ncost=sum_abs\nout={out}\n")
-        assert main([write(tmp_path, f"u{r}.cfg", text)]) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] != outs[1]
 
 
 def test_uniform_command_with_a_cost_list_is_the_one_cost_runs(tmp_path, capsys, monkeypatch):

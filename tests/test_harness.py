@@ -69,9 +69,9 @@ def test_constant_terminal_cost_has_zero_stderr(so3):
     dict(n_div=0),
     dict(n_path=0),
     dict(integrator="milstein"),
-    dict(r=0.5),
-    dict(r=float("nan")),
-    dict(r=float("inf")),
+    dict(T=10.0),
+    dict(T=20.0, integrator="strat-heun"),
+    dict(T=15.0, integrator="retractive-em"),
     dict(diffusion=0.0),
     dict(diffusion=float("nan")),
     dict(diffusion=float("inf")),
@@ -97,7 +97,7 @@ def test_config_counts_must_be_integers(field, value):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("T", True), ("r", True), ("diffusion", True), ("T", "1.0"),
+    ("T", True), ("diffusion", True), ("T", "1.0"),
 ])
 def test_config_float_fields_must_be_real_numbers(field, value):
     base = dict(T=1.0, n_div=10, n_path=10, seed=0)
@@ -108,7 +108,7 @@ def test_config_float_fields_must_be_real_numbers(field, value):
 
 @pytest.mark.parametrize("integrator", INTEGRATOR_IDS)
 def test_clamped_schemes_need_a_step_below_one(integrator):
-    # the clamp level sqrt(2 r |ln h|) needs h in (0, 1); the walks read the
+    # the clamp level sqrt(2 |ln h|) needs h in (0, 1); the walks read the
     # raw increment and take any h
     clamped = integrator in ("ito-em", "strat-heun", "retractive-em")
     for T, n_div in ((2.0, 1), (1.0, 1), (3.0, 2)):

@@ -41,34 +41,29 @@ def so3():
 # increment truncation
 
 
-def truncated_increment(rng: RngStream, k, h: float, r: float = 1.0) -> WienerIncrement:
+def truncated_increment(rng: RngStream, k, h: float) -> WienerIncrement:
     """Draw i.i.d. standard normals of shape ``k`` and clamp them at +-A_h."""
     shape = (k,) if isinstance(k, int) else tuple(k)
-    bound = truncation_bound(h, r)
+    bound = truncation_bound(h)
     raw = rng.normal(shape)
-    return WienerIncrement(
-        raw=raw, truncated=np.clip(raw, -bound, bound), h=float(h), r=float(r)
-    )
+    return WienerIncrement(raw=raw, truncated=np.clip(raw, -bound, bound), h=float(h), r=1.0)
 
 
 def test_truncation_bound_value():
-    assert truncation_bound(math.exp(-2.0), 1.0) == pytest.approx(2.0, abs=1e-15)
+    assert truncation_bound(math.exp(-2.0)) == pytest.approx(2.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("h,r", [
-    (0.0, 1.0), (1.0, 1.0), (1.5, 1.0), (-0.1, 1.0), (0.1, 0.5),
-    (float("nan"), 1.0), (0.1, float("nan")), (0.1, float("inf")),
-])
-def test_truncation_bound_rejects_bad_parameters(h, r):
+@pytest.mark.parametrize("h", [0.0, 1.0, 1.5, -0.1, float("nan")])
+def test_truncation_bound_rejects_bad_parameters(h):
     with pytest.raises(IntegratorParameterError):
-        truncation_bound(h, r)
+        truncation_bound(h)
 
 
 def test_truncated_increment_clamps_at_bound():
     h = math.exp(-2.0)
-    inc = truncated_increment(RngStream(20, 0), (2000,), h, r=1.0)
-    assert truncation_bound(inc.h, inc.r) == pytest.approx(2.0, abs=1e-15)
-    assert inc.h == h and inc.r == 1.0
+    inc = truncated_increment(RngStream(20, 0), (2000,), h)
+    assert truncation_bound(inc.h) == pytest.approx(2.0, abs=1e-15)
+    assert inc.h == h
     np.testing.assert_array_equal(inc.truncated, np.clip(inc.raw, -2.0, 2.0))
     assert np.any(np.abs(inc.raw) > 2.0)          # some draws do get clamped
     assert np.max(np.abs(inc.truncated)) <= 2.0

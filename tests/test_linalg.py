@@ -1,3 +1,4 @@
+import hashlib
 import re
 import warnings
 
@@ -204,6 +205,54 @@ def test_polar_rows_do_not_depend_on_their_batch(shape):
             np.testing.assert_array_equal(alone[0].reshape(shape).view(np.uint64),
                                           point[i].view(np.uint64))
             assert alone[1].item() == ok[i]
+
+
+def _polar_battery():
+    """Batches of 1, 32 and 256 rows of each shape: one near-orthonormal batch
+    that is certified throughout, and the same batch with uncertified, zero and
+    non-finite rows mixed in, plus a lone zero and a lone NaN row."""
+    rng = np.random.default_rng(16)
+    for shape in ((3, 3), (8, 8), (5, 3)):
+        n, p = shape
+        for size in (1, 32, 256):
+            scales = np.geomspace(1e-12, 0.15, size) / np.sqrt(n * p)
+            near = np.stack([_orthonormal(rng, n, p) + s * rng.normal(size=shape)
+                             for s in scales])
+            yield near
+            mixed = near.copy()
+            mixed[::4] = rng.normal(size=mixed[::4].shape)
+            mixed[1::8] = 0.0
+            for k, value in enumerate([np.nan, np.inf, -np.inf, 1e200]):
+                mixed[2 + 2 * k::16, 0, -1] = value
+            yield mixed
+        yield np.zeros((1,) + shape)
+        yield np.full((1,) + shape, np.nan)
+
+
+# sha256 of polar_fused's points and flags over the battery, recorded before
+# the routine's helpers were folded into it and its all-certified batches
+# returned straight after the iteration
+POLAR_BATTERY_DIGEST = "8c67f761ddb15df466fac16b06e30b526ce07a41b9b459fcb01120aed1a3a255"
+
+
+def test_polar_fused_is_pinned_over_the_battery():
+    digest = hashlib.sha256()
+    for rows in _polar_battery():
+        point, ok = polar_fused(rows)
+        digest.update(point.tobytes())
+        digest.update(ok.tobytes())
+    assert digest.hexdigest() == POLAR_BATTERY_DIGEST
+
+
+@pytest.mark.parametrize("shape", POLAR_SHAPES)
+def test_polar_fused_never_returns_a_view_of_its_input(shape):
+    # an exactly orthonormal batch takes no step, and is still copied
+    rows = np.broadcast_to(np.eye(*shape), (4,) + shape).copy()
+    for a in (rows, rows[0]):
+        point, ok = polar_fused(a)
+        assert ok.all()
+        np.testing.assert_array_equal(point, a)
+        assert not np.shares_memory(point, a)
 
 
 def test_polar_routines_keep_nonfinite_rows_from_lapack(capfd, monkeypatch):
